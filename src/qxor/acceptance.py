@@ -55,14 +55,6 @@ from .solvers import (
 from .tuples import mix_tuple
 
 
-def _swap_matrix(n: int) -> np.ndarray:
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            s[i * n + k, k * n + i] = 1.0
-    return s
-
-
 def _gue(n: int, rng) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (a + a.conj().T) / 2
@@ -73,7 +65,7 @@ def criterion_exact_values():
     for n in (2, 3):
         v = beta_owq(swap_game(n))
         assert abs(v - 1.0) <= 1e-10, f"swap game owq bias {v} at n={n}"
-        tau = associated_map(_swap_matrix(n), n, n)
+        tau = associated_map(swap_game(n).G * n**2, n, n)
         p = pi1o_exact(tau)
         assert abs(p - n * n) <= 1e-8, f"transpose 1-summing value {p} at n={n}"
     rng = np.random.default_rng(100)
@@ -89,7 +81,7 @@ def criterion_transpose_bracket():
     """The transpose kernel: summing-norm interval and amplified witness."""
     budget = SolverBudget(restarts=4, max_sweeps=100, seed=2)
     for n in (2, 3):
-        tau = associated_map(_swap_matrix(n), n, n)
+        tau = associated_map(swap_game(n).G * n**2, n, n)
         res = pi1cb_bounds(tau, (1, 2), budget)
         assert res.interval.lower >= n - 1e-6, f"pi1cb lower {res.interval.lower} at n={n}"
         assert res.interval.upper <= n * n + 1e-8, f"pi1cb upper at n={n}"
@@ -99,11 +91,11 @@ def criterion_transpose_bracket():
     for a in range(2):
         for b in range(2):
             w4[a, a, b, b] = 1.0
-    v4 = _swap_matrix(2).reshape(2, 2, 2, 2)
+    v4 = (swap_game(2).G * 4).reshape(2, 2, 2, 2)
     p4 = np.einsum("arbs,isjr->iajb", w4, v4)
     witness = float(np.linalg.svd(p4.reshape(4, 4), compute_uv=False)[0])
     assert abs(witness - 2.0) <= 1e-10, f"explicit witness value {witness}"
-    tau2 = associated_map(_swap_matrix(2), 2, 2)
+    tau2 = associated_map(swap_game(2).G * 4, 2, 2)
     iv, _ = amplified_norm(tau2, 2, budget)
     assert iv.lower >= 2 - 1e-6, f"amplified lower {iv.lower}"
 
@@ -185,7 +177,7 @@ def criterion_chain_known_values():
     """cb lower versus the summing comparison on known-value maps."""
     budget = SolverBudget(restarts=3, max_sweeps=60, seed=8)
     for n in (2, 3):
-        tau = associated_map(_swap_matrix(n), n, n)
+        tau = associated_map(swap_game(n).G * n**2, n, n)
         lo, bound, ok = chain_check(tau, float(n), budget, schedule=(1, 2))
         assert ok, f"transpose chain at n={n}: {lo} > {bound}"
     rng = np.random.default_rng(9)

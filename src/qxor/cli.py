@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,6 @@ class RunConfig:
     levels: tuple = (1, 2)
     fmt: str = "json"
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if not self.messages or not self.ancilla or not self.levels:
@@ -112,18 +110,31 @@ def game_to_payload(game: QuantumXorGame) -> dict:
     return payload
 
 
-def game_from_payload(payload: dict) -> QuantumXorGame:
-    if not isinstance(payload, dict):
-        raise SchemaError("top-level payload must be an object")
-    if payload.get("schema") != "qxor/1":
-        raise SchemaError("field schema must be 'qxor/1'")
-    allowed = {"schema", "n", "m", "G_re", "G_im", "episodes"}
-    unknown = sorted(set(payload) - allowed)
+def _check_fields(obj, what: str, schema: str | None, required, optional=()):
+    """Reject a non-object, a wrong schema tag, an unknown field or a
+    missing field; ``what`` names the object ("" for the whole payload)."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what or 'top-level payload'} must be an object")
+    if schema is not None:
+        if obj.get("schema") != schema:
+            raise SchemaError(f"field schema must be '{schema}'")
+        required = ("schema", *required)
+    prefix = f"{what}." if what else ""
+    unknown = sorted(set(obj) - {*required, *optional})
     if unknown:
-        raise SchemaError(f"unknown field {unknown[0]}")
-    for key in ("n", "m", "G_re", "G_im"):
-        if key not in payload:
-            raise SchemaError(f"missing field {key}")
+        raise SchemaError(f"unknown field {prefix}{unknown[0]}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise SchemaError(f"missing field {prefix}{missing[0]}")
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def game_from_payload(payload: dict) -> QuantumXorGame:
+    _check_fields(payload, "", "qxor/1", ("n", "m", "G_re", "G_im"), ("episodes",))
     n, m = payload["n"], payload["m"]
     if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
         raise SchemaError("fields n and m must be positive integers")
@@ -132,13 +143,18 @@ def game_from_payload(payload: dict) -> QuantumXorGame:
         raise SchemaError("field G_re has wrong shape for (n, m)")
     episodes = None
     if "episodes" in payload:
+        if not isinstance(payload["episodes"], list):
+            raise SchemaError("field episodes must be a list")
         episodes = []
         for idx, e in enumerate(payload["episodes"]):
-            extra = sorted(set(e) - {"p", "c", "rho_re", "rho_im"})
-            if extra:
-                raise SchemaError(f"unknown field episodes[{idx}].{extra[0]}")
-            rho = _lists_to_matrix(e["rho_re"], e["rho_im"], f"episodes[{idx}].rho")
-            episodes.append(Episode(float(e["p"]), int(e["c"]), rho))
+            what = f"episodes[{idx}]"
+            _check_fields(e, what, None, ("p", "c", "rho_re", "rho_im"))
+            rho = _lists_to_matrix(e["rho_re"], e["rho_im"], f"{what}.rho")
+            try:
+                p, c = float(e["p"]), int(e["c"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"fields {what}.p and {what}.c must be numbers") from exc
+            episodes.append(Episode(p, c, rho))
     return QuantumXorGame(n, m, g, episodes=tuple(episodes) if episodes else None)
 
 
@@ -208,28 +224,18 @@ def _emit_report(report: HierarchyReport, timings: dict, config: RunConfig):
 
 
 def _analyze_many(named_games, config: RunConfig):
+    """``hierarchy_report`` plus the wall time of each game, for CSV."""
     budget = config.budget()
-
-    def work(item):
-        gid, game = item
+    rows, timings = [], {}
+    for gid, game in named_games:
         t0 = time.perf_counter()
-        row = analyze_game(
+        rows.append(analyze_game(
             game, gid, budget,
             d_schedule=config.messages,
             ancilla_schedule=config.ancilla,
-        )
-        return row, time.perf_counter() - t0
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(work, named_games))
-    else:
-        results = [work(item) for item in named_games]
-    rows = tuple(sorted((r for r, _ in results), key=lambda r: r.game_id))
-    timings = {r.game_id: dt for r, dt in results}
-    max_ratio = max((r.ratio_entangled_vs_owc for r in rows), default=0.0)
-    violations = tuple(f"{r.game_id}:{v}" for r in rows for v in r.violations)
-    return HierarchyReport(rows, max_ratio, violations), timings
+        ))
+        timings[gid] = time.perf_counter() - t0
+    return HierarchyReport.of(rows), timings
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +244,8 @@ def _analyze_many(named_games, config: RunConfig):
 
 def cmd_analyze(game_file: str, config: RunConfig) -> int:
     try:
-        with open(game_file) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        game = game_from_payload(payload)
-    except SchemaError as exc:
+        game = game_from_payload(_read_json(game_file))
+    except (OSError, json.JSONDecodeError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:
@@ -305,18 +305,19 @@ def cmd_gallery(name: str, n: int | None, coeffs: str | None, out: str | None) -
 
 def cmd_norms(tuple_file: str, config: RunConfig) -> int:
     try:
-        with open(tuple_file) as fh:
-            payload = json.load(fh)
-        if payload.get("schema") != "qxor-tuple/1":
-            raise SchemaError("field schema must be 'qxor-tuple/1'")
-        unknown = sorted(set(payload) - {"schema", "entries_re", "entries_im"})
-        if unknown:
-            raise SchemaError(f"unknown field {unknown[0]}")
+        payload = _read_json(tuple_file)
+        _check_fields(payload, "", "qxor-tuple/1", ("entries_re", "entries_im"))
+        re_list, im_list = payload["entries_re"], payload["entries_im"]
+        if not (isinstance(re_list, list) and isinstance(im_list, list)
+                and len(re_list) == len(im_list)):
+            raise SchemaError("fields entries_re and entries_im must be lists of one length")
         entries = [
             _lists_to_matrix(re, im, f"entries[{i}]")
-            for i, (re, im) in enumerate(zip(payload["entries_re"], payload["entries_im"]))
+            for i, (re, im) in enumerate(zip(re_list, im_list))
         ]
-    except (OSError, json.JSONDecodeError, KeyError, SchemaError) as exc:
+        if len({e.shape for e in entries}) != 1:
+            raise SchemaError("entries must be one or more matrices of one shape")
+    except (OSError, json.JSONDecodeError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -348,17 +349,12 @@ def _space_from_payload(p: dict, what: str) -> Space:
 
 def cmd_factor(tensor_file: str, config: RunConfig) -> int:
     try:
-        with open(tensor_file) as fh:
-            payload = json.load(fh)
-        if payload.get("schema") != "qxor-tensor/1":
-            raise SchemaError("field schema must be 'qxor-tensor/1'")
-        unknown = sorted(set(payload) - {"schema", "X", "Y", "coeff_re", "coeff_im"})
-        if unknown:
-            raise SchemaError(f"unknown field {unknown[0]}")
+        payload = _read_json(tensor_file)
+        _check_fields(payload, "", "qxor-tensor/1", ("X", "Y", "coeff_re", "coeff_im"))
         x_space = _space_from_payload(payload["X"], "X")
         y_space = _space_from_payload(payload["Y"], "Y")
         coeff = _lists_to_matrix(payload["coeff_re"], payload["coeff_im"], "coeff")
-    except (OSError, json.JSONDecodeError, KeyError, SchemaError) as exc:
+    except (OSError, json.JSONDecodeError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -424,7 +420,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="comma-separated amplification levels")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from(args) -> RunConfig:
@@ -434,7 +429,7 @@ def _config_from(args) -> RunConfig:
     return RunConfig(
         seed=args.seed, restarts=args.restarts, max_sweeps=args.sweeps,
         tol=args.tol, messages=messages, ancilla=ancilla, levels=levels,
-        fmt=args.format, out=args.out, threads=args.threads,
+        fmt=args.format, out=args.out,
     )
 
 

@@ -276,7 +276,6 @@ class GammaResult:
     x_norm_upper: float
     y_norm_upper: float
     evaluations: int
-    converged: bool
 
 
 def _gamma_objective(z: TensorElement, xs, ys, budget) -> tuple[float, float, float]:
@@ -302,7 +301,7 @@ def gamma_rc_upper(z: TensorElement,
     xs, ys = z.schmidt_decomposition()
     scale = float(np.abs(z.coeff).max(initial=0.0))
     if scale == 0.0:
-        return GammaResult(0.0, xs, ys, 0.0, 0.0, 1, True)
+        return GammaResult(0.0, xs, ys, 0.0, 0.0, 1)
 
     small = budget.with_(restarts=min(budget.restarts, 6))
     best, xn, yn = _gamma_objective(z, xs, ys, small)
@@ -341,7 +340,7 @@ def gamma_rc_upper(z: TensorElement,
             sigma = min(0.5, sigma * 1.3)
         else:
             sigma = max(1e-3, sigma * 0.85)
-    return GammaResult(best, xs, ys, xn, yn, evaluations, True)
+    return GammaResult(best, xs, ys, xn, yn, evaluations)
 
 
 def gamma_to_Gamma(z: TensorElement, gamma_upper: float,

@@ -27,6 +27,8 @@ __all__ = [
     "operator_norm",
     "sign_hermitian",
     "polar_contraction",
+    "zero_pad",
+    "max_entangled",
     "partial_contract_A",
     "partial_contract_B",
     "permute_registers",
@@ -122,6 +124,23 @@ def polar_contraction(m) -> np.ndarray:
     a = as_matrix(m)
     u, _, vh = np.linalg.svd(a)
     return vh.conj().T @ u.conj().T
+
+
+def zero_pad(a, shape) -> np.ndarray:
+    """Complex zeros of ``shape`` with ``a`` in the leading corner: embeds a
+    smaller witness into larger dimensions without changing its value."""
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(slice(0, k) for k in np.shape(a))] = a
+    return out
+
+
+def max_entangled(a: int, b: int) -> np.ndarray:
+    """Unit vector on ``C^a (x) C^b`` with equal weight on ``e_i (x) e_i``
+    for ``i < min(a, b)``."""
+    v = np.zeros(a * b, dtype=complex)
+    for i in range(min(a, b)):
+        v[i * b + i] = 1.0
+    return v / np.linalg.norm(v)
 
 
 def _as_bipartite_tensor(G, n: int, m: int) -> np.ndarray:

@@ -26,9 +26,16 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget
-from .config import ConvergenceError, MonotonicityError, ValidationError
-from .linalg import as_matrix, operator_norm, polar_contraction, trace_norm
+from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .config import ConvergenceError, ValidationError
+from .linalg import (
+    as_matrix,
+    max_entangled,
+    operator_norm,
+    polar_contraction,
+    trace_norm,
+    zero_pad,
+)
 from .maps import KernelMap, Space, VectorMap
 
 __all__ = [
@@ -38,7 +45,6 @@ __all__ = [
     "cb_norm_bounds",
     "CbNormResult",
     "pietsch_pi2",
-    "ordering_witness_norm",
 ]
 
 
@@ -106,16 +112,6 @@ def _nuclear_cap(u: KernelMap) -> float:
 # see-saw cores
 # ---------------------------------------------------------------------------
 
-_MONO_SLACK = 1e-9
-
-
-def _check_monotone(old: float, new: float):
-    if new < old - _MONO_SLACK * max(1.0, abs(old)):
-        raise MonotonicityError(
-            f"see-saw objective decreased from {old!r} to {new!r}"
-        )
-
-
 def _project_pattern(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
     """Restrict an input block matrix to the domain pattern."""
     if pattern == "full":
@@ -146,6 +142,33 @@ def _feasible_input(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray
     if nrm > 1:
         z4 = z4 / nrm
     return z4
+
+
+def _input_update(c4, z4, pattern: str, bproj, objective) -> np.ndarray:
+    """Norm-attaining input against the coefficient blocks ``c4``. On a
+    general subspace the projected candidate replaces ``z4`` only if the
+    ``objective`` does not drop."""
+    L, n = c4.shape[0], c4.shape[1]
+    if pattern == "diag":
+        out = np.zeros_like(z4)
+        for k in range(n):
+            out[:, k, :, k] = polar_contraction(c4[:, k, :, k].T)
+        return out
+    cand = polar_contraction(c4.reshape(L * n, L * n).T).reshape(L, n, L, n)
+    if pattern == "full":
+        return cand
+    cand = _feasible_input(cand, pattern, bproj)
+    return cand if objective(cand) >= objective(z4) else z4
+
+
+def _partial_swap(L: int, n: int) -> np.ndarray:
+    """The swap e_i (x) e_j -> e_j (x) e_i on C^L (x) C^n, restricted to
+    indices below min(L, n)."""
+    s = np.zeros((L * n, L * n), dtype=complex)
+    for i in range(min(L, n)):
+        for j in range(min(L, n)):
+            s[i * n + j, j * n + i] = 1.0
+    return s
 
 
 def _basis_projector(space: Space):
@@ -188,24 +211,13 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
         # identity-flavored start
         z4 = np.eye(L * n, dtype=complex).reshape(L, n, L, n)
         v4 = np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m)
-        uv = np.zeros(kk * L, dtype=complex)
-        for i in range(min(kk, L)):
-            uv[i * L + i] = 1.0
-        uv = uv / np.linalg.norm(uv)
+        uv = max_entangled(kk, L)
         states.append(_DualState(z4, v4, uv.copy(), uv.copy()))
         # transpose-flavored start: swap patterns on both sides
-        z = np.zeros((L * n, L * n), dtype=complex)
-        for i in range(min(L, n)):
-            for j in range(min(L, n)):
-                z[i * n + j, j * n + i] = 1.0
-        if operator_norm(z) > 0:
-            z /= max(1.0, operator_norm(z))
-        v = np.zeros((kk * m, kk * m), dtype=complex)
-        for i in range(min(kk, m)):
-            for j in range(min(kk, m)):
-                v[i * m + j, j * m + i] = 1.0
-        if operator_norm(v) > 0:
-            v /= max(1.0, operator_norm(v))
+        z = _partial_swap(L, n)
+        z /= max(1.0, operator_norm(z))
+        v = _partial_swap(kk, m)
+        v /= max(1.0, operator_norm(v))
         states.append(_DualState(z.reshape(L, n, L, n), v.reshape(kk, m, kk, m),
                                  uv.copy(), uv.copy()))
         return states
@@ -219,56 +231,36 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
         return _DualState(z4, v.reshape(kk, m, kk, m),
                           uv / np.linalg.norm(uv), uw / np.linalg.norm(uw))
 
-    best_val = 0.0
-    best_state = None
+    def start(state):
+        z4 = _feasible_input(state.z4, pattern, bproj)
+        val, w4, p = _dual_value(g4, z4, state.v4, state.u, state.v, kk, L)
+        return val, (z4, state.v4, state.u, state.v, w4, p)
+
+    def sweep(_, state):
+        z4, v4, uvec, vvec, w4, p = state
+        # singular-pair update
+        pu, ps, pvh = np.linalg.svd(p)
+        uvec = pu[:, 0]
+        vvec = pvh[0].conj()
+        # dual-variable update
+        u2 = uvec.reshape(kk, L)
+        v2 = vvec.reshape(kk, L)
+        e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, w4)
+        v_new = polar_contraction(e4.reshape(kk * m, kk * m).T)
+        v4 = v_new.reshape(kk, m, kk, m)
+        # input update
+        gv = np.einsum("prqs,isjr->ipjq", g4, v4)
+        c4 = np.einsum("ia,jb,ipjq->apbq", u2.conj(), v2, gv)
+        z4 = _input_update(c4, z4, pattern, bproj,
+                           lambda z: _dual_value(g4, z, v4, uvec, vvec, kk, L)[0])
+        val, w4, p = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
+        return val, (z4, v4, uvec, vvec, w4, p)
+
     starts: list[_DualState] = list(inits) + structured_states()
     while len(starts) < len(inits) + 2 + budget.restarts:
         starts.append(random_state(budget.rng(key, len(starts))))
-
-    for state in starts:
-        z4 = _feasible_input(state.z4, pattern, bproj)
-        v4 = state.v4
-        uvec, vvec = state.u, state.v
-        val, w4, p = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
-        prev = val
-        for sweep in range(budget.max_sweeps):
-            # singular-pair update
-            pu, ps, pvh = np.linalg.svd(p)
-            uvec = pu[:, 0]
-            vvec = pvh[0].conj()
-            # dual-variable update
-            u2 = uvec.reshape(kk, L)
-            v2 = vvec.reshape(kk, L)
-            e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, w4)
-            v_new = polar_contraction(e4.reshape(kk * m, kk * m).T)
-            v4 = v_new.reshape(kk, m, kk, m)
-            # input update
-            gv = np.einsum("prqs,isjr->ipjq", g4, v4)
-            c4 = np.einsum("ia,jb,ipjq->apbq", u2.conj(), v2, gv)
-            cmat = c4.reshape(L * n, L * n)
-            if pattern == "full":
-                z4 = polar_contraction(cmat.T).reshape(L, n, L, n)
-            elif pattern == "diag":
-                z4 = np.zeros_like(z4)
-                for kdx in range(n):
-                    z4[:, kdx, :, kdx] = polar_contraction(c4[:, kdx, :, kdx].T)
-            else:
-                cand = polar_contraction(cmat.T).reshape(L, n, L, n)
-                cand = _feasible_input(cand, pattern, bproj)
-                cand_val, _, _ = _dual_value(g4, cand, v4, uvec, vvec, kk, L)
-                cur_val, _, _ = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
-                if cand_val >= cur_val:
-                    z4 = cand
-            val, w4, p = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best_state = _DualState(z4, v4, uvec, vvec)
-    return best_val, best_state
+    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    return val, None if best is None else _DualState(*best[:4])
 
 
 @dataclass
@@ -291,23 +283,13 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
         w = w4.reshape(L * m, L * m)
         return w
 
-    best_val = 0.0
-    best_state = None
     starts: list[_MatState] = list(inits)
     z0 = np.eye(L * n, dtype=complex).reshape(L, n, L, n)
     uv0 = np.zeros(L * m, dtype=complex)
     uv0[0] = 1.0
     starts.append(_MatState(z0, uv0.copy(), uv0.copy()))
-    z_swap = np.zeros((L * n, L * n), dtype=complex)
-    for i in range(min(L, n)):
-        for j in range(min(L, n)):
-            z_swap[i * n + j, j * n + i] = 1.0
-    if operator_norm(z_swap) > 0:
-        uv1 = np.zeros(L * m, dtype=complex)
-        for i in range(min(L, m)):
-            uv1[i * m + i] = 1.0
-        uv1 /= np.linalg.norm(uv1)
-        starts.append(_MatState(z_swap.reshape(L, n, L, n), uv1.copy(), uv1.copy()))
+    uv1 = max_entangled(L, m)
+    starts.append(_MatState(_partial_swap(L, n).reshape(L, n, L, n), uv1.copy(), uv1.copy()))
     while len(starts) < len(inits) + 2 + budget.restarts:
         rng = budget.rng(key, len(starts))
         z4 = rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n))
@@ -315,45 +297,26 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
         vv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
         starts.append(_MatState(z4, uv / np.linalg.norm(uv), vv / np.linalg.norm(vv)))
 
-    for state in starts:
+    def start(state):
         z4 = _feasible_input(state.z4, pattern, bproj)
-        uvec, vvec = state.u, state.v
         w = value(z4)
-        prev = float(np.real(uvec.conj() @ w @ vvec))
-        for sweep in range(budget.max_sweeps):
-            wu, ws, wvh = np.linalg.svd(w)
-            uvec = wu[:, 0]
-            vvec = wvh[0].conj()
-            u2 = uvec.reshape(L, m)
-            v2 = vvec.reshape(L, m)
-            c4 = np.einsum("ar,bs,prqs->apbq", u2.conj(), v2, g4)
-            cmat = c4.reshape(L * n, L * n)
-            if pattern == "full":
-                z4 = polar_contraction(cmat.T).reshape(L, n, L, n)
-            elif pattern == "diag":
-                z_new = np.zeros_like(z4)
-                for kdx in range(n):
-                    z_new[:, kdx, :, kdx] = polar_contraction(c4[:, kdx, :, kdx].T)
-                z4 = z_new
-            else:
-                cand = polar_contraction(cmat.T).reshape(L, n, L, n)
-                cand = _feasible_input(cand, pattern, bproj)
-                wc = value(cand)
-                if float(np.real(uvec.conj() @ wc @ vvec)) >= float(
-                    np.real(uvec.conj() @ value(z4) @ vvec)
-                ):
-                    z4 = cand
-            w = value(z4)
-            val = float(np.real(uvec.conj() @ w @ vvec))
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best_state = _MatState(z4, uvec, vvec)
-    return best_val, best_state
+        return float(np.real(state.u.conj() @ w @ state.v)), (z4, state.u, state.v, w)
+
+    def sweep(_, state):
+        z4, uvec, vvec, w = state
+        wu, ws, wvh = np.linalg.svd(w)
+        uvec = wu[:, 0]
+        vvec = wvh[0].conj()
+        u2 = uvec.reshape(L, m)
+        v2 = vvec.reshape(L, m)
+        c4 = np.einsum("ar,bs,prqs->apbq", u2.conj(), v2, g4)
+        z4 = _input_update(c4, z4, pattern, bproj,
+                           lambda z: float(np.real(uvec.conj() @ value(z) @ vvec)))
+        w = value(z4)
+        return float(np.real(uvec.conj() @ w @ vvec)), (z4, uvec, vvec, w)
+
+    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    return val, None if best is None else _MatState(*best[:3])
 
 
 @dataclass
@@ -388,47 +351,37 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
             blocks[k] /= max(1.0, operator_norm(blocks[k]))
         starts.append(_RcState(blocks))
 
-    best_val = 0.0
-    best_state = None
-    for state in starts:
+    def start(state):
         blocks = state.blocks.copy()
         for k in range(d):
             nk = operator_norm(blocks[k])
             if nk > 1:
                 blocks[k] /= nk
-        prev = _rc_level_value(blocks, h)
-        for sweep in range(budget.max_sweeps):
-            w = np.einsum("kab,kr->arb", blocks, h)
-            col = w.reshape(L * p, L)
-            row = w.transpose(0, 2, 1).reshape(L, L * p)
-            use_col = operator_norm(col) >= operator_norm(row)
-            if use_col:
-                cu, cs, cvh = np.linalg.svd(col)
-                uvec = cu[:, 0].reshape(L, p)
-                vvec = cvh[0].conj()
-                coeff = np.einsum("ar,kr,b->kab", uvec.conj(), h, vvec)
-            else:
-                ru, rs, rvh = np.linalg.svd(row)
-                uvec = ru[:, 0]
-                vvec = rvh[0].conj().reshape(L, p)
-                coeff = np.einsum("a,kr,br->kab", uvec.conj(), h, vvec)
-            cand = np.stack([polar_contraction(coeff[k].T) for k in range(d)])
-            cand_val = _rc_level_value(cand, h)
-            cur_val = _rc_level_value(blocks, h)
-            if cand_val >= cur_val:
-                blocks = cand
-                val = cand_val
-            else:
-                val = cur_val
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best_state = _RcState(blocks)
-    return best_val, best_state
+        return _rc_level_value(blocks, h), blocks
+
+    def sweep(_, blocks):
+        w = np.einsum("kab,kr->arb", blocks, h)
+        col = w.reshape(L * p, L)
+        row = w.transpose(0, 2, 1).reshape(L, L * p)
+        if operator_norm(col) >= operator_norm(row):
+            cu, cs, cvh = np.linalg.svd(col)
+            uvec = cu[:, 0].reshape(L, p)
+            vvec = cvh[0].conj()
+            coeff = np.einsum("ar,kr,b->kab", uvec.conj(), h, vvec)
+        else:
+            ru, rs, rvh = np.linalg.svd(row)
+            uvec = ru[:, 0]
+            vvec = rvh[0].conj().reshape(L, p)
+            coeff = np.einsum("a,kr,br->kab", uvec.conj(), h, vvec)
+        cand = np.stack([polar_contraction(coeff[k].T) for k in range(d)])
+        cand_val = _rc_level_value(cand, h)
+        cur_val = _rc_level_value(blocks, h)
+        if cand_val >= cur_val:
+            return cand_val, cand
+        return cur_val, blocks
+
+    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    return val, None if best is None else _RcState(best)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +418,7 @@ def ml_dual_norm(Z, k: int, m: int | None = None,
     for kk in levels:
         warm = None
         if v4_prev is not None:
-            kk_old = v4_prev.shape[0]
-            v4 = np.zeros((kk, m, kk, m), dtype=complex)
-            v4[:kk_old, :, :kk_old, :] = v4_prev
-            warm = v4
+            warm = zero_pad(v4_prev, (kk, m, kk, m))
         val, v4_prev = _pairing_seesaw(z4, L, m, kk, budget, v4_init=warm)
         best = max(best, val)
     lower = min(best, cap)  # fp guard; the theorems force lower <= cap
@@ -484,43 +434,26 @@ def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget,
         starts.append(v4_init)
     v_id = np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m)
     starts.append(v_id)
-    v_swap = np.zeros((kk * m, kk * m), dtype=complex)
-    for i in range(min(kk, m)):
-        for j in range(min(kk, m)):
-            v_swap[i * m + j, j * m + i] = 1.0
-    starts.append(v_swap.reshape(kk, m, kk, m))
+    starts.append(_partial_swap(kk, m).reshape(kk, m, kk, m))
     for r in range(budget.restarts):
         rng = budget.rng("pairing", kk, r)
         v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
         starts.append((v / max(1.0, operator_norm(v))).reshape(kk, m, kk, m))
 
-    best = 0.0
-    best_v4 = starts[0]
-    for v4 in starts:
+    def top_pair(v4):
         p4 = np.einsum("arbs,isjr->iajb", z4, v4)
-        p = p4.reshape(kk * L, kk * L)
-        pu, ps, pvh = np.linalg.svd(p)
-        uvec, vvec = pu[:, 0], pvh[0].conj()
-        prev = float(ps[0])
-        for sweep in range(budget.max_sweeps):
-            u2 = uvec.reshape(kk, L)
-            v2 = vvec.reshape(kk, L)
-            e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, z4)
-            v4 = polar_contraction(e4.reshape(kk * m, kk * m).T).reshape(kk, m, kk, m)
-            p4 = np.einsum("arbs,isjr->iajb", z4, v4)
-            p = p4.reshape(kk * L, kk * L)
-            pu, ps, pvh = np.linalg.svd(p)
-            uvec, vvec = pu[:, 0], pvh[0].conj()
-            val = float(ps[0])
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best:
-            best = prev
-            best_v4 = v4
-    return best, best_v4
+        pu, ps, pvh = np.linalg.svd(p4.reshape(kk * L, kk * L))
+        return float(ps[0]), (v4, pu[:, 0], pvh[0].conj())
+
+    def sweep(_, state):
+        _, uvec, vvec = state
+        u2 = uvec.reshape(kk, L)
+        v2 = vvec.reshape(kk, L)
+        e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, z4)
+        return top_pair(polar_contraction(e4.reshape(kk * m, kk * m).T).reshape(kk, m, kk, m))
+
+    best, state = seesaw(map(top_pair, starts), sweep, budget, floor=0.0)
+    return best, starts[0] if state is None else state[0]
 
 
 def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
@@ -547,39 +480,6 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
     lower, state = _amp_into_matrix(u, L, budget, inits=_warm or ())
     cap = _nuclear_cap(u)
     return BoundInterval(min(lower, cap), cap, "seesaw", "nuclear_cap"), state
-
-
-def _embed_dual_state(state: _DualState, L_old, n, kk_old, m, L_new, kk_new):
-    z4 = np.zeros((L_new, n, L_new, n), dtype=complex)
-    z4[:L_old, :, :L_old, :] = state.z4
-    v4 = np.zeros((kk_new, m, kk_new, m), dtype=complex)
-    v4[:kk_old, :, :kk_old, :] = state.v4
-    u_old = state.u.reshape(kk_old, L_old)
-    v_old = state.v.reshape(kk_old, L_old)
-    u_new = np.zeros((kk_new, L_new), dtype=complex)
-    v_new = np.zeros((kk_new, L_new), dtype=complex)
-    u_new[:kk_old, :L_old] = u_old
-    v_new[:kk_old, :L_old] = v_old
-    return _DualState(z4, v4, u_new.ravel(), v_new.ravel())
-
-
-def _embed_mat_state(state: _MatState, L_old, n, m, L_new):
-    z4 = np.zeros((L_new, n, L_new, n), dtype=complex)
-    z4[:L_old, :, :L_old, :] = state.z4
-    u_old = state.u.reshape(L_old, m)
-    v_old = state.v.reshape(L_old, m)
-    u_new = np.zeros((L_new, m), dtype=complex)
-    v_new = np.zeros((L_new, m), dtype=complex)
-    u_new[:L_old] = u_old
-    v_new[:L_old] = v_old
-    return _MatState(z4, u_new.ravel(), v_new.ravel())
-
-
-def _embed_rc_state(state: _RcState, L_new):
-    d, L_old, _ = state.blocks.shape
-    blocks = np.zeros((d, L_new, L_new), dtype=complex)
-    blocks[:, :L_old, :L_old] = state.blocks
-    return _RcState(blocks)
 
 
 def default_level_schedule(cap: int) -> tuple[int, ...]:
@@ -615,9 +515,9 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
         cap_level = u.n * u.m
     if schedule is None:
         schedule = default_level_schedule(cap_level)
-    schedule = tuple(int(L) for L in schedule)
-    if not schedule or any(L < 1 for L in schedule):
-        raise ValidationError("level schedule must be nonempty and positive")
+    schedule = normalize_schedule((int(L) for L in schedule), "level")
+    if schedule[0] < 1:
+        raise ValidationError("level schedule must be positive")
 
     per_level = []
     best = 0.0
@@ -629,11 +529,20 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
         if state is not None:
             L_prev = schedule[idx - 1]
             if isinstance(u, VectorMap):
-                warm = (_embed_rc_state(state, L),)
+                warm = (_RcState(zero_pad(state.blocks, (u.d, L, L))),)
             elif u.codomain.kind == "dual":
-                warm = (_embed_dual_state(state, L_prev, u.n, L_prev, u.m, L, L),)
+                warm = (_DualState(
+                    zero_pad(state.z4, (L, u.n, L, u.n)),
+                    zero_pad(state.v4, (L, u.m, L, u.m)),
+                    zero_pad(state.u.reshape(L_prev, L_prev), (L, L)).ravel(),
+                    zero_pad(state.v.reshape(L_prev, L_prev), (L, L)).ravel(),
+                ),)
             else:
-                warm = (_embed_mat_state(state, L_prev, u.n, u.m, L),)
+                warm = (_MatState(
+                    zero_pad(state.z4, (L, u.n, L, u.n)),
+                    zero_pad(state.u.reshape(L_prev, u.m), (L, u.m)).ravel(),
+                    zero_pad(state.v.reshape(L_prev, u.m), (L, u.m)).ravel(),
+                ),)
         interval, state = amplified_norm(u, L, budget, _warm=warm)
         upper, up_tag = interval.upper, interval.upper_method
         val = max(best, interval.lower)
@@ -689,6 +598,3 @@ def pietsch_pi2(vectors, rel_tol: float = 1e-6, max_rounds: int = 300) -> float:
             cuts.append(vecs[:, 1])
     raise ConvergenceError("cutting-plane iteration cap reached", residual=lam_min)
 
-
-def ordering_witness_norm(a) -> float:
-    return operator_norm(a)

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget
-from .config import MonotonicityError, ValidationError
+from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .config import ValidationError
 from .games import (
     EntangledStrategy,
     OwcStrategy,
@@ -30,12 +30,14 @@ from .games import (
 )
 from .linalg import (
     hermitian_part,
+    max_entangled,
     operator_norm,
     partial_contract_A,
     partial_contract_B,
     polar_contraction,
     sign_hermitian,
     trace_norm,
+    zero_pad,
 )
 from .maps import KernelMap
 from .tuples import col_norm, row_norm
@@ -59,14 +61,6 @@ __all__ = [
     "hierarchy_report",
     "default_message_schedule",
 ]
-
-_MONO_SLACK = 1e-9
-
-
-def _check_monotone(old: float, new: float):
-    if new < old - _MONO_SLACK * max(1.0, abs(old)):
-        raise MonotonicityError(f"sweep decreased the objective: {old!r} -> {new!r}")
-
 
 # ---------------------------------------------------------------------------
 # one-way quantum
@@ -104,25 +98,17 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
     n, m = game.n, game.m
     update = sign_hermitian if hermitian else polar_contraction
 
-    def sweep_from(a):
-        val_prev = -math.inf
-        b = None
-        for _ in range(budget.max_sweeps):
-            d = partial_contract_A(g, a, n, m)
-            if hermitian:
-                d = hermitian_part(d)
-            b = update(d)
-            c = partial_contract_B(g, b, n, m)
-            if hermitian:
-                c = hermitian_part(c)
-            a = update(c)
-            val = float(np.real(np.trace(partial_contract_A(g, a, n, m) @ b)))
-            _check_monotone(val_prev if val_prev > -math.inf else val, val)
-            if val - val_prev <= budget.tol * max(1.0, abs(val)):
-                val_prev = val
-                break
-            val_prev = val
-        return val_prev, a, b
+    def sweep(_, state):
+        a = state[0]
+        d = partial_contract_A(g, a, n, m)
+        if hermitian:
+            d = hermitian_part(d)
+        b = update(d)
+        c = partial_contract_B(g, b, n, m)
+        if hermitian:
+            c = hermitian_part(c)
+        a = update(c)
+        return float(np.real(np.trace(partial_contract_A(g, a, n, m) @ b))), (a, b)
 
     starts = list(extra_inits)
     starts.append(np.eye(n, dtype=complex))
@@ -130,12 +116,10 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
     for r in range(budget.restarts):
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
-    best = (-math.inf, None, None)
-    for a0 in starts:
-        val, a, b = sweep_from(np.asarray(a0, dtype=complex))
-        if val > best[0]:
-            best = (val, a, b)
-    return best
+    val, (a, b) = seesaw(
+        ((-math.inf, (np.asarray(a0, dtype=complex), None)) for a0 in starts), sweep, budget
+    )
+    return val, a, b
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,8 @@ class ProductBiasResult:
 
 
 def beta_product(game: QuantumXorGame,
-                 budget: SolverBudget = DEFAULT_BUDGET) -> ProductBiasResult:
+                 budget: SolverBudget = DEFAULT_BUDGET,
+                 _prod=None) -> ProductBiasResult:
     """Certified bounds for the unentangled product bias.
 
     Lower: best sign-update see-saw witness, re-evaluated through
@@ -155,9 +140,10 @@ def beta_product(game: QuantumXorGame,
     complex-contraction see-saw for the associated map's norm stabilizes,
     sqrt(2) times that estimate is reported instead (the product bias is
     within sqrt(2) of that norm, and the complex value dominates the
-    witness value by warm-starting from it).
+    witness value by warm-starting from it). ``_prod`` is a precomputed
+    ``_product_core(game, budget, hermitian=True, key="prod")``.
     """
-    val, a, b = _product_core(game, budget, hermitian=True, key="prod")
+    val, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
@@ -204,44 +190,39 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
         return float(np.real(np.einsum("iajc,kbld,jlik,cdab->", a4, b4, g4, rho4,
                                        optimize=True)))
 
-    def sweep(psi, a, b):
+    def start(psi, a, b):
+        psi = np.asarray(psi, dtype=complex)
+        rho4 = np.outer(psi, psi.conj()).reshape(dA, dB, dA, dB)
+        return value(a.reshape(n, dA, n, dA), b.reshape(m, dB, m, dB), rho4), (psi, a, b)
+
+    def sweep(_, state):
+        _, a, b = state
         a4 = a.reshape(n, dA, n, dA)
         b4 = b.reshape(m, dB, m, dB)
+        # shared-state update: top eigenvector of the ancilla-effective
+        # operator obtained by contracting the observables against the game
+        eff = np.einsum("iajc,kbld,jlik->abcd", a4, b4, g4, optimize=True)
+        eff = eff.reshape(dA * dB, dA * dB)
+        eff = (eff + eff.conj().T) / 2
+        w, u = np.linalg.eigh(eff)
+        psi = u[:, -1]
         rho4 = np.outer(psi, psi.conj()).reshape(dA, dB, dA, dB)
-        prev = value(a4, b4, rho4)
-        for _ in range(budget.max_sweeps):
-            # shared-state update: top eigenvector of the ancilla-effective
-            # operator obtained by contracting the observables against the game
-            eff = np.einsum("iajc,kbld,jlik->abcd", a4, b4, g4, optimize=True)
-            eff = eff.reshape(dA * dB, dA * dB)
-            eff = (eff + eff.conj().T) / 2
-            w, u = np.linalg.eigh(eff)
-            psi = u[:, -1]
-            rho4 = np.outer(psi, psi.conj()).reshape(dA, dB, dA, dB)
-            # Alice update: spectral sign of her effective operator
-            da = np.einsum("kbld,jlik,cdab->jcia", b4, g4, rho4, optimize=True)
-            da = da.reshape(n * dA, n * dA)
-            a = sign_hermitian(hermitian_part(da))
-            a4 = a.reshape(n, dA, n, dA)
-            # Bob update
-            db = np.einsum("iajc,jlik,cdab->ldkb", a4, g4, rho4, optimize=True)
-            db = db.reshape(m * dB, m * dB)
-            b = sign_hermitian(hermitian_part(db))
-            b4 = b.reshape(m, dB, m, dB)
-            val = value(a4, b4, rho4)
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        return prev, psi, a, b
+        # Alice update: spectral sign of her effective operator
+        da = np.einsum("kbld,jlik,cdab->jcia", b4, g4, rho4, optimize=True)
+        da = da.reshape(n * dA, n * dA)
+        a = sign_hermitian(hermitian_part(da))
+        a4 = a.reshape(n, dA, n, dA)
+        # Bob update
+        db = np.einsum("iajc,jlik,cdab->ldkb", a4, g4, rho4, optimize=True)
+        db = db.reshape(m * dB, m * dB)
+        b = sign_hermitian(hermitian_part(db))
+        b4 = b.reshape(m, dB, m, dB)
+        return value(a4, b4, rho4), (psi, a, b)
 
     starts = list(inits)
-    psi0 = np.zeros(dA * dB, dtype=complex)
-    for i in range(min(dA, dB)):
-        psi0[i * dB + i] = 1.0
-    psi0 /= np.linalg.norm(psi0)
-    starts.append((psi0, np.eye(n * dA, dtype=complex), np.eye(m * dB, dtype=complex)))
+    starts.append((
+        max_entangled(dA, dB), np.eye(n * dA, dtype=complex), np.eye(m * dB, dtype=complex),
+    ))
     for r in range(budget.restarts):
         rng = budget.rng(key, dA, dB, r)
         psi = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
@@ -251,12 +232,8 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
             _random_herm_contraction(m * dB, rng),
         ))
 
-    best = (-math.inf, None, None, None)
-    for psi, a, b in starts:
-        val, psi_f, a_f, b_f = sweep(np.asarray(psi, dtype=complex), a, b)
-        if val > best[0]:
-            best = (val, psi_f, a_f, b_f)
-    return best
+    val, (psi, a, b) = seesaw((start(*s) for s in starts), sweep, budget)
+    return val, psi, a, b
 
 
 def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
@@ -281,31 +258,26 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     )
 
 
-def _embed_entangled(strategy: EntangledStrategy, dA: int, dB: int):
-    """Zero-pad a smaller-ancilla strategy into larger ancilla dimensions."""
-    n, m = strategy.n, strategy.m
-    psi = np.zeros((dA, dB), dtype=complex)
-    psi[: strategy.dA, : strategy.dB] = strategy.psi.reshape(strategy.dA, strategy.dB)
-    a = np.zeros((n, dA, n, dA), dtype=complex)
-    a[:, : strategy.dA, :, : strategy.dA] = strategy.A.reshape(n, strategy.dA, n, strategy.dA)
-    b = np.zeros((m, dB, m, dB), dtype=complex)
-    b[:, : strategy.dB, :, : strategy.dB] = strategy.B.reshape(m, strategy.dB, m, strategy.dB)
-    return (psi.ravel(), a.reshape(n * dA, n * dA), b.reshape(m * dB, m * dB))
-
-
 def beta_entangled_schedule(game: QuantumXorGame,
                             dims: Optional[Sequence[tuple]] = None,
                             budget: SolverBudget = DEFAULT_BUDGET):
     """Run the entangled solver over increasing ancilla dimensions with
-    warm-start embedding, so the lower bounds are non-decreasing."""
+    zero-padded warm starts, so the lower bounds are non-decreasing."""
     if dims is None:
         dims = ((1, 1), (2, 2), (3, 3), (4, 4))
+    n, m = game.n, game.m
     results = []
     prev: Optional[EntangledStrategy] = None
-    for dA, dB in dims:
+    for dA, dB in normalize_schedule(dims, "ancilla"):
         warm = ()
         if prev is not None and dA >= prev.dA and dB >= prev.dB:
-            warm = (_embed_entangled(prev, dA, dB),)
+            a = prev.A.reshape(n, prev.dA, n, prev.dA)
+            b = prev.B.reshape(m, prev.dB, m, prev.dB)
+            warm = ((
+                zero_pad(prev.psi.reshape(prev.dA, prev.dB), (dA, dB)).ravel(),
+                zero_pad(a, (n, dA, n, dA)).reshape(n * dA, n * dA),
+                zero_pad(b, (m, dB, m, dB)).reshape(m * dB, m * dB),
+            ),)
         res = beta_entangled(game, dA, dB, budget, _warm=warm)
         results.append(res)
         prev = res.strategy
@@ -406,7 +378,7 @@ def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
 
 def beta_owc(game: QuantumXorGame, d: int,
              budget: SolverBudget = DEFAULT_BUDGET,
-             _warm=()) -> OwcBiasResult:
+             _warm=(), _prod=None) -> OwcBiasResult:
     """Certified bounds for the one-way classical communication bias with
     ``d`` messages.
 
@@ -415,16 +387,18 @@ def beta_owc(game: QuantumXorGame, d: int,
     sign update of Bob's observables with a projected-ascent step on
     Alice's instrument; a dual certificate reports the instrument step's
     remaining gap, which affects quality only, never the bound direction.
+    ``_warm`` holds instrument stacks to start from; ``_prod`` is as in
+    :func:`beta_product`.
     """
     if d < 1:
         raise ValidationError("message count must be positive")
     n, m = game.n, game.m
     owq = beta_owq(game)
+    _, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
 
     if d == 1 and not _warm:
         # definition reduction: one message makes the instrument a plain
         # two-outcome measurement, so the product solver is the solver
-        val, a, b = _product_core(game, budget, hermitian=True, key="prod")
         strategy = OwcStrategy(
             1,
             np.stack([(np.eye(n) + a) / 2]),
@@ -440,15 +414,6 @@ def beta_owc(game: QuantumXorGame, d: int,
             strategy, None, True,
         )
 
-    prod_val, pa, pb = _product_core(game, budget, hermitian=True, key="prod")
-
-    def product_embed():
-        e = np.zeros((2 * d, n, n), dtype=complex)
-        e[0] = (np.eye(n) + pa) / 2
-        e[d] = (np.eye(n) - pa) / 2
-        obs = np.stack([pb] + [np.eye(m, dtype=complex)] * (d - 1))
-        return e, obs
-
     def bob_step(e):
         obs = np.zeros((d, m, m), dtype=complex)
         val = 0.0
@@ -458,47 +423,36 @@ def beta_owc(game: QuantumXorGame, d: int,
             val += trace_norm(dk)
         return obs, val
 
-    starts = list(_warm)
-    starts.append(product_embed())
-    mf = _measure_forward_instrument(n, d)
-    starts.append((mf, np.stack([np.eye(m, dtype=complex)] * d)))
+    def start(e):
+        e = np.asarray(e, dtype=complex)
+        obs, val = bob_step(e)
+        return val, (e, obs)
+
+    def sweep(val, state):
+        e, obs = state
+        c_stack = np.stack([
+            hermitian_part(partial_contract_B(game.G, obs[k], n, m)) for k in range(d)
+        ])
+        cand = _instrument_ascent(c_stack, e, budget)
+        cand_obs, cand_val = bob_step(cand)
+        if cand_val >= val:
+            return cand_val, (cand, cand_obs)
+        return val, state
+
+    product = np.zeros((2 * d, n, n), dtype=complex)
+    product[0] = (np.eye(n) + a) / 2
+    product[d] = (np.eye(n) - a) / 2
+    starts = [*_warm, product, _measure_forward_instrument(n, d)]
     for r in range(max(1, budget.restarts // 2)):
         rng = budget.rng("owc", d, r)
         raw = []
         for _ in range(2 * d):
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             raw.append(x @ x.conj().T + 0.02 * np.eye(n))
-        raw = np.stack(raw)
-        starts.append((_dykstra_instrument(raw), np.stack([np.eye(m, dtype=complex)] * d)))
+        starts.append(_dykstra_instrument(np.stack(raw)))
 
-    best_val = -math.inf
-    best = None
-    gap = None
-    converged = True
-    for e0, obs0 in starts:
-        e = np.asarray(e0, dtype=complex)
-        obs, val = bob_step(e)
-        prev = val
-        for sweep in range(min(budget.max_sweeps, 40)):
-            c_stack = np.stack([
-                hermitian_part(partial_contract_B(game.G, obs[k], n, m)) for k in range(d)
-            ])
-            cand = _instrument_ascent(c_stack, e, budget)
-            cand_obs, cand_val = bob_step(cand)
-            if cand_val >= prev:
-                e, obs, val = cand, cand_obs, cand_val
-            else:
-                val = prev
-            _check_monotone(prev, val)
-            if val - prev <= budget.tol * max(1.0, abs(val)):
-                prev = val
-                break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best = (e, obs)
-
-    e, obs = best
+    _, (e, obs) = seesaw(map(start, starts), sweep, budget,
+                         max_sweeps=min(budget.max_sweeps, 40))
     # dual certificate for the final instrument subproblem
     c_stack = np.stack([
         hermitian_part(partial_contract_B(game.G, obs[k], n, m)) for k in range(d)
@@ -519,35 +473,25 @@ def beta_owc(game: QuantumXorGame, d: int,
     )
 
 
-def _embed_owc(strategy: OwcStrategy, d: int):
-    n = strategy.e_plus.shape[1]
-    m = strategy.observables.shape[1]
-    e_plus = np.zeros((d, n, n), dtype=complex)
-    e_minus = np.zeros((d, n, n), dtype=complex)
-    e_plus[: strategy.d] = strategy.e_plus
-    e_minus[: strategy.d] = strategy.e_minus
-    obs = np.stack(
-        list(strategy.observables) + [np.eye(m, dtype=complex)] * (d - strategy.d)
-    )
-    e = np.concatenate([e_plus, e_minus], axis=0)
-    return e, obs
-
-
 def default_message_schedule(n: int) -> tuple[int, ...]:
-    return tuple(dict.fromkeys([1, 2, 4, n, 2 * n]))
+    return tuple(sorted({1, 2, 4, n, 2 * n}))
 
 
 def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
-                      budget: SolverBudget = DEFAULT_BUDGET):
+                      budget: SolverBudget = DEFAULT_BUDGET, _prod=None):
     """Increasing message counts with zero-padded warm starts; the lower
     bounds are non-decreasing along the schedule."""
+    n = game.n
+    prod = _prod or _product_core(game, budget, hermitian=True, key="prod")
     results = []
     prev: Optional[OwcStrategy] = None
-    for d in ds:
+    for d in normalize_schedule(ds, "message"):
         warm = ()
-        if prev is not None and d >= prev.d:
-            warm = (_embed_owc(prev, d),)
-        res = beta_owc(game, d, budget, _warm=warm)
+        if prev is not None:
+            warm = (np.concatenate([
+                zero_pad(prev.e_plus, (d, n, n)), zero_pad(prev.e_minus, (d, n, n)),
+            ]),)
+        res = beta_owc(game, d, budget, _warm=warm, _prod=prod)
         results.append(res)
         prev = res.strategy
     return results
@@ -646,14 +590,14 @@ def pi1cb_bounds(game_or_map,
     see-saw adds the non-sign-bounded route. Uppers: the completely
     1-summing norm and four times the one-way-classical bias, reported
     through the one-way-quantum value. Unnormalized kernels are handled by
-    homogeneity.
+    homogeneity. ``owc_results`` must follow the sorted schedule.
     """
     game, scale = _normalized_game_of(game_or_map)
     if d_schedule is None:
         d_schedule = default_message_schedule(game.n)
-    d_schedule = tuple(int(d) for d in d_schedule)
-    if not d_schedule or any(d < 1 for d in d_schedule):
-        raise ValidationError("message schedule must be nonempty and positive")
+    d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
+    if d_schedule[0] < 1:
+        raise ValidationError("message schedule must be positive")
 
     if owc_results is None:
         owc_results = beta_owc_schedule(game, d_schedule, budget)
@@ -721,6 +665,14 @@ class HierarchyReport:
     max_ratio: float
     violations: tuple
 
+    @classmethod
+    def of(cls, rows) -> "HierarchyReport":
+        """Rows sorted by game id, with the worst ratio and every flag."""
+        rows = tuple(sorted(rows, key=lambda r: r.game_id))
+        max_ratio = max((r.ratio_entangled_vs_owc for r in rows), default=0.0)
+        violations = tuple(f"{r.game_id}:{v}" for r in rows for v in r.violations)
+        return cls(rows, max_ratio, violations)
+
     def to_dict(self) -> dict:
         return {
             "rows": [r.to_dict() for r in self.rows],
@@ -735,15 +687,16 @@ def analyze_game(game: QuantumXorGame, game_id: str,
                  ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyRow:
     """All strategy-class bounds for one game, with soundness flags."""
     owq = beta_owq(game)
-    prod = beta_product(game, budget)
+    prod_core = _product_core(game, budget, hermitian=True, key="prod")
+    prod = beta_product(game, budget, _prod=prod_core)
     if ancilla_schedule is None:
         ancilla_schedule = ((1, 1), (2, 2))
     ent_results = beta_entangled_schedule(game, ancilla_schedule, budget)
     ent = ent_results[-1]
     if d_schedule is None:
         d_schedule = default_message_schedule(game.n)
-    d_schedule = tuple(dict.fromkeys(int(d) for d in d_schedule))
-    owc_results = beta_owc_schedule(game, d_schedule, budget)
+    d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
+    owc_results = beta_owc_schedule(game, d_schedule, budget, _prod=prod_core)
     p1cb = pi1cb_bounds(game, d_schedule, budget, owc_results=owc_results)
     p1o = pi1o_exact(game)
 
@@ -790,12 +743,7 @@ def hierarchy_report(games: Sequence[tuple],
                      d_schedule: Optional[Sequence[int]] = None,
                      ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyReport:
     """Analyze ``(game_id, game)`` pairs and aggregate soundness flags."""
-    rows = []
-    for game_id, game in games:
-        rows.append(analyze_game(game, game_id, budget, d_schedule, ancilla_schedule))
-    rows.sort(key=lambda r: r.game_id)
-    max_ratio = max((r.ratio_entangled_vs_owc for r in rows), default=0.0)
-    violations = tuple(
-        f"{r.game_id}:{v}" for r in rows for v in r.violations
+    return HierarchyReport.of(
+        analyze_game(game, game_id, budget, d_schedule, ancilla_schedule)
+        for game_id, game in games
     )
-    return HierarchyReport(tuple(rows), max_ratio, violations)

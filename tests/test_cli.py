@@ -162,15 +162,29 @@ def test_factor_subcommand(tmp_path):
     assert iv["lower"] <= iv["upper"] + 1e-9
 
 
-def test_threads_do_not_change_results(tmp_path):
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"hier-{threads}.json"
-        assert main(["hierarchy", "--count", "3", "--n", "2", "--m", "2",
-                     "--seed", "9", *FAST, "--threads", threads,
-                     "--out", str(out)]) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+def test_analyze_bad_episodes_exit_parse(tmp_path, capsys):
+    payload = game_to_payload(chsh())
+    bad = tmp_path / "episodes.json"
+    for episodes in (
+        [{k: v for k, v in payload["episodes"][0].items() if k != "rho_im"}],
+        [{k: v for k, v in payload["episodes"][0].items() if k not in ("p", "c")}],
+        [3],
+        "none",
+    ):
+        bad.write_text(json.dumps({**payload, "episodes": episodes}))
+        assert main(["analyze", str(bad), *FAST]) == EXIT_PARSE
+        assert "parse error:" in capsys.readouterr().err
+
+
+def test_norms_mismatched_entries_exit_parse(tmp_path, capsys):
+    m = np.eye(2).tolist()
+    for re, im in (([m, m], [m]), ([], []), ([m, [[1.0]]], [m, [[0.0]]])):
+        f = tmp_path / "tuple.json"
+        f.write_text(json.dumps({"schema": "qxor-tuple/1", "entries_re": re, "entries_im": im}))
+        assert main(["norms", str(f)]) == EXIT_PARSE
+        assert "parse error:" in capsys.readouterr().err
+    f.write_text("[1, 2]")
+    assert main(["norms", str(f)]) == EXIT_PARSE
 
 
 def test_selftest_list(capsys):

@@ -17,13 +17,16 @@ from qxor.games import (
     random_game,
     swap_game,
 )
+from qxor import solvers
 from qxor.solvers import (
+    analyze_game,
     beta_entangled,
     beta_entangled_schedule,
     beta_owc,
     beta_owc_schedule,
     beta_owq,
     beta_product,
+    default_message_schedule,
     hierarchy_report,
     owq_witness,
     pi1cb_bounds,
@@ -268,3 +271,29 @@ def test_hierarchy_report_empty():
     rep = hierarchy_report([], BUDGET)
     assert rep.rows == ()
     assert rep.max_ratio == 0.0
+
+
+def test_default_message_schedule_sorted():
+    assert default_message_schedule(3) == (1, 2, 3, 4, 6)
+
+
+def test_analyze_game_sorts_schedules():
+    g = random_game(2, 2, seed=46)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
+    row = analyze_game(g, "g", small, d_schedule=(2, 1), ancilla_schedule=((2, 2), (1, 1)))
+    assert [d for d, _ in row.beta_owc_per_d] == [1, 2]
+    assert row.entangled_dims == (2, 2)
+
+
+def test_analyze_game_runs_the_product_seesaw_once(monkeypatch):
+    keys = []
+    core = solvers._product_core
+
+    def counted(game, budget, hermitian, key, **kw):
+        keys.append(key)
+        return core(game, budget, hermitian, key, **kw)
+
+    monkeypatch.setattr(solvers, "_product_core", counted)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
+    analyze_game(random_game(2, 2, seed=47), "g", small, d_schedule=(1, 2))
+    assert keys.count("prod") == 1
