@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import SolverBudget
+from .budget import SolverBudget, normalize_schedule
 from .config import ValidationError
 from .factor import TensorElement, gamma_rc_upper, gamma_to_Gamma
 from .games import (
@@ -129,8 +129,11 @@ def _check_fields(obj, what: str, schema: str | None, required, optional=()):
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def game_from_payload(payload: dict) -> QuantumXorGame:
@@ -243,14 +246,7 @@ def _analyze_many(named_games, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(game_file: str, config: RunConfig) -> int:
-    try:
-        game = game_from_payload(_read_json(game_file))
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    game = game_from_payload(_read_json(game_file))
     report, timings = _analyze_many([(game_file, game)], config)
     _emit_report(report, timings, config)
     if report.violations:
@@ -280,60 +276,49 @@ def cmd_hierarchy(count: int, n: int, m: int, config: RunConfig) -> int:
 
 
 def cmd_gallery(name: str, n: int | None, coeffs: str | None, out: str | None) -> int:
-    try:
-        if name == "swap":
-            game = swap_game(n or 2)
-        elif name == "chsh":
-            game = chsh()
-        elif name == "hadamard":
-            game = hadamard_game(n or 2)
-        elif name == "diagonal":
-            if not coeffs:
-                raise ValidationError("diagonal needs --coeffs 'a,b;c,d'")
-            m = np.array(
-                [[float(v) for v in row.split(",")] for row in coeffs.split(";")]
-            )
-            game = diagonal_game(m)
-        else:
-            raise ValidationError(f"unknown gallery name {name!r}")
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    if name == "swap":
+        game = swap_game(n or 2)
+    elif name == "chsh":
+        game = chsh()
+    elif name == "hadamard":
+        game = hadamard_game(n or 2)
+    elif name == "diagonal":
+        if not coeffs:
+            raise ValidationError("diagonal needs --coeffs 'a,b;c,d'")
+        try:
+            m = np.array([row.split(",") for row in coeffs.split(";")], dtype=float)
+        except ValueError:
+            raise SchemaError(f"--coeffs must be rows 'a,b;c,d' of numbers, got {coeffs!r}") from None
+        game = diagonal_game(m)
+    else:
+        raise ValidationError(f"unknown gallery name {name!r}")
     _dump_json(game_to_payload(game), out)
     return EXIT_OK
 
 
 def cmd_norms(tuple_file: str, config: RunConfig) -> int:
-    try:
-        payload = _read_json(tuple_file)
-        _check_fields(payload, "", "qxor-tuple/1", ("entries_re", "entries_im"))
-        re_list, im_list = payload["entries_re"], payload["entries_im"]
-        if not (isinstance(re_list, list) and isinstance(im_list, list)
-                and len(re_list) == len(im_list)):
-            raise SchemaError("fields entries_re and entries_im must be lists of one length")
-        entries = [
-            _lists_to_matrix(re, im, f"entries[{i}]")
-            for i, (re, im) in enumerate(zip(re_list, im_list))
-        ]
-        if len({e.shape for e in entries}) != 1:
-            raise SchemaError("entries must be one or more matrices of one shape")
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        t = np.stack(entries)
-        res = rplus2c_split(t)
-        out = {
-            "row": row_norm(t),
-            "col": col_norm(t),
-            "rc": rc_norm(t),
-            "rplus2c": res.value,
-            "weight": res.value ** 2,
-            "converged": res.converged,
-        }
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    payload = _read_json(tuple_file)
+    _check_fields(payload, "", "qxor-tuple/1", ("entries_re", "entries_im"))
+    re_list, im_list = payload["entries_re"], payload["entries_im"]
+    if not (isinstance(re_list, list) and isinstance(im_list, list)
+            and len(re_list) == len(im_list)):
+        raise SchemaError("fields entries_re and entries_im must be lists of one length")
+    entries = [
+        _lists_to_matrix(re, im, f"entries[{i}]")
+        for i, (re, im) in enumerate(zip(re_list, im_list))
+    ]
+    if len({e.shape for e in entries}) != 1:
+        raise SchemaError("entries must be one or more matrices of one shape")
+    t = np.stack(entries)
+    res = rplus2c_split(t)
+    out = {
+        "row": row_norm(t),
+        "col": col_norm(t),
+        "rc": rc_norm(t),
+        "rplus2c": res.value,
+        "weight": res.value ** 2,
+        "converged": res.converged,
+    }
     _dump_json(out, config.out)
     return EXIT_OK
 
@@ -348,31 +333,22 @@ def _space_from_payload(p: dict, what: str) -> Space:
 
 
 def cmd_factor(tensor_file: str, config: RunConfig) -> int:
-    try:
-        payload = _read_json(tensor_file)
-        _check_fields(payload, "", "qxor-tensor/1", ("X", "Y", "coeff_re", "coeff_im"))
-        x_space = _space_from_payload(payload["X"], "X")
-        y_space = _space_from_payload(payload["Y"], "Y")
-        coeff = _lists_to_matrix(payload["coeff_re"], payload["coeff_im"], "coeff")
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        z = TensorElement(x_space, y_space, coeff)
-        res = gamma_rc_upper(z, config.budget())
-        out = {
-            "gamma_upper": res.gamma_upper,
-            "x_norm_upper": res.x_norm_upper,
-            "y_norm_upper": res.y_norm_upper,
-            "evaluations": res.evaluations,
-        }
-        if x_space.kind == "dual":
-            iv = gamma_to_Gamma(z, res.gamma_upper, config.budget(),
-                                schedule=config.levels)
-            out["factorization_interval"] = iv.to_dict()
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    payload = _read_json(tensor_file)
+    _check_fields(payload, "", "qxor-tensor/1", ("X", "Y", "coeff_re", "coeff_im"))
+    x_space = _space_from_payload(payload["X"], "X")
+    y_space = _space_from_payload(payload["Y"], "Y")
+    coeff = _lists_to_matrix(payload["coeff_re"], payload["coeff_im"], "coeff")
+    z = TensorElement(x_space, y_space, coeff)
+    res = gamma_rc_upper(z, config.budget())
+    out = {
+        "gamma_upper": res.gamma_upper,
+        "x_norm_upper": res.x_norm_upper,
+        "y_norm_upper": res.y_norm_upper,
+        "evaluations": res.evaluations,
+    }
+    if x_space.kind == "dual":
+        iv = gamma_to_Gamma(z, res.gamma_upper, config.budget(), schedule=config.levels)
+        out["factorization_interval"] = iv.to_dict()
     _dump_json(out, config.out)
     return EXIT_OK
 
@@ -422,13 +398,26 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, default=None)
 
 
+def _parse_schedule(text: str, flag: str) -> tuple:
+    """Comma-separated positive integers, sorted and deduplicated; anything
+    else is a :class:`SchemaError` naming ``flag``."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if min(values) < 1:
+            raise ValueError
+    except ValueError:
+        raise SchemaError(
+            f"{flag} must be comma-separated positive integers, got {text!r}"
+        ) from None
+    return normalize_schedule(values, flag)
+
+
 def _config_from(args) -> RunConfig:
-    messages = tuple(int(v) for v in args.messages.split(","))
-    ancilla = tuple((int(v), int(v)) for v in args.ancilla.split(","))
-    levels = tuple(int(v) for v in args.levels.split(","))
     return RunConfig(
-        seed=args.seed, restarts=args.restarts, max_sweeps=args.sweeps,
-        tol=args.tol, messages=messages, ancilla=ancilla, levels=levels,
+        seed=args.seed, restarts=args.restarts, max_sweeps=args.sweeps, tol=args.tol,
+        messages=_parse_schedule(args.messages, "--messages"),
+        ancilla=tuple((v, v) for v in _parse_schedule(args.ancilla, "--ancilla")),
+        levels=_parse_schedule(args.levels, "--levels"),
         fmt=args.format, out=args.out,
     )
 
@@ -471,6 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Every malformed file or flag value ends here as a
+    parse error (exit 2) and every invalid object as a validation error
+    (exit 3), whichever subcommand met it."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
@@ -485,6 +477,9 @@ def main(argv=None) -> int:
             return cmd_factor(args.tensor_file, _config_from(args))
         if args.command == "selftest":
             return cmd_selftest(args.list_only)
+    except SchemaError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -296,72 +296,67 @@ class OwcBiasResult:
     instrument_converged: bool
 
 
-def _dykstra_instrument(blocks: np.ndarray, cap: int = 400,
-                        tol: float = 1e-11) -> np.ndarray:
-    """Project a (2d, n, n) Hermitian stack onto the instrument set
-    (blockwise PSD, blocks summing to the identity) in Frobenius geometry."""
-    x = np.stack([hermitian_part(b) for b in blocks])
-    j, n = x.shape[0], x.shape[1]
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    eye = np.eye(n)
-    for _ in range(cap):
-        # PSD projection with correction
-        y_in = x + p
-        w, u = np.linalg.eigh(y_in)
-        wc = np.clip(w, 0.0, None)
-        y = np.einsum("kab,kb,kcb->kac", u, wc, u.conj())
-        p = y_in - y
-        # affine projection with correction
-        z_in = y + q
-        shift = (z_in.sum(axis=0) - eye) / j
-        x_new = z_in - shift[None, :, :]
-        q = z_in - x_new
-        delta = float(np.abs(x_new - y).max())
-        x = x_new
-        if delta < tol:
+def _normalize_instrument(x: np.ndarray) -> np.ndarray:
+    """The congruence ``S^{-1/2} x_j S^{-1/2}`` with ``S = sum_j x_j``: maps a
+    stack of PSD blocks whose sum is positive definite to an exact
+    instrument (PSD blocks summing to the identity)."""
+    w, u = np.linalg.eigh(x.sum(axis=0))
+    s_isqrt = (u / np.sqrt(w)) @ u.conj().T
+    y = s_isqrt @ x @ s_isqrt
+    return (y + y.conj().transpose(0, 2, 1)) / 2
+
+
+def _instrument_gap(h: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Value ``sum_j tr(h_j e_j)`` of the instrument ``e`` and its dual gap.
+
+    The dual of the instrument problem is ``min tr Y`` subject to
+    ``Y >= h_j``; ``Y = Y0 + t I`` with ``Y0`` the Hermitian part of
+    ``sum_j h_j e_j`` and ``t`` the largest eigenvalue of any ``h_j - Y0``
+    (floored at zero) is dual feasible, and ``tr Y0`` is the value, so the
+    gap is ``n t``: it bounds how far any instrument can improve on ``e``.
+    """
+    y0 = np.einsum("kab,kbc->ac", h, e)
+    y0 = (y0 + y0.conj().T) / 2
+    shift = float(np.linalg.eigvalsh(h - y0).max())
+    return float(np.trace(y0).real), h.shape[1] * max(0.0, shift)
+
+
+_FIXED_POINT_ITERS = 200
+_FIXED_POINT_MIX = 0.01
+
+
+def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget) -> np.ndarray:
+    """Best instrument found for ``max sum_j tr(h_j e_j)`` from ``e``.
+
+    The Jezek-Rehacek-Fiurasek iteration (Phys. Rev. A 65, 060301(R), 2002)
+    ``E_j <- R^-1 P_j E_j P_j R^-1`` with ``P_j = h_j + c I > 0`` and
+    ``R^2 = sum_j P_j E_j P_j`` keeps every iterate an exact instrument: it
+    is :func:`_normalize_instrument` of ``P_j E_j P_j``. A multiplicative
+    update cannot grow a zero
+    block, so it runs from ``e`` mixed with the uniform instrument, by
+    ``e``'s relative dual gap capped at 1%: every block and ``R`` are then
+    invertible, and a nearly optimal ``e`` is barely moved. ``e`` itself
+    still competes for the best value. It stops once the dual gap is at
+    most ``budget.tol`` relative to the value, or after a fixed number of
+    steps.
+    """
+    val, gap = _instrument_gap(h, e)
+    scale = max(1.0, abs(val))
+    if gap <= budget.tol * scale:
+        return e
+    best, best_val = e, val
+    j, n = h.shape[0], h.shape[1]
+    # a positive gap means h is nonzero, so every P_j is positive definite
+    p = h + 1.001 * float(np.abs(np.linalg.eigvalsh(h)).max()) * np.eye(n)
+    mix = min(_FIXED_POINT_MIX, gap / scale)
+    x = (1 - mix) * e + (mix / j) * np.eye(n)
+    for _ in range(_FIXED_POINT_ITERS):
+        x = _normalize_instrument(p @ x @ p)
+        val, gap = _instrument_gap(h, x)
+        if val > best_val:
+            best, best_val = x, val
+        if gap <= budget.tol * max(1.0, abs(val)):
             break
-    # exact cleanup: clip then symmetric renormalization
-    w, u = np.linalg.eigh(np.stack([hermitian_part(b) for b in x]))
-    wc = np.clip(w, 0.0, None)
-    x = np.einsum("kab,kb,kcb->kac", u, wc, u.conj())
-    s = hermitian_part(x.sum(axis=0))
-    ws, us = np.linalg.eigh(s)
-    if ws[0] <= 1e-12:
-        # degenerate projection; fall back to a uniform completion
-        x = x + (np.eye(n) - s)[None, :, :] / j
-        return _dykstra_instrument(x, cap=50, tol=tol)
-    s_isqrt = (us * (1 / np.sqrt(ws))) @ us.conj().T
-    x = np.einsum("ab,kbc,cd->kad", s_isqrt, x, s_isqrt)
-    return np.stack([hermitian_part(b) for b in x])
-
-
-def _instrument_ascent(c_stack: np.ndarray, init: np.ndarray, budget: SolverBudget,
-                       iters: int = 40) -> np.ndarray:
-    """Projected gradient ascent for max sum_j tr(H_j E_j) over instruments;
-    the gradient is the constant stack H = (+C_k, -C_k)."""
-    h = np.concatenate([c_stack, -c_stack], axis=0)
-
-    def objective(e):
-        return float(np.real(np.einsum("kab,kba->", h, e)))
-
-    e = init
-    best = e
-    best_val = objective(e)
-    hnorm = max(operator_norm(hh) for hh in h) + 1e-30
-    stall = 0
-    for t in range(1, iters + 1):
-        step = 2.0 / (hnorm * math.sqrt(t))
-        cand = _dykstra_instrument(e + step * h)
-        val = objective(cand)
-        if val > best_val + 1e-12 * max(1.0, abs(best_val)):
-            best, best_val = cand, val
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 8:
-                break
-        e = cand
     return best
 
 
@@ -384,11 +379,12 @@ def beta_owc(game: QuantumXorGame, d: int,
 
     Message count one reduces to the product solver (identical seeds give
     identical values). For more messages the solver alternates an exact
-    sign update of Bob's observables with a projected-ascent step on
-    Alice's instrument; a dual certificate reports the instrument step's
-    remaining gap, which affects quality only, never the bound direction.
-    ``_warm`` holds instrument stacks to start from; ``_prod`` is as in
-    :func:`beta_product`.
+    sign update of Bob's observables with a fixed-point update of Alice's
+    instrument (:func:`_instrument_fixed_point`) whose iterates are exact
+    instruments. The dual gap of the final instrument against the final
+    observables is reported; it measures quality only, never the bound
+    direction. ``_warm`` holds instrument stacks to start from; ``_prod``
+    is as in :func:`beta_product`.
     """
     if d < 1:
         raise ValidationError("message count must be positive")
@@ -423,6 +419,13 @@ def beta_owc(game: QuantumXorGame, d: int,
             val += trace_norm(dk)
         return obs, val
 
+    def objective(obs):
+        """The instrument stack ``(+C_k, -C_k)`` that Bob's observables
+        induce: the value of an instrument ``e`` is ``sum_j tr(h_j e_j)``."""
+        c = np.stack([partial_contract_B(game.G, obs[k], n, m) for k in range(d)])
+        c = (c + c.conj().transpose(0, 2, 1)) / 2
+        return np.concatenate([c, -c])
+
     def start(e):
         e = np.asarray(e, dtype=complex)
         obs, val = bob_step(e)
@@ -430,10 +433,7 @@ def beta_owc(game: QuantumXorGame, d: int,
 
     def sweep(val, state):
         e, obs = state
-        c_stack = np.stack([
-            hermitian_part(partial_contract_B(game.G, obs[k], n, m)) for k in range(d)
-        ])
-        cand = _instrument_ascent(c_stack, e, budget)
+        cand = _instrument_fixed_point(objective(obs), e, budget)
         cand_obs, cand_val = bob_step(cand)
         if cand_val >= val:
             return cand_val, (cand, cand_obs)
@@ -449,20 +449,11 @@ def beta_owc(game: QuantumXorGame, d: int,
         for _ in range(2 * d):
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             raw.append(x @ x.conj().T + 0.02 * np.eye(n))
-        starts.append(_dykstra_instrument(np.stack(raw)))
+        starts.append(_normalize_instrument(np.stack(raw)))
 
     _, (e, obs) = seesaw(map(start, starts), sweep, budget,
                          max_sweeps=min(budget.max_sweeps, 40))
-    # dual certificate for the final instrument subproblem
-    c_stack = np.stack([
-        hermitian_part(partial_contract_B(game.G, obs[k], n, m)) for k in range(d)
-    ])
-    h = np.concatenate([c_stack, -c_stack], axis=0)
-    y0 = hermitian_part(np.einsum("kab,kbc->ac", h, e))
-    shift = max(float(np.linalg.eigvalsh(hermitian_part(hh - y0))[-1]) for hh in h)
-    y = y0 + max(0.0, shift) * np.eye(n)
-    primal = float(np.real(np.einsum("kab,kba->", h, e)))
-    gap = float(np.trace(y).real - primal)
+    primal, gap = _instrument_gap(objective(obs), e)
     converged = gap <= 1e-4 * max(1.0, abs(primal))
 
     strategy = OwcStrategy(d, e[:d], e[d:], obs)

@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qxor.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    SchemaError,
+    _parse_schedule,
     game_from_payload,
     game_to_payload,
     main,
@@ -56,6 +59,9 @@ def test_analyze_malformed_json(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     assert main(["analyze", str(bad)]) == EXIT_PARSE
     assert "mystery" in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["analyze", str(bad)]) == EXIT_PARSE
+    assert main(["analyze", str(tmp_path / "missing.json")]) == EXIT_PARSE
 
 
 def test_analyze_non_hermitian_payload(tmp_path, capsys):
@@ -191,3 +197,35 @@ def test_selftest_list(capsys):
     assert main(["selftest", "--list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "C1" in out and "C10" in out
+
+
+@pytest.mark.parametrize("flag", ["--messages", "--ancilla", "--levels"])
+@pytest.mark.parametrize("value", ["x", "1,", "0,1", "1.5", ""])
+def test_bad_schedule_exit_parse(tmp_path, capsys, flag, value):
+    f = tmp_path / "chsh.json"
+    write_game(f, chsh())
+    assert main(["analyze", str(f), *FAST, flag, value]) == EXIT_PARSE
+    assert f"parse error: {flag}" in capsys.readouterr().err
+
+
+def test_gallery_bad_coeffs_exit_parse(capsys):
+    for coeffs in ("a,b;1,2", "1,2;3"):
+        assert main(["gallery", "diagonal", "--coeffs", coeffs]) == EXIT_PARSE
+        assert "parse error: --coeffs" in capsys.readouterr().err
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789,+-_ x")))
+def test_parse_schedule_is_total(text):
+    try:
+        schedule = _parse_schedule(text, "--messages")
+    except SchemaError as exc:
+        assert str(exc).startswith("--messages")
+    else:
+        assert schedule == tuple(sorted(set(schedule)))
+        assert all(isinstance(v, int) and v >= 1 for v in schedule)
+
+
+@given(st.lists(st.integers(1, 64), min_size=1))
+def test_parse_schedule_sorts_and_deduplicates(values):
+    text = ",".join(map(str, values))
+    assert _parse_schedule(text, "--levels") == tuple(sorted(set(values)))

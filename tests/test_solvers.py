@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rng_for, swap_matrix
+from conftest import gue, rng_for, swap_matrix
 from qxor.budget import SolverBudget
 from qxor.games import (
     OwcStrategy,
@@ -17,6 +17,7 @@ from qxor.games import (
     random_game,
     swap_game,
 )
+from qxor.linalg import zero_pad
 from qxor import solvers
 from qxor.solvers import (
     analyze_game,
@@ -152,6 +153,68 @@ def test_beta_owc_swap_warm_start_dominance():
         owc = beta_owc(g, 1, BUDGET)
         assert owc.interval.lower >= prod.interval.lower - 1e-12
         assert owc.interval.lower >= 1.0 / n - 1e-6
+
+
+def random_instrument(j, n, rng):
+    x = rng.normal(size=(j, n, n)) + 1j * rng.normal(size=(j, n, n))
+    return solvers._normalize_instrument(x @ x.conj().transpose(0, 2, 1))
+
+
+def instrument_value(h, e):
+    return float(np.real(np.einsum("kab,kba->", h, e)))
+
+
+def assert_instrument(e, tol=1e-12):
+    assert np.abs(e - e.conj().transpose(0, 2, 1)).max() <= tol
+    assert min(np.linalg.eigvalsh(e).min(), 0.0) >= -tol
+    assert np.abs(e.sum(axis=0) - np.eye(e.shape[1])).max() <= tol
+
+
+def test_normalize_instrument_is_exact():
+    rng = rng_for("owc-normalize")
+    for j, n in ((2, 2), (4, 3), (8, 4)):
+        assert_instrument(random_instrument(j, n, rng))
+
+
+def test_instrument_gap_weak_duality():
+    # value + gap is the value of a dual-feasible point, so no instrument,
+    # the fixed point's included, can exceed it
+    rng = rng_for("owc-gap")
+    for trial in range(20):
+        j, n = 2 * int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        h = np.stack([gue(n, rng) for _ in range(j)])
+        e = random_instrument(j, n, rng)
+        val, gap = solvers._instrument_gap(h, e)
+        assert gap >= -1e-12
+        assert val == pytest.approx(instrument_value(h, e), abs=1e-12)
+        best = solvers._instrument_fixed_point(h, e, BUDGET)
+        for other in (random_instrument(j, n, rng), best):
+            assert instrument_value(h, other) <= val + gap + 1e-12
+
+
+def test_instrument_fixed_point_from_zero_padded_warm_start():
+    rng = rng_for("owc-warm")
+    n = 3
+    prev = random_instrument(2, n, rng)
+    warm = np.concatenate([zero_pad(prev[:1], (2, n, n)), zero_pad(prev[1:], (2, n, n))])
+    h = np.stack([gue(n, rng) for _ in range(4)])
+    best = solvers._instrument_fixed_point(h, warm, BUDGET)
+    assert_instrument(best)
+    assert instrument_value(h, best) >= instrument_value(h, warm)
+
+
+def test_instrument_fixed_point_grows_a_zero_block():
+    # the start never uses block 2, which is the best answer on |1>; a
+    # multiplicative update from the start itself could not move
+    h = np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 1.0]),
+                  np.zeros((2, 2))]).astype(complex)
+    start = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)),
+                      np.zeros((2, 2))]).astype(complex)
+    best = solvers._instrument_fixed_point(h, start, BUDGET)
+    assert_instrument(best)
+    assert instrument_value(h, start) == pytest.approx(1.0)
+    assert instrument_value(h, best) == pytest.approx(2.0, abs=1e-6)
+    assert solvers._instrument_gap(h, best)[1] <= 1e-6
 
 
 def test_beta_owc_monotone_in_messages():
