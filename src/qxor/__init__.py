@@ -39,7 +39,6 @@ from .games import (
     chsh,
     diagonal_game,
     from_episodes,
-    gallery,
     hadamard_game,
     mab_game,
     mab_tensor,
@@ -60,7 +59,7 @@ from .linalg import (
     sign_hermitian,
     trace_norm,
 )
-from .maps import KernelMap, Space, VectorMap, diagonal_space, dual_space, full_matrix_space
+from .maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from .opnorms import (
     CbNormResult,
     amplified_norm,
@@ -92,7 +91,6 @@ from .tuples import (
     row_norm,
     rplus2c_norm,
     rplus2c_split,
-    rplusc_norm,
 )
 
 __version__ = "0.1.0"

@@ -29,27 +29,6 @@ class BoundInterval:
                 f"invalid interval: lower={self.lower!r} > upper={self.upper!r}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def scale(self, t: float) -> "BoundInterval":
-        if t < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return BoundInterval(
-            self.lower * t, self.upper * t, self.lower_method, self.upper_method
-        )
-
-    def combine_max_lower(self, other: "BoundInterval") -> "BoundInterval":
-        """Keep the better certified end from each side."""
-        lo, lo_m = max(
-            (self.lower, self.lower_method), (other.lower, other.lower_method)
-        )
-        up, up_m = min(
-            (self.upper, self.upper_method), (other.upper, other.upper_method)
-        )
-        return BoundInterval(lo, up, lo_m, up_m)
-
     def to_dict(self) -> dict:
         return {
             "lower": self.lower,

@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,31 +52,6 @@ class SchemaError(ValueError):
     """The payload does not match the declared schema."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    restarts: int = 8
-    max_sweeps: int = 120
-    tol: float = 1e-8
-    messages: tuple = (1, 2)
-    ancilla: tuple = ((1, 1), (2, 2))
-    levels: tuple = (1, 2)
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if not self.messages or not self.ancilla or not self.levels:
-            raise ValidationError("schedules must be nonempty")
-        if self.fmt not in ("json", "csv"):
-            raise ValidationError("format must be json or csv")
-
-    def budget(self) -> SolverBudget:
-        return SolverBudget(
-            restarts=self.restarts, max_sweeps=self.max_sweeps,
-            tol=self.tol, seed=self.seed,
-        )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -90,12 +64,12 @@ def _matrix_to_lists(m: np.ndarray):
 
 def _lists_to_matrix(re, im, what: str) -> np.ndarray:
     try:
-        a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"field {what} is not a numeric matrix: {exc}") from exc
-    if a.ndim != 2:
-        raise SchemaError(f"field {what} must be a 2-d array")
-    return a
+    if re.ndim != 2 or re.shape != im.shape:
+        raise SchemaError(f"field {what} must be two 2-d arrays of one shape")
+    return re + 1j * im
 
 
 def game_to_payload(game: QuantumXorGame) -> dict:
@@ -132,14 +106,15 @@ def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def game_from_payload(payload: dict) -> QuantumXorGame:
     _check_fields(payload, "", "qxor/1", ("n", "m", "G_re", "G_im"), ("episodes",))
     n, m = payload["n"], payload["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    # exact types: JSON true is a bool, which isinstance(..., int) accepts
+    if type(n) is not int or type(m) is not int or n < 1 or m < 1:
         raise SchemaError("fields n and m must be positive integers")
     g = _lists_to_matrix(payload["G_re"], payload["G_im"], "G_re/G_im")
     if g.shape != (n * m, n * m):
@@ -153,11 +128,16 @@ def game_from_payload(payload: dict) -> QuantumXorGame:
             what = f"episodes[{idx}]"
             _check_fields(e, what, None, ("p", "c", "rho_re", "rho_im"))
             rho = _lists_to_matrix(e["rho_re"], e["rho_im"], f"{what}.rho")
+            not_numbers = SchemaError(f"fields {what}.p and {what}.c must be numbers")
+            if type(e["p"]) not in (int, float) or type(e["c"]) not in (int, float):
+                raise not_numbers
             try:
-                p, c = float(e["p"]), int(e["c"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"fields {what}.p and {what}.c must be numbers") from exc
-            episodes.append(Episode(p, c, rho))
+                p, c = float(e["p"]), float(e["c"])
+            except OverflowError as exc:  # an integer beyond the float range
+                raise not_numbers from exc
+            if not c.is_integer():
+                raise SchemaError(f"field {what}.c must be an integer, got {e['c']!r}")
+            episodes.append(Episode(p, int(c), rho))
     return QuantumXorGame(n, m, g, episodes=tuple(episodes) if episodes else None)
 
 
@@ -206,12 +186,11 @@ def _row_to_csv(row, elapsed: float) -> dict:
     }
 
 
-def _emit_report(report: HierarchyReport, timings: dict, config: RunConfig):
-    if config.fmt == "json":
-        _dump_json(report.to_dict(), config.out)
+def _emit_report(report: HierarchyReport, timings: dict, fmt: str, out: str | None):
+    if fmt == "json":
+        _dump_json(report.to_dict(), out)
         return
     rows = [_row_to_csv(r, timings.get(r.game_id, 0.0)) for r in report.rows]
-    out = config.out
     if out:
         fh = open(out, "w", newline="")
     else:
@@ -226,63 +205,65 @@ def _emit_report(report: HierarchyReport, timings: dict, config: RunConfig):
             fh.close()
 
 
-def _analyze_many(named_games, config: RunConfig):
-    """``hierarchy_report`` plus the wall time of each game, for CSV."""
-    budget = config.budget()
+def _budget(args) -> SolverBudget:
+    return SolverBudget(
+        restarts=args.restarts, max_sweeps=args.sweeps, tol=args.tol, seed=args.seed,
+    )
+
+
+def _analyze_many(named_games, args) -> int:
+    """``hierarchy_report`` plus the wall time of each game, for CSV; writes
+    the report and returns the exit code."""
+    messages = _parse_schedule(args.messages, "--messages")
+    ancilla = tuple((v, v) for v in _parse_schedule(args.ancilla, "--ancilla"))
+    budget = _budget(args)
     rows, timings = [], {}
     for gid, game in named_games:
         t0 = time.perf_counter()
         rows.append(analyze_game(
-            game, gid, budget,
-            d_schedule=config.messages,
-            ancilla_schedule=config.ancilla,
+            game, gid, budget, d_schedule=messages, ancilla_schedule=ancilla,
         ))
         timings[gid] = time.perf_counter() - t0
-    return HierarchyReport.of(rows), timings
+    report = HierarchyReport.of(rows)
+    _emit_report(report, timings, args.format, args.out)
+    if report.violations:
+        print(
+            f"solver quality below minimum: {report.violations[0]}", file=sys.stderr
+        )
+        return EXIT_QUALITY
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(game_file: str, config: RunConfig) -> int:
-    game = game_from_payload(_read_json(game_file))
-    report, timings = _analyze_many([(game_file, game)], config)
-    _emit_report(report, timings, config)
-    if report.violations:
-        print(
-            f"solver quality below minimum: {report.violations[0]}", file=sys.stderr
-        )
-        return EXIT_QUALITY
-    return EXIT_OK
+def cmd_analyze(args) -> int:
+    game = game_from_payload(_read_json(args.game_file))
+    return _analyze_many([(args.game_file, game)], args)
 
 
-def cmd_hierarchy(count: int, n: int, m: int, config: RunConfig) -> int:
-    if count < 1:
+def cmd_hierarchy(args) -> int:
+    if args.count < 1:
         print("validation error: count must be at least one", file=sys.stderr)
         return EXIT_VALIDATION
     games = [
-        (f"random-{i:04d}", random_game(n, m, seed=np.random.SeedSequence([config.seed, i])))
-        for i in range(count)
+        (f"random-{i:04d}",
+         random_game(args.n, args.m, seed=np.random.SeedSequence([args.seed, i])))
+        for i in range(args.count)
     ]
-    report, timings = _analyze_many(games, config)
-    _emit_report(report, timings, config)
-    if report.violations:
-        print(
-            f"solver quality below minimum: {report.violations[0]}", file=sys.stderr
-        )
-        return EXIT_QUALITY
-    return EXIT_OK
+    return _analyze_many(games, args)
 
 
-def cmd_gallery(name: str, n: int | None, coeffs: str | None, out: str | None) -> int:
+def cmd_gallery(args) -> int:
+    name, n, coeffs = args.name, args.n, args.coeffs
     if name == "swap":
         game = swap_game(n or 2)
     elif name == "chsh":
         game = chsh()
     elif name == "hadamard":
         game = hadamard_game(n or 2)
-    elif name == "diagonal":
+    else:  # "diagonal", the last name argparse admits
         if not coeffs:
             raise ValidationError("diagonal needs --coeffs 'a,b;c,d'")
         try:
@@ -290,14 +271,12 @@ def cmd_gallery(name: str, n: int | None, coeffs: str | None, out: str | None) -
         except ValueError:
             raise SchemaError(f"--coeffs must be rows 'a,b;c,d' of numbers, got {coeffs!r}") from None
         game = diagonal_game(m)
-    else:
-        raise ValidationError(f"unknown gallery name {name!r}")
-    _dump_json(game_to_payload(game), out)
+    _dump_json(game_to_payload(game), args.out)
     return EXIT_OK
 
 
-def cmd_norms(tuple_file: str, config: RunConfig) -> int:
-    payload = _read_json(tuple_file)
+def cmd_norms(args) -> int:
+    payload = _read_json(args.tuple_file)
     _check_fields(payload, "", "qxor-tuple/1", ("entries_re", "entries_im"))
     re_list, im_list = payload["entries_re"], payload["entries_im"]
     if not (isinstance(re_list, list) and isinstance(im_list, list)
@@ -319,7 +298,7 @@ def cmd_norms(tuple_file: str, config: RunConfig) -> int:
         "weight": res.value ** 2,
         "converged": res.converged,
     }
-    _dump_json(out, config.out)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
@@ -327,19 +306,21 @@ def _space_from_payload(p: dict, what: str) -> Space:
     if not isinstance(p, dict) or set(p) - {"kind", "dim"}:
         raise SchemaError(f"field {what} must be {{kind, dim}}")
     kind, dim = p.get("kind"), p.get("dim")
-    if kind not in ("matrix", "dual") or not isinstance(dim, int):
+    if kind not in ("matrix", "dual") or type(dim) is not int:
         raise SchemaError(f"field {what} has invalid kind or dim")
     return Space(kind, dim, "full")
 
 
-def cmd_factor(tensor_file: str, config: RunConfig) -> int:
-    payload = _read_json(tensor_file)
+def cmd_factor(args) -> int:
+    levels = _parse_schedule(args.levels, "--levels")
+    budget = _budget(args)
+    payload = _read_json(args.tensor_file)
     _check_fields(payload, "", "qxor-tensor/1", ("X", "Y", "coeff_re", "coeff_im"))
     x_space = _space_from_payload(payload["X"], "X")
     y_space = _space_from_payload(payload["Y"], "Y")
     coeff = _lists_to_matrix(payload["coeff_re"], payload["coeff_im"], "coeff")
     z = TensorElement(x_space, y_space, coeff)
-    res = gamma_rc_upper(z, config.budget())
+    res = gamma_rc_upper(z, budget)
     out = {
         "gamma_upper": res.gamma_upper,
         "x_norm_upper": res.x_norm_upper,
@@ -347,16 +328,16 @@ def cmd_factor(tensor_file: str, config: RunConfig) -> int:
         "evaluations": res.evaluations,
     }
     if x_space.kind == "dual":
-        iv = gamma_to_Gamma(z, res.gamma_upper, config.budget(), schedule=config.levels)
+        iv = gamma_to_Gamma(z, res.gamma_upper, budget, schedule=levels)
         out["factorization_interval"] = iv.to_dict()
-    _dump_json(out, config.out)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
-def cmd_selftest(list_only: bool = False) -> int:
+def cmd_selftest(args) -> int:
     from .acceptance import CRITERIA
 
-    if list_only:
+    if args.list_only:
         for crit in CRITERIA:
             print(f"{crit.id}: {crit.title}")
         return EXIT_OK
@@ -383,17 +364,20 @@ def cmd_selftest(list_only: bool = False) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_budget(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--sweeps", type=int, default=120)
     p.add_argument("--tol", type=float, default=1e-8)
+
+
+def _add_analysis(p: argparse.ArgumentParser):
+    """The flags of the two subcommands that run ``analyze_game``."""
+    _add_budget(p)
     p.add_argument("--messages", type=str, default="1,2",
                    help="comma-separated message counts")
     p.add_argument("--ancilla", type=str, default="1,2",
                    help="comma-separated ancilla dimensions (used symmetrically)")
-    p.add_argument("--levels", type=str, default="1,2",
-                   help="comma-separated amplification levels")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
 
@@ -412,17 +396,9 @@ def _parse_schedule(text: str, flag: str) -> tuple:
     return normalize_schedule(values, flag)
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed, restarts=args.restarts, max_sweeps=args.sweeps, tol=args.tol,
-        messages=_parse_schedule(args.messages, "--messages"),
-        ancilla=tuple((v, v) for v in _parse_schedule(args.ancilla, "--ancilla")),
-        levels=_parse_schedule(args.levels, "--levels"),
-        fmt=args.format, out=args.out,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the flags it reads, so argparse
+    rejects any other flag with exit 2."""
     parser = argparse.ArgumentParser(
         prog="qxor",
         description="Bias bounds and operator-space norms for quantum XOR games",
@@ -431,30 +407,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analyze one game file")
     p.add_argument("game_file")
-    _add_common(p)
+    _add_analysis(p)
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("hierarchy", help="analyze random games and aggregate")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    _add_common(p)
+    _add_analysis(p)
+    p.set_defaults(run=cmd_hierarchy)
 
     p = sub.add_parser("gallery", help="emit a named game as JSON")
     p.add_argument("name", choices=("swap", "chsh", "hadamard", "diagonal"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--coeffs", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
+    p.set_defaults(run=cmd_gallery)
 
     p = sub.add_parser("norms", help="tuple-norm calculator on a tuple file")
     p.add_argument("tuple_file")
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(run=cmd_norms)
 
     p = sub.add_parser("factor", help="decomposition/factorization bounds on a tensor file")
     p.add_argument("tensor_file")
-    _add_common(p)
+    _add_budget(p)
+    p.add_argument("--levels", type=str, default="1,2",
+                   help="comma-separated amplification levels")
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(run=cmd_factor)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--list", action="store_true", dest="list_only")
+    p.set_defaults(run=cmd_selftest)
 
     return parser
 
@@ -465,25 +450,13 @@ def main(argv=None) -> int:
     (exit 3), whichever subcommand met it."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.game_file, _config_from(args))
-        if args.command == "hierarchy":
-            return cmd_hierarchy(args.count, args.n, args.m, _config_from(args))
-        if args.command == "gallery":
-            return cmd_gallery(args.name, args.n, args.coeffs, args.out)
-        if args.command == "norms":
-            return cmd_norms(args.tuple_file, _config_from(args))
-        if args.command == "factor":
-            return cmd_factor(args.tensor_file, _config_from(args))
-        if args.command == "selftest":
-            return cmd_selftest(args.list_only)
+        return args.run(args)
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

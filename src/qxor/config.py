@@ -1,13 +1,12 @@
-"""Central numerical tolerances.
+"""Central numerical tolerances and the package's error types.
 
-Every module pulls its thresholds from the single ``TOL`` record so that a
-tightened or loosened run changes behaviour coherently instead of drifting
-per call site.
+``TOL`` holds the fixed thresholds that the other modules read, so each is
+defined in one place; no run changes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -16,22 +15,10 @@ class Tolerances:
     construction: float = 1e-12
     # numeric identity checks (reconstruction residuals, bias formulas, ...)
     identity: float = 1e-10
-    # relative convergence for iterative solvers
-    convergence: float = 1e-8
     # slack allowed when ordering interval endpoints
     interval: float = 1e-9
     # eigenvalue slack for positive-semidefinite checks
     psd: float = 1e-10
-
-    def scaled(self, factor: float) -> "Tolerances":
-        return replace(
-            self,
-            construction=self.construction * factor,
-            identity=self.identity * factor,
-            convergence=self.convergence * factor,
-            interval=self.interval * factor,
-            psd=self.psd * factor,
-        )
 
 
 TOL = Tolerances()

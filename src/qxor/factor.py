@@ -195,6 +195,15 @@ def _dual_col_cap(x: np.ndarray, n: int) -> float:
     return dual_level_upper_cap(_col_embed(x), x.shape[0], n)
 
 
+def _dual_split_cap(tpart: np.ndarray, spart: np.ndarray, n: int) -> float:
+    """sqrt(row cap(T)^2 + col cap(S)^2), or inf, still a valid cap, when a
+    square overflows."""
+    try:
+        return math.sqrt(_dual_row_cap(tpart, n) ** 2 + _dual_col_cap(spart, n) ** 2)
+    except OverflowError:
+        return math.inf
+
+
 def tuple_rplus2c_upper_in_space(t, space: Space,
                                  budget: SolverBudget = DEFAULT_BUDGET) -> float:
     """Certified upper bound for the quadratic splitting norm over a
@@ -207,18 +216,12 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
     best = math.inf
     lams = np.linspace(0.0, 1.0, 9)
     for lam in lams:
-        tpart = lam * x
-        spart = (1 - lam) * x
-        val = math.sqrt(_dual_row_cap(tpart, n) ** 2 + _dual_col_cap(spart, n) ** 2)
-        best = min(best, val)
+        best = min(best, _dual_split_cap(lam * x, (1 - lam) * x, n))
     rng = budget.rng("dual-split")
     for _ in range(min(budget.restarts, 12)):
         lamk = rng.uniform(0.0, 1.0, size=x.shape[0])
         tpart = lamk[:, None, None] * x
-        val = math.sqrt(
-            _dual_row_cap(tpart, n) ** 2 + _dual_col_cap(x - tpart, n) ** 2
-        )
-        best = min(best, val)
+        best = min(best, _dual_split_cap(tpart, x - tpart, n))
     return best
 
 

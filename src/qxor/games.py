@@ -13,6 +13,7 @@ bias quantities are insensitive to the choice, the code simply fixes one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,8 +50,6 @@ __all__ = [
     "hadamard_game",
     "hadamard_matrix",
     "random_game",
-    "gallery",
-    "GALLERY",
 ]
 
 
@@ -95,8 +94,10 @@ class Episode:
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.p < -1e-15:
-            raise ValidationError("episode probability must be nonnegative")
+        if not math.isfinite(self.p) or self.p < -1e-15:
+            raise ValidationError(
+                f"episode probability must be finite and nonnegative, got {self.p!r}"
+            )
         if self.c not in (-1, 1):
             raise ValidationError("episode sign must be +1 or -1")
         object.__setattr__(self, "rho", _frozen(_clip_psd(self.rho, "episode state")))
@@ -426,19 +427,3 @@ def random_game(n: int, m: int, seed) -> QuantumXorGame:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     g = (a + a.conj().T) / 2
     return QuantumXorGame(n, m, g / trace_norm(g))
-
-
-GALLERY = {
-    "swap": swap_game,
-    "diagonal": diagonal_game,
-    "chsh": chsh,
-    "mab": mab_game,
-    "product_state": product_state_game,
-    "hadamard": hadamard_game,
-}
-
-
-def gallery(name: str, *args, **kwargs) -> QuantumXorGame:
-    if name not in GALLERY:
-        raise ValidationError(f"unknown gallery game {name!r}; have {sorted(GALLERY)}")
-    return GALLERY[name](*args, **kwargs)

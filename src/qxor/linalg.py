@@ -43,7 +43,7 @@ def as_matrix(m, dtype=complex) -> np.ndarray:
         raise ValidationError(f"expected a matrix, got array of ndim {a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError("matrix must have at least one row and column")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
     return a
 
@@ -80,7 +80,10 @@ def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
     """
     from .config import ConvergenceError
 
-    a = require_hermitian(m, tol=np.inf)  # caller guarantees symmetry intent
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError("Hermitian matrix must be square")
+    a = (a + a.conj().T) / 2  # caller guarantees symmetry intent
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -152,7 +155,7 @@ def _as_bipartite_tensor(G, n: int, m: int) -> np.ndarray:
     return g.reshape(n, m, n, m)
 
 
-def partial_contract_A(G, A, n: int | None = None, m: int | None = None) -> np.ndarray:
+def partial_contract_A(G, A, n: int, m: int) -> np.ndarray:
     """Contract the first register of ``G`` against ``A``.
 
     Returns ``D`` with ``D[k,l] = sum_ij G[(i,k),(j,l)] A[j,i]`` so that
@@ -161,20 +164,13 @@ def partial_contract_A(G, A, n: int | None = None, m: int | None = None) -> np.n
     a = as_matrix(A)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("first-register operator must be square")
-    if n is None:
-        n = a.shape[0]
-    if m is None:
-        G = as_matrix(G)
-        if G.shape[0] % n:
-            raise ValidationError("composite dimension is not divisible by n")
-        m = G.shape[0] // n
     if a.shape[0] != n:
         raise ValidationError("first-register operator has wrong dimension")
     g4 = _as_bipartite_tensor(G, n, m)
     return np.einsum("ikjl,ji->kl", g4, a)
 
 
-def partial_contract_B(G, B, n: int | None = None, m: int | None = None) -> np.ndarray:
+def partial_contract_B(G, B, n: int, m: int) -> np.ndarray:
     """Mirror of :func:`partial_contract_A` on the second register.
 
     Returns ``C`` with ``tr(G (A (x) B)) = tr(A C)`` for every ``A``.
@@ -182,13 +178,6 @@ def partial_contract_B(G, B, n: int | None = None, m: int | None = None) -> np.n
     b = as_matrix(B)
     if b.shape[0] != b.shape[1]:
         raise ValidationError("second-register operator must be square")
-    if m is None:
-        m = b.shape[0]
-    if n is None:
-        G = as_matrix(G)
-        if G.shape[0] % m:
-            raise ValidationError("composite dimension is not divisible by m")
-        n = G.shape[0] // m
     if b.shape[0] != m:
         raise ValidationError("second-register operator has wrong dimension")
     g4 = _as_bipartite_tensor(G, n, m)

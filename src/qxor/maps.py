@@ -28,7 +28,6 @@ from .linalg import as_matrix, partial_contract_A
 __all__ = [
     "Space",
     "full_matrix_space",
-    "diagonal_space",
     "dual_space",
     "matrix_subspace",
     "KernelMap",
@@ -40,7 +39,7 @@ __all__ = [
 class Space:
     kind: str              # "matrix" or "dual"
     dim: int               # ambient matrix dimension N
-    pattern: str = "full"  # "full", "diag" or "general" (matrix kind only)
+    pattern: str = "full"  # "full" or "general" (matrix kind only)
     basis: Optional[tuple] = None
 
     def __post_init__(self):
@@ -48,6 +47,8 @@ class Space:
             raise ValidationError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValidationError("space dimension must be positive")
+        if self.pattern not in ("full", "general"):
+            raise ValidationError(f"unknown subspace pattern {self.pattern!r}")
         if self.kind == "dual" and self.pattern != "full":
             raise ValidationError("dual spaces carry no subspace pattern")
         if self.pattern == "general":
@@ -58,23 +59,9 @@ class Space:
             if np.linalg.matrix_rank(flat) != len(mats):
                 raise ValidationError("subspace basis must be linearly independent")
 
-    @property
-    def coord_dim(self) -> int:
-        """Number of linear coordinates of the space."""
-        if self.pattern == "diag":
-            return self.dim
-        if self.pattern == "general":
-            return len(self.basis)
-        return self.dim * self.dim
-
 
 def full_matrix_space(n: int) -> Space:
     return Space("matrix", n, "full")
-
-
-def diagonal_space(d: int) -> Space:
-    """The commutative algebra of d x d diagonal matrices (ell_infty^d)."""
-    return Space("matrix", d, "diag")
 
 
 def dual_space(n: int) -> Space:
@@ -123,14 +110,6 @@ class KernelMap:
         if x.shape != (self.n, self.n):
             raise ValidationError("input shape does not match the domain")
         return partial_contract_A(self.kernel, x.T, self.n, self.m)
-
-    def as_superoperator(self) -> np.ndarray:
-        """The (m^2, n^2) matrix sending vec(x) to vec(T(x)), row-major vec."""
-        n, m = self.n, self.m
-        g4 = self.kernel.reshape(n, m, n, m)
-        return np.ascontiguousarray(
-            g4.transpose(1, 3, 0, 2).reshape(m * m, n * n)
-        )
 
     def scale(self, t: float) -> "KernelMap":
         return KernelMap(self.domain, self.codomain, self.kernel * t)

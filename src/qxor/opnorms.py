@@ -83,13 +83,6 @@ def _nuclear_cap(u: KernelMap) -> float:
             return trace_norm(y)
         return operator_norm(y)
 
-    if dom.pattern == "diag":
-        total = 0.0
-        for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, k] = 1.0
-            total += out_norm(u.apply(e))
-        return total
     if dom.pattern == "general":
         basis = [as_matrix(b) for b in dom.basis]
         flat = np.stack([b.ravel() for b in basis])
@@ -116,12 +109,6 @@ def _project_pattern(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarra
     """Restrict an input block matrix to the domain pattern."""
     if pattern == "full":
         return z4
-    if pattern == "diag":
-        out = np.zeros_like(z4)
-        n = z4.shape[1]
-        idx = np.arange(n)
-        out[:, idx, :, idx] = z4[:, idx, :, idx]
-        return out
     # general subspace: project each block onto the span
     L, n = z4.shape[0], z4.shape[1]
     blocks = z4.transpose(0, 2, 1, 3).reshape(L * L, n * n)
@@ -132,13 +119,7 @@ def _project_pattern(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarra
 def _feasible_input(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
     z4 = _project_pattern(z4, pattern, basis_proj)
     L, n = z4.shape[0], z4.shape[1]
-    if pattern == "diag":
-        scale = 1.0
-        for k in range(n):
-            scale = max(scale, operator_norm(z4[:, k, :, k]))
-        return z4 / scale
-    z = z4.transpose(0, 1, 2, 3).reshape(L * n, L * n)
-    nrm = operator_norm(z)
+    nrm = operator_norm(z4.reshape(L * n, L * n))
     if nrm > 1:
         z4 = z4 / nrm
     return z4
@@ -149,11 +130,6 @@ def _input_update(c4, z4, pattern: str, bproj, objective) -> np.ndarray:
     general subspace the projected candidate replaces ``z4`` only if the
     ``objective`` does not drop."""
     L, n = c4.shape[0], c4.shape[1]
-    if pattern == "diag":
-        out = np.zeros_like(z4)
-        for k in range(n):
-            out[:, k, :, k] = polar_contraction(c4[:, k, :, k].T)
-        return out
     cand = polar_contraction(c4.reshape(L * n, L * n).T).reshape(L, n, L, n)
     if pattern == "full":
         return cand

@@ -578,10 +578,12 @@ def pi1cb_bounds(game_or_map,
 
     Lowers: every one-way-communication witness satisfies the amplified
     constraint, so its bias is a valid lower; a direct complex-tuple
-    see-saw adds the non-sign-bounded route. Uppers: the completely
-    1-summing norm and four times the one-way-classical bias, reported
-    through the one-way-quantum value. Unnormalized kernels are handled by
-    homogeneity. ``owc_results`` must follow the sorted schedule.
+    see-saw adds the non-sign-bounded route. Upper: the completely
+    1-summing norm. It is the trace norm of the game, which is also the
+    one-way-quantum value, so the cap of four times that value never
+    wins; the tag ``min_pi1o_4owq`` names both caps. Unnormalized kernels
+    are handled by homogeneity. ``owc_results`` must follow the sorted
+    schedule.
     """
     game, scale = _normalized_game_of(game_or_map)
     if d_schedule is None:
@@ -600,7 +602,7 @@ def pi1cb_bounds(game_or_map,
         per_d.append((d, dlow * scale))
         lower = max(lower, dlow)
 
-    upper = min(pi1o_exact(game), 4 * beta_owq(game))
+    upper = pi1o_exact(game)
     lower = min(lower, upper + 0.0)  # fp guard; theorems force lower <= upper
     return Pi1cbResult(
         BoundInterval(lower * scale, upper * scale, "owc_and_direct", "min_pi1o_4owq"),

@@ -10,7 +10,7 @@ matrix algebra:
 * ``rc_norm(x)   = max(row, col)``
 * ``rplus2c_norm(x) = inf over splittings x = T + S of
   sqrt(row(T)^2 + col(S)^2)`` (entrywise tuple sum)
-* ``rplusc_norm(x)``  is the same infimum of ``row(T) + col(S)``.
+* ``rplusc_split(x)`` is the same infimum of ``row(T) + col(S)``.
 
 The splitting infima are convex; they are computed by minimizing a
 log-sum-exp smoothing of the largest eigenvalue with a decreasing
@@ -40,9 +40,7 @@ __all__ = [
     "rplus2c_split",
     "rplus2c_norm",
     "rplusc_split",
-    "rplusc_norm",
     "mix_tuple",
-    "concat_tuples",
     "ordering_check",
 ]
 
@@ -99,14 +97,6 @@ def mix_tuple(a, t) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != x.shape[0]:
         raise ValidationError("mixing matrix shape does not match the tuple length")
     return np.einsum("kl,lab->kab", a, x)
-
-
-def concat_tuples(t, s) -> np.ndarray:
-    x = as_stack(t)
-    y = as_stack(s)
-    if x.shape[1:] != y.shape[1:]:
-        raise ValidationError("tuples must share a matrix shape to concatenate")
-    return np.concatenate([x, y], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +214,6 @@ def rplus2c_norm(t, inits: Optional[Sequence] = None) -> float:
 def rplusc_split(t, inits: Optional[Sequence] = None) -> SplitResult:
     """Linear splitting infimum, inf row(T) + col(S)."""
     return _solve_split(t, quadratic=False, inits=inits)
-
-
-def rplusc_norm(t, inits: Optional[Sequence] = None) -> float:
-    return rplusc_split(t, inits=inits).value
 
 
 # ---------------------------------------------------------------------------

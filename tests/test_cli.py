@@ -1,9 +1,11 @@
+import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qxor.cli import (
     EXIT_OK,
@@ -23,6 +25,17 @@ FAST = ["--restarts", "3", "--sweeps", "50", "--messages", "1,2", "--ancilla", "
 def write_game(path, game):
     with open(path, "w") as fh:
         json.dump(game_to_payload(game), fh)
+
+
+def tensor_payload(coeff, x=("dual", 1), y=("dual", 1)):
+    coeff = np.asarray(coeff, dtype=complex)
+    return {
+        "schema": "qxor-tensor/1",
+        "X": {"kind": x[0], "dim": x[1]},
+        "Y": {"kind": y[0], "dim": y[1]},
+        "coeff_re": coeff.real.tolist(),
+        "coeff_im": coeff.imag.tolist(),
+    }
 
 
 def test_payload_round_trip():
@@ -160,7 +173,7 @@ def test_factor_subcommand(tmp_path):
     f = tmp_path / "tensor.json"
     f.write_text(json.dumps(payload))
     out = tmp_path / "factor.json"
-    assert main(["factor", str(f), *FAST, "--levels", "1,2",
+    assert main(["factor", str(f), "--restarts", "3", "--sweeps", "50", "--levels", "1,2",
                  "--out", str(out)]) == EXIT_OK
     res = json.loads(out.read_text())
     assert res["gamma_upper"] > 0
@@ -202,9 +215,15 @@ def test_selftest_list(capsys):
 @pytest.mark.parametrize("flag", ["--messages", "--ancilla", "--levels"])
 @pytest.mark.parametrize("value", ["x", "1,", "0,1", "1.5", ""])
 def test_bad_schedule_exit_parse(tmp_path, capsys, flag, value):
-    f = tmp_path / "chsh.json"
-    write_game(f, chsh())
-    assert main(["analyze", str(f), *FAST, flag, value]) == EXIT_PARSE
+    if flag == "--levels":  # only factor reads the level schedule
+        f = tmp_path / "tensor.json"
+        f.write_text(json.dumps(tensor_payload([[1.0]])))
+        argv = ["factor", str(f), flag, value]
+    else:
+        f = tmp_path / "chsh.json"
+        write_game(f, chsh())
+        argv = ["analyze", str(f), *FAST, flag, value]
+    assert main(argv) == EXIT_PARSE
     assert f"parse error: {flag}" in capsys.readouterr().err
 
 
@@ -229,3 +248,177 @@ def test_parse_schedule_is_total(text):
 def test_parse_schedule_sorts_and_deduplicates(values):
     text = ",".join(map(str, values))
     assert _parse_schedule(text, "--levels") == tuple(sorted(set(values)))
+
+
+def _game_text(game, path, value):
+    """The file of ``game`` with the field at ``path`` set to ``value``."""
+    payload = game_to_payload(game)
+    obj = payload
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text, code", [
+    pytest.param(_game_text(random_game(1, 2, seed=0), ("n",), True), EXIT_PARSE, id="n-true"),
+    pytest.param(_game_text(random_game(2, 1, seed=0), ("m",), True), EXIT_PARSE, id="m-true"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), True), EXIT_PARSE, id="c-true"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), "0.25"), EXIT_PARSE, id="p-string"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), 1.7), EXIT_PARSE, id="c-fraction"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), 1e400), EXIT_PARSE, id="c-infinite"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), 10**400), EXIT_PARSE, id="p-huge-int"),
+    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), math.nan), EXIT_VALIDATION, id="p-nan"),
+    pytest.param(_game_text(chsh(), ("G_re", 0, 0), 10**400), EXIT_PARSE, id="G-huge-int"),
+    pytest.param(_game_text(chsh(), ("G_im",), [[0.0] * 4]), EXIT_PARSE, id="G-im-broadcast"),
+    pytest.param("[" * 100_000, EXIT_PARSE, id="deep-nesting"),
+])
+def test_analyze_malformed_game_files(tmp_path, capsys, text, code):
+    f = tmp_path / "game.json"
+    f.write_text(text)
+    assert main(["analyze", str(f), *FAST]) == code
+    expected = "parse error:" if code == EXIT_PARSE else "validation error:"
+    assert expected in capsys.readouterr().err
+
+
+def test_factor_boolean_dim_exit_parse(tmp_path, capsys):
+    f = tmp_path / "tensor.json"
+    for x, y in ((("dual", True), ("dual", 1)), (("matrix", 1), ("dual", True))):
+        f.write_text(json.dumps(tensor_payload([[1.0]], x, y)))
+        assert main(["factor", str(f)]) == EXIT_PARSE
+        assert "parse error:" in capsys.readouterr().err
+
+
+def test_factor_huge_coefficient_does_not_overflow(tmp_path):
+    f = tmp_path / "tensor.json"
+    f.write_text(json.dumps(tensor_payload([[1e308 + 1e308j]])))
+    out = tmp_path / "factor.json"
+    assert main(["factor", str(f), "--out", str(out)]) == EXIT_OK
+    res = json.loads(out.read_text())
+    # dim 1: gamma is |c| / sqrt(2) at the balanced quadratic splitting
+    assert res["gamma_upper"] == pytest.approx(abs(1e308 + 1e308j) / math.sqrt(2), rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "game.json", "--levels", "1"],
+    ["hierarchy", "--count", "0", "--levels", "1"],
+    *(["norms", "tuple.json", flag, "1"] for flag in (
+        "--seed", "--restarts", "--sweeps", "--tol", "--messages", "--ancilla", "--levels")),
+    ["norms", "tuple.json", "--format", "csv"],
+    ["factor", "tensor.json", "--messages", "1"],
+    ["factor", "tensor.json", "--ancilla", "1"],
+    ["factor", "tensor.json", "--format", "json"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- schema fuzzing: every file ends in exit 0, 2 or 3, never a traceback ---
+
+# values that JSON carries but a number field may not take: a boolean, a
+# fraction where an integer belongs, overflowing floats and integers
+EDGES = st.sampled_from([True, 1.7, 1e308, -1e308, math.inf, math.nan, 10**400])
+NUMBERS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats(), EDGES)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.integers(), st.text(max_size=3), EDGES),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def matrices(rows, cols=None):
+    row = st.lists(NUMBERS, min_size=cols or rows, max_size=cols or rows)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+def _field_paths(obj, prefix=()):
+    """Paths to every field and list item, not descending into matrices."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        if not str(key).endswith(("_re", "_im")):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, payloads):
+    """A payload with at most one field replaced by junk or deleted."""
+    payload = copy.deepcopy(draw(payloads))
+    paths = list(_field_paths(payload))
+    action = draw(st.sampled_from(["keep", "replace", "delete"]))
+    if action == "keep" or not paths:
+        return payload
+    path = draw(st.sampled_from(paths))
+    obj = payload
+    for key in path[:-1]:
+        obj = obj[key]
+    if action == "replace":
+        obj[path[-1]] = draw(JUNK)
+    else:
+        del obj[path[-1]]
+    return payload
+
+
+@st.composite
+def game_payloads(draw):
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    k = n * m
+    payload = {"schema": "qxor/1", "n": n, "m": m,
+               "G_re": draw(matrices(k)), "G_im": draw(matrices(k))}
+    if draw(st.booleans()):
+        episode = st.fixed_dictionaries({"p": NUMBERS, "c": NUMBERS,
+                                         "rho_re": matrices(k), "rho_im": matrices(k)})
+        payload["episodes"] = draw(st.lists(episode, max_size=2))
+    return payload
+
+
+@st.composite
+def tuple_payloads(draw):
+    rows, cols, d = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = st.lists(matrices(rows, cols), min_size=d, max_size=d)
+    return {"schema": "qxor-tuple/1", "entries_re": draw(entries), "entries_im": draw(entries)}
+
+
+@st.composite
+def tensor_payloads(draw):
+    space = st.fixed_dictionaries({"kind": st.sampled_from(["matrix", "dual"]),
+                                   "dim": st.integers(1, 2)})
+    x, y = draw(space), draw(space)
+    shape = (x["dim"] ** 2, y["dim"] ** 2)
+    return {"schema": "qxor-tensor/1", "X": x, "Y": y,
+            "coeff_re": draw(matrices(*shape)), "coeff_im": draw(matrices(*shape))}
+
+
+TINY = ["--restarts", "1", "--sweeps", "2"]
+FUZZ = {
+    "analyze": (st.one_of(st.just(game_to_payload(chsh())), game_payloads()),
+                [*TINY, "--messages", "1", "--ancilla", "1"]),
+    "norms": (tuple_payloads(), []),
+    "factor": (tensor_payloads(), [*TINY, "--levels", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+def test_fuzzed_files_never_raise(tmp_path_factory, command):
+    payloads, flags = FUZZ[command]
+    work = tmp_path_factory.mktemp(command)
+    path, out = work / "input.json", work / "out.json"
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(mutated(payloads))
+    def check(payload):
+        path.write_text(json.dumps(payload))
+        code = main([command, str(path), *flags, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION)
+
+    check()

@@ -88,6 +88,12 @@ def test_from_episodes_rejects_bad_probabilities():
         from_episodes(2, 2, [Episode(0.7, 1, rho)])
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_episode_rejects_non_finite_probability(p):
+    with pytest.raises(ValidationError, match="finite"):
+        Episode(p, 1, np.eye(2) / 2)
+
+
 def test_to_episodes_pure_density_single_episode():
     psi = np.array([1.0, 1.0, 0.0, 1.0], dtype=complex)
     psi /= np.linalg.norm(psi)

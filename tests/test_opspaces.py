@@ -296,6 +296,14 @@ def test_matrix_subspace_rejects_dependent_basis():
         matrix_subspace([e, 2 * e], 2)
 
 
+@pytest.mark.parametrize("pattern", ["diag", "bogus", ""])
+def test_space_rejects_unknown_pattern(pattern):
+    from qxor.config import ValidationError
+
+    with pytest.raises(ValidationError, match="pattern"):
+        Space("matrix", 2, pattern)
+
+
 def test_ml_dual_requires_block_dimension():
     from qxor.config import ValidationError
 
