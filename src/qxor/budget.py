@@ -23,7 +23,7 @@ class SolverBudget:
     def __post_init__(self):
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValidationError("budget counts must be positive")
-        if self.tol <= 0:
+        if not (self.tol > 0):
             raise ValidationError("budget tolerance must be positive")
 
     def with_(self, **kw) -> "SolverBudget":

@@ -182,42 +182,52 @@ class EntangledBiasResult:
     dims: tuple
 
 
-def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
-    n, m = game.n, game.m
-    g4 = game.kernel_tensor()
+def _entangled_kernels(g4, dA, dB):
+    """``(eff, alice, bob)`` of :func:`_entangled_core`, with ``K`` built once."""
+    n, m = g4.shape[:2]
+    k = g4.transpose(2, 0, 3, 1).reshape(n * n, m * m)
+    sa, sb, sr, anc = (n, dA, n, dA), (m, dB, m, dB), (dA, dB, dA, dB), (1, 3, 0, 2)
 
-    def value(a4, b4, rho4):
-        return float(np.real(np.einsum("iajc,kbld,jlik,cdab->", a4, b4, g4, rho4,
-                                       optimize=True)))
+    def mat(x, shape, axes):
+        y = x.reshape(shape).transpose(axes)
+        return y.reshape(y.shape[0] * y.shape[1], -1)
+
+    def eff(a, b):
+        return mat(mat(a, sa, anc) @ k @ mat(b, sb, anc).T, (dA, dA, dB, dB), (0, 2, 1, 3))
+
+    def alice(b, rho):
+        return mat(mat(rho, sr, (0, 2, 3, 1)) @ mat(b, sb, anc) @ k.T, (dA, dA, n, n), (3, 0, 2, 1))
+
+    def bob(a, rho):
+        return mat(mat(rho, sr, (1, 3, 2, 0)) @ mat(a, sa, anc) @ k, (dB, dB, m, m), (3, 0, 2, 1))
+
+    return eff, alice, bob
+
+
+def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
+    """See-saw over ``(psi, A, B)``: ``A[(i,a),(j,c)]``, ``B[(k,b),(l,d)]``,
+    ``rho[(c,d),(a,b)]``, game ``g4[j,l,i,k]``, kernel ``K[(i,j),(k,l)] = g4[j,l,i,k]``.
+    With ``A~[(a,c),(i,j)]``, ``B~[(b,d),(k,l)]``, the ancilla operator is ``A~ K B~^T``,
+    Alice's ``rho[(c,a),(b,d)] B~ K^T`` and Bob's ``db = rho[(d,b),(a,c)] A~ K``, reordered
+    to ``[(a,b),(c,d)]``, ``[(j,c),(i,a)]``, ``[(l,d),(k,b)]``; the bias is ``Re tr(db B)``."""
+    n, m = game.n, game.m
+    eff, alice, bob = _entangled_kernels(game.kernel_tensor(), dA, dB)
 
     def start(psi, a, b):
-        psi = np.asarray(psi, dtype=complex)
-        rho4 = np.outer(psi, psi.conj()).reshape(dA, dB, dA, dB)
-        return value(a.reshape(n, dA, n, dA), b.reshape(m, dB, m, dB), rho4), (psi, a, b)
+        return float(np.real(np.sum(bob(a, np.outer(psi, psi.conj())) * b.T))), (psi, a, b)
 
     def sweep(_, state):
         _, a, b = state
-        a4 = a.reshape(n, dA, n, dA)
-        b4 = b.reshape(m, dB, m, dB)
-        # shared-state update: top eigenvector of the ancilla-effective
-        # operator obtained by contracting the observables against the game
-        eff = np.einsum("iajc,kbld,jlik->abcd", a4, b4, g4, optimize=True)
-        eff = eff.reshape(dA * dB, dA * dB)
-        eff = (eff + eff.conj().T) / 2
-        w, u = np.linalg.eigh(eff)
-        psi = u[:, -1]
-        rho4 = np.outer(psi, psi.conj()).reshape(dA, dB, dA, dB)
+        # shared state: top eigenvector of the ancilla operator
+        e = eff(a, b)
+        psi = np.linalg.eigh((e + e.conj().T) / 2)[1][:, -1]
+        rho = np.outer(psi, psi.conj())
         # Alice update: spectral sign of her effective operator
-        da = np.einsum("kbld,jlik,cdab->jcia", b4, g4, rho4, optimize=True)
-        da = da.reshape(n * dA, n * dA)
-        a = sign_hermitian(hermitian_part(da))
-        a4 = a.reshape(n, dA, n, dA)
-        # Bob update
-        db = np.einsum("iajc,jlik,cdab->ldkb", a4, g4, rho4, optimize=True)
-        db = db.reshape(m * dB, m * dB)
+        a = sign_hermitian(hermitian_part(alice(b, rho)))
+        # Bob update; his effective operator also gives the sweep's value
+        db = bob(a, rho)
         b = sign_hermitian(hermitian_part(db))
-        b4 = b.reshape(m, dB, m, dB)
-        return value(a4, b4, rho4), (psi, a, b)
+        return float(np.real(np.sum(db * b.T))), (psi, a, b)
 
     starts = list(inits)
     starts.append((

@@ -61,3 +61,9 @@ def test_normalize_schedule():
     assert normalize_schedule(((2, 2), (1, 1)), "ancilla") == ((1, 1), (2, 2))
     with pytest.raises(ValidationError):
         normalize_schedule((), "level")
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValidationError, match="tolerance must be positive"):
+        SolverBudget(tol=tol)

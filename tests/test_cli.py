@@ -316,6 +316,24 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "hierarchy", "factor"])
+def test_nan_tolerance_exits_validation(tmp_path, capsys, command):
+    # NaN compares False with every tolerance stop, so it would run each
+    # see-saw to its sweep cap
+    if command == "analyze":
+        f = tmp_path / "chsh.json"
+        write_game(f, chsh())
+        argv = ["analyze", str(f), *FAST]
+    elif command == "hierarchy":
+        argv = ["hierarchy", "--count", "1", "--restarts", "1", "--sweeps", "5"]
+    else:
+        f = tmp_path / "tensor.json"
+        f.write_text(json.dumps(tensor_payload([[1.0]])))
+        argv = ["factor", str(f), "--restarts", "1", "--sweeps", "5"]
+    assert main([*argv, "--tol", "nan"]) == EXIT_VALIDATION
+    assert "budget tolerance must be positive" in capsys.readouterr().err
+
+
 # --- schema fuzzing: every file ends in exit 0, 2 or 3, never a traceback ---
 
 # values that JSON carries but a number field may not take: a boolean, a

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import gue, rng_for, swap_matrix
 from qxor.budget import SolverBudget
 from qxor.games import (
+    EntangledStrategy,
     OwcStrategy,
     QuantumXorGame,
     associated_map,
@@ -117,6 +119,26 @@ def test_beta_entangled_product_state_game():
     rho_a /= np.trace(rho_a).real
     res = beta_entangled(product_state_game(rho_a, np.eye(2) / 2), 2, 2, BUDGET)
     assert res.interval.lower == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n,m,dA,dB", [(2, 3, 1, 2), (3, 2, 3, 4), (2, 2, 4, 1)])
+def test_entangled_kernels_match_einsum(n, m, dA, dB):
+    # the see-saw's matrix products against the plain tensor contractions
+    rng = rng_for("ent-kernels", n, m, dA, dB)
+    g, a, b, rho = gue(n * m, rng), gue(n * dA, rng), gue(m * dB, rng), gue(dA * dB, rng)
+    g4, a4 = g.reshape(n, m, n, m), a.reshape(n, dA, n, dA)
+    b4, rho4 = b.reshape(m, dB, m, dB), rho.reshape(dA, dB, dA, dB)
+    eff, alice, bob = solvers._entangled_kernels(g4, dA, dB)
+    expected = np.einsum("iajc,kbld,jlik->abcd", a4, b4, g4).reshape(dA * dB, dA * dB)
+    assert np.abs(eff(a, b) - expected).max() <= 1e-12
+    expected = np.einsum("kbld,jlik,cdab->jcia", b4, g4, rho4).reshape(n * dA, n * dA)
+    assert np.abs(alice(b, rho) - expected).max() <= 1e-12
+    expected = np.einsum("iajc,jlik,cdab->ldkb", a4, g4, rho4).reshape(m * dB, m * dB)
+    assert np.abs(bob(a, rho) - expected).max() <= 1e-12
+    # the sweep value, Re tr(db B)
+    value = np.real(np.sum(bob(a, rho) * b.T))
+    assert value == pytest.approx(
+        np.real(np.einsum("iajc,kbld,jlik,cdab->", a4, b4, g4, rho4)), abs=1e-12)
 
 
 def test_beta_owc_d1_equals_product_shared_seeds():
@@ -360,3 +382,25 @@ def test_analyze_game_runs_the_product_seesaw_once(monkeypatch):
     small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
     analyze_game(random_game(2, 2, seed=47), "g", small, d_schedule=(1, 2))
     assert keys.count("prod") == 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), m=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+def test_random_games_keep_the_class_order(n, m, seed, dims):
+    game = random_game(n, m, seed=seed)
+    tiny = SolverBudget(restarts=1, max_sweeps=10, seed=seed)
+    row = analyze_game(game, "g", tiny, d_schedule=(1, 2), ancilla_schedule=((1, 1), (2, 2)))
+    assert row.violations == ()
+    owc = [iv for _, iv in row.beta_owc_per_d]
+    for iv in (row.beta_product, row.beta_entangled, row.pi1cb, *owc):
+        assert iv.lower <= iv.upper
+    best_owc = max(iv.lower for iv in owc)
+    assert row.beta_product.lower <= best_owc + 1e-8
+    assert best_owc <= row.beta_owq + 1e-8
+    assert row.beta_entangled.lower <= row.beta_owq + 1e-8
+    # the see-saw's own value agrees with the independent witness evaluation
+    dA, dB = dims
+    val, psi, a, b = solvers._entangled_core(game, dA, dB, tiny)
+    assert val == pytest.approx(bias_of(game, EntangledStrategy(n, m, dA, dB, psi, a, b)),
+                                abs=1e-10)
