@@ -342,17 +342,22 @@ def cmd_selftest(args) -> int:
             print(f"{crit.id}: {crit.title}")
         return EXIT_OK
     first_failure = None
+    results = []
     for crit in CRITERIA:
         t0 = time.perf_counter()
         try:
             crit.run()
-            status = "pass"
+            result, status = "pass", "pass"
         except AssertionError as exc:
-            status = f"FAIL ({exc})"
+            result, status = "fail", f"FAIL ({exc})"
             if first_failure is None:
                 first_failure = crit.id
         elapsed = time.perf_counter() - t0
-        print(f"[{crit.id}] {crit.title}: {status} ({elapsed:.1f}s)")
+        results.append({"id": crit.id, "result": result, "seconds": elapsed})
+        if not args.json:
+            print(f"[{crit.id}] {crit.title}: {status} ({elapsed:.1f}s)")
+    if args.json:
+        _dump_json({"criteria": results}, None)
     if first_failure is not None:
         print(f"selftest failed, first failing criterion: {first_failure}",
               file=sys.stderr)
@@ -439,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--list", action="store_true", dest="list_only")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object: id, result and seconds per criterion")
     p.set_defaults(run=cmd_selftest)
 
     return parser

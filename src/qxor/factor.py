@@ -195,11 +195,11 @@ def _dual_col_cap(x: np.ndarray, n: int) -> float:
     return dual_level_upper_cap(_col_embed(x), x.shape[0], n)
 
 
-def _dual_split_cap(tpart: np.ndarray, spart: np.ndarray, n: int) -> float:
-    """sqrt(row cap(T)^2 + col cap(S)^2), or inf, still a valid cap, when a
-    square overflows."""
+def _split_cap(row_cap: float, col_cap: float) -> float:
+    """sqrt(row_cap^2 + col_cap^2), or inf, still a valid cap, when a square
+    overflows."""
     try:
-        return math.sqrt(_dual_row_cap(tpart, n) ** 2 + _dual_col_cap(spart, n) ** 2)
+        return math.sqrt(row_cap ** 2 + col_cap ** 2)
     except OverflowError:
         return math.inf
 
@@ -213,15 +213,17 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
     if space.kind == "matrix":
         return rplus2c_split(x).value
     n = space.dim
-    best = math.inf
-    lams = np.linspace(0.0, 1.0, 9)
-    for lam in lams:
-        best = min(best, _dual_split_cap(lam * x, (1 - lam) * x, n))
+    # both caps are positively homogeneous, so the split (lam x, (1-lam) x)
+    # costs no cap evaluation beyond these two; lam is a Python float, so
+    # an overflowing square raises instead of warning
+    row, col = _dual_row_cap(x, n), _dual_col_cap(x, n)
+    best = min(_split_cap(lam * row, (1 - lam) * col)
+               for lam in np.linspace(0.0, 1.0, 9).tolist())
     rng = budget.rng("dual-split")
     for _ in range(min(budget.restarts, 12)):
         lamk = rng.uniform(0.0, 1.0, size=x.shape[0])
         tpart = lamk[:, None, None] * x
-        best = min(best, _dual_split_cap(tpart, x - tpart, n))
+        best = min(best, _split_cap(_dual_row_cap(tpart, n), _dual_col_cap(x - tpart, n)))
     return best
 
 

@@ -101,8 +101,10 @@ def trace_norm(m) -> float:
 
 
 def operator_norm(m) -> float:
+    """Largest singular value; the same LAPACK call as ``norm(m, 2)``
+    without its axis handling."""
     a = as_matrix(m)
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def sign_hermitian(m, zero_tol: float = 1e-12) -> np.ndarray:

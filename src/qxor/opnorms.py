@@ -62,14 +62,16 @@ def dual_level_upper_cap(Z: np.ndarray, L: int, m: int) -> float:
     z4 = as_matrix(Z).reshape(L, m, L, m)
     r = np.ascontiguousarray(z4.transpose(0, 2, 1, 3).reshape(L * L, m * m))
     u, s, vh = np.linalg.svd(r, full_matrices=False)
-    cap = 0.0
-    for t in range(s.size):
-        if s[t] <= 1e-15 * s[0]:
-            break
-        c = u[:, t].reshape(L, L)
-        f = vh[t].reshape(m, m)
-        cap += float(s[t]) * operator_norm(c) * trace_norm(f)
-    return cap
+    k = int(np.count_nonzero(s > 1e-15 * s[0]))  # s is descending
+    if k == 0:
+        return 0.0
+    c = u[:, :k].T.reshape(k, L, L)  # the kept C_t and F_t, one stack each
+    f = vh[:k].reshape(k, m, m)
+    if not (np.isfinite(c).all() and np.isfinite(f).all()):
+        raise ValidationError("matrix entries must be finite")
+    terms = s[:k] * np.linalg.svd(c, compute_uv=False)[:, 0] * np.linalg.svd(
+        f, compute_uv=False).sum(axis=1)
+    return float(np.cumsum(terms)[-1])  # summed in term order, as a running total
 
 
 def _nuclear_cap(u: KernelMap) -> float:
@@ -300,21 +302,26 @@ class _RcState:
     blocks: np.ndarray  # (d, L, L)
 
 
-def _rc_level_value(blocks: np.ndarray, h: np.ndarray) -> float:
-    """max of the row- and column-structured norms of sum_k C_k (x) h_k."""
-    d, L, _ = blocks.shape
+def _rc_level(blocks: np.ndarray, h: np.ndarray) -> tuple:
+    """``(value, top, top_is_col)`` for sum_k C_k (x) h_k: the larger of the
+    norms of its column- and row-structured matrices, and the matrix that
+    attains it (the column one on a tie)."""
+    L = blocks.shape[1]
     p = h.shape[1]
     w = np.einsum("kab,kr->arb", blocks, h)  # (L, p, L)
     col = w.reshape(L * p, L)
     row = w.transpose(0, 2, 1).reshape(L, L * p)
-    return max(operator_norm(col), operator_norm(row))
+    ncol, nrow = operator_norm(col), operator_norm(row)
+    return (ncol, col, True) if ncol >= nrow else (nrow, row, False)
 
 
 def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
                      inits: Sequence[_RcState] = (), key="amp-rc"):
     """See-saw lower for the level-L norm of a map from the diagonal
     algebra into a Hilbert space carrying the row-intersect-column
-    structure."""
+    structure. A state carries its blocks with their ``_rc_level``, so a
+    sweep takes four SVDs: the top pair, one stacked polar and the two
+    norms of the candidate."""
     h = np.stack(vm.vectors)
     d, p = h.shape
 
@@ -333,31 +340,27 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
             nk = operator_norm(blocks[k])
             if nk > 1:
                 blocks[k] /= nk
-        return _rc_level_value(blocks, h), blocks
+        val, top, top_is_col = _rc_level(blocks, h)
+        return val, (blocks, top, top_is_col)
 
-    def sweep(_, blocks):
-        w = np.einsum("kab,kr->arb", blocks, h)
-        col = w.reshape(L * p, L)
-        row = w.transpose(0, 2, 1).reshape(L, L * p)
-        if operator_norm(col) >= operator_norm(row):
-            cu, cs, cvh = np.linalg.svd(col)
-            uvec = cu[:, 0].reshape(L, p)
-            vvec = cvh[0].conj()
-            coeff = np.einsum("ar,kr,b->kab", uvec.conj(), h, vvec)
+    def sweep(val, state):
+        _, top, top_is_col = state
+        tu, _, tvh = np.linalg.svd(top)
+        uvec, vvec = tu[:, 0].conj(), tvh[0].conj()
+        if top_is_col:
+            coeff = np.einsum("ar,kr,b->kab", uvec.reshape(L, p), h, vvec)
         else:
-            ru, rs, rvh = np.linalg.svd(row)
-            uvec = ru[:, 0]
-            vvec = rvh[0].conj().reshape(L, p)
-            coeff = np.einsum("a,kr,br->kab", uvec.conj(), h, vvec)
-        cand = np.stack([polar_contraction(coeff[k].T) for k in range(d)])
-        cand_val = _rc_level_value(cand, h)
-        cur_val = _rc_level_value(blocks, h)
-        if cand_val >= cur_val:
-            return cand_val, cand
-        return cur_val, blocks
+            coeff = np.einsum("a,kr,br->kab", uvec, h, vvec.reshape(L, p))
+        # polar contraction of every coeff[k].T in one stacked SVD
+        pu, _, pvh = np.linalg.svd(coeff.transpose(0, 2, 1))
+        cand = pvh.conj().transpose(0, 2, 1) @ pu.conj().transpose(0, 2, 1)
+        cand_val, top, top_is_col = _rc_level(cand, h)
+        if cand_val >= val:
+            return cand_val, (cand, top, top_is_col)
+        return val, state
 
     val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else _RcState(best)
+    return val, None if best is None else _RcState(best[0])
 
 
 # ---------------------------------------------------------------------------

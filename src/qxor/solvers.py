@@ -100,19 +100,13 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
 
     def sweep(_, state):
         a = state[0]
-        d = partial_contract_A(g, a, n, m)
-        if hermitian:
-            d = hermitian_part(d)
-        b = update(d)
-        c = partial_contract_B(g, b, n, m)
-        if hermitian:
-            c = hermitian_part(c)
-        a = update(c)
+        b = update(partial_contract_A(g, a, n, m))
+        a = update(partial_contract_B(g, b, n, m))
         return float(np.real(np.trace(partial_contract_A(g, a, n, m) @ b))), (a, b)
 
     starts = list(extra_inits)
     starts.append(np.eye(n, dtype=complex))
-    starts.append(sign_hermitian(hermitian_part(partial_contract_B(g, np.eye(m), n, m))))
+    starts.append(sign_hermitian(partial_contract_B(g, np.eye(m), n, m)))
     for r in range(budget.restarts):
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
@@ -136,11 +130,15 @@ def beta_product(game: QuantumXorGame,
     """Certified bounds for the unentangled product bias.
 
     Lower: best sign-update see-saw witness, re-evaluated through
-    ``bias_of``. Upper: the one-way-quantum value always works; when the
-    complex-contraction see-saw for the associated map's norm stabilizes,
-    sqrt(2) times that estimate is reported instead (the product bias is
-    within sqrt(2) of that norm, and the complex value dominates the
-    witness value by warm-starting from it). ``_prod`` is a precomputed
+    ``bias_of``. Upper: the one-way-quantum value, which holds by
+    construction. When the complex-contraction see-saw for the associated
+    map's norm stabilizes, the smaller ``sqrt2_assisted_norm`` value,
+    sqrt(2) times that estimate, is reported instead. That upper bound is
+    conditional: the estimate is a see-saw *lower* value of the norm, warm
+    started from the Hermitian witness, so sqrt(2) times it bounds the
+    product bias only when that witness is within a factor sqrt(2) of the
+    optimum, and no inequality makes that true by construction.
+    ``_prod`` is a precomputed
     ``_product_core(game, budget, hermitian=True, key="prod")``.
     """
     val, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
@@ -223,10 +221,10 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
         psi = np.linalg.eigh((e + e.conj().T) / 2)[1][:, -1]
         rho = np.outer(psi, psi.conj())
         # Alice update: spectral sign of her effective operator
-        a = sign_hermitian(hermitian_part(alice(b, rho)))
+        a = sign_hermitian(alice(b, rho))
         # Bob update; his effective operator also gives the sweep's value
         db = bob(a, rho)
-        b = sign_hermitian(hermitian_part(db))
+        b = sign_hermitian(db)
         return float(np.real(np.sum(db * b.T))), (psi, a, b)
 
     starts = list(inits)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qxor.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SELFTEST_FAIL,
     EXIT_VALIDATION,
     SchemaError,
     _parse_schedule,
@@ -210,6 +211,24 @@ def test_selftest_list(capsys):
     assert main(["selftest", "--list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "C1" in out and "C10" in out
+
+
+def test_selftest_json_reports_each_criterion(monkeypatch, capsys):
+    from qxor import acceptance
+
+    def fails():
+        raise AssertionError("deliberate")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        acceptance.Criterion("P1", "passes", lambda: None),
+        acceptance.Criterion("F1", "fails", fails),
+    ))
+    assert main(["selftest", "--json"]) == EXIT_SELFTEST_FAIL
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert [(c["id"], c["result"]) for c in report["criteria"]] == [("P1", "pass"), ("F1", "fail")]
+    assert all(c["seconds"] >= 0 for c in report["criteria"])
+    assert "first failing criterion: F1" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--messages", "--ancilla", "--levels"])

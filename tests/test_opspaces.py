@@ -1,14 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
+from qxor.factor import _dual_col_cap, _dual_row_cap, tuple_rplus2c_upper_in_space
+from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
+    _amp_rc_codomain,
     amplified_norm,
     cb_norm_bounds,
+    dual_level_upper_cap,
     ml_dual_norm,
     pietsch_pi2,
 )
@@ -345,3 +350,77 @@ def test_cb_vs_pietsch_small_cross_check():
         )
         assert res.interval.lower <= pi2 * 1.02
         assert res.interval.lower >= pi2 * 0.95
+
+
+def test_operator_norm_is_the_spectral_norm_bit_for_bit():
+    rng = rng_for("opnorm-bits")
+    for rows, cols in [(1, 1), (16, 16)] + [tuple(rng.integers(1, 17, size=2)) for _ in range(40)]:
+        a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        assert operator_norm(a) == np.linalg.norm(a, 2)
+
+
+def _dual_cap_per_term(z, L, m):
+    """The singular-term cap, one operator norm and one trace norm per term."""
+    z4 = np.asarray(z, dtype=complex).reshape(L, m, L, m)
+    r = np.ascontiguousarray(z4.transpose(0, 2, 1, 3).reshape(L * L, m * m))
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    cap = 0.0
+    for t in range(s.size):
+        if s[t] <= 1e-15 * s[0]:
+            break
+        op = np.linalg.norm(u[:, t].reshape(L, L), 2)
+        tr = np.linalg.svd(vh[t].reshape(m, m), compute_uv=False).sum()
+        cap += float(s[t]) * float(op) * float(tr)
+    return cap
+
+
+def test_dual_level_cap_equals_the_per_term_sum():
+    rng = rng_for("dual-cap-terms")
+    for trial in range(30):
+        L, m = (int(v) for v in rng.integers(1, 5, size=2))
+        # rank k across the (level | space) cut; k < min(L^2, m^2) is rank-deficient
+        k = int(rng.integers(1, min(L * L, m * m) + 1))
+        left = rng.normal(size=(L * L, k)) + 1j * rng.normal(size=(L * L, k))
+        right = rng.normal(size=(k, m * m)) + 1j * rng.normal(size=(k, m * m))
+        z = (left @ right).reshape(L, L, m, m).transpose(0, 2, 1, 3).reshape(L * m, L * m)
+        assert dual_level_upper_cap(z, L, m) == _dual_cap_per_term(z, L, m)
+    # a singular value near 1e-14 of the largest sits just above the cut-off
+    left = rng.normal(size=(4, 2)) * [1.0, 1e-14]
+    z = (left @ rng.normal(size=(2, 9))).reshape(2, 2, 3, 3).transpose(0, 2, 1, 3).reshape(6, 6)
+    assert dual_level_upper_cap(z, 2, 3) == _dual_cap_per_term(z, 2, 3)
+    assert dual_level_upper_cap(np.zeros((6, 6)), 2, 3) == 0.0
+
+
+def test_dual_split_upper_equals_the_per_split_caps():
+    budget = SolverBudget(restarts=5, seed=3)
+    for trial in range(6):
+        rng = rng_for("dual-split-upper", trial)
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        x = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
+
+        def cap(tpart, spart):
+            return math.sqrt(_dual_row_cap(tpart, n) ** 2 + _dual_col_cap(spart, n) ** 2)
+
+        ref = min(cap(lam * x, (1 - lam) * x) for lam in np.linspace(0.0, 1.0, 9))
+        split_rng = budget.rng("dual-split")
+        for _ in range(5):
+            tpart = split_rng.uniform(0.0, 1.0, size=d)[:, None, None] * x
+            ref = min(ref, cap(tpart, x - tpart))
+        got = tuple_rplus2c_upper_in_space(x, dual_space(n), budget)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_rc_seesaw_value_is_the_level_norm_of_its_witness():
+    for trial in range(4):
+        rng = rng_for("rc-witness", trial)
+        d, p = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        vm = VectorMap(tuple(rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(d)))
+        h = np.stack(vm.vectors)
+        for L in (1, 2, 3):
+            val, state = _amp_rc_codomain(vm, L, BUDGET)
+            blocks = state.blocks
+            assert max(operator_norm(b) for b in blocks) <= 1 + 1e-12
+            w = np.einsum("kab,kr->arb", blocks, h)
+            col = w.reshape(L * p, L)
+            row = w.transpose(0, 2, 1).reshape(L, L * p)
+            assert val == max(operator_norm(col), operator_norm(row))
