@@ -65,7 +65,9 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
         raise ValidationError("Hermitian matrix must be square")
     if tol is None:
         tol = TOL.construction * max(1.0, float(np.abs(a).max(initial=0.0)))
-    defect = float(np.abs(a - a.conj().T).max(initial=0.0))
+    # quarters cannot overflow in the difference or its modulus, and the
+    # power-of-two scaling is exact; a defect beyond the float range is inf
+    defect = 4 * float(np.abs(a / 4 - a.conj().T / 4).max(initial=0.0))
     if defect > tol:
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,47 @@ def test_factor_huge_coefficient_does_not_overflow(tmp_path):
     res = json.loads(out.read_text())
     # dim 1: gamma is |c| / sqrt(2) at the balanced quadratic splitting
     assert res["gamma_upper"] == pytest.approx(abs(1e308 + 1e308j) / math.sqrt(2), rel=1e-9)
+
+
+def test_factor_float_max_tensor_scales_back_exactly(tmp_path):
+    # the coefficient is evaluated at the scale 2**-1024 and the bounds are
+    # scaled back; the reference file holds that scaled coefficient itself
+    big = 1.7976931348623157e308
+    results = []
+    for c in (complex(big, big), complex(big, big) / 2.0**512 / 2.0**512):
+        f, out = tmp_path / "tensor.json", tmp_path / "factor.json"
+        f.write_text(json.dumps(tensor_payload([[c]])))
+        assert main(["factor", str(f), "--levels", "1", "--out", str(out)]) == EXIT_OK
+        results.append(json.loads(out.read_text()))
+    res, ref = results
+    assert res["gamma_upper"] == ref["gamma_upper"] * 2.0**512 * 2.0**512
+    assert res["x_norm_upper"] == ref["x_norm_upper"] * 2.0**512
+    assert res["y_norm_upper"] == ref["y_norm_upper"] * 2.0**512
+    # |c| = sqrt(2) * big is beyond the float range: the lower rounds down
+    # to the largest float and the upper is unbounded
+    assert res["factorization_interval"]["lower"] == big
+    assert res["factorization_interval"]["upper"] is None
+
+
+@pytest.mark.parametrize("command, text, message", [
+    pytest.param("norms",
+                 '{"schema": "qxor-tuple/1", "entries_re": [[[1.0]]], "entries_im": [[[1e400]]]}',
+                 "matrix entries must be finite", id="infinite-im"),
+    pytest.param("analyze",
+                 json.dumps({"schema": "qxor/1", "n": 1, "m": 2,
+                             "G_re": [[0.0, 1.7e308], [-1.7e308, 0.0]],
+                             "G_im": [[0.0, 0.0], [0.0, 0.0]]}),
+                 "matrix is not Hermitian: defect inf exceeds tolerance 1.700e+296",
+                 id="non-hermitian-near-float-max"),
+])
+def test_malformed_files_exit_without_runtime_warnings(tmp_path, capsys, command, text,
+                                                       message):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, str(f)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -239,6 +239,37 @@ def test_instrument_fixed_point_grows_a_zero_block():
     assert solvers._instrument_gap(h, best)[1] <= 1e-6
 
 
+def test_instrument_fixed_point_at_a_loose_tolerance_is_exact():
+    rng = rng_for("owc-loose")
+    for j, n in ((4, 2), (6, 3), (8, 4)):
+        h = np.stack([gue(n, rng) for _ in range(j)])
+        e = random_instrument(j, n, rng)
+        for tol in (1e-2, 0.5):
+            best = solvers._instrument_fixed_point(h, e, BUDGET, tol)
+            assert_instrument(best)
+            assert instrument_value(h, best) >= instrument_value(h, e)
+
+
+C4_BUDGET = SolverBudget(restarts=3, max_sweeps=60, seed=4)
+
+
+def test_owc_loose_sweep_that_stalls_is_redone_tight():
+    # on this game a loose inner solve stalls in a sweep; taken as the
+    # see-saw's stop, that start would end early and the bound at 0.78352
+    g = random_game(2, 2, seed=5)
+    assert beta_owc(g, 2, C4_BUDGET).interval.lower >= 0.78999
+
+
+def test_owc_three_messages_on_c4_games():
+    # r20: a three-outcome instrument beats the two-message value 0.872636,
+    # found by the extra random start at d >= 3
+    r20 = beta_owc_schedule(random_game(2, 2, seed=1020), (1, 2, 3), C4_BUDGET)[-1]
+    assert r20.interval.lower >= 0.87383
+    # r32: the winner's final tight sweep brings its dual gap under 1e-4
+    r32 = beta_owc_schedule(random_game(2, 2, seed=1032), (1, 2, 3), C4_BUDGET)[-1]
+    assert r32.instrument_converged
+
+
 def test_beta_owc_monotone_in_messages():
     g = random_game(2, 2, seed=44)
     results = beta_owc_schedule(g, (1, 2, 4), BUDGET)
