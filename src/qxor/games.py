@@ -117,6 +117,11 @@ class QuantumXorGame:
         g = require_hermitian(self.G, tol=1e-12 * max(1.0, float(np.abs(np.asarray(self.G)).max())))
         if g.shape != (self.n * self.m, self.n * self.m):
             raise ValidationError("game operator shape does not match (n, m)")
+        # no entry's modulus exceeds the trace norm: an oversized game is
+        # rejected before its singular values could overflow their sum
+        big = float(np.abs(g).max())
+        if big > 1 + 1e-10:
+            raise ValidationError(f"game trace norm is at least {big:.6e} and exceeds one")
         tn = trace_norm(g)
         if tn > 1 + 1e-10:
             raise ValidationError(f"game trace norm {tn:.12f} exceeds one")

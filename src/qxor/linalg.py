@@ -72,7 +72,8 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
         )
-    return (a + a.conj().T) / 2
+    # halves, so that entries near the float maximum do not overflow the sum
+    return a / 2 + a.conj().T / 2
 
 
 def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,6 @@ from .linalg import (
     zero_pad,
 )
 from .maps import KernelMap
-from .tuples import col_norm, row_norm
 
 __all__ = [
     "beta_owq",
@@ -124,6 +123,16 @@ class ProductBiasResult:
     assisted_stabilized: bool
 
 
+def _contraction_value(game: QuantumXorGame, a: np.ndarray, b: np.ndarray) -> float:
+    """``Re tr(G (a (x) b))`` with each factor first divided by
+    ``max(1, ||.||)``, so the point is a pair of contractions by
+    construction. The trace is taken on the full Kronecker product, a path
+    apart from the see-saw's partial contractions."""
+    a = a / max(1.0, operator_norm(a))
+    b = b / max(1.0, operator_norm(b))
+    return float(np.real(np.trace(game.G @ np.kron(a, b))))
+
+
 def beta_product(game: QuantumXorGame,
                  budget: SolverBudget = DEFAULT_BUDGET,
                  _prod=None) -> ProductBiasResult:
@@ -131,14 +140,16 @@ def beta_product(game: QuantumXorGame,
 
     Lower: best sign-update see-saw witness, re-evaluated through
     ``bias_of``. Upper: the one-way-quantum value, which holds by
-    construction. When the complex-contraction see-saw for the associated
-    map's norm stabilizes, the smaller ``sqrt2_assisted_norm`` value,
-    sqrt(2) times that estimate, is reported instead. That upper bound is
-    conditional: the estimate is a see-saw *lower* value of the norm, warm
-    started from the Hermitian witness, so sqrt(2) times it bounds the
-    product bias only when that witness is within a factor sqrt(2) of the
-    optimum, and no inequality makes that true by construction.
-    ``_prod`` is a precomputed
+    construction. A complex-contraction see-saw, warm started from the
+    Hermitian witness, estimates the associated map's norm. Its witness
+    pair, re-evaluated by :func:`_contraction_value`, is feasible, so that
+    value, ``assisted_norm_estimate``, is a lower value of the norm. When a
+    second see-saw with half the restarts agrees with it, the smaller
+    ``sqrt2_assisted_norm`` value, sqrt(2) times the estimate, is reported
+    as the upper bound instead. That upper bound is conditional: sqrt(2)
+    times a *lower* value of the norm bounds the product bias only when the
+    Hermitian witness is within a factor sqrt(2) of the optimum, and no
+    inequality makes that true by construction. ``_prod`` is a precomputed
     ``_product_core(game, budget, hermitian=True, key="prod")``.
     """
     val, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
@@ -146,25 +157,26 @@ def beta_product(game: QuantumXorGame,
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
 
-    cval, _, _ = _product_core(
+    _, ca, cb = _product_core(
         game, budget, hermitian=False, key="prod-c", extra_inits=(a,)
     )
+    estimate = _contraction_value(game, ca, cb)
     second, _, _ = _product_core(
         game, budget.with_(restarts=max(1, budget.restarts // 2)),
         hermitian=False, key="prod-c2", extra_inits=(a,),
     )
-    stabilized = abs(cval - second) <= 1e-6 * max(1.0, abs(cval))
+    stabilized = abs(estimate - second) <= 1e-6 * max(1.0, abs(estimate))
     upper = owq
     upper_tag = "beta_owq"
-    if stabilized and math.sqrt(2) * cval < owq:
-        upper = math.sqrt(2) * cval
+    if stabilized and math.sqrt(2) * estimate < owq:
+        upper = math.sqrt(2) * estimate
         upper_tag = "sqrt2_assisted_norm"
     if upper < lower:
         upper, upper_tag = owq, "beta_owq"
     return ProductBiasResult(
         BoundInterval(lower, upper, "seesaw_witness", upper_tag),
         strategy,
-        cval,
+        estimate,
         stabilized,
     )
 
@@ -540,53 +552,6 @@ class Pi1cbResult:
     owc_results: tuple
 
 
-def _pi1cb_direct(game, d: int, budget: SolverBudget) -> float:
-    """Certified lower for the ell_1-amplified norm from a complex tuple.
-
-    The transpose sits on Alice exactly as in the defining pairing. For a
-    single message the constraint is an exact operator-norm bound; for more
-    messages a certified cap on the joint constraint rescales the tuple, so
-    the value never overshoots.
-    """
-    n, m = game.n, game.m
-    g = game.G
-
-    if d == 1:
-        val, a, b = _product_core(game, budget, hermitian=False, key="pi1cb-d1")
-        return max(0.0, val)
-
-    rng = budget.rng("pi1cb", d)
-    a_t = np.stack([_random_herm_contraction(n, rng) for _ in range(d)])
-    b_t = np.stack([np.eye(m, dtype=complex)] * d)
-    best = 0.0
-    for sweep in range(min(budget.max_sweeps, 30)):
-        # Bob responds exactly
-        for k in range(d):
-            dk = partial_contract_A(g, a_t[k].T, n, m)
-            b_t[k] = polar_contraction(dk)
-        # Alice aligns each block, then the tuple is rescaled by a cap that
-        # dominates the joint amplified constraint
-        for k in range(d):
-            ck = partial_contract_B(g, b_t[k], n, m)
-            a_t[k] = polar_contraction(ck.T)
-        cap = min(
-            sum(operator_norm(a_t[k]) for k in range(d)),
-            math.sqrt(d) * min(row_norm(a_t), col_norm(a_t)),
-        )
-        if cap <= 1e-30:
-            break
-        scaled = a_t / cap
-        val = 0.0
-        for k in range(d):
-            dk = partial_contract_A(g, scaled[k].T, n, m)
-            val += float(np.real(np.trace(dk @ b_t[k])))
-        if val <= best + budget.tol * max(1.0, best):
-            best = max(best, val)
-            break
-        best = max(best, val)
-    return best
-
-
 def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
     """Coerce a game, kernel map, or raw kernel to a unit-trace-norm game
     plus the positive factor scaled out; the summing norms are positively
@@ -605,17 +570,23 @@ def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
 def pi1cb_bounds(game_or_map,
                  d_schedule: Optional[Sequence[int]] = None,
                  budget: SolverBudget = DEFAULT_BUDGET,
-                 owc_results: Optional[Sequence[OwcBiasResult]] = None) -> Pi1cbResult:
+                 owc_results: Optional[Sequence[OwcBiasResult]] = None,
+                 _product: Optional[ProductBiasResult] = None) -> Pi1cbResult:
     """Interval for the (1, cb)-summing norm of the game's associated map.
 
-    Lowers: every one-way-communication witness satisfies the amplified
-    constraint, so its bias is a valid lower; a direct complex-tuple
-    see-saw adds the non-sign-bounded route. Upper: the completely
+    Lower: every one-way-communication witness satisfies the amplified
+    constraint, so its bias is a valid lower. With one message in the
+    schedule, the re-evaluated complex witness of :func:`beta_product`
+    (``assisted_norm_estimate``) competes as well; the tag
+    ``owc_and_assisted_norm`` names both routes. Upper: the completely
     1-summing norm. It is the trace norm of the game, which is also the
     one-way-quantum value, so the cap of four times that value never
     wins; the tag ``min_pi1o_4owq`` names both caps. Unnormalized kernels
     are handled by homogeneity. ``owc_results`` must follow the sorted
-    schedule.
+    schedule; ``_product`` is a precomputed :func:`beta_product` of the
+    same game and budget. Without it, and with one message in the
+    schedule, ``beta_product`` runs and shares its Hermitian see-saw with
+    the one-way solver.
     """
     game, scale = _normalized_game_of(game_or_map)
     if d_schedule is None:
@@ -624,20 +595,25 @@ def pi1cb_bounds(game_or_map,
     if d_schedule[0] < 1:
         raise ValidationError("message schedule must be positive")
 
+    prod_core = None
+    if _product is None and d_schedule[0] == 1:
+        prod_core = _product_core(game, budget, hermitian=True, key="prod")
+        _product = beta_product(game, budget, _prod=prod_core)
     if owc_results is None:
-        owc_results = beta_owc_schedule(game, d_schedule, budget)
+        owc_results = beta_owc_schedule(game, d_schedule, budget, _prod=prod_core)
     per_d = []
     lower = 0.0
     for d, owc in zip(d_schedule, owc_results):
-        direct = _pi1cb_direct(game, d, budget)
-        dlow = max(owc.interval.lower, direct)
+        dlow = owc.interval.lower
+        if d == 1:
+            dlow = max(dlow, _product.assisted_norm_estimate)
         per_d.append((d, dlow * scale))
         lower = max(lower, dlow)
 
     upper = pi1o_exact(game)
     lower = min(lower, upper + 0.0)  # fp guard; theorems force lower <= upper
     return Pi1cbResult(
-        BoundInterval(lower * scale, upper * scale, "owc_and_direct", "min_pi1o_4owq"),
+        BoundInterval(lower * scale, upper * scale, "owc_and_assisted_norm", "min_pi1o_4owq"),
         tuple(per_d),
         tuple(owc_results),
     )
@@ -722,7 +698,7 @@ def analyze_game(game: QuantumXorGame, game_id: str,
         d_schedule = default_message_schedule(game.n)
     d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
     owc_results = beta_owc_schedule(game, d_schedule, budget, _prod=prod_core)
-    p1cb = pi1cb_bounds(game, d_schedule, budget, owc_results=owc_results)
+    p1cb = pi1cb_bounds(game, d_schedule, budget, owc_results=owc_results, _product=prod)
     p1o = pi1o_exact(game)
 
     best_owc = max(r.interval.lower for r in owc_results)

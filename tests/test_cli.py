@@ -349,6 +349,13 @@ def test_factor_float_max_tensor_scales_back_exactly(tmp_path):
                              "G_im": [[0.0, 0.0], [0.0, 0.0]]}),
                  "matrix is not Hermitian: defect inf exceeds tolerance 1.700e+296",
                  id="non-hermitian-near-float-max"),
+    pytest.param("analyze",
+                 json.dumps({"schema": "qxor/1", "n": 1, "m": 2,
+                             "G_re": [[1.7976931348623157e308, 0.0],
+                                      [0.0, -1.7976931348623157e308]],
+                             "G_im": [[0.0, 0.0], [0.0, 0.0]]}),
+                 "game trace norm is at least 1.797693e+308 and exceeds one",
+                 id="hermitian-at-float-max"),
 ])
 def test_malformed_files_exit_without_runtime_warnings(tmp_path, capsys, command, text,
                                                        message):

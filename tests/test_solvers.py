@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gue, rng_for, swap_matrix
+from conftest import gue, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
 from qxor.games import (
     EntangledStrategy,
@@ -19,7 +19,7 @@ from qxor.games import (
     random_game,
     swap_game,
 )
-from qxor.linalg import zero_pad
+from qxor.linalg import partial_contract_A, zero_pad
 from qxor import solvers
 from qxor.solvers import (
     analyze_game,
@@ -96,6 +96,30 @@ def test_beta_product_upper_routes():
         assert res.interval.upper == pytest.approx(
             min(1.0, math.sqrt(2) * res.assisted_norm_estimate), abs=1e-9
         )
+
+
+def test_sqrt2_assisted_norm_upper_keeps_its_margin():
+    # the conditional upper bound is reported on seeded 3x3 games and stays
+    # well above a much longer product search there (measured ratio 1.41)
+    for k in range(6):
+        g = random_game(3, 3, seed=500 + k)
+        res = beta_product(g, SolverBudget(restarts=3, max_sweeps=60, seed=0))
+        assert res.interval.upper_method == "sqrt2_assisted_norm"
+        long = beta_product(g, SolverBudget(restarts=40, max_sweeps=150, seed=1))
+        assert res.interval.upper >= 1.2 * long.interval.lower
+
+
+def test_contraction_value_matches_partial_contraction():
+    rng = rng_for("contraction-value")
+    for n, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        g = random_game(n, m, seed=rng)
+        for _ in range(3):
+            a, b = random_unitary(n, rng), random_unitary(m, rng)
+            val = solvers._contraction_value(g, a, b)
+            ref = float(np.real(np.trace(partial_contract_A(g.G, a, n, m) @ b)))
+            assert val == pytest.approx(ref, abs=1e-12)
+            # factors are scaled back to contractions before the evaluation
+            assert solvers._contraction_value(g, 2 * a, b) == pytest.approx(val, abs=1e-12)
 
 
 def test_beta_entangled_chsh_tsirelson():
@@ -352,6 +376,14 @@ def test_pi1cb_transpose_bracket():
         res = pi1cb_bounds(tau, (1, 2), BUDGET)
         assert res.interval.lower >= n - 1e-6
         assert res.interval.upper <= n * n + 1e-8
+        assert res.interval.lower_method == "owc_and_assisted_norm"
+
+
+def test_pi1cb_lower_takes_the_product_assisted_norm_estimate():
+    g = random_game(3, 3, seed=0)
+    small = SolverBudget(restarts=3, max_sweeps=60, seed=0)
+    res = pi1cb_bounds(g, (1,), small)
+    assert res.interval.lower >= beta_product(g, small).assisted_norm_estimate - 1e-12
 
 
 def test_pi1cb_diagonal_reaches_mass():
@@ -413,6 +445,25 @@ def test_analyze_game_runs_the_product_seesaw_once(monkeypatch):
     small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
     analyze_game(random_game(2, 2, seed=47), "g", small, d_schedule=(1, 2))
     assert keys.count("prod") == 1
+    assert sorted(keys) == ["prod", "prod-c", "prod-c2"]
+
+
+@pytest.mark.parametrize("schedule, expected", [
+    ((1, 2), ["prod", "prod-c", "prod-c2"]),
+    ((2,), ["prod"]),
+])
+def test_pi1cb_bounds_shares_the_product_seesaw(monkeypatch, schedule, expected):
+    keys = []
+    core = solvers._product_core
+
+    def counted(game, budget, hermitian, key, **kw):
+        keys.append(key)
+        return core(game, budget, hermitian, key, **kw)
+
+    monkeypatch.setattr(solvers, "_product_core", counted)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
+    pi1cb_bounds(random_game(2, 2, seed=47), schedule, small)
+    assert sorted(keys) == expected
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
