@@ -43,41 +43,86 @@ DEFAULT_BUDGET = SolverBudget()
 _MONO_SLACK = 1e-9
 
 
-def seesaw(starts: Iterable[tuple], sweep: Callable[[float, object], tuple],
+@dataclass(frozen=True)
+class SeesawTrace:
+    """How a :func:`seesaw` call spent its budget: per start, the final
+    value, the sweeps run and why it stopped (``"converged"`` or
+    ``"sweep_cap"``); the index of the winning start (``None`` when no
+    start beat the floor) and that start's relative gain on its last
+    sweep."""
+
+    values: tuple
+    sweeps: tuple
+    stop_reasons: tuple
+    winner: Optional[int]
+    final_gain: Optional[float]
+
+
+def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
            budget: SolverBudget, max_sweeps: Optional[int] = None,
            floor: float = -math.inf) -> tuple:
-    """Block-coordinate ascent from each start; returns ``(value, state)``
-    of the best one.
+    """Block-coordinate ascent from every start in lockstep; returns
+    ``(value, state, trace)`` of the best start and a :class:`SeesawTrace`.
 
-    ``starts`` yields ``(value, state)`` pairs and ``sweep(value, state)``
-    returns the pair after one round of block updates. Contract:
+    ``starts`` yields ``(value, state)`` pairs with ``state`` a tuple of
+    arrays of the same shapes in every start. The driver stacks each state
+    component along a new leading start axis and calls ``sweep(values,
+    states)`` with the values and stacked components of the starts still
+    running; it returns them after one round of block updates, in the same
+    layout, and must not write into its arguments. A row's result must not
+    depend on the other rows, so a start runs as it would alone. Contract,
+    per start:
 
     * sweeps are monotone: a value that drops by more than a relative 1e-9
       raises :class:`MonotonicityError`, because closed-form block updates
       cannot lower the objective unless a formula is wrong;
     * a start stops once a sweep gains at most ``budget.tol`` relative to
       the new value, or after ``max_sweeps`` sweeps (default
-      ``budget.max_sweeps``);
+      ``budget.max_sweeps``); a stopped start is never swept again;
     * the best start is the first whose final value is strictly greater
-      than every earlier one and than ``floor``; when none beats ``floor``
-      the result is ``(floor, None)``;
+      than every earlier one and than ``floor``; its state row is returned,
+      and when none beats ``floor`` the result is ``(floor, None, trace)``;
     * the driver draws no randomness: callers build their starts, so the
       ``budget.rng`` keys and the start order stay theirs.
     """
     cap = budget.max_sweeps if max_sweeps is None else max_sweeps
-    best_val, best_state = floor, None
-    for val, state in starts:
-        for _ in range(cap):
-            new, state = sweep(val, state)
-            if new < val - _MONO_SLACK * max(1.0, abs(val)):
-                raise MonotonicityError(f"see-saw objective decreased from {val!r} to {new!r}")
-            done = new - val <= budget.tol * max(1.0, abs(new))
-            val = new
-            if done:
-                break
+    starts = list(starts)
+    # per-start bookkeeping in Python floats, which for a handful of starts
+    # costs less than numpy calls; ``active`` maps the stack's rows to starts
+    vals = [float(v) for v, _ in starts]
+    sweeps = [0] * len(starts)
+    gains = [math.inf] * len(starts)
+    reasons = ["sweep_cap"] * len(starts)
+    finals = [None] * len(starts)
+    active = list(range(len(starts)))
+    comps = tuple(np.stack(c) for c in zip(*(s for _, s in starts)))
+    for _ in range(cap):
+        if not active:
+            break
+        new, comps = sweep(np.array([vals[i] for i in active]), comps)
+        keep = []
+        for row, (i, val) in enumerate(zip(active, np.asarray(new, dtype=float).tolist())):
+            old = vals[i]
+            if val < old - _MONO_SLACK * max(1.0, abs(old)):
+                raise MonotonicityError(f"see-saw objective decreased from {old!r} to {val!r}")
+            scale = max(1.0, abs(val))
+            vals[i], gains[i], sweeps[i] = val, (val - old) / scale, sweeps[i] + 1
+            if val - old <= budget.tol * scale:
+                reasons[i], finals[i] = "converged", tuple(c[row] for c in comps)
+            else:
+                keep.append(row)
+        if len(keep) < len(active):  # drop the stopped rows from the stack
+            comps = tuple(np.asarray(c)[keep] for c in comps)
+            active = [active[row] for row in keep]
+    for row, i in enumerate(active):
+        finals[i] = tuple(c[row] for c in comps)
+    best_val, winner = floor, None
+    for i, val in enumerate(vals):
         if val > best_val:
-            best_val, best_state = val, state
-    return best_val, best_state
+            best_val, winner = val, i
+    trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner,
+                        None if winner is None else gains[winner])
+    return best_val, None if winner is None else finals[winner], trace
 
 
 def normalize_schedule(values, what: str) -> tuple:

@@ -16,17 +16,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TOL, ValidationError
+from .config import TOL, ConvergenceError, ValidationError
 
 __all__ = [
     "as_matrix",
     "hermitian_part",
     "require_hermitian",
     "eigh_desc",
+    "eigh_stack",
     "trace_norm",
     "operator_norm",
     "sign_hermitian",
+    "sign_stack",
     "polar_contraction",
+    "polar_stack",
     "zero_pad",
     "max_entangled",
     "partial_contract_A",
@@ -76,17 +79,24 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     return a / 2 + a.conj().T / 2
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(w, U)`` with ``m = U diag(w) U^dagger`` and ``U`` unitary.
     """
-    from .config import ConvergenceError
-
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("Hermitian matrix must be square")
-    a = (a + a.conj().T) / 2  # caller guarantees symmetry intent
+    return eigh_stack((a + _adjoint(a)) / 2)  # caller guarantees symmetry intent
+
+
+def eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigh_desc` of every matrix of a stack ``(..., n, n)`` in one
+    call. The stack is trusted: it is neither validated nor symmetrized."""
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -94,7 +104,7 @@ def eigh_desc(m) -> tuple[np.ndarray, np.ndarray]:
             f"eigensolver did not converge: {exc}",
             residual=float(np.abs(a).max(initial=0.0)),
         ) from exc
-    return w[::-1].copy(), u[:, ::-1].copy()
+    return w[..., ::-1].copy(), u[..., ::-1].copy()
 
 
 def trace_norm(m) -> float:
@@ -117,10 +127,19 @@ def sign_hermitian(m, zero_tol: float = 1e-12) -> np.ndarray:
     result is always a Hermitian contraction of norm one and maximizes
     ``tr(m X)`` over Hermitian contractions ``X`` with value ``trace_norm(m)``.
     """
-    w, u = eigh_desc(m)
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError("Hermitian matrix must be square")
+    return sign_stack(a, zero_tol)
+
+
+def sign_stack(a: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+    """:func:`sign_hermitian` of every matrix of a trusted stack
+    ``(..., n, n)``, with one eigendecomposition call for the stack."""
+    w, u = eigh_stack((a + _adjoint(a)) / 2)
     signs = np.where(w < -zero_tol, -1.0, 1.0)
-    out = (u * signs) @ u.conj().T
-    return (out + out.conj().T) / 2
+    out = (u * signs[..., None, :]) @ _adjoint(u)
+    return (out + _adjoint(out)) / 2
 
 
 def polar_contraction(m) -> np.ndarray:
@@ -129,9 +148,17 @@ def polar_contraction(m) -> np.ndarray:
     Maximizes ``Re tr(m X)`` over all contractions ``X`` with value
     ``trace_norm(m)``; for unitary input returns its adjoint.
     """
-    a = as_matrix(m)
-    u, _, vh = np.linalg.svd(a)
-    return vh.conj().T @ u.conj().T
+    return polar_stack(as_matrix(m))
+
+
+def polar_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`polar_contraction` of every matrix of a trusted stack
+    ``(..., n, n)``, with one SVD call for the stack."""
+    try:
+        u, _, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}", residual=None) from exc
+    return _adjoint(vh) @ _adjoint(u)
 
 
 def zero_pad(a, shape) -> np.ndarray:

@@ -32,7 +32,7 @@ from .linalg import (
     as_matrix,
     max_entangled,
     operator_norm,
-    polar_contraction,
+    polar_stack,
     trace_norm,
     zero_pad,
 )
@@ -106,37 +106,56 @@ def _nuclear_cap(u: KernelMap) -> float:
 # ---------------------------------------------------------------------------
 # see-saw cores
 # ---------------------------------------------------------------------------
+#
+# A core builds its starts one at a time and sweeps them as one stack: the
+# helpers below take arrays with any leading batch shape, and the sweeps
+# take every state component with a leading start axis.
+
+def _blocks(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``x`` with its trailing four axes merged pairwise into a matrix."""
+    return x.reshape(x.shape[:-4] + (rows, cols))
+
+
+def _form(uvec: np.ndarray, w: np.ndarray, vvec: np.ndarray) -> np.ndarray:
+    """``Re u^dagger w v`` per batch entry."""
+    return np.real(uvec.conj()[..., None, :] @ w @ vvec[..., :, None])[..., 0, 0]
+
+
+def _top_pair(x: np.ndarray) -> tuple:
+    """Top singular value and pair ``(s, u, v)`` of every matrix, with
+    ``x v = s u``."""
+    xu, xs, xvh = np.linalg.svd(x)
+    return xs[..., 0], xu[..., :, 0], xvh[..., 0, :].conj()
+
 
 def _project_pattern(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
     """Restrict an input block matrix to the domain pattern."""
     if pattern == "full":
         return z4
     # general subspace: project each block onto the span
-    L, n = z4.shape[0], z4.shape[1]
-    blocks = z4.transpose(0, 2, 1, 3).reshape(L * L, n * n)
-    coeffs = blocks @ basis_proj
-    return coeffs.reshape(L, L, n, n).transpose(0, 2, 1, 3)
+    L, n = z4.shape[-4], z4.shape[-3]
+    coeffs = _blocks(z4.swapaxes(-3, -2), L * L, n * n) @ basis_proj
+    return coeffs.reshape(z4.shape[:-4] + (L, L, n, n)).swapaxes(-3, -2)
 
 
 def _feasible_input(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
     z4 = _project_pattern(z4, pattern, basis_proj)
-    L, n = z4.shape[0], z4.shape[1]
-    nrm = operator_norm(z4.reshape(L * n, L * n))
-    if nrm > 1:
-        z4 = z4 / nrm
-    return z4
+    L, n = z4.shape[-4], z4.shape[-3]
+    nrm = np.linalg.svd(_blocks(z4, L * n, L * n), compute_uv=False)[..., 0]
+    return z4 / np.maximum(nrm, 1.0)[..., None, None, None, None]
 
 
 def _input_update(c4, z4, pattern: str, bproj, objective) -> np.ndarray:
     """Norm-attaining input against the coefficient blocks ``c4``. On a
     general subspace the projected candidate replaces ``z4`` only if the
     ``objective`` does not drop."""
-    L, n = c4.shape[0], c4.shape[1]
-    cand = polar_contraction(c4.reshape(L * n, L * n).T).reshape(L, n, L, n)
+    L, n = c4.shape[-4], c4.shape[-3]
+    cand = polar_stack(_blocks(c4, L * n, L * n).swapaxes(-1, -2)).reshape(c4.shape)
     if pattern == "full":
         return cand
     cand = _feasible_input(cand, pattern, bproj)
-    return cand if objective(cand) >= objective(z4) else z4
+    keep = objective(cand) >= objective(z4)
+    return np.where(keep[..., None, None, None, None], cand, z4)
 
 
 def _partial_swap(L: int, n: int) -> np.ndarray:
@@ -169,10 +188,9 @@ class _DualState:
 
 
 def _dual_value(g4, z4, v4, uvec, vvec, kk, L):
-    w4 = np.einsum("prqs,apbq->arbs", g4, z4)
-    p4 = np.einsum("arbs,isjr->iajb", w4, v4)
-    p = p4.reshape(kk * L, kk * L)
-    return float(np.real(uvec.conj() @ p @ vvec)), w4, p
+    w4 = np.einsum("prqs,...apbq->...arbs", g4, z4)
+    p = _blocks(np.einsum("...arbs,...isjr->...iajb", w4, v4), kk * L, kk * L)
+    return _form(uvec, p, vvec), w4, p
 
 
 def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
@@ -217,18 +235,15 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
     def sweep(_, state):
         z4, v4, uvec, vvec, w4, p = state
         # singular-pair update
-        pu, ps, pvh = np.linalg.svd(p)
-        uvec = pu[:, 0]
-        vvec = pvh[0].conj()
+        _, uvec, vvec = _top_pair(p)
         # dual-variable update
-        u2 = uvec.reshape(kk, L)
-        v2 = vvec.reshape(kk, L)
-        e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, w4)
-        v_new = polar_contraction(e4.reshape(kk * m, kk * m).T)
-        v4 = v_new.reshape(kk, m, kk, m)
+        u2 = uvec.reshape(-1, kk, L)
+        v2 = vvec.reshape(-1, kk, L)
+        e4 = np.einsum("kia,kjb,karbs->kisjr", u2.conj(), v2, w4)
+        v4 = polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape)
         # input update
-        gv = np.einsum("prqs,isjr->ipjq", g4, v4)
-        c4 = np.einsum("ia,jb,ipjq->apbq", u2.conj(), v2, gv)
+        gv = np.einsum("prqs,kisjr->kipjq", g4, v4)
+        c4 = np.einsum("kia,kjb,kipjq->kapbq", u2.conj(), v2, gv)
         z4 = _input_update(c4, z4, pattern, bproj,
                            lambda z: _dual_value(g4, z, v4, uvec, vvec, kk, L)[0])
         val, w4, p = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
@@ -237,7 +252,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
     starts: list[_DualState] = list(inits) + structured_states()
     while len(starts) < len(inits) + 2 + budget.restarts:
         starts.append(random_state(budget.rng(key, len(starts))))
-    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
     return val, None if best is None else _DualState(*best[:4])
 
 
@@ -257,9 +272,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
     bproj = _basis_projector(u.domain)
 
     def value(z4):
-        w4 = np.einsum("prqs,apbq->arbs", g4, z4)
-        w = w4.reshape(L * m, L * m)
-        return w
+        return _blocks(np.einsum("prqs,...apbq->...arbs", g4, z4), L * m, L * m)
 
     starts: list[_MatState] = list(inits)
     z0 = np.eye(L * n, dtype=complex).reshape(L, n, L, n)
@@ -278,22 +291,19 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
     def start(state):
         z4 = _feasible_input(state.z4, pattern, bproj)
         w = value(z4)
-        return float(np.real(state.u.conj() @ w @ state.v)), (z4, state.u, state.v, w)
+        return _form(state.u, w, state.v), (z4, state.u, state.v, w)
 
     def sweep(_, state):
         z4, uvec, vvec, w = state
-        wu, ws, wvh = np.linalg.svd(w)
-        uvec = wu[:, 0]
-        vvec = wvh[0].conj()
-        u2 = uvec.reshape(L, m)
-        v2 = vvec.reshape(L, m)
-        c4 = np.einsum("ar,bs,prqs->apbq", u2.conj(), v2, g4)
-        z4 = _input_update(c4, z4, pattern, bproj,
-                           lambda z: float(np.real(uvec.conj() @ value(z) @ vvec)))
+        _, uvec, vvec = _top_pair(w)
+        u2 = uvec.reshape(-1, L, m)
+        v2 = vvec.reshape(-1, L, m)
+        c4 = np.einsum("kar,kbs,prqs->kapbq", u2.conj(), v2, g4)
+        z4 = _input_update(c4, z4, pattern, bproj, lambda z: _form(uvec, value(z), vvec))
         w = value(z4)
-        return float(np.real(uvec.conj() @ w @ vvec)), (z4, uvec, vvec, w)
+        return _form(uvec, w, vvec), (z4, uvec, vvec, w)
 
-    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
     return val, None if best is None else _MatState(*best[:3])
 
 
@@ -303,16 +313,24 @@ class _RcState:
 
 
 def _rc_level(blocks: np.ndarray, h: np.ndarray) -> tuple:
-    """``(value, top, top_is_col)`` for sum_k C_k (x) h_k: the larger of the
-    norms of its column- and row-structured matrices, and the matrix that
-    attains it (the column one on a tie)."""
-    L = blocks.shape[1]
-    p = h.shape[1]
-    w = np.einsum("kab,kr->arb", blocks, h)  # (L, p, L)
-    col = w.reshape(L * p, L)
-    row = w.transpose(0, 2, 1).reshape(L, L * p)
-    ncol, nrow = operator_norm(col), operator_norm(row)
-    return (ncol, col, True) if ncol >= nrow else (nrow, row, False)
+    """``(value, w, top_is_col)`` for sum_k C_k (x) h_k, per batch entry of
+    ``blocks``: ``w`` is its ``(L, p, L)`` array, and the value is the
+    larger of the norms of the column- and row-structured matrices of
+    :func:`_rc_top`; ``top_is_col`` says which attains it (the column one
+    on a tie)."""
+    w = np.einsum("...kab,kr->...arb", blocks, h)
+    ncol = np.linalg.svd(_rc_top(w, True), compute_uv=False)[..., 0]
+    nrow = np.linalg.svd(_rc_top(w, False), compute_uv=False)[..., 0]
+    return np.maximum(ncol, nrow), w, ncol >= nrow
+
+
+def _rc_top(w: np.ndarray, col: bool) -> np.ndarray:
+    """``w.reshape(L * p, L)`` or ``w.transpose(0, 2, 1).reshape(L, L * p)``
+    for ``w`` from :func:`_rc_level`, per batch entry."""
+    L, p = w.shape[-1], w.shape[-2]
+    if col:
+        return w.reshape(w.shape[:-3] + (L * p, L))
+    return w.swapaxes(-1, -2).reshape(w.shape[:-3] + (L, L * p))
 
 
 def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
@@ -320,8 +338,8 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
     """See-saw lower for the level-L norm of a map from the diagonal
     algebra into a Hilbert space carrying the row-intersect-column
     structure. A state carries its blocks with their ``_rc_level``, so a
-    sweep takes four SVDs: the top pair, one stacked polar and the two
-    norms of the candidate."""
+    sweep takes four stacked SVD calls per shape of top matrix: the top
+    pairs, the polars and the two norms of the candidates."""
     h = np.stack(vm.vectors)
     d, p = h.shape
 
@@ -340,26 +358,32 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
             nk = operator_norm(blocks[k])
             if nk > 1:
                 blocks[k] /= nk
-        val, top, top_is_col = _rc_level(blocks, h)
-        return val, (blocks, top, top_is_col)
+        val, w, top_is_col = _rc_level(blocks, h)
+        return val, (blocks, w, top_is_col)
 
-    def sweep(val, state):
-        _, top, top_is_col = state
-        tu, _, tvh = np.linalg.svd(top)
-        uvec, vvec = tu[:, 0].conj(), tvh[0].conj()
-        if top_is_col:
-            coeff = np.einsum("ar,kr,b->kab", uvec.reshape(L, p), h, vvec)
-        else:
-            coeff = np.einsum("a,kr,br->kab", uvec, h, vvec.reshape(L, p))
-        # polar contraction of every coeff[k].T in one stacked SVD
-        pu, _, pvh = np.linalg.svd(coeff.transpose(0, 2, 1))
-        cand = pvh.conj().transpose(0, 2, 1) @ pu.conj().transpose(0, 2, 1)
-        cand_val, top, top_is_col = _rc_level(cand, h)
-        if cand_val >= val:
-            return cand_val, (cand, top, top_is_col)
-        return val, state
+    def sweep(vals, state):
+        blocks, w, top_is_col = state
+        coeff = np.empty_like(blocks)
+        for col in (True, False):
+            rows = top_is_col == col
+            if not rows.any():
+                continue
+            _, uvec, vvec = _top_pair(_rc_top(w[rows], col))
+            if col:
+                coeff[rows] = np.einsum("iar,kr,ib->ikab", uvec.conj().reshape(-1, L, p), h, vvec)
+            else:
+                coeff[rows] = np.einsum("ia,kr,ibr->ikab", uvec.conj(), h, vvec.reshape(-1, L, p))
+        # polar contraction of every coeff[k].T of every start
+        cand = polar_stack(coeff.swapaxes(-1, -2))
+        cand_vals, cand_w, cand_is_col = _rc_level(cand, h)
+        keep = cand_vals >= vals
+        return np.where(keep, cand_vals, vals), (
+            np.where(keep[:, None, None, None], cand, blocks),
+            np.where(keep[:, None, None, None], cand_w, w),
+            np.where(keep, cand_is_col, top_is_col),
+        )
 
-    val, best = seesaw(map(start, starts), sweep, budget, floor=0.0)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
     return val, None if best is None else _RcState(best[0])
 
 
@@ -420,18 +444,18 @@ def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget,
         starts.append((v / max(1.0, operator_norm(v))).reshape(kk, m, kk, m))
 
     def top_pair(v4):
-        p4 = np.einsum("arbs,isjr->iajb", z4, v4)
-        pu, ps, pvh = np.linalg.svd(p4.reshape(kk * L, kk * L))
-        return float(ps[0]), (v4, pu[:, 0], pvh[0].conj())
+        p4 = np.einsum("arbs,...isjr->...iajb", z4, v4)
+        val, uvec, vvec = _top_pair(_blocks(p4, kk * L, kk * L))
+        return val, (v4, uvec, vvec)
 
     def sweep(_, state):
         _, uvec, vvec = state
-        u2 = uvec.reshape(kk, L)
-        v2 = vvec.reshape(kk, L)
-        e4 = np.einsum("ia,jb,arbs->isjr", u2.conj(), v2, z4)
-        return top_pair(polar_contraction(e4.reshape(kk * m, kk * m).T).reshape(kk, m, kk, m))
+        u2 = uvec.reshape(-1, kk, L)
+        v2 = vvec.reshape(-1, kk, L)
+        e4 = np.einsum("kia,kjb,arbs->kisjr", u2.conj(), v2, z4)
+        return top_pair(polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape))
 
-    best, state = seesaw(map(top_pair, starts), sweep, budget, floor=0.0)
+    best, state, _ = seesaw(map(top_pair, starts), sweep, budget, floor=0.0)
     return best, starts[0] if state is None else state[0]
 
 

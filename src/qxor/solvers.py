@@ -29,13 +29,14 @@ from .games import (
     bias_of,
 )
 from .linalg import (
-    hermitian_part,
+    eigh_stack,
     max_entangled,
     operator_norm,
     partial_contract_A,
     partial_contract_B,
-    polar_contraction,
+    polar_stack,
     sign_hermitian,
+    sign_stack,
     trace_norm,
     zero_pad,
 )
@@ -91,17 +92,20 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
 
     With ``hermitian`` the updates are spectral signs (game biases); the
     complex variant uses polar contractions and estimates the norm of the
-    associated map instead.
+    associated map instead. A sweep updates the stacked pairs ``(a, b)`` of
+    every running start at once; it reads only ``a``.
     """
     g = game.G
     n, m = game.n, game.m
-    update = sign_hermitian if hermitian else polar_contraction
+    g4 = game.kernel_tensor()
+    update = sign_stack if hermitian else polar_stack
 
     def sweep(_, state):
         a = state[0]
-        b = update(partial_contract_A(g, a, n, m))
-        a = update(partial_contract_B(g, b, n, m))
-        return float(np.real(np.trace(partial_contract_A(g, a, n, m) @ b))), (a, b)
+        b = update(np.einsum("ikjl,...ji->...kl", g4, a))
+        a = update(np.einsum("ikjl,...lk->...ij", g4, b))
+        d = np.einsum("ikjl,...ji->...kl", g4, a)
+        return np.real(np.trace(d @ b, axis1=-2, axis2=-1)), (a, b)
 
     starts = list(extra_inits)
     starts.append(np.eye(n, dtype=complex))
@@ -109,8 +113,9 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
     for r in range(budget.restarts):
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
-    val, (a, b) = seesaw(
-        ((-math.inf, (np.asarray(a0, dtype=complex), None)) for a0 in starts), sweep, budget
+    b0 = np.zeros((m, m), dtype=complex)
+    val, (a, b), _ = seesaw(
+        ((-math.inf, (np.asarray(a0, dtype=complex), b0)) for a0 in starts), sweep, budget
     )
     return val, a, b
 
@@ -193,17 +198,20 @@ class EntangledBiasResult:
 
 
 def _entangled_kernels(g4, dA, dB):
-    """``(eff, alice, bob)`` of :func:`_entangled_core`, with ``K`` built once."""
+    """``(eff, alice, bob)`` of :func:`_entangled_core`, with ``K`` built once.
+    Each takes matrices with any leading batch shape."""
     n, m = g4.shape[:2]
     k = g4.transpose(2, 0, 3, 1).reshape(n * n, m * m)
     sa, sb, sr, anc = (n, dA, n, dA), (m, dB, m, dB), (dA, dB, dA, dB), (1, 3, 0, 2)
 
     def mat(x, shape, axes):
-        y = x.reshape(shape).transpose(axes)
-        return y.reshape(y.shape[0] * y.shape[1], -1)
+        lead = x.shape[:-2]
+        y = x.reshape(lead + shape).transpose(*range(len(lead)), *(len(lead) + i for i in axes))
+        return y.reshape(lead + (shape[axes[0]] * shape[axes[1]], -1))
 
     def eff(a, b):
-        return mat(mat(a, sa, anc) @ k @ mat(b, sb, anc).T, (dA, dA, dB, dB), (0, 2, 1, 3))
+        return mat(mat(a, sa, anc) @ k @ mat(b, sb, anc).swapaxes(-1, -2),
+                   (dA, dA, dB, dB), (0, 2, 1, 3))
 
     def alice(b, rho):
         return mat(mat(rho, sr, (0, 2, 3, 1)) @ mat(b, sb, anc) @ k.T, (dA, dA, n, n), (3, 0, 2, 1))
@@ -230,14 +238,14 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
         _, a, b = state
         # shared state: top eigenvector of the ancilla operator
         e = eff(a, b)
-        psi = np.linalg.eigh((e + e.conj().T) / 2)[1][:, -1]
-        rho = np.outer(psi, psi.conj())
+        psi = eigh_stack((e + e.conj().swapaxes(-1, -2)) / 2)[1][..., 0]
+        rho = psi[..., :, None] * psi[..., None, :].conj()
         # Alice update: spectral sign of her effective operator
-        a = sign_hermitian(alice(b, rho))
+        a = sign_stack(alice(b, rho))
         # Bob update; his effective operator also gives the sweep's value
         db = bob(a, rho)
-        b = sign_hermitian(db)
-        return float(np.real(np.sum(db * b.T))), (psi, a, b)
+        b = sign_stack(db)
+        return np.real(np.sum(db * b.swapaxes(-1, -2), axis=(-2, -1))), (psi, a, b)
 
     starts = list(inits)
     starts.append((
@@ -252,7 +260,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
             _random_herm_contraction(m * dB, rng),
         ))
 
-    val, (psi, a, b) = seesaw((start(*s) for s in starts), sweep, budget)
+    val, (psi, a, b), _ = seesaw((start(*s) for s in starts), sweep, budget)
     return val, psi, a, b
 
 
@@ -448,7 +456,7 @@ def beta_owc(game: QuantumXorGame, d: int,
         obs = np.zeros((d, m, m), dtype=complex)
         val = 0.0
         for k in range(d):
-            dk = hermitian_part(partial_contract_A(game.G, e[k] - e[d + k], n, m))
+            dk = partial_contract_A(game.G, e[k] - e[d + k], n, m)
             obs[k] = sign_hermitian(dk)
             val += trace_norm(dk)
         return obs, val
@@ -465,10 +473,9 @@ def beta_owc(game: QuantumXorGame, d: int,
         obs, val = bob_step(e)
         return val, (e, obs, 1.0)
 
-    def sweep(val, state):
+    def sweep_one(val, e, obs, gain):
         # a loose sweep that stalls is redone tight: the see-saw's stop rule
         # must only fire on a tight sweep
-        e, obs, gain = state
         h = objective(obs)
         tol = max(budget.tol, _INNER_KAPPA * gain)
         cand = _instrument_fixed_point(h, e, budget, tol)
@@ -478,7 +485,13 @@ def beta_owc(game: QuantumXorGame, d: int,
             cand_obs, cand_val = bob_step(cand)
         if cand_val >= val:
             return cand_val, (cand, cand_obs, (cand_val - val) / max(1.0, abs(cand_val)))
-        return val, state
+        return val, (e, obs, gain)
+
+    def sweep(vals, state):
+        # the inner solve and its redo rule stay per start
+        rows = [sweep_one(v, *row) for v, row in zip(vals, zip(*state))]
+        return (np.array([v for v, _ in rows]),
+                tuple(np.stack(c) for c in zip(*(row for _, row in rows))))
 
     product = np.zeros((2 * d, n, n), dtype=complex)
     product[0] = (np.eye(n) + a) / 2
@@ -492,11 +505,11 @@ def beta_owc(game: QuantumXorGame, d: int,
             raw.append(x @ x.conj().T + 0.02 * np.eye(n))
         starts.append(_normalize_instrument(np.stack(raw)))
 
-    val, (e, obs, _) = seesaw(map(start, starts), sweep, budget,
-                              max_sweeps=min(budget.max_sweeps, 40))
+    val, (e, obs, _), _ = seesaw(map(start, starts), sweep, budget,
+                                 max_sweeps=min(budget.max_sweeps, 40))
     # one tight sweep on the winner, so the reported gap and convergence
     # flag judge an instrument solved to ``budget.tol``
-    _, (e, obs, _) = sweep(val, (e, obs, 0.0))
+    _, (e, obs, _) = sweep_one(val, e, obs, 0.0)
     primal, gap = _instrument_gap(objective(obs), e)
     converged = gap <= 1e-4 * max(1.0, abs(primal))
 

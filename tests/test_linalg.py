@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import gue, random_herm_contraction, random_unitary, rng_for, swap_matrix
-from qxor.config import ValidationError
+from qxor import linalg
+from qxor.config import ConvergenceError, ValidationError
 from qxor.linalg import (
     eigh_desc,
+    eigh_stack,
     kron_permuted,
     operator_norm,
     partial_contract_A,
     partial_contract_B,
     permute_registers,
     polar_contraction,
+    polar_stack,
     require_hermitian,
     sign_hermitian,
+    sign_stack,
     trace_norm,
 )
 
@@ -92,6 +96,34 @@ def test_polar_contraction_examples():
     x = polar_contraction(m)
     assert operator_norm(x) <= 1 + 1e-12
     assert np.trace(m @ x).real == pytest.approx(trace_norm(m), abs=1e-10)
+
+
+def test_stacks_equal_the_matrices_one_at_a_time():
+    rng = rng_for("stacks")
+    for n in (2, 3, 5):
+        h = np.stack([gue(n, rng) for _ in range(4)])
+        x = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+        w, u = eigh_stack(h)
+        signs, polars = sign_stack(h), polar_stack(x)
+        for i in range(4):
+            wi, ui = eigh_desc(h[i])
+            assert (w[i] == wi).all() and (u[i] == ui).all()
+            assert (signs[i] == sign_hermitian(h[i])).all()
+            assert (polars[i] == polar_contraction(x[i])).all()
+
+
+@pytest.mark.parametrize("solver, call", [
+    ("eigh", lambda a: eigh_stack(a)),
+    ("eigh", lambda a: sign_stack(a)),
+    ("svd", lambda a: polar_stack(a)),
+])
+def test_stacked_solver_failure_is_a_convergence_error(monkeypatch, solver, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(linalg.np.linalg, solver, fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        call(np.eye(2, dtype=complex)[None])
 
 
 def test_partial_contract_product_operator():

@@ -165,6 +165,22 @@ def test_entangled_kernels_match_einsum(n, m, dA, dB):
         np.real(np.einsum("iajc,kbld,jlik,cdab->", a4, b4, g4, rho4)), abs=1e-12)
 
 
+def test_entangled_kernels_take_a_batch():
+    # three inputs in one call against the kernels applied to each alone
+    n, m, dA, dB = 3, 2, 2, 3
+    rng = rng_for("ent-kernels-batch")
+    g4 = gue(n * m, rng).reshape(n, m, n, m)
+    a, b, rho = (np.stack([gue(k, rng) for _ in range(3)]) for k in (n * dA, m * dB, dA * dB))
+    eff, alice, bob = solvers._entangled_kernels(g4, dA, dB)
+    for stacked, single in (
+        (eff(a, b), [eff(a[i], b[i]) for i in range(3)]),
+        (alice(b, rho), [alice(b[i], rho[i]) for i in range(3)]),
+        (bob(a, rho), [bob(a[i], rho[i]) for i in range(3)]),
+    ):
+        assert stacked.shape == (3,) + single[0].shape
+        assert np.abs(stacked - np.stack(single)).max() <= 1e-12
+
+
 def test_beta_owc_d1_equals_product_shared_seeds():
     for seed in (1, 2, 3):
         g = random_game(2, 2, seed=seed)
