@@ -6,7 +6,14 @@ and one-way-quantum-communication strategies, together with the matrix-tuple
 and map norms (row/column structures, amplified norms, summing norms, the
 splitting weight, and the decomposition/factorization comparison) that
 govern them.
+
+The library logs through the ``qxor`` logger, which is silent unless the
+application configures logging.
 """
+
+import logging
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget

@@ -3,6 +3,7 @@ see-saw driver that spends it."""
 
 from __future__ import annotations
 
+import logging
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -41,6 +42,8 @@ class SolverBudget:
 DEFAULT_BUDGET = SolverBudget()
 
 _MONO_SLACK = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,9 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
       than every earlier one and than ``floor``; its state row is returned,
       and when none beats ``floor`` the result is ``(floor, None, trace)``;
     * the driver draws no randomness: callers build their starts, so the
-      ``budget.rng`` keys and the start order stay theirs.
+      ``budget.rng`` keys and the start order stay theirs;
+    * each start that stops at the sweep cap is logged at DEBUG on the
+      ``qxor.budget`` logger.
     """
     cap = budget.max_sweeps if max_sweeps is None else max_sweeps
     starts = list(starts)
@@ -122,6 +127,12 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
             best_val, winner = val, i
     trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner,
                         None if winner is None else gains[winner])
+    if _log.isEnabledFor(logging.DEBUG):
+        for i, reason in enumerate(trace.stop_reasons):
+            if reason == "sweep_cap":
+                _log.debug("see-saw start %d of %d stopped at the sweep cap after %d sweeps: "
+                           "value %r, last relative gain %.3g", i, len(starts),
+                           trace.sweeps[i], trace.values[i], gains[i])
     return best_val, None if winner is None else finals[winner], trace
 
 

@@ -12,6 +12,7 @@ formats:
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "sign_stack",
     "polar_contraction",
     "polar_stack",
+    "pow2_scaled",
+    "pow2_restore",
     "zero_pad",
     "max_entangled",
     "partial_contract_A",
@@ -143,7 +146,8 @@ def sign_stack(a: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
 
 
 def polar_contraction(m) -> np.ndarray:
-    """Contraction ``V U^dagger`` from the SVD ``m = U S V^dagger``.
+    """Contraction ``V U^dagger`` from the thin SVD ``m = U S V^dagger``;
+    ``q x n`` for an ``n x q`` input.
 
     Maximizes ``Re tr(m X)`` over all contractions ``X`` with value
     ``trace_norm(m)``; for unitary input returns its adjoint.
@@ -153,12 +157,33 @@ def polar_contraction(m) -> np.ndarray:
 
 def polar_stack(a: np.ndarray) -> np.ndarray:
     """:func:`polar_contraction` of every matrix of a trusted stack
-    ``(..., n, n)``, with one SVD call for the stack."""
+    ``(..., n, q)``, with one SVD call for the stack; each result is
+    ``(q, n)``."""
     try:
-        u, _, vh = np.linalg.svd(a)
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}", residual=None) from exc
     return _adjoint(vh) @ _adjoint(u)
+
+
+def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**-e, e)`` with the largest real or imaginary part of the
+    complex array ``a`` scaled into [1/2, 1); ``e = 0`` when ``a`` is zero.
+    Scaling by a power of two is exact, so a positively homogeneous
+    quantity of ``a`` is ``2**e`` times that of the result, which neither
+    underflows nor overflows when squared."""
+    big = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+    e = math.frexp(big)[1]
+    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+
+
+def pow2_restore(x: float, e: int) -> float:
+    """``x * 2**e`` for ``e`` from :func:`pow2_scaled`; ``inf`` beyond the
+    float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def zero_pad(a, shape) -> np.ndarray:

@@ -129,6 +129,8 @@ class VectorMap:
         p = vs[0].size
         if any(v.size != p for v in vs):
             raise ValidationError("image vectors must share a dimension")
+        if not all(np.isfinite(v).all() for v in vs):
+            raise ValidationError("image vector entries must be finite")
         object.__setattr__(self, "vectors", vs)
 
     @property

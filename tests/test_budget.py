@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -59,6 +60,29 @@ def test_one_sweep_reports_the_cap_for_every_start():
     assert trace.sweeps == (1, 1, 1, 1)
     assert trace.stop_reasons == ("sweep_cap",) * 4
     assert (trace.winner, trace.values) == (3, (1.0, 2.0, 3.0, 4.0))
+
+
+def test_a_start_at_the_sweep_cap_is_logged_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="qxor")
+    seesaw([(1.0, (0,)), (2.0, (0,))], counting(lambda v: v + 1.0),
+           BUDGET.with_(max_sweeps=1))
+    records = [r for r in caplog.records if r.name == "qxor.budget"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    assert "start 0 of 2 stopped at the sweep cap after 1 sweeps" in records[0].getMessage()
+    assert "value 3.0" in records[1].getMessage()
+
+
+def test_converged_starts_are_not_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="qxor")
+    seesaw([(1.0, (0,))], counting(lambda v: v), BUDGET)
+    assert not [r for r in caplog.records if r.name.startswith("qxor")]
+
+
+def test_qxor_logger_is_silent_by_default():
+    import qxor  # noqa: F401
+
+    handlers = logging.getLogger("qxor").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
 def test_a_start_that_meets_the_tolerance_reports_converged():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from qxor.linalg import (
     permute_registers,
     polar_contraction,
     polar_stack,
+    pow2_restore,
+    pow2_scaled,
     require_hermitian,
     sign_hermitian,
     sign_stack,
@@ -96,6 +100,30 @@ def test_polar_contraction_examples():
     x = polar_contraction(m)
     assert operator_norm(x) <= 1 + 1e-12
     assert np.trace(m @ x).real == pytest.approx(trace_norm(m), abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_polar_contraction_of_a_rectangular_matrix(shape):
+    rng = rng_for("polar-rect", shape)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x = polar_contraction(m)
+    assert x.shape == shape[::-1]
+    assert operator_norm(x) <= 1 + 1e-12
+    assert np.trace(m @ x).real == pytest.approx(trace_norm(m), rel=1e-12)
+
+
+def test_pow2_scaling_is_exact():
+    rng = rng_for("pow2")
+    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    for power in (-1070, -600, 0, 600, 1020):
+        scaled, e = pow2_scaled(a * 2.0 ** (power // 2) * 2.0 ** (power - power // 2))
+        big = max(np.abs(scaled.real).max(), np.abs(scaled.imag).max())
+        assert 0.5 <= big < 1
+        if abs(power) < 1000:
+            assert (scaled * 2.0 ** (e - power) == a).all()
+    assert pow2_scaled(np.zeros((2, 2), dtype=complex))[1] == 0
+    assert pow2_restore(0.75, -1) == 0.375
+    assert pow2_restore(1.0, 1024) == math.inf
 
 
 def test_stacks_equal_the_matrices_one_at_a_time():

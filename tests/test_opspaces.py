@@ -6,6 +6,7 @@ import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
+from qxor.config import ConvergenceError, ValidationError
 from qxor.factor import _dual_col_cap, _dual_row_cap, tuple_rplus2c_upper_in_space
 from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
@@ -323,6 +324,105 @@ def test_pietsch_identity_and_duplicates():
     f = np.array([0.3, 0.4j, 1.0])
     assert pietsch_pi2([f]) == pytest.approx(np.linalg.norm(f), rel=1e-6)
     assert pietsch_pi2([f, f]) == pytest.approx(2 * np.linalg.norm(f), rel=1e-6)
+
+
+def _pair(rng, p):
+    return [rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(2)]
+
+
+def test_pietsch_two_vectors_closed_form():
+    # for d = 2 the optimal X has off-diagonal entry of modulus one, so
+    # pi2^2 = ||v1||^2 + ||v2||^2 + 2 |<v1, v2>|
+    for trial in range(10):
+        rng = rng_for("pi2-pair", trial)
+        v1, v2 = _pair(rng, int(rng.integers(1, 5)))
+        exact = math.sqrt(np.vdot(v1, v1).real + np.vdot(v2, v2).real + 2 * abs(np.vdot(v1, v2)))
+        assert pietsch_pi2([v1, v2]) == pytest.approx(exact, rel=1e-9)
+
+
+def test_pietsch_zero_and_collinear_vectors():
+    f = np.array([0.3, 0.4j, 1.0])
+    norm = np.linalg.norm(f)
+    assert pietsch_pi2([np.zeros(3)]) == 0.0
+    assert pietsch_pi2([np.zeros(3), np.zeros(3)]) == 0.0
+    assert pietsch_pi2([f, np.zeros(3)]) == pytest.approx(norm, rel=1e-6)
+    # a zero image next to two that need several steps keeps its column
+    g = np.array([1.0, 0.5, -0.2j])
+    assert pietsch_pi2([f, g, np.zeros(3)]) == pytest.approx(pietsch_pi2([f, g]), rel=1e-6)
+    # collinear images add up their norms, whatever the phases
+    assert pietsch_pi2([f, -2 * f, 1j * f]) == pytest.approx(4 * norm, rel=1e-6)
+
+
+def test_pietsch_step_cap_raises():
+    rng = rng_for("pi2-cap")
+    h = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)]
+    with pytest.raises(ConvergenceError, match="step cap"):
+        pietsch_pi2(h, max_rounds=1)
+    pietsch_pi2(h)
+
+
+# values of the cutting-plane LP this fixed point replaced, on the maps of
+# rng_for("pi2-pinned", trial); both are certified within the default rel_tol
+PI2_PINNED = (
+    4.228022245884964,
+    4.390067065825689,
+    3.5006403256954726,
+    2.9294781303947626,
+    5.520818112748887,
+    3.322774155788287,
+    3.6811978158414567,
+    5.997698732758943,
+    1.5636126324724278,
+    5.948197543417339,
+)
+
+
+@pytest.mark.parametrize("trial", range(len(PI2_PINNED)))
+def test_pietsch_matches_pinned_values(trial):
+    rng = rng_for("pi2-pinned", trial)
+    d, p = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    h = [rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(d)]
+    assert pietsch_pi2(h) == pytest.approx(PI2_PINNED[trial], rel=1e-6)
+
+
+def test_pietsch_default_tolerance_stays_above_a_tight_solve():
+    for trial in range(10):
+        rng = rng_for("pi2-tight", trial)
+        d, p = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        h = [rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(d)]
+        assert pietsch_pi2(h) ** 2 >= pietsch_pi2(h, rel_tol=1e-12) ** 2 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_pietsch_is_exactly_homogeneous_at_extreme_scales(power):
+    rng = rng_for("pi2-scale")
+    h = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)]
+    factor = 2.0 ** power
+    assert pietsch_pi2([factor * v for v in h]) == pytest.approx(
+        factor * pietsch_pi2(h), rel=1e-12)
+
+
+def test_pietsch_tiny_and_huge_inputs():
+    # the Gram matrix of these underflows or overflows unscaled
+    tiny = pietsch_pi2([[1e-200, 0], [1e-200, 1e-200]])
+    exact = 1e-200 * math.sqrt(1 + 2 + 2)
+    assert tiny == pytest.approx(exact, rel=1e-6) and tiny >= exact * (1 - 1e-12)
+    assert pietsch_pi2([[1e200, 0], [0, 1e200]]) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_map_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        VectorMap(([1.0, 0.0], [0.0, bad]))
+    with pytest.raises(ValidationError, match="finite"):
+        pietsch_pi2([[1.0, complex(0.0, bad)]])
+
+
+def test_vector_nuclear_cap_does_not_underflow():
+    vm = VectorMap(([1e-200, 0], [1e-200, 1e-200]))
+    res = cb_norm_bounds(vm, (1, 2))
+    assert res.interval.upper >= math.sqrt(2) * 1e-200
+    assert res.interval.upper == pytest.approx((1 + math.sqrt(2)) * 1e-200, rel=1e-15)
 
 
 def test_pietsch_dominates_operator_norm():
