@@ -57,11 +57,9 @@ from .games import (
 from .linalg import (
     eigh_desc,
     hermitian_part,
-    kron_permuted,
     operator_norm,
     partial_contract_A,
     partial_contract_B,
-    permute_registers,
     polar_contraction,
     sign_hermitian,
     trace_norm,

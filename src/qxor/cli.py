@@ -26,7 +26,6 @@ import time
 
 import numpy as np
 
-from .bounds import BoundInterval
 from .budget import SolverBudget, normalize_schedule
 from .config import ValidationError
 from .factor import TensorElement, gamma_rc_upper, gamma_to_Gamma
@@ -295,14 +294,12 @@ def cmd_norms(args) -> int:
         raise SchemaError("entries must be one or more matrices of one shape")
     t = np.stack(entries)
     res = rplus2c_split(t)
-    out = {
-        "row": row_norm(t),
-        "col": col_norm(t),
-        "rc": rc_norm(t),
-        "rplus2c": res.value,
-        "weight": res.value ** 2,
-        "converged": res.converged,
-    }
+    out = {"row": row_norm(t), "col": col_norm(t), "rc": rc_norm(t),
+           "rplus2c": res.value, "weight": res.value * res.value}
+    # an upper beyond the float range is reported as unbounded (null) and
+    # the lower is rounded down to the largest float
+    out = {k: v if math.isfinite(v) else None for k, v in out.items()}
+    out.update(rplus2c_lower=min(res.lower, sys.float_info.max), converged=res.converged)
     _dump_json(out, args.out)
     return EXIT_OK
 
@@ -316,11 +313,6 @@ def _space_from_payload(p: dict, what: str) -> Space:
     return Space(kind, dim, "full")
 
 
-# coefficients up to this size evaluate without overflow (probed to 1e304
-# on every space kind at dims 1-3)
-_EVALUABLE = 2.0 ** 1000
-
-
 def cmd_factor(args) -> int:
     levels = _parse_schedule(args.levels, "--levels")
     budget = _budget(args)
@@ -330,26 +322,15 @@ def cmd_factor(args) -> int:
     y_space = _space_from_payload(payload["Y"], "Y")
     coeff = _lists_to_matrix(payload["coeff_re"], payload["coeff_im"], "coeff")
     z = TensorElement(x_space, y_space, coeff)
-    # every bound here is positively homogeneous, so a tensor too large to
-    # evaluate is solved at the exact scale 2**-k and its bounds scaled back
-    # by ``half**2 = 2**k``; an upper beyond the float range is reported as
-    # unbounded (null) and a lower is rounded down to the largest float
-    big = max(np.abs(coeff.real).max(), np.abs(coeff.imag).max())
-    k = 2 * (math.frexp(big)[1] // 2) if big > _EVALUABLE else 0
-    half = 2.0 ** (k // 2)
-    z = TensorElement(x_space, y_space, coeff / half / half)
     res = gamma_rc_upper(z, budget)
-    gamma = res.gamma_upper * half * half
     out = {
-        "gamma_upper": gamma if math.isfinite(gamma) else None,
-        "x_norm_upper": res.x_norm_upper * half,
-        "y_norm_upper": res.y_norm_upper * half,
+        "gamma_upper": res.gamma_upper if math.isfinite(res.gamma_upper) else None,
+        "x_norm_upper": res.x_norm_upper,
+        "y_norm_upper": res.y_norm_upper,
         "evaluations": res.evaluations,
     }
     if x_space.kind == "dual":
         iv = gamma_to_Gamma(z, res.gamma_upper, budget, schedule=levels)
-        iv = BoundInterval(min(iv.lower * half * half, sys.float_info.max),
-                           iv.upper * half * half, iv.lower_method, iv.upper_method)
         out["factorization_interval"] = iv.to_dict()
     _dump_json(out, args.out)
     return EXIT_OK

@@ -20,6 +20,7 @@ inequalities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget
 from .config import ValidationError
 from .games import mab_tensor
-from .linalg import as_matrix
+from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times
 from .maps import KernelMap, Space, dual_space, full_matrix_space
 from .opnorms import cb_norm_bounds, dual_level_upper_cap, ml_dual_norm
 from .tuples import (
@@ -292,6 +293,14 @@ def _gamma_objective(z: TensorElement, xs, ys, budget) -> tuple[float, float, fl
     return xn * yn, xn, yn
 
 
+def _evaluable(z: TensorElement) -> tuple[TensorElement, int]:
+    """``(z, 0)``, or ``(z * 2**-e, e)`` when a coefficient is too large to
+    evaluate (probed to 1e304 on every space kind at dims 1-3); every bound
+    here is positively homogeneous, so it scales back exactly."""
+    coeff, e = pow2_scaled(z.coeff)
+    return (z, 0) if e <= 1000 else (TensorElement(z.X, z.Y, coeff), e)
+
+
 def gamma_rc_upper(z: TensorElement,
                    budget: SolverBudget = DEFAULT_BUDGET) -> GammaResult:
     """Upper bound on the decomposition seminorm built from row-intersect-
@@ -301,8 +310,10 @@ def gamma_rc_upper(z: TensorElement,
     invertible mixings x -> R x, y -> (R^-1)^T y, which leave the tensor
     invariant by construction (asserted numerically each accepted step).
     All evaluations are certified uppers, so the result is a true upper
-    bound for every decomposition visited.
+    bound for every decomposition visited; one beyond the float range is
+    ``inf``.
     """
+    z, e = _evaluable(z)
     xs, ys = z.schmidt_decomposition()
     scale = float(np.abs(z.coeff).max(initial=0.0))
     if scale == 0.0:
@@ -345,7 +356,9 @@ def gamma_rc_upper(z: TensorElement,
             sigma = min(0.5, sigma * 1.3)
         else:
             sigma = max(1e-3, sigma * 0.85)
-    return GammaResult(best, xs, ys, xn, yn, evaluations)
+    ex, ey = e // 2, e - e // 2
+    return GammaResult(pow2_restore(best, e), pow2_times(xs, ex), pow2_times(ys, ey),
+                       pow2_restore(xn, ex), pow2_restore(yn, ey), evaluations)
 
 
 def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
@@ -356,12 +369,15 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
     Lower: the completely bounded norm never exceeds the factorization
     norm, so any certified cb lower works. Upper: sqrt(2) times the
     decomposition seminorm upper. An inverted interval indicates a solver
-    bug, because the comparison theorems forbid it.
+    bug, because the comparison theorems forbid it. An upper beyond the
+    float range is ``inf``, and a lower is rounded down to the largest float.
     """
     if z.X.kind != "dual":
         raise ValidationError(
             "factorization bounds are implemented for trace-class left factors"
         )
+    z, e = _evaluable(z)
+    gamma_upper = pow2_restore(gamma_upper, -e)
     n, m = z.X.dim, z.Y.dim
     coeff4 = z.coeff.reshape(n, n, m, m)
     kernel = np.ascontiguousarray(coeff4.transpose(0, 2, 1, 3).reshape(n * m, n * m))
@@ -378,8 +394,8 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
             f"factorization interval inverted: cb lower {lower} exceeds "
             f"sqrt(2) gamma {upper}; solver bug"
         )
-    return BoundInterval(min(lower, upper), upper, res.interval.lower_method,
-                         "sqrt2_gamma")
+    return BoundInterval(min(pow2_restore(min(lower, upper), e), sys.float_info.max),
+                         pow2_restore(upper, e), res.interval.lower_method, "sqrt2_gamma")
 
 
 # ---------------------------------------------------------------------------

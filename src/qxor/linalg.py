@@ -13,7 +13,6 @@ formats:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +32,11 @@ __all__ = [
     "polar_stack",
     "pow2_scaled",
     "pow2_restore",
+    "pow2_times",
     "zero_pad",
     "max_entangled",
     "partial_contract_A",
     "partial_contract_B",
-    "permute_registers",
-    "kron_permuted",
 ]
 
 
@@ -174,7 +172,13 @@ def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     underflows nor overflows when squared."""
     big = max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
     e = math.frexp(big)[1]
-    return np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), e
+    return pow2_times(a, -e), e
+
+
+def pow2_times(a: np.ndarray, e: int) -> np.ndarray:
+    """The complex array ``a * 2**e``, exact while it stays in the float
+    range."""
+    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
 
 
 def pow2_restore(x: float, e: int) -> float:
@@ -239,50 +243,3 @@ def partial_contract_B(G, B, n: int, m: int) -> np.ndarray:
         raise ValidationError("second-register operator has wrong dimension")
     g4 = _as_bipartite_tensor(G, n, m)
     return np.einsum("ikjl,lk->ij", g4, b)
-
-
-def permute_registers(M, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Conjugate ``M`` by the permutation matrix that sends register ``q``
-    to global position ``perm[q]``.
-
-    ``M`` acts on the tensor product of registers with dimensions ``dims``
-    in their listed order; the result acts on the same registers reordered
-    so that register ``q`` sits at slot ``perm[q]``. Entrywise, with
-    ``s[perm[q]] = r[q]``: ``out[s, s'] = M[r, r']``.
-    """
-    dims = [int(d) for d in dims]
-    p = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(p)):
-        raise ValidationError(f"invalid register permutation {perm}")
-    total = int(np.prod(dims))
-    a = as_matrix(M)
-    if a.shape != (total, total):
-        raise ValidationError("operator shape does not match register dimensions")
-    t = a.reshape(dims + dims)
-    inv = [0] * p
-    for q, pos in enumerate(perm):
-        inv[pos] = q
-    axes = inv + [p + q for q in inv]
-    out_dims = [dims[q] for q in inv]
-    td = int(np.prod(out_dims))
-    return t.transpose(axes).reshape(td, td)
-
-
-def kron_permuted(factors: Sequence[np.ndarray], register_order: Sequence[int]) -> np.ndarray:
-    """Kronecker product with the tensor legs placed at given positions.
-
-    ``register_order[q]`` is the global slot of factor ``q``; the identity
-    order reproduces the plain Kronecker product. Equivalent to conjugating
-    ``kron(factors)`` by the corresponding permutation matrix.
-    """
-    mats = [as_matrix(f) for f in factors]
-    if len(register_order) != len(mats):
-        raise ValidationError("permutation length must equal the factor count")
-    for f in mats:
-        if f.shape[0] != f.shape[1]:
-            raise ValidationError("kron factors must be square")
-    big = mats[0]
-    for f in mats[1:]:
-        big = np.kron(big, f)
-    return permute_registers(big, [f.shape[0] for f in mats], register_order)

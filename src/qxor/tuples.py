@@ -1,34 +1,37 @@
-"""Norms of finite matrix tuples: row, column, their max, and the two
-splitting norms (quadratic and linear combination), plus the ordering test
-between tuples.
+"""Norms of finite matrix tuples ``x = (x_1, ..., x_d)``: row, column, their
+max and the two splitting norms, plus the ordering test between tuples.
 
-For a tuple ``x = (x_1, ..., x_d)`` of matrices embedded concretely in a
-matrix algebra:
+* ``row_norm(x) = || sum_k x_k x_k^dagger ||^(1/2)``,
+  ``col_norm(x) = || sum_k x_k^dagger x_k ||^(1/2)``, ``rc_norm`` their max;
+* ``rplus2c_split(x)``: the infimum over splittings ``x = T + S`` of
+  ``sqrt(row(T)^2 + col(S)^2)``; ``rplusc_split(x)``: that of ``row(T) + col(S)``.
 
-* ``row_norm(x)  = || sum_k x_k x_k^dagger ||^(1/2)``
-* ``col_norm(x)  = || sum_k x_k^dagger x_k ||^(1/2)``
-* ``rc_norm(x)   = max(row, col)``
-* ``rplus2c_norm(x) = inf over splittings x = T + S of
-  sqrt(row(T)^2 + col(S)^2)`` (entrywise tuple sum)
-* ``rplusc_split(x)`` is the same infimum of ``row(T) + col(S)``.
-
-The splitting infima are convex; they are computed by minimizing a
-log-sum-exp smoothing of the largest eigenvalue with a decreasing
-temperature schedule, warm-started from the better pure splitting. The
-returned value is the exact objective at the achieved splitting, hence a
-certified upper bound on the infimum.
+Their squares are ``W(1/2) / 2`` and ``min_theta W(theta)`` for
+``W(theta) = inf_T row(T)^2 / theta + col(S)^2 / (1 - theta)``. A minimax
+swap gives ``W(theta) = sup h`` over density matrices ``U diag(p) U^dagger``
+and ``V diag(q) V^dagger``, where with ``y_k = U^dagger x_k V``
+``h = sum_k sum_ij |y_k[i,j]|^2 p_i q_j / ((1 - theta) p_i + theta q_j)``,
+attained at ``T_k = U t_k V^dagger`` with ``t_k[i,j] = y_k[i,j] theta q_j /
+((1 - theta) p_i + theta q_j)``. So each pair gives a certified lower bound
+``h`` and a splitting whose exact objective is a certified upper bound;
+exponentiated-gradient steps on the logs of the pair close the gap, and a
+golden-section search finds theta. All norms are computed at the exact
+power-of-two scale of the largest entry, so no square under- or overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# not called here any more; the benchmark's tracer (perfbench/tracing.py)
+# wraps ``qxor.tuples.minimize`` by name and needs the binding to exist
+from scipy.optimize import minimize  # noqa: F401
 
 from .config import ValidationError
-from .linalg import as_matrix, operator_norm
+from .linalg import as_matrix, operator_norm, pow2_restore, pow2_scaled, pow2_times
 
 __all__ = [
     "MatrixTuple",
@@ -71,19 +74,17 @@ def as_stack(t) -> np.ndarray:
     """Coerce a MatrixTuple / sequence of matrices to a (d, r, c) stack."""
     if isinstance(t, MatrixTuple):
         return np.stack(t.entries)
-    if isinstance(t, np.ndarray) and t.ndim == 3:
-        return t.astype(complex)
     return np.stack([as_matrix(e) for e in t])
 
 
 def row_norm(t) -> float:
-    x = as_stack(t)
-    return float(np.sqrt(max(0.0, operator_norm(np.einsum("kab,kcb->ac", x, x.conj())))))
+    x, e = pow2_scaled(as_stack(t))
+    return pow2_restore(math.sqrt(operator_norm(np.einsum("kab,kcb->ac", x, x.conj()))), e)
 
 
 def col_norm(t) -> float:
-    x = as_stack(t)
-    return float(np.sqrt(max(0.0, operator_norm(np.einsum("kba,kbc->ac", x.conj(), x)))))
+    x, e = pow2_scaled(as_stack(t))
+    return pow2_restore(math.sqrt(operator_norm(np.einsum("kba,kbc->ac", x.conj(), x))), e)
 
 
 def rc_norm(t) -> float:
@@ -104,102 +105,147 @@ def mix_tuple(a, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_TOL = 1e-7  # relative gap of the squared value at which a solve stops
+_MAX_STEPS = 5_000
+# the inexact solves of the linear norm's search over theta, which bound its gap
+_SEARCH_TOL, _SEARCH_STEPS, _SEARCH_WIDTH = 1e-5, 100, 1e-3
+_GOLDEN = (math.sqrt(5) - 1) / 2
+_LOG_RANGE = 30.0  # eigenvalues of log rho, log sigma stay within this of the top
+
+
 @dataclass(frozen=True)
 class SplitResult:
+    """``value``, the exact objective at the splitting ``row_part + col_part``,
+    bounds the infimum from above and ``lower`` from below; ``converged``: their
+    squares are within ``_TOL`` relative (``_SEARCH_TOL`` for the linear norm)."""
     value: float
     row_part: np.ndarray = field(repr=False)
     col_part: np.ndarray = field(repr=False)
     converged: bool = True
+    lower: float = 0.0
 
 
-def _smoothed_lambda_max(h: np.ndarray, tau: float):
-    """tau-smoothed largest eigenvalue of a Hermitian matrix and its
-    derivative weight matrix (Hermitian, PSD, unit trace)."""
-    w, u = np.linalg.eigh(h)
-    shifted = (w - w[-1]) / tau
-    e = np.exp(shifted)
-    z = e.sum()
-    val = w[-1] + tau * np.log(z)
-    weights = e / z
-    grad = (u * weights) @ u.conj().T
-    return val, grad
+def _density(log_m: np.ndarray):
+    """``U``, ``p`` of ``exp(L) / tr exp(L) = U diag(p) U^dagger`` and ``L``
+    shifted to top eigenvalue 0 and clipped at ``-_LOG_RANGE``, so it cannot
+    drift and a small weight grows back fast."""
+    l, u = np.linalg.eigh(log_m)
+    l = np.maximum(l - l[-1], -_LOG_RANGE)
+    p = np.exp(l)
+    return u, p / p.sum(), (u * l) @ u.conj().T
 
 
-def _pack(t: np.ndarray) -> np.ndarray:
-    return np.concatenate([t.real.ravel(), t.imag.ravel()])
+def _dual_point(x: np.ndarray, theta: float, logs):
+    """``h``, the exact weighted objective at its minimiser ``T``, ``T``, the
+    gradient of ``h`` in (rho, sigma) and the clipped logs."""
+    (u, p, lr), (v, q, lc) = _density(logs[0]), _density(logs[1])
+    y = u.conj().T @ x @ v
+    p, q = p[:, None], q[None, :]
+    a = theta * q / ((1 - theta) * p + theta * q)
+    t = a * y
+    s = y - t
+    h = float(np.sum(np.abs(y) ** 2 * p * a)) / theta
+    gr = np.einsum("kab,kcb->ac", t, t.conj()) / theta
+    gc = np.einsum("kba,kbc->ac", s.conj(), s) / (1 - theta)
+    upper = float(np.linalg.eigvalsh(gr)[-1] + np.linalg.eigvalsh(gc)[-1])
+    uh, vh = u.conj().T, v.conj().T
+    return h, upper, u @ t @ vh, (u @ gr @ uh, v @ gc @ vh), (lr, lc)
 
 
-def _unpack(v: np.ndarray, shape) -> np.ndarray:
-    half = v.size // 2
-    return v[:half].reshape(shape) + 1j * v[half:].reshape(shape)
-
-
-def _split_objective(x: np.ndarray, tau: float, quadratic: bool, eps: float):
-    """Smoothed objective and gradient as a function of the row part T."""
-
-    def fun(v):
-        t = _unpack(v, x.shape)
-        s = x - t
-        r = np.einsum("kab,kcb->ac", t, t.conj())
-        c = np.einsum("kba,kbc->ac", s.conj(), s)
-        fr, wr = _smoothed_lambda_max(r, tau)
-        fc, wc = _smoothed_lambda_max(c, tau)
-        # d row^2 / dT = 2 Wr T_k ; d col^2 / dT = -2 S_k Wc
-        g_t = 2 * np.einsum("ab,kbc->kac", wr, t)
-        g_s = 2 * np.einsum("kab,bc->kac", s, wc)
-        if quadratic:
-            val = fr + fc
-            grad = g_t - g_s
+def _solve(x: np.ndarray, theta: float, logs, tol: float, max_steps: int):
+    """Exponentiated-gradient ascent on ``h`` with Nesterov momentum until the
+    gap of the best bounds is within ``tol``: the step grows 5% while ``h``
+    rises; a drop beyond rounding halves it (to at least 1% of its start) and
+    restarts the momentum. Returns both bounds, ``T``, the logs and success."""
+    h, upper, t_best, grads, logs = _dual_point(x, theta, logs)
+    best_h, best_logs, prev, run = h, logs, logs, 0
+    eta = eta0 = 4.0 / rc_norm(x) ** 2
+    for _ in range(max_steps):
+        if upper - best_h <= tol * upper:
+            break
+        beta = run / (run + 3)
+        trial = tuple(l + eta * g + beta * (l - o) for l, g, o in zip(logs, grads, prev))
+        prev = logs
+        h_new, upper_new, t, grads, logs = _dual_point(x, theta, trial)
+        if upper_new < upper:
+            upper, t_best = upper_new, t
+        if h_new >= h - 1e-14 * h:
+            eta, run = eta * 1.05, run + 1
         else:
-            sr = np.sqrt(max(fr, 0.0) + eps)
-            sc = np.sqrt(max(fc, 0.0) + eps)
-            val = sr + sc
-            grad = g_t / (2 * sr) - g_s / (2 * sc)
-        return val, np.concatenate([grad.real.ravel(), grad.imag.ravel()])
-
-    return fun
+            eta, run = max(eta / 2, eta0 / 100), 0
+        h = h_new
+        if h > best_h:
+            best_h, best_logs = h, logs
+    return upper, best_h, t_best, best_logs, upper - best_h <= tol * upper
 
 
-def _exact_split_value(x: np.ndarray, t: np.ndarray, quadratic: bool) -> float:
-    r = row_norm(t)
-    c = col_norm(x - t)
-    return float(np.sqrt(r * r + c * c)) if quadratic else float(r + c)
+def _golden(f, width: float) -> float:
+    """Golden-section search for the minimiser of a convex ``f`` on (0, 1)."""
+    a, b = 0.0, 1.0
+    c, d = 1 - _GOLDEN, _GOLDEN
+    fc, fd = f(c), f(d)
+    while b - a > width:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return c if fc <= fd else d
 
 
-def _solve_split(t, quadratic: bool, inits: Optional[Sequence] = None,
-                 maxiter: int = 80) -> SplitResult:
-    x = as_stack(t)
-    scale = max(rc_norm(x), 1e-30)
-    if scale <= 1e-30:
-        return SplitResult(0.0, np.zeros_like(x), np.zeros_like(x), True)
-    # the problem is convex; the pure splittings bracket the solution well
-    starts = [x / 2, x.copy() if row_norm(x) <= col_norm(x) else np.zeros_like(x)]
-    if inits is not None:
-        starts = [as_stack(i) for i in inits] + starts
-    best_t = None
-    best_val = np.inf
-    best_ok = True
-    eps = (1e-9 * scale) ** 2
-    for start in starts:
-        # the start itself stays a candidate, so warm starts are never lost
-        # to smoothing drift
-        val0 = _exact_split_value(x, start, quadratic)
-        if val0 < best_val:
-            best_val, best_t, best_ok = val0, start, True
-        cur = start
-        ok = True
-        for tau in (0.2, 0.05, 0.01, 0.002, 0.0005):
-            fun = _split_objective(x, tau * scale**2, quadratic, eps)
-            res = minimize(fun, _pack(cur), jac=True, method="L-BFGS-B",
-                           options={"maxiter": maxiter, "ftol": 1e-13, "gtol": 1e-11})
-            cur = _unpack(res.x, x.shape)
-            ok = ok and bool(np.isfinite(res.fun))
-        val = _exact_split_value(x, cur, quadratic)
-        if val < best_val:
-            best_val = val
-            best_t = cur
-            best_ok = ok
-    return SplitResult(best_val, best_t, x - best_t, best_ok)
+def _linear_lower_sq(x: np.ndarray, duals) -> float:
+    """Certified lower bound on the squared linear norm by weak duality: the
+    minimum over theta of the convex max of ``h`` over the pairs in
+    ``duals``, less ``width`` times its steepest slope at the point found."""
+    parts = []
+    for logs in duals:
+        (u, p, _), (v, q, _) = _density(logs[0]), _density(logs[1])
+        w = np.sum(np.abs(u.conj().T @ x @ v) ** 2, axis=0)
+        parts.append((w * np.outer(p, q), p[:, None], q[None, :]))
+    wpq, p, q = (np.stack(z) for z in zip(*parts))
+
+    def terms(theta, power):
+        den = (1 - theta) * p + theta * q
+        return np.sum(wpq / den * ((p - q) / den) ** power, axis=(1, 2))
+
+    width = 1e-9
+    theta = _golden(lambda th: float(terms(th, 0).max()), width)
+    slope = float(np.abs(terms(theta, 1)).max())
+    return max(0.0, float(terms(theta, 0).max()) - width * slope)
+
+
+def _solve_split(t, quadratic: bool, inits: Optional[Sequence] = None) -> SplitResult:
+    x, e = pow2_scaled(as_stack(t))
+    if not x.any():
+        return SplitResult(0.0, np.zeros_like(x), np.zeros_like(x), True, 0.0)
+    logs = (np.zeros((x.shape[1],) * 2, complex), np.zeros((x.shape[2],) * 2, complex))
+    if quadratic:
+        _, h, t_fp, _, _ = _solve(x, 0.5, logs, _TOL, _MAX_STEPS)
+        lower_sq, tol = h / 2, _TOL
+    else:
+        duals = [logs]
+
+        def search(theta):
+            _, h, _, warm, _ = _solve(x, theta, duals[-1], _SEARCH_TOL, _SEARCH_STEPS)
+            duals.append(warm)
+            return h
+
+        theta = _golden(search, _SEARCH_WIDTH)
+        _, _, t_fp, logs, _ = _solve(x, theta, duals[-1], _TOL, _MAX_STEPS)
+        lower_sq, tol = _linear_lower_sq(x, duals[1:] + [logs]), _SEARCH_TOL
+    # warm starts and the two pure splittings compete with the fixed point;
+    # the first of equal values wins
+    starts = [pow2_times(as_stack(i), -e) for i in inits or ()] + [t_fp, x, np.zeros_like(x)]
+    norms = [(row_norm(s), col_norm(x - s)) for s in starts]
+    vals = [math.sqrt(r * r + c * c) if quadratic else r + c for r, c in norms]
+    k = int(np.argmin(vals))
+    val, lower = vals[k], math.sqrt(lower_sq)
+    return SplitResult(pow2_restore(val, e), pow2_times(starts[k], e),
+                       pow2_times(x - starts[k], e), val * val - lower * lower <= tol * val * val,
+                       pow2_restore(lower, e))
 
 
 def rplus2c_split(t, inits: Optional[Sequence] = None) -> SplitResult:

@@ -156,6 +156,29 @@ def test_norms_subcommand(tmp_path):
     assert res["weight"] == pytest.approx(res["rplus2c"] ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norms_of_tiny_and_huge_tuples(tmp_path, scale):
+    # the squares of these entries underflow or overflow unscaled
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2)]
+    results = []
+    for s in (1.0, scale):
+        f, out = tmp_path / "tuple.json", tmp_path / "norms.json"
+        f.write_text(json.dumps({
+            "schema": "qxor-tuple/1",
+            "entries_re": [(s * m.real).tolist() for m in mats],
+            "entries_im": [(s * m.imag).tolist() for m in mats],
+        }))
+        assert main(["norms", str(f), "--out", str(out)]) == EXIT_OK
+        results.append(json.loads(out.read_text()))
+    base, res = results
+    for key in ("row", "col", "rc"):
+        assert res[key] == pytest.approx(scale * base[key], rel=1e-12)
+    assert res["rplus2c"] == pytest.approx(scale * base["rplus2c"], rel=1e-6)
+    assert 0 < res["rplus2c_lower"] <= res["rplus2c"]
+    assert base["rplus2c_lower"] <= base["rplus2c"]
+
+
 def test_factor_subcommand(tmp_path):
     from qxor.games import mab_tensor
 

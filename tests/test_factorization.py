@@ -83,6 +83,33 @@ def test_weight_sandwich_random_tuples():
         assert ws.ok
 
 
+def test_factor_bounds_scale_back_from_huge_tensors():
+    # a tensor past the evaluable range is solved at the scale 2**-1010,
+    # where it is the small tensor itself, so the bounds agree exactly
+    rng = rng_for("factor-huge")
+    k = rng.normal(size=(4, 4))
+    k += k.T
+    k /= 2 * np.abs(k).max()  # largest entry exactly 1/2
+    small = tensor_from_kernel(k, 2, 2)
+    big = tensor_from_kernel(np.ldexp(k, 1010), 2, 2)
+    gs, gb = gamma_rc_upper(small, BUDGET), gamma_rc_upper(big, BUDGET)
+    assert gb.gamma_upper == math.ldexp(gs.gamma_upper, 1010)
+    assert gb.x_norm_upper == math.ldexp(gs.x_norm_upper, 505)
+    assert gb.y_norm_upper == math.ldexp(gs.y_norm_upper, 505)
+    assert np.abs(big.reconstruct(gb.xs, gb.ys) - big.coeff).max() < 1e-9 * 2.0 ** 1009
+    ivs = gamma_to_Gamma(small, gs.gamma_upper, BUDGET, schedule=(1,))
+    ivb = gamma_to_Gamma(big, gb.gamma_upper, BUDGET, schedule=(1,))
+    assert ivb.lower == math.ldexp(ivs.lower, 1010)
+    assert ivb.upper == math.ldexp(ivs.upper, 1010)
+    # at a largest entry of 1.5e308 the bounds leave the float range: the
+    # upper is unbounded, never 0.0
+    huge = tensor_from_kernel(2 * k * 1.5e308, 2, 2)
+    gh = gamma_rc_upper(huge, BUDGET)
+    assert gh.gamma_upper == math.inf
+    iv = gamma_to_Gamma(huge, gh.gamma_upper, BUDGET, schedule=(1,))
+    assert iv.lower <= iv.upper == math.inf
+
+
 def test_gamma_rank_one_single_term():
     rng = rng_for("gamma-r1")
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))

@@ -9,11 +9,9 @@ from qxor.config import ConvergenceError, ValidationError
 from qxor.linalg import (
     eigh_desc,
     eigh_stack,
-    kron_permuted,
     operator_norm,
     partial_contract_A,
     partial_contract_B,
-    permute_registers,
     polar_contraction,
     polar_stack,
     pow2_restore,
@@ -199,53 +197,6 @@ def test_partial_contract_three_way_agreement():
 def test_partial_contract_dimension_mismatch():
     with pytest.raises(ValidationError):
         partial_contract_A(np.eye(6), np.eye(4), 2, 3)
-
-
-def test_kron_permuted_identity_order():
-    rng = rng_for("kron-id")
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    assert np.abs(kron_permuted([a, b], [0, 1]) - np.kron(a, b)).max() < 1e-14
-
-
-def test_kron_permuted_swapped_identities():
-    assert np.abs(kron_permuted([np.eye(2), np.eye(2)], [1, 0]) - np.eye(4)).max() == 0
-
-
-def test_kron_permuted_moves_factor():
-    x = PAULI_X
-    i2 = np.eye(2)
-    assert np.abs(kron_permuted([x, i2], [1, 0]) - np.kron(i2, x)).max() < 1e-14
-
-
-def test_permute_registers_round_trip():
-    rng = rng_for("permreg")
-    dims = [2, 3, 2]
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    perm = [2, 0, 1]
-    out = permute_registers(m, dims, perm)
-    inv = [perm.index(r) for r in range(3)]
-    back = permute_registers(out, [dims[perm.index(r)] for r in range(3)], inv)
-    assert np.abs(back - m).max() < 1e-14
-
-
-def test_permute_registers_matches_explicit_permutation_matrix():
-    rng = rng_for("permreg-mat")
-    dims = [2, 2, 3]
-    perm = [1, 2, 0]
-    total = 12
-    m = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
-    p = np.zeros((total, total))
-    for idx in np.ndindex(*dims):
-        src = np.ravel_multi_index(idx, dims)
-        new_dims = [0, 0, 0]
-        new_idx = [0, 0, 0]
-        for q in range(3):
-            new_dims[perm[q]] = dims[q]
-            new_idx[perm[q]] = idx[q]
-        dst = np.ravel_multi_index(tuple(new_idx), tuple(new_dims))
-        p[dst, src] = 1.0
-    assert np.abs(permute_registers(m, dims, perm) - p @ m @ p.T).max() < 1e-12
 
 
 def test_require_hermitian_rejects_large_defect():

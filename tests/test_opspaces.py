@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
+from qxor import tuples
 from qxor.budget import SolverBudget
 from qxor.config import ConvergenceError, ValidationError
-from qxor.factor import _dual_col_cap, _dual_row_cap, tuple_rplus2c_upper_in_space
+from qxor.factor import (
+    _dual_col_cap,
+    _dual_row_cap,
+    tuple_rplus2c_upper_in_space,
+    weight_sandwich_check,
+)
 from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
@@ -104,6 +110,79 @@ def test_rplusc_single_element():
     assert rplusc_split(np.stack([x])).value == pytest.approx(
         np.linalg.norm(x, 2), rel=1e-7
     )
+
+
+def _split_test_tuples(key):
+    """Seeded Hermitian 3x3 tuples and non-Hermitian rectangular ones,
+    d, r, c in 1-4."""
+    out = []
+    for trial in range(6):
+        rng = rng_for(key, "herm", trial)
+        out.append(np.stack([gue(3, rng) for _ in range(int(rng.integers(1, 5)))]))
+    for trial in range(10):
+        rng = rng_for(key, "rect", trial)
+        d, r, c = (int(v) for v in rng.integers(1, 5, size=3))
+        out.append(rng.normal(size=(d, r, c)) + 1j * rng.normal(size=(d, r, c)))
+    return out
+
+
+@pytest.mark.parametrize("split, tol", [
+    pytest.param(rplus2c_split, tuples._TOL, id="rplus2c"),
+    pytest.param(rplusc_split, tuples._SEARCH_TOL, id="rplusc"),
+])
+def test_split_lower_is_certified_within_the_gap(split, tol):
+    for t in _split_test_tuples("split-gap"):
+        res = split(t)
+        assert res.lower <= res.value
+        assert res.converged
+        assert res.value ** 2 - res.lower ** 2 <= tol * res.value ** 2
+        assert np.abs(res.row_part + res.col_part - t).max() < 1e-12 * np.abs(t).max()
+
+
+def test_rplusc_lower_never_above_a_grid_of_splittings():
+    # every splitting T = lam x is feasible, so none may fall below the lower
+    for t in _split_test_tuples("rpc-grid"):
+        lower = rplusc_split(t).lower
+        for lam in np.linspace(0, 1, 11):
+            assert lower <= row_norm(lam * t) + col_norm((1 - lam) * t) + 1e-12
+
+
+@pytest.mark.parametrize("split", [rplus2c_split, rplusc_split], ids=["rplus2c", "rplusc"])
+def test_split_warm_start_competes_with_the_fixed_point(split, monkeypatch):
+    # a splitting from a much tighter solve may only be improved on
+    ts = _split_test_tuples("split-warm")[4:10]
+    with monkeypatch.context() as m:
+        m.setattr(tuples, "_TOL", 1e-11)
+        m.setattr(tuples, "_SEARCH_TOL", 1e-9)
+        tight = [split(t) for t in ts]
+    for t, ref in zip(ts, tight):
+        assert split(t, inits=[ref.row_part]).value <= ref.value
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_rplus2c_is_exactly_homogeneous_at_extreme_scales(power):
+    rng = rng_for("rp2c-scale")
+    x = rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))
+    factor = 2.0 ** power
+    base, scaled = rplus2c_split(x), rplus2c_split(factor * x)
+    assert scaled.value == pytest.approx(factor * base.value, rel=1e-12)
+    assert scaled.lower == pytest.approx(factor * base.lower, rel=1e-12)
+    for f in (row_norm, col_norm, rc_norm):
+        assert f(factor * x) == pytest.approx(factor * f(x), rel=1e-12)
+
+
+def test_tuples_make_no_scipy_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("qxor.tuples called scipy.optimize.minimize")
+
+    monkeypatch.setattr(tuples, "minimize", refuse)
+    rng = rng_for("no-scipy")
+    herm = np.stack([gue(3, rng) for _ in range(2)])
+    rect = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+    rplus2c_split(herm)
+    rplusc_split(herm)
+    rplusc_split(rect)
+    assert weight_sandwich_check(herm).ok
 
 
 def test_ordering_check_scaled_and_span():
