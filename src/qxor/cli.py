@@ -294,8 +294,11 @@ def cmd_norms(args) -> int:
         raise SchemaError("entries must be one or more matrices of one shape")
     t = np.stack(entries)
     res = rplus2c_split(t)
+    weight = res.value * res.value
+    if res.value > 0 and weight < sys.float_info.min:
+        weight = math.nextafter(weight, math.inf)  # rounded up, never to zero
     out = {"row": row_norm(t), "col": col_norm(t), "rc": rc_norm(t),
-           "rplus2c": res.value, "weight": res.value * res.value}
+           "rplus2c": res.value, "weight": weight}
     # an upper beyond the float range is reported as unbounded (null) and
     # the lower is rounded down to the largest float
     out = {k: v if math.isfinite(v) else None for k, v in out.items()}

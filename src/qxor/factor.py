@@ -15,6 +15,9 @@ Two universal constants appear as test bounds:
 Both are used only in the sound direction: a certified cb lower bound that
 exceeded them would expose a bug in the lower-bound engine, never in the
 inequalities.
+
+Over trace class the row and the column cap of a tuple are equal, so the
+bounds here evaluate the one cap :func:`qxor.opnorms.dual_tuple_cap`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .config import ValidationError
 from .games import mab_tensor
 from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times
 from .maps import KernelMap, Space, dual_space, full_matrix_space
-from .opnorms import cb_norm_bounds, dual_level_upper_cap, ml_dual_norm
+from .opnorms import cb_norm_bounds, dual_tuple_cap, ml_dual_norm
 from .tuples import (
     as_stack,
     col_norm,
@@ -188,14 +191,6 @@ def tuple_rc_in_space(t, space: Space,
     )
 
 
-def _dual_row_cap(x: np.ndarray, n: int) -> float:
-    return dual_level_upper_cap(_row_embed(x), x.shape[0], n)
-
-
-def _dual_col_cap(x: np.ndarray, n: int) -> float:
-    return dual_level_upper_cap(_col_embed(x), x.shape[0], n)
-
-
 def _split_cap(row_cap: float, col_cap: float) -> float:
     """sqrt(row_cap^2 + col_cap^2), or inf, still a valid cap, when a square
     overflows."""
@@ -209,22 +204,21 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
                                  budget: SolverBudget = DEFAULT_BUDGET) -> float:
     """Certified upper bound for the quadratic splitting norm over a
     carrier space; exact-solver value for matrix carriers, a budgeted
-    splitting search with certified caps for trace-class carriers."""
+    splitting search with certified caps for trace-class carriers.
+
+    Over trace class the row and the column cap of a tuple are the same
+    number K (:func:`dual_tuple_cap`), so of the splits ``(lam x, (1-lam)
+    x)`` the equal one is best, at ``K / sqrt(2)``; random per-entry splits
+    follow."""
     x = as_stack(t)
     if space.kind == "matrix":
         return rplus2c_split(x).value
-    n = space.dim
-    # both caps are positively homogeneous, so the split (lam x, (1-lam) x)
-    # costs no cap evaluation beyond these two; lam is a Python float, so
-    # an overflowing square raises instead of warning
-    row, col = _dual_row_cap(x, n), _dual_col_cap(x, n)
-    best = min(_split_cap(lam * row, (1 - lam) * col)
-               for lam in np.linspace(0.0, 1.0, 9).tolist())
+    best = dual_tuple_cap(x) / math.sqrt(2)
     rng = budget.rng("dual-split")
     for _ in range(min(budget.restarts, 12)):
         lamk = rng.uniform(0.0, 1.0, size=x.shape[0])
         tpart = lamk[:, None, None] * x
-        best = min(best, _split_cap(_dual_row_cap(tpart, n), _dual_col_cap(x - tpart, n)))
+        best = min(best, _split_cap(dual_tuple_cap(tpart), dual_tuple_cap(x - tpart)))
     return best
 
 
@@ -288,7 +282,7 @@ def _gamma_objective(z: TensorElement, xs, ys, budget) -> tuple[float, float, fl
     if z.X.kind == "matrix":
         xn = rc_norm(xs)
     else:
-        xn = max(_dual_row_cap(xs, z.X.dim), _dual_col_cap(xs, z.X.dim))
+        xn = dual_tuple_cap(xs)  # its row and its column cap, which are equal
     yn = tuple_rplus2c_upper_in_space(ys, z.Y, budget)
     return xn * yn, xn, yn
 
@@ -322,9 +316,10 @@ def gamma_rc_upper(z: TensorElement,
     small = budget.with_(restarts=min(budget.restarts, 6))
     best, xn, yn = _gamma_objective(z, xs, ys, small)
     # rebalance overall scale: the product is invariant, but balanced
-    # factors keep the mixing search conditioned
+    # factors keep the mixing search conditioned; both norms are
+    # homogeneous, so they follow the factors
     t = math.sqrt(yn / xn) if xn > 0 and yn > 0 else 1.0
-    xs, ys = xs * t, ys / t
+    xs, ys, xn, yn = xs * t, ys / t, xn * t, yn / t
     evaluations = 1
     r = xs.shape[0]
     rng = budget.rng("gamma")
@@ -348,10 +343,8 @@ def gamma_rc_upper(z: TensorElement,
         evaluations += 1
         if val < best:
             best = val
-            xs, ys = xs_c, ys_c
-            xn, yn = xn_c, yn_c
-            t = math.sqrt(yn / xn) if xn > 0 and yn > 0 else 1.0
-            xs, ys = xs * t, ys / t
+            t = math.sqrt(yn_c / xn_c) if xn_c > 0 and yn_c > 0 else 1.0
+            xs, ys, xn, yn = xs_c * t, ys_c / t, xn_c * t, yn_c / t
             accepted += 1
             sigma = min(0.5, sigma * 1.3)
         else:

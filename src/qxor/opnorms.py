@@ -14,6 +14,15 @@ Pairings between trace-class and matrix levels are bilinear, ``<z, x> =
 tr(z x)``; the contraction level of the dual variable equals the outer
 matrix level, which is where the amplified norm of a map into matrices
 stabilizes.
+
+Warm embedding: a see-saw core's state is a tuple of arrays, and each core
+zero-pads a lower level's state to the shapes of its own identity start and
+runs it as its first start. Zero-padding keeps a witness feasible with the
+same value, so callers pass a state from one level to the next as it is,
+and the lower bounds over a level schedule never fall.
+
+The row and column embeddings of a tuple over trace class have one
+singular-term cap, :func:`dual_tuple_cap`.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from .maps import KernelMap, Space, VectorMap
 __all__ = [
     "ml_dual_norm",
     "dual_level_upper_cap",
+    "dual_tuple_cap",
     "amplified_norm",
     "cb_norm_bounds",
     "CbNormResult",
@@ -56,6 +66,27 @@ __all__ = [
 # certified caps
 # ---------------------------------------------------------------------------
 
+def _singular_term_cap(r: np.ndarray, m: int, level: Optional[int] = None) -> float:
+    """sum_t s_t * ||C_t|| * ||F_t||_1 over the singular terms s_t c_t f_t^T
+    of ``r`` above a relative 1e-15, with ``F_t`` the m x m matrix of
+    ``f_t`` and ``C_t`` the level x level matrix of ``c_t``. With ``level``
+    None every ``C_t`` has a single nonzero row or column, so ``||C_t|| =
+    ||c_t|| = 1``."""
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    k = int(np.count_nonzero(s > 1e-15 * s[0]))  # s is descending
+    if k == 0:
+        return 0.0
+    f = vh[:k].reshape(k, m, m)
+    if not (np.isfinite(u[:, :k]).all() and np.isfinite(f).all()):
+        raise ValidationError("matrix entries must be finite")
+    terms = s[:k]
+    if level is not None:
+        terms = terms * np.linalg.svd(u[:, :k].T.reshape(k, level, level),
+                                      compute_uv=False)[:, 0]
+    terms = terms * np.linalg.svd(f, compute_uv=False).sum(axis=1)
+    return float(np.cumsum(terms)[-1])  # summed in term order, as a running total
+
+
 def dual_level_upper_cap(Z: np.ndarray, L: int, m: int) -> float:
     """Certified upper bound on || Z ||_{M_L(S_1^m)}.
 
@@ -65,46 +96,40 @@ def dual_level_upper_cap(Z: np.ndarray, L: int, m: int) -> float:
     """
     z4 = as_matrix(Z).reshape(L, m, L, m)
     r = np.ascontiguousarray(z4.transpose(0, 2, 1, 3).reshape(L * L, m * m))
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    k = int(np.count_nonzero(s > 1e-15 * s[0]))  # s is descending
-    if k == 0:
-        return 0.0
-    c = u[:, :k].T.reshape(k, L, L)  # the kept C_t and F_t, one stack each
-    f = vh[:k].reshape(k, m, m)
-    if not (np.isfinite(c).all() and np.isfinite(f).all()):
-        raise ValidationError("matrix entries must be finite")
-    terms = s[:k] * np.linalg.svd(c, compute_uv=False)[:, 0] * np.linalg.svd(
-        f, compute_uv=False).sum(axis=1)
-    return float(np.cumsum(terms)[-1])  # summed in term order, as a running total
+    return _singular_term_cap(r, m, L)
+
+
+def dual_tuple_cap(x: np.ndarray) -> float:
+    """The cap of :func:`dual_level_upper_cap` on both the row embedding
+    sum_k e_{1k} (x) x_k and the column embedding sum_k e_{k1} (x) x_k of a
+    tuple over trace class. Both are sum_t s_t ||F_t||_1 over the singular
+    terms of the d x n^2 stack of the x_k, because every level factor C_t
+    has one nonzero row (column), so the two caps are one number."""
+    d, n = x.shape[0], x.shape[1]
+    return _singular_term_cap(np.reshape(x, (d, n * n)), n)
 
 
 def _nuclear_cap(u: KernelMap) -> float:
     """sum_s ||dual functional_s||_1 * ||u(basis_s)||_codomain over a basis
-    of the domain; valid for every amplification level."""
-    n = u.n
+    of the domain; valid for every amplification level. The images of the
+    whole basis come from one contraction and their norms from one stacked
+    SVD; the terms are summed in basis order."""
+    n, m = u.n, u.m
+    g4 = u.kernel.reshape(n, m, n, m)
     dom = u.domain
-
-    def out_norm(y):
-        if u.codomain.kind == "dual":
-            return trace_norm(y)
-        return operator_norm(y)
-
     if dom.pattern == "general":
-        basis = [as_matrix(b) for b in dom.basis]
-        flat = np.stack([b.ravel() for b in basis])
+        basis = np.stack([as_matrix(b) for b in dom.basis])
+        flat = basis.reshape(len(basis), n * n)
         dual = np.linalg.pinv(flat).conj().T  # rows pair to one against the basis
-        total = 0.0
-        for s, b in enumerate(basis):
-            f = dual[s].reshape(n, n)
-            total += trace_norm(f) * out_norm(u.apply(b))
-        return total
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            total += out_norm(u.apply(e))
-    return total
+        # u(b)[k, l] = sum_ij g4[i, k, j, l] b[i, j], as KernelMap.apply
+        images = np.einsum("ikjl,sij->skl", g4, basis)
+        weights = np.linalg.svd(dual.reshape(-1, n, n), compute_uv=False).sum(axis=1)
+    else:
+        images = g4.transpose(0, 2, 1, 3).reshape(n * n, m, m)  # u(E_ij), i major
+        weights = 1.0  # the dual functional of E_ij is E_ij
+    sv = np.linalg.svd(images, compute_uv=False)
+    out = sv.sum(axis=1) if u.codomain.kind == "dual" else sv[:, 0]
+    return float(np.cumsum(weights * out)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +138,29 @@ def _nuclear_cap(u: KernelMap) -> float:
 #
 # A core builds its starts one at a time and sweeps them as one stack: the
 # helpers below take arrays with any leading batch shape, and the sweeps
-# take every state component with a leading start axis.
+# take every state component with a leading start axis. A core returns the
+# state of its best start, with its unit vectors as (level, L) or (L, m)
+# matrices, and embeds a ``warm`` state as the module docstring says.
 
 def _blocks(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """``x`` with its trailing four axes merged pairwise into a matrix."""
     return x.reshape(x.shape[:-4] + (rows, cols))
 
 
-def _form(uvec: np.ndarray, w: np.ndarray, vvec: np.ndarray) -> np.ndarray:
-    """``Re u^dagger w v`` per batch entry."""
-    return np.real(uvec.conj()[..., None, :] @ w @ vvec[..., :, None])[..., 0, 0]
+def _form(umat: np.ndarray, w: np.ndarray, vmat: np.ndarray) -> np.ndarray:
+    """``Re u^dagger w v`` per batch entry, for unit vectors ``u`` and ``v``
+    given as matrices and read row-major."""
+    uvec = umat.reshape(umat.shape[:-2] + (1, -1))
+    vvec = vmat.reshape(vmat.shape[:-2] + (-1, 1))
+    return np.real(uvec.conj() @ w @ vvec)[..., 0, 0]
+
+
+def _embedded(warm, start: tuple) -> list:
+    """``[warm]`` with each array zero-padded to the shape of the same
+    component of ``start``, or ``[]`` when ``warm`` is None."""
+    if warm is None:
+        return []
+    return [tuple(zero_pad(a, b.shape) for a, b in zip(warm, start))]
 
 
 def _top_pair(x: np.ndarray) -> tuple:
@@ -164,7 +202,7 @@ def _input_update(c4, z4, pattern: str, bproj, objective) -> np.ndarray:
 
 def _partial_swap(L: int, n: int) -> np.ndarray:
     """The swap e_i (x) e_j -> e_j (x) e_i on C^L (x) C^n, restricted to
-    indices below min(L, n)."""
+    indices below min(L, n); a partial permutation, so a contraction."""
     s = np.zeros((L * n, L * n), dtype=complex)
     for i in range(min(L, n)):
         for j in range(min(L, n)):
@@ -183,93 +221,71 @@ def _basis_projector(space: Space):
     return proj.T
 
 
-@dataclass
-class _DualState:
-    z4: np.ndarray
-    v4: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
-def _dual_value(g4, z4, v4, uvec, vvec, kk, L):
+def _dual_value(g4, z4, v4, umat, vmat, kk, L):
     w4 = np.einsum("prqs,...apbq->...arbs", g4, z4)
     p = _blocks(np.einsum("...arbs,...isjr->...iajb", w4, v4), kk * L, kk * L)
-    return _form(uvec, p, vvec), w4, p
+    return _form(umat, p, vmat), w4, p
 
 
-def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget,
-                   inits: Sequence[_DualState] = (), key="amp-dual"):
-    """See-saw lower bound for || id_{M_L} (x) u || with trace-class codomain."""
+def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None,
+                   key="amp-dual"):
+    """See-saw lower bound for || id_{M_L} (x) u || with trace-class
+    codomain; a state is ``(z4, v4, u, v)`` with ``u`` and ``v`` of shape
+    ``(L, L)``."""
     n, m = u.n, u.m
     kk = L  # contraction level of the dual variable; exact for M_L outputs
     g4 = u.kernel.reshape(n, m, n, m)
     pattern = u.domain.pattern
     bproj = _basis_projector(u.domain)
 
-    def structured_states():
-        states = []
-        # identity-flavored start
-        z4 = np.eye(L * n, dtype=complex).reshape(L, n, L, n)
-        v4 = np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m)
-        uv = max_entangled(kk, L)
-        states.append(_DualState(z4, v4, uv.copy(), uv.copy()))
-        # transpose-flavored start: swap patterns on both sides
-        z = _partial_swap(L, n)
-        z /= max(1.0, operator_norm(z))
-        v = _partial_swap(kk, m)
-        v /= max(1.0, operator_norm(v))
-        states.append(_DualState(z.reshape(L, n, L, n), v.reshape(kk, m, kk, m),
-                                 uv.copy(), uv.copy()))
-        return states
-
-    def random_state(rng):
+    uv = max_entangled(kk, L).reshape(kk, L)
+    ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n),
+             np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m), uv, uv)
+    # transpose-flavored start: swap patterns on both sides
+    swap = (_partial_swap(L, n).reshape(L, n, L, n),
+            _partial_swap(kk, m).reshape(kk, m, kk, m), uv, uv)
+    starts = _embedded(warm, ident) + [ident, swap]
+    for i in range(len(starts), len(starts) + budget.restarts):
+        rng = budget.rng(key, i)
         z4 = (rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n)))
         v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
         v /= max(1.0, operator_norm(v))
         uv = rng.normal(size=kk * L) + 1j * rng.normal(size=kk * L)
         uw = rng.normal(size=kk * L) + 1j * rng.normal(size=kk * L)
-        return _DualState(z4, v.reshape(kk, m, kk, m),
-                          uv / np.linalg.norm(uv), uw / np.linalg.norm(uw))
+        starts.append((z4, v.reshape(kk, m, kk, m), (uv / np.linalg.norm(uv)).reshape(kk, L),
+                       (uw / np.linalg.norm(uw)).reshape(kk, L)))
 
     def start(state):
-        z4 = _feasible_input(state.z4, pattern, bproj)
-        val, w4, p = _dual_value(g4, z4, state.v4, state.u, state.v, kk, L)
-        return val, (z4, state.v4, state.u, state.v, w4, p)
+        z4, v4, umat, vmat = state
+        z4 = _feasible_input(z4, pattern, bproj)
+        val, w4, p = _dual_value(g4, z4, v4, umat, vmat, kk, L)
+        return val, (z4, v4, umat, vmat, w4, p)
 
     def sweep(_, state):
-        z4, v4, uvec, vvec, w4, p = state
+        z4, v4, _, _, w4, p = state
         # singular-pair update
         _, uvec, vvec = _top_pair(p)
-        # dual-variable update
         u2 = uvec.reshape(-1, kk, L)
         v2 = vvec.reshape(-1, kk, L)
+        # dual-variable update
         e4 = np.einsum("kia,kjb,karbs->kisjr", u2.conj(), v2, w4)
         v4 = polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape)
         # input update
         gv = np.einsum("prqs,kisjr->kipjq", g4, v4)
         c4 = np.einsum("kia,kjb,kipjq->kapbq", u2.conj(), v2, gv)
         z4 = _input_update(c4, z4, pattern, bproj,
-                           lambda z: _dual_value(g4, z, v4, uvec, vvec, kk, L)[0])
-        val, w4, p = _dual_value(g4, z4, v4, uvec, vvec, kk, L)
-        return val, (z4, v4, uvec, vvec, w4, p)
+                           lambda z: _dual_value(g4, z, v4, u2, v2, kk, L)[0])
+        val, w4, p = _dual_value(g4, z4, v4, u2, v2, kk, L)
+        return val, (z4, v4, u2, v2, w4, p)
 
-    starts: list[_DualState] = list(inits) + structured_states()
-    while len(starts) < len(inits) + 2 + budget.restarts:
-        starts.append(random_state(budget.rng(key, len(starts))))
     val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else _DualState(*best[:4])
+    return val, None if best is None else best[:4]
 
 
-@dataclass
-class _MatState:
-    z4: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
-def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
-                     inits: Sequence[_MatState] = (), key="amp-mat"):
-    """See-saw lower bound with operator-norm codomain evaluation."""
+def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None,
+                     key="amp-mat"):
+    """See-saw lower bound with operator-norm codomain evaluation; a state
+    is ``(z4, u, v)`` with ``u`` and ``v`` of shape ``(L, m)``."""
     n, m = u.n, u.m
     g4 = u.kernel.reshape(n, m, n, m)
     pattern = u.domain.pattern
@@ -278,42 +294,38 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget,
     def value(z4):
         return _blocks(np.einsum("prqs,...apbq->...arbs", g4, z4), L * m, L * m)
 
-    starts: list[_MatState] = list(inits)
-    z0 = np.eye(L * n, dtype=complex).reshape(L, n, L, n)
-    uv0 = np.zeros(L * m, dtype=complex)
-    uv0[0] = 1.0
-    starts.append(_MatState(z0, uv0.copy(), uv0.copy()))
-    uv1 = max_entangled(L, m)
-    starts.append(_MatState(_partial_swap(L, n).reshape(L, n, L, n), uv1.copy(), uv1.copy()))
-    while len(starts) < len(inits) + 2 + budget.restarts:
-        rng = budget.rng(key, len(starts))
+    e0 = np.zeros((L, m), dtype=complex)
+    e0[0, 0] = 1.0
+    ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n), e0, e0)
+    uv1 = max_entangled(L, m).reshape(L, m)
+    starts = _embedded(warm, ident) + [
+        ident, (_partial_swap(L, n).reshape(L, n, L, n), uv1, uv1)]
+    for i in range(len(starts), len(starts) + budget.restarts):
+        rng = budget.rng(key, i)
         z4 = rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n))
         uv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
         vv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
-        starts.append(_MatState(z4, uv / np.linalg.norm(uv), vv / np.linalg.norm(vv)))
+        starts.append((z4, (uv / np.linalg.norm(uv)).reshape(L, m),
+                       (vv / np.linalg.norm(vv)).reshape(L, m)))
 
     def start(state):
-        z4 = _feasible_input(state.z4, pattern, bproj)
+        z4, umat, vmat = state
+        z4 = _feasible_input(z4, pattern, bproj)
         w = value(z4)
-        return _form(state.u, w, state.v), (z4, state.u, state.v, w)
+        return _form(umat, w, vmat), (z4, umat, vmat, w)
 
     def sweep(_, state):
-        z4, uvec, vvec, w = state
+        z4, _, _, w = state
         _, uvec, vvec = _top_pair(w)
         u2 = uvec.reshape(-1, L, m)
         v2 = vvec.reshape(-1, L, m)
         c4 = np.einsum("kar,kbs,prqs->kapbq", u2.conj(), v2, g4)
-        z4 = _input_update(c4, z4, pattern, bproj, lambda z: _form(uvec, value(z), vvec))
+        z4 = _input_update(c4, z4, pattern, bproj, lambda z: _form(u2, value(z), v2))
         w = value(z4)
-        return _form(uvec, w, vvec), (z4, uvec, vvec, w)
+        return _form(u2, w, v2), (z4, u2, v2, w)
 
     val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else _MatState(*best[:3])
-
-
-@dataclass
-class _RcState:
-    blocks: np.ndarray  # (d, L, L)
+    return val, None if best is None else best[:3]
 
 
 def _rc_level(blocks: np.ndarray, h: np.ndarray) -> tuple:
@@ -337,27 +349,28 @@ def _rc_top(w: np.ndarray, col: bool) -> np.ndarray:
     return w.swapaxes(-1, -2).reshape(w.shape[:-3] + (L, L * p))
 
 
-def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
-                     inits: Sequence[_RcState] = (), key="amp-rc"):
+def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None,
+                     key="amp-rc"):
     """See-saw lower for the level-L norm of a map from the diagonal
     algebra into a Hilbert space carrying the row-intersect-column
-    structure. A state carries its blocks with their ``_rc_level``, so a
+    structure; a state is ``(blocks,)`` with blocks of shape ``(d, L, L)``.
+    A running state carries its blocks with their ``_rc_level``, so a
     sweep takes four stacked SVD calls per shape of top matrix: the top
     pairs, the polars and the two norms of the candidates."""
     h = np.stack(vm.vectors)
     d, p = h.shape
 
-    starts: list[_RcState] = list(inits)
-    starts.append(_RcState(np.stack([np.eye(L, dtype=complex)] * d)))
-    while len(starts) < len(inits) + 1 + budget.restarts:
-        rng = budget.rng(key, len(starts))
+    ident = (np.stack([np.eye(L, dtype=complex)] * d),)
+    starts = _embedded(warm, ident) + [ident]
+    for i in range(len(starts), len(starts) + budget.restarts):
+        rng = budget.rng(key, i)
         blocks = rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))
         for k in range(d):
             blocks[k] /= max(1.0, operator_norm(blocks[k]))
-        starts.append(_RcState(blocks))
+        starts.append((blocks,))
 
     def start(state):
-        blocks = state.blocks.copy()
+        blocks = state[0].copy()
         for k in range(d):
             nk = operator_norm(blocks[k])
             if nk > 1:
@@ -388,7 +401,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget,
         )
 
     val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else _RcState(best[0])
+    return val, None if best is None else best[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -419,33 +432,25 @@ def ml_dual_norm(Z, k: int, m: int | None = None,
     z4 = z.reshape(L, m, L, m)
     # increasing contraction levels with warm embedding keep the lower
     # bounds non-decreasing in k
-    levels = sorted({min(2 ** i, k) for i in range(8) if 2 ** i <= k} | {1, k})
     best = 0.0
-    v4_prev = None
-    for kk in levels:
-        warm = None
-        if v4_prev is not None:
-            warm = zero_pad(v4_prev, (kk, m, kk, m))
-        val, v4_prev = _pairing_seesaw(z4, L, m, kk, budget, v4_init=warm)
+    state = None
+    for kk in default_level_schedule(k):
+        val, state = _pairing_seesaw(z4, L, m, kk, budget, warm=state)
         best = max(best, val)
     lower = min(best, cap)  # fp guard; the theorems force lower <= cap
     return BoundInterval(lower, cap, "pairing_seesaw", "schmidt_cap")
 
 
-def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget,
-                    v4_init=None):
+def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget, warm=None):
     """sup over contractions V at level kk and unit vectors of the pairing
-    norm; certified lower bound for the dual-level norm."""
-    starts = []
-    if v4_init is not None:
-        starts.append(v4_init)
-    v_id = np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m)
-    starts.append(v_id)
-    starts.append(_partial_swap(kk, m).reshape(kk, m, kk, m))
+    norm; certified lower bound for the dual-level norm. A state is
+    ``(v4,)``; with no start above zero the first start is returned."""
+    ident = (np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m),)
+    starts = _embedded(warm, ident) + [ident, (_partial_swap(kk, m).reshape(kk, m, kk, m),)]
     for r in range(budget.restarts):
         rng = budget.rng("pairing", kk, r)
         v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
-        starts.append((v / max(1.0, operator_norm(v))).reshape(kk, m, kk, m))
+        starts.append(((v / max(1.0, operator_norm(v))).reshape(kk, m, kk, m),))
 
     def top_pair(v4):
         p4 = np.einsum("arbs,...isjr->...iajb", z4, v4)
@@ -459,23 +464,26 @@ def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget,
         e4 = np.einsum("kia,kjb,arbs->kisjr", u2.conj(), v2, z4)
         return top_pair(polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape))
 
-    best, state, _ = seesaw(map(top_pair, starts), sweep, budget, floor=0.0)
-    return best, starts[0] if state is None else state[0]
+    best, state, _ = seesaw((top_pair(v4) for v4, in starts), sweep, budget, floor=0.0)
+    return best, starts[0] if state is None else state[:1]
 
 
 def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
                    _warm=None):
-    """BoundInterval for the norm of the level-L amplification of a map.
+    """``(BoundInterval, state)`` for the norm of the level-L amplification
+    of a map.
 
     The lower bound is the best see-saw witness value over the budgeted
     restarts; the upper bound is the smallest available certified cap
     (trace norm of the coefficient kernel for trace-class codomains, a
-    basis nuclear cap otherwise).
+    basis nuclear cap otherwise). ``state`` is the best witness, and passed
+    back as ``_warm`` at a higher level it is embedded there as the first
+    start, so that level's lower bound is at least this one.
     """
     if L < 1:
         raise ValidationError("amplification level must be positive")
     if isinstance(u, VectorMap):
-        lower, state = _amp_rc_codomain(u, L, budget, inits=_warm or ())
+        lower, state = _amp_rc_codomain(u, L, budget, warm=_warm)
         # at the exact scale of the largest entry, so the norms cannot underflow
         scaled, e = pow2_scaled(np.stack(u.vectors))
         cap = pow2_restore(sum(float(np.linalg.norm(v)) for v in scaled), e)
@@ -483,10 +491,10 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
     if not isinstance(u, KernelMap):
         raise ValidationError("amplified_norm expects a KernelMap or VectorMap")
     if u.codomain.kind == "dual":
-        lower, state = _amp_into_dual(u, L, budget, inits=_warm or ())
+        lower, state = _amp_into_dual(u, L, budget, warm=_warm)
         cap = trace_norm(u.kernel)
         return BoundInterval(min(lower, cap), cap, "seesaw", "pi1o_cap"), state
-    lower, state = _amp_into_matrix(u, L, budget, inits=_warm or ())
+    lower, state = _amp_into_matrix(u, L, budget, warm=_warm)
     cap = _nuclear_cap(u)
     return BoundInterval(min(lower, cap), cap, "seesaw", "nuclear_cap"), state
 
@@ -531,32 +539,11 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
     per_level = []
     best = 0.0
     state = None
-    upper = math.inf
-    up_tag = "none"
-    for idx, L in enumerate(schedule):
-        warm = ()
-        if state is not None:
-            L_prev = schedule[idx - 1]
-            if isinstance(u, VectorMap):
-                warm = (_RcState(zero_pad(state.blocks, (u.d, L, L))),)
-            elif u.codomain.kind == "dual":
-                warm = (_DualState(
-                    zero_pad(state.z4, (L, u.n, L, u.n)),
-                    zero_pad(state.v4, (L, u.m, L, u.m)),
-                    zero_pad(state.u.reshape(L_prev, L_prev), (L, L)).ravel(),
-                    zero_pad(state.v.reshape(L_prev, L_prev), (L, L)).ravel(),
-                ),)
-            else:
-                warm = (_MatState(
-                    zero_pad(state.z4, (L, u.n, L, u.n)),
-                    zero_pad(state.u.reshape(L_prev, u.m), (L, u.m)).ravel(),
-                    zero_pad(state.v.reshape(L_prev, u.m), (L, u.m)).ravel(),
-                ),)
-        interval, state = amplified_norm(u, L, budget, _warm=warm)
-        upper, up_tag = interval.upper, interval.upper_method
-        val = max(best, interval.lower)
-        per_level.append((L, val))
-        best = val
+    for L in schedule:
+        interval, state = amplified_norm(u, L, budget, _warm=state)
+        best = max(best, interval.lower)
+        per_level.append((L, best))
+    upper, up_tag = interval.upper, interval.upper_method
     stabilized = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) <= 1e-6
     return CbNormResult(
         BoundInterval(best, upper, "seesaw_schedule", up_tag), tuple(per_level), stabilized

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,25 @@ def test_norms_of_tiny_and_huge_tuples(tmp_path, scale):
     assert res["rplus2c"] == pytest.approx(scale * base["rplus2c"], rel=1e-6)
     assert 0 < res["rplus2c_lower"] <= res["rplus2c"]
     assert base["rplus2c_lower"] <= base["rplus2c"]
+
+
+def test_norms_weight_of_a_tiny_tuple_stays_an_upper_bound(tmp_path):
+    # at scale 1e-200 the weight rplus2c**2 is below the normal float range;
+    # it is rounded up, never to zero; a normal-range weight is the plain square
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2)]
+    for s in (1.0, 1e-200):
+        f, out = tmp_path / "tuple.json", tmp_path / "norms.json"
+        f.write_text(json.dumps({
+            "schema": "qxor-tuple/1",
+            "entries_re": [(s * m.real).tolist() for m in mats],
+            "entries_im": [(s * m.imag).tolist() for m in mats],
+        }))
+        assert main(["norms", str(f), "--out", str(out)]) == EXIT_OK
+        res = json.loads(out.read_text())
+        assert Fraction(res["weight"]) >= Fraction(res["rplus2c"]) ** 2
+        if s == 1.0:
+            assert res["weight"] == res["rplus2c"] * res["rplus2c"]
 
 
 def test_factor_subcommand(tmp_path):

@@ -17,6 +17,7 @@ from qxor.factor import (
     mab_certify,
     tensor_from_kernel,
     tuple_rc_in_space,
+    tuple_rplus2c_upper_in_space,
     weight_homogeneity_check,
     weight_monotonicity_check,
     weight_sandwich_check,
@@ -25,6 +26,7 @@ from qxor.factor import (
 )
 from qxor.games import associated_map, diagonal_game, hadamard_matrix, mab_tensor
 from qxor.maps import Space, dual_space
+from qxor.opnorms import dual_tuple_cap
 from qxor.tuples import mix_tuple, rc_norm, rplus2c_split
 
 BUDGET = SolverBudget(restarts=4, max_sweeps=80, seed=13)
@@ -265,3 +267,20 @@ def test_hadamard_gap_direction():
 def test_constants():
     assert MAB_FACTORIZATION_CONSTANT == pytest.approx(4 * math.sqrt(2))
     assert CB_VS_SUMMING_CONSTANT == pytest.approx(8 * math.sqrt(2))
+
+
+@pytest.mark.parametrize("x_kind", ["dual", "matrix"])
+@pytest.mark.parametrize("y_kind", ["dual", "matrix"])
+def test_gamma_factor_norms_bound_the_returned_factors(x_kind, y_kind):
+    # BUDGET has at most six restarts, so it is the budget gamma_rc_upper
+    # evaluates its factors with
+    for trial in range(3):
+        rng = rng_for("gamma-factor-norms", trial)
+        coeff = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        z = TensorElement(Space(x_kind, 2), Space(y_kind, 2), coeff)
+        res = gamma_rc_upper(z, BUDGET)
+        x_norm = rc_norm(res.xs) if x_kind == "matrix" else dual_tuple_cap(res.xs)
+        y_norm = tuple_rplus2c_upper_in_space(res.ys, z.Y, BUDGET)
+        assert res.x_norm_upper >= x_norm * (1 - 1e-12)
+        assert res.y_norm_upper >= y_norm * (1 - 1e-12)
+        assert res.x_norm_upper * res.y_norm_upper == pytest.approx(res.gamma_upper, rel=1e-12)

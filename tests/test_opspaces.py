@@ -9,8 +9,8 @@ from qxor import tuples
 from qxor.budget import SolverBudget
 from qxor.config import ConvergenceError, ValidationError
 from qxor.factor import (
-    _dual_col_cap,
-    _dual_row_cap,
+    _col_embed,
+    _row_embed,
     tuple_rplus2c_upper_in_space,
     weight_sandwich_check,
 )
@@ -18,9 +18,11 @@ from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
     _amp_rc_codomain,
+    _pairing_seesaw,
     amplified_norm,
     cb_norm_bounds,
     dual_level_upper_cap,
+    dual_tuple_cap,
     ml_dual_norm,
     pietsch_pi2,
 )
@@ -578,7 +580,8 @@ def test_dual_split_upper_equals_the_per_split_caps():
         x = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
 
         def cap(tpart, spart):
-            return math.sqrt(_dual_row_cap(tpart, n) ** 2 + _dual_col_cap(spart, n) ** 2)
+            return math.sqrt(dual_level_upper_cap(_row_embed(tpart), d, n) ** 2
+                             + dual_level_upper_cap(_col_embed(spart), d, n) ** 2)
 
         ref = min(cap(lam * x, (1 - lam) * x) for lam in np.linspace(0.0, 1.0, 9))
         split_rng = budget.rng("dual-split")
@@ -597,9 +600,62 @@ def test_rc_seesaw_value_is_the_level_norm_of_its_witness():
         h = np.stack(vm.vectors)
         for L in (1, 2, 3):
             val, state = _amp_rc_codomain(vm, L, BUDGET)
-            blocks = state.blocks
+            blocks = state[0]
             assert max(operator_norm(b) for b in blocks) <= 1 + 1e-12
             w = np.einsum("kab,kr->arb", blocks, h)
             col = w.reshape(L * p, L)
             row = w.transpose(0, 2, 1).reshape(L, L * p)
             assert val == max(operator_norm(col), operator_norm(row))
+
+
+def test_tuple_cap_is_the_row_and_the_column_cap():
+    rng = rng_for("tuple-cap")
+    tuples_ = []
+    for trial in range(12):
+        d, n = (int(v) for v in rng.integers(1, 5, size=2))
+        # rank k over the d x n^2 stack; k < min(d, n^2) is rank-deficient
+        k = int(rng.integers(1, min(d, n * n) + 1))
+        left = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+        right = rng.normal(size=(k, n * n)) + 1j * rng.normal(size=(k, n * n))
+        tuples_.append((left @ right).reshape(d, n, n))
+    single = np.zeros((3, 2, 2), dtype=complex)
+    single[1, 0, 1] = 2.5 - 1j
+    tuples_ += [single, np.zeros((2, 3, 3), dtype=complex)]
+    for x in tuples_:
+        d, n = x.shape[0], x.shape[1]
+        cap = dual_tuple_cap(x)
+        for embed in (_row_embed, _col_embed):
+            assert cap == pytest.approx(dual_level_upper_cap(embed(x), d, n), rel=1e-12, abs=0)
+    assert dual_tuple_cap(single) == pytest.approx(abs(2.5 - 1j), rel=1e-15)
+    assert dual_tuple_cap(tuples_[-1]) == 0.0
+
+
+def _level_runs(kind, trial):
+    """``run(L, budget, warm) -> (lower, state)`` for one seeded map of
+    ``kind``, or for the pairing see-saw of ``ml_dual_norm``."""
+    rng = rng_for("warm-embed", trial)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    vm = VectorMap(tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)))
+    z4 = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))).reshape(2, 3, 2, 3)
+    if kind == "pairing":
+        return lambda L, budget, warm: _pairing_seesaw(z4, 2, 3, L, budget, warm=warm)
+    u = {"dual": KernelMap(full_matrix_space(2), dual_space(2), g),
+         "matrix": KernelMap(full_matrix_space(2), Space("matrix", 2), g),
+         "vector": vm}[kind]
+
+    def run(L, budget, warm):
+        iv, state = amplified_norm(u, L, budget, _warm=warm)
+        return iv.lower, state
+    return run
+
+
+@pytest.mark.parametrize("kind", ["dual", "matrix", "vector", "pairing"])
+def test_a_level_starts_from_the_embedded_lower_level_witness(kind):
+    # one sweep from three starts falls short of a converged level-one
+    # witness on these maps, so only the embedded witness carries the bound
+    tiny = SolverBudget(restarts=1, max_sweeps=1, seed=7)
+    for trial in range(4):
+        run = _level_runs(kind, trial)
+        lower1, state = run(1, BUDGET, None)
+        lower2, _ = run(2, tiny, state)
+        assert lower2 >= lower1 * (1 - 1e-12)
