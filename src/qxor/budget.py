@@ -137,9 +137,15 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
 
 
 def normalize_schedule(values, what: str) -> tuple:
-    """Sorted, duplicate-free schedule, so warm starts only ever embed a
-    smaller witness into a larger one."""
+    """Sorted, duplicate-free schedule of positive levels (integers or
+    tuples), each at least the one before it in every component, so warm
+    starts only ever embed a smaller witness into a larger one."""
     schedule = tuple(sorted(set(values)))
     if not schedule:
         raise ValidationError(f"{what} schedule must be nonempty")
+    levels = [np.atleast_1d(level) for level in schedule]
+    if min(level.min() for level in levels) < 1:
+        raise ValidationError(f"{what} schedule must be positive")
+    if any((hi < lo).any() for lo, hi in zip(levels, levels[1:])):
+        raise ValidationError(f"{what} schedule must grow in every component")
     return schedule

@@ -35,7 +35,7 @@ from .config import ValidationError
 from .games import mab_tensor
 from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times
 from .maps import KernelMap, Space, dual_space, full_matrix_space
-from .opnorms import cb_norm_bounds, dual_tuple_cap, ml_dual_norm
+from .opnorms import cb_norm_bounds, dual_tuple_cap
 from .tuples import (
     as_stack,
     col_norm,
@@ -149,47 +149,6 @@ def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6):
 # ---------------------------------------------------------------------------
 # tuple norms with trace-class carriers
 # ---------------------------------------------------------------------------
-
-def _row_embed(x: np.ndarray) -> np.ndarray:
-    """First-row block matrix of a tuple, an element of M_d(carrier)."""
-    d, r, c = x.shape
-    z = np.zeros((d * r, d * c), dtype=complex)
-    for k in range(d):
-        z[:r, k * c : (k + 1) * c] = x[k]
-    return z
-
-
-def _col_embed(x: np.ndarray) -> np.ndarray:
-    d, r, c = x.shape
-    z = np.zeros((d * r, d * c), dtype=complex)
-    for k in range(d):
-        z[k * r : (k + 1) * r, :c] = x[k]
-    return z
-
-
-def tuple_rc_in_space(t, space: Space,
-                      budget: SolverBudget = DEFAULT_BUDGET) -> BoundInterval:
-    """Row-intersect-column norm of a tuple over its carrier space.
-
-    Matrix carriers have the exact closed form; trace-class carriers route
-    through the dual-level evaluator, giving a see-saw lower and a
-    singular-term upper cap.
-    """
-    x = as_stack(t)
-    if space.kind == "matrix":
-        v = rc_norm(x)
-        return BoundInterval(v, v, "exact", "exact")
-    d = x.shape[0]
-    n = space.dim
-    row_iv = ml_dual_norm(_row_embed(x), k=d, m=n, budget=budget)
-    col_iv = ml_dual_norm(_col_embed(x), k=d, m=n, budget=budget)
-    return BoundInterval(
-        max(row_iv.lower, col_iv.lower),
-        max(row_iv.upper, col_iv.upper),
-        "pairing_seesaw",
-        "schmidt_cap",
-    )
-
 
 def _split_cap(row_cap: float, col_cap: float) -> float:
     """sqrt(row_cap^2 + col_cap^2), or inf, still a valid cap, when a square

@@ -227,8 +227,7 @@ def _dual_value(g4, z4, v4, umat, vmat, kk, L):
     return _form(umat, p, vmat), w4, p
 
 
-def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None,
-                   key="amp-dual"):
+def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     """See-saw lower bound for || id_{M_L} (x) u || with trace-class
     codomain; a state is ``(z4, v4, u, v)`` with ``u`` and ``v`` of shape
     ``(L, L)``."""
@@ -246,7 +245,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None,
             _partial_swap(kk, m).reshape(kk, m, kk, m), uv, uv)
     starts = _embedded(warm, ident) + [ident, swap]
     for i in range(len(starts), len(starts) + budget.restarts):
-        rng = budget.rng(key, i)
+        rng = budget.rng("amp-dual", i)
         z4 = (rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n)))
         v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
         v /= max(1.0, operator_norm(v))
@@ -282,8 +281,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None,
     return val, None if best is None else best[:4]
 
 
-def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None,
-                     key="amp-mat"):
+def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     """See-saw lower bound with operator-norm codomain evaluation; a state
     is ``(z4, u, v)`` with ``u`` and ``v`` of shape ``(L, m)``."""
     n, m = u.n, u.m
@@ -301,7 +299,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None,
     starts = _embedded(warm, ident) + [
         ident, (_partial_swap(L, n).reshape(L, n, L, n), uv1, uv1)]
     for i in range(len(starts), len(starts) + budget.restarts):
-        rng = budget.rng(key, i)
+        rng = budget.rng("amp-mat", i)
         z4 = rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n))
         uv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
         vv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
@@ -349,8 +347,7 @@ def _rc_top(w: np.ndarray, col: bool) -> np.ndarray:
     return w.swapaxes(-1, -2).reshape(w.shape[:-3] + (L, L * p))
 
 
-def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None,
-                     key="amp-rc"):
+def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
     """See-saw lower for the level-L norm of a map from the diagonal
     algebra into a Hilbert space carrying the row-intersect-column
     structure; a state is ``(blocks,)`` with blocks of shape ``(d, L, L)``.
@@ -363,7 +360,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None,
     ident = (np.stack([np.eye(L, dtype=complex)] * d),)
     starts = _embedded(warm, ident) + [ident]
     for i in range(len(starts), len(starts) + budget.restarts):
-        rng = budget.rng(key, i)
+        rng = budget.rng("amp-rc", i)
         blocks = rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))
         for k in range(d):
             blocks[k] /= max(1.0, operator_norm(blocks[k]))
@@ -533,8 +530,6 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
     if schedule is None:
         schedule = default_level_schedule(cap_level)
     schedule = normalize_schedule((int(L) for L in schedule), "level")
-    if schedule[0] < 1:
-        raise ValidationError("level schedule must be positive")
 
     per_level = []
     best = 0.0

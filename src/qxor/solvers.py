@@ -8,6 +8,12 @@ the optimizer's internal objective. Upper bounds come from inequalities
 that hold regardless of solver quality (the one-way-quantum value, the
 trace norm of the coefficient kernel, and the constant-factor comparisons
 between strategy classes).
+
+Warm embedding: the entangled and one-way-classical solvers take the
+previous level's strategy as it is, zero-pad it to their own dimensions
+and run it as their first start. Zero-padding keeps a witness feasible
+with the same value, so the lower bounds over a schedule never fall. The
+one-message witness is the product witness: the product see-saw runs once.
 """
 
 from __future__ import annotations
@@ -86,14 +92,14 @@ def _random_herm_contraction(n: int, rng) -> np.ndarray:
     return h / max(1.0, operator_norm(h))
 
 
-def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
-                  extra_inits: Sequence = ()):
+def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=None):
     """Alternating optimal-response ascent over observable pairs.
 
     With ``hermitian`` the updates are spectral signs (game biases); the
     complex variant uses polar contractions and estimates the norm of the
     associated map instead. A sweep updates the stacked pairs ``(a, b)`` of
-    every running start at once; it reads only ``a``.
+    every running start at once; it reads only ``a``. ``warm``, an
+    observable of Alice, is the first start.
     """
     g = game.G
     n, m = game.n, game.m
@@ -107,7 +113,7 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str,
         d = np.einsum("ikjl,...ji->...kl", g4, a)
         return np.real(np.trace(d @ b, axis1=-2, axis2=-1)), (a, b)
 
-    starts = list(extra_inits)
+    starts = [] if warm is None else [warm]
     starts.append(np.eye(n, dtype=complex))
     starts.append(sign_hermitian(partial_contract_B(g, np.eye(m), n, m)))
     for r in range(budget.restarts):
@@ -162,13 +168,11 @@ def beta_product(game: QuantumXorGame,
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
 
-    _, ca, cb = _product_core(
-        game, budget, hermitian=False, key="prod-c", extra_inits=(a,)
-    )
+    _, ca, cb = _product_core(game, budget, hermitian=False, key="prod-c", warm=a)
     estimate = _contraction_value(game, ca, cb)
     second, _, _ = _product_core(
         game, budget.with_(restarts=max(1, budget.restarts // 2)),
-        hermitian=False, key="prod-c2", extra_inits=(a,),
+        hermitian=False, key="prod-c2", warm=a,
     )
     stabilized = abs(estimate - second) <= 1e-6 * max(1.0, abs(estimate))
     upper = owq
@@ -222,12 +226,14 @@ def _entangled_kernels(g4, dA, dB):
     return eff, alice, bob
 
 
-def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
+def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
     """See-saw over ``(psi, A, B)``: ``A[(i,a),(j,c)]``, ``B[(k,b),(l,d)]``,
     ``rho[(c,d),(a,b)]``, game ``g4[j,l,i,k]``, kernel ``K[(i,j),(k,l)] = g4[j,l,i,k]``.
     With ``A~[(a,c),(i,j)]``, ``B~[(b,d),(k,l)]``, the ancilla operator is ``A~ K B~^T``,
     Alice's ``rho[(c,a),(b,d)] B~ K^T`` and Bob's ``db = rho[(d,b),(a,c)] A~ K``, reordered
-    to ``[(a,b),(c,d)]``, ``[(j,c),(i,a)]``, ``[(l,d),(k,b)]``; the bias is ``Re tr(db B)``."""
+    to ``[(a,b),(c,d)]``, ``[(j,c),(i,a)]``, ``[(l,d),(k,b)]``; the bias is ``Re tr(db B)``.
+    ``warm``, an :class:`EntangledStrategy` with ancillas no larger than
+    ``(dA, dB)``, is zero-padded to them and runs as the first start."""
     n, m = game.n, game.m
     eff, alice, bob = _entangled_kernels(game.kernel_tensor(), dA, dB)
 
@@ -247,12 +253,16 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
         b = sign_stack(db)
         return np.real(np.sum(db * b.swapaxes(-1, -2), axis=(-2, -1))), (psi, a, b)
 
-    starts = list(inits)
+    starts = [] if warm is None else [(
+        zero_pad(warm.psi.reshape(warm.dA, warm.dB), (dA, dB)).ravel(),
+        zero_pad(warm.A.reshape(n, warm.dA, n, warm.dA), (n, dA, n, dA)).reshape(n * dA, -1),
+        zero_pad(warm.B.reshape(m, warm.dB, m, warm.dB), (m, dB, m, dB)).reshape(m * dB, -1),
+    )]
     starts.append((
         max_entangled(dA, dB), np.eye(n * dA, dtype=complex), np.eye(m * dB, dtype=complex),
     ))
     for r in range(budget.restarts):
-        rng = budget.rng(key, dA, dB, r)
+        rng = budget.rng("ent", dA, dB, r)
         psi = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
         starts.append((
             psi / np.linalg.norm(psi),
@@ -266,16 +276,17 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, inits=(), key="ent"):
 
 def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
                    budget: SolverBudget = DEFAULT_BUDGET,
-                   _warm=()) -> EntangledBiasResult:
+                   _warm: Optional[EntangledStrategy] = None) -> EntangledBiasResult:
     """Certified bounds for the entangled bias at fixed ancilla dimensions.
 
     No finite ancilla dimension is known to attain the supremum, so the
     result is an interval: the see-saw witness below, the one-way-quantum
-    value above.
+    value above. ``_warm``, the strategy of a level with ancillas no larger
+    than ``(dA, dB)``, is embedded as the see-saw's first start.
     """
     if dA < 1 or dB < 1:
         raise ValidationError("ancilla dimensions must be positive")
-    val, psi, a, b = _entangled_core(game, dA, dB, budget, inits=_warm)
+    val, psi, a, b = _entangled_core(game, dA, dB, budget, warm=_warm)
     strategy = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
@@ -289,26 +300,17 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
 def beta_entangled_schedule(game: QuantumXorGame,
                             dims: Optional[Sequence[tuple]] = None,
                             budget: SolverBudget = DEFAULT_BUDGET):
-    """Run the entangled solver over increasing ancilla dimensions with
-    zero-padded warm starts, so the lower bounds are non-decreasing."""
+    """Run the entangled solver over ancilla dimensions that grow in both
+    components, each level warm started from the previous level's strategy,
+    so the lower bounds are non-decreasing."""
     if dims is None:
         dims = ((1, 1), (2, 2), (3, 3), (4, 4))
-    n, m = game.n, game.m
     results = []
-    prev: Optional[EntangledStrategy] = None
+    warm = None
     for dA, dB in normalize_schedule(dims, "ancilla"):
-        warm = ()
-        if prev is not None and dA >= prev.dA and dB >= prev.dB:
-            a = prev.A.reshape(n, prev.dA, n, prev.dA)
-            b = prev.B.reshape(m, prev.dB, m, prev.dB)
-            warm = ((
-                zero_pad(prev.psi.reshape(prev.dA, prev.dB), (dA, dB)).ravel(),
-                zero_pad(a, (n, dA, n, dA)).reshape(n * dA, n * dA),
-                zero_pad(b, (m, dB, m, dB)).reshape(m * dB, m * dB),
-            ),)
         res = beta_entangled(game, dA, dB, budget, _warm=warm)
         results.append(res)
-        prev = res.strategy
+        warm = res.strategy
     return results
 
 
@@ -409,48 +411,47 @@ def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
 
 def beta_owc(game: QuantumXorGame, d: int,
              budget: SolverBudget = DEFAULT_BUDGET,
-             _warm=(), _prod=None) -> OwcBiasResult:
+             _warm: Optional[OwcStrategy] = None, _prod=None) -> OwcBiasResult:
     """Certified bounds for the one-way classical communication bias with
     ``d`` messages.
 
-    Message count one reduces to the product solver (identical seeds give
-    identical values). For more messages the solver alternates an exact
-    sign update of Bob's observables with a fixed-point update of Alice's
-    instrument (:func:`_instrument_fixed_point`) whose iterates are exact
-    instruments. That inner solve is inexact: a sweep solves it to a
-    relative dual gap of ``max(budget.tol, 0.01 * g)``, with ``g`` the
-    previous sweep's relative gain (1 on a start's first sweep). A loose
-    sweep that gains at most ``budget.tol`` is redone at ``budget.tol``, so
-    a start only stops on a tight sweep. The winning start gets one more
-    sweep at ``budget.tol``, kept only if its value does not drop. The dual
-    gap of the final instrument against the final observables is reported;
-    it measures quality only, never the bound direction. At ``d >= 3`` one
-    more random start runs after the others. ``_warm`` holds instrument
-    stacks to start from; ``_prod`` is as in :func:`beta_product`.
+    ``_warm`` is the strategy of a level with at most ``d`` messages.
+    Without it, the product see-saw's one-message strategy (``_prod`` is as
+    in :func:`beta_product`) takes its place, and at ``d = 1`` it is the
+    result: one message reduces to the product solver. For more messages the
+    solver runs the zero-padded warm witness first, then the forward
+    measurement and random instruments (one more at ``d >= 3``). It
+    alternates an exact sign update of Bob's observables with a fixed-point
+    update of Alice's instrument (:func:`_instrument_fixed_point`) whose
+    iterates are exact instruments. That inner solve is inexact: a sweep
+    solves it to a relative dual gap of ``max(budget.tol, 0.01 * g)``, with
+    ``g`` the previous sweep's relative gain (1 on a start's first sweep). A
+    loose sweep that gains at most ``budget.tol`` is redone at
+    ``budget.tol``, so a start only stops on a tight sweep. The winning
+    start gets one more sweep at ``budget.tol``, kept only if its value does
+    not drop. The dual gap of the final instrument against the final
+    observables is reported; it measures quality only, never the bound
+    direction.
     """
     if d < 1:
         raise ValidationError("message count must be positive")
     n, m = game.n, game.m
     owq = beta_owq(game)
-    _, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
 
-    if d == 1 and not _warm:
+    if _warm is None:
         # definition reduction: one message makes the instrument a plain
         # two-outcome measurement, so the product solver is the solver
-        strategy = OwcStrategy(
-            1,
-            np.stack([(np.eye(n) + a) / 2]),
-            np.stack([(np.eye(n) - a) / 2]),
-            np.stack([b]),
-        )
-        lower = bias_of(game, ProductStrategy(a, b))
-        wrapped = bias_of(game, strategy)
-        if abs(wrapped - lower) > 1e-12 * max(1.0, abs(lower)):
-            raise ValidationError("single-message reduction drifted from the product value")
-        return OwcBiasResult(
-            BoundInterval(lower, max(owq, lower), "product_seesaw", "beta_owq"),
-            strategy, None, True,
-        )
+        _, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
+        _warm = OwcStrategy(1, [(np.eye(n) + a) / 2], [(np.eye(n) - a) / 2], [b])
+        if d == 1:
+            lower = bias_of(game, ProductStrategy(a, b))
+            wrapped = bias_of(game, _warm)
+            if abs(wrapped - lower) > 1e-12 * max(1.0, abs(lower)):
+                raise ValidationError("single-message reduction drifted from the product value")
+            return OwcBiasResult(
+                BoundInterval(lower, max(owq, lower), "product_seesaw", "beta_owq"),
+                _warm, None, True,
+            )
 
     def bob_step(e):
         obs = np.zeros((d, m, m), dtype=complex)
@@ -493,10 +494,8 @@ def beta_owc(game: QuantumXorGame, d: int,
         return (np.array([v for v, _ in rows]),
                 tuple(np.stack(c) for c in zip(*(row for _, row in rows))))
 
-    product = np.zeros((2 * d, n, n), dtype=complex)
-    product[0] = (np.eye(n) + a) / 2
-    product[d] = (np.eye(n) - a) / 2
-    starts = [*_warm, product, _measure_forward_instrument(n, d)]
+    warm = np.concatenate([zero_pad(_warm.e_plus, (d, n, n)), zero_pad(_warm.e_minus, (d, n, n))])
+    starts = [warm, _measure_forward_instrument(n, d)]
     for r in range(max(1, budget.restarts // 2) + (d >= 3)):
         rng = budget.rng("owc", d, r)
         raw = []
@@ -527,21 +526,15 @@ def default_message_schedule(n: int) -> tuple[int, ...]:
 
 def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
                       budget: SolverBudget = DEFAULT_BUDGET, _prod=None):
-    """Increasing message counts with zero-padded warm starts; the lower
+    """Increasing message counts, each level warm started from the previous
+    level's strategy (the first from the product witness), so the lower
     bounds are non-decreasing along the schedule."""
-    n = game.n
-    prod = _prod or _product_core(game, budget, hermitian=True, key="prod")
     results = []
-    prev: Optional[OwcStrategy] = None
+    warm = None
     for d in normalize_schedule(ds, "message"):
-        warm = ()
-        if prev is not None:
-            warm = (np.concatenate([
-                zero_pad(prev.e_plus, (d, n, n)), zero_pad(prev.e_minus, (d, n, n)),
-            ]),)
-        res = beta_owc(game, d, budget, _warm=warm, _prod=prod)
+        res = beta_owc(game, d, budget, _warm=warm, _prod=_prod)
         results.append(res)
-        prev = res.strategy
+        warm = res.strategy
     return results
 
 
@@ -605,8 +598,6 @@ def pi1cb_bounds(game_or_map,
     if d_schedule is None:
         d_schedule = default_message_schedule(game.n)
     d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
-    if d_schedule[0] < 1:
-        raise ValidationError("message schedule must be positive")
 
     prod_core = None
     if _product is None and d_schedule[0] == 1:

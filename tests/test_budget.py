@@ -172,8 +172,13 @@ def test_lockstep_equals_sequential(monkeypatch):
 def test_normalize_schedule():
     assert normalize_schedule((4, 1, 2, 2), "message") == (1, 2, 4)
     assert normalize_schedule(((2, 2), (1, 1)), "ancilla") == ((1, 1), (2, 2))
+    assert normalize_schedule(((1, 1), (2, 3), (2, 2)), "ancilla") == ((1, 1), (2, 2), (2, 3))
     with pytest.raises(ValidationError):
         normalize_schedule((), "level")
+    with pytest.raises(ValidationError, match="message schedule must be positive"):
+        normalize_schedule((0, 1), "message")
+    with pytest.raises(ValidationError, match="ancilla schedule must grow in every component"):
+        normalize_schedule(((1, 3), (2, 1)), "ancilla")
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])

@@ -16,7 +16,6 @@ from qxor.factor import (
     gamma_to_Gamma,
     mab_certify,
     tensor_from_kernel,
-    tuple_rc_in_space,
     tuple_rplus2c_upper_in_space,
     weight_homogeneity_check,
     weight_monotonicity_check,
@@ -25,7 +24,7 @@ from qxor.factor import (
     weight_w,
 )
 from qxor.games import associated_map, diagonal_game, hadamard_matrix, mab_tensor
-from qxor.maps import Space, dual_space
+from qxor.maps import Space
 from qxor.opnorms import dual_tuple_cap
 from qxor.tuples import mix_tuple, rc_norm, rplus2c_split
 
@@ -197,15 +196,6 @@ def test_gamma_to_Gamma_random_games_never_invert():
         res = gamma_rc_upper(z, BUDGET)
         iv = gamma_to_Gamma(z, res.gamma_upper, BUDGET, schedule=(1, 2))
         assert iv.lower <= iv.upper + 1e-9
-
-
-def test_tuple_rc_dual_interval():
-    rng = rng_for("rc-dual")
-    t = np.stack([gue(2, rng) for _ in range(2)])
-    iv = tuple_rc_in_space(t, dual_space(2), BUDGET)
-    assert iv.lower <= iv.upper + 1e-9
-    # trace-class norms dominate operator norms entrywise
-    assert iv.upper >= rc_norm(t) - 1e-9
 
 
 def test_mab_certify_unit_and_zero():

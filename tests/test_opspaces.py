@@ -8,12 +8,7 @@ from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
 from qxor import tuples
 from qxor.budget import SolverBudget
 from qxor.config import ConvergenceError, ValidationError
-from qxor.factor import (
-    _col_embed,
-    _row_embed,
-    tuple_rplus2c_upper_in_space,
-    weight_sandwich_check,
-)
+from qxor.factor import tuple_rplus2c_upper_in_space, weight_sandwich_check
 from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
@@ -570,6 +565,24 @@ def test_dual_level_cap_equals_the_per_term_sum():
     z = (left @ rng.normal(size=(2, 9))).reshape(2, 2, 3, 3).transpose(0, 2, 1, 3).reshape(6, 6)
     assert dual_level_upper_cap(z, 2, 3) == _dual_cap_per_term(z, 2, 3)
     assert dual_level_upper_cap(np.zeros((6, 6)), 2, 3) == 0.0
+
+
+def _row_embed(x):
+    """First-row block matrix of a tuple, an element of M_d(carrier)."""
+    d, r, c = x.shape
+    z = np.zeros((d * r, d * c), dtype=complex)
+    for k in range(d):
+        z[:r, k * c : (k + 1) * c] = x[k]
+    return z
+
+
+def _col_embed(x):
+    """First-column block matrix of a tuple."""
+    d, r, c = x.shape
+    z = np.zeros((d * r, d * c), dtype=complex)
+    for k in range(d):
+        z[k * r : (k + 1) * r, :c] = x[k]
+    return z
 
 
 def test_dual_split_upper_equals_the_per_split_caps():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gue, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
+from qxor.config import ValidationError
 from qxor.games import (
     EntangledStrategy,
     OwcStrategy,
@@ -502,3 +503,58 @@ def test_random_games_keep_the_class_order(n, m, seed, dims):
     val, psi, a, b = solvers._entangled_core(game, dA, dB, tiny)
     assert val == pytest.approx(bias_of(game, EntangledStrategy(n, m, dA, dB, psi, a, b)),
                                 abs=1e-10)
+
+
+def test_analyze_game_rejects_an_ancilla_schedule_that_is_not_a_chain():
+    # (1, 3) and (2, 1) are not comparable, so no warm start links them and
+    # the lower bounds need not rise; the schedule is refused, not flagged
+    small = SolverBudget(restarts=3, max_sweeps=60, seed=0)
+    with pytest.raises(ValidationError, match="grow in every component"):
+        analyze_game(random_game(3, 2, seed=5), "g", small, d_schedule=(1,),
+                     ancilla_schedule=((1, 3), (2, 1)))
+
+
+def _game_level_runs(kind, game):
+    """``(run(level, budget, warm) -> result, lower level, higher level)``."""
+    if kind == "entangled":
+        return (lambda dims, budget, warm: beta_entangled(game, *dims, budget, _warm=warm),
+                (1, 1), (2, 2))
+    return lambda d, budget, warm: beta_owc(game, d, budget, _warm=warm), 2, 3
+
+
+@pytest.mark.parametrize("kind", ["entangled", "owc"])
+def test_a_game_level_starts_from_the_embedded_lower_witness(kind):
+    # one sweep from the other starts need not reach a converged lower-level
+    # witness, so only the embedded witness carries the bound
+    tiny = SolverBudget(restarts=1, max_sweeps=1, seed=7)
+    for seed in range(6):
+        run, low, high = _game_level_runs(kind, random_game(2, 2, seed=600 + seed))
+        lower = run(low, BUDGET, None)
+        upper_level = run(high, tiny, lower.strategy)
+        assert upper_level.interval.lower >= lower.interval.lower * (1 - 1e-12)
+
+
+def test_owc_schedule_runs_each_start_once(monkeypatch):
+    # the padded one-message witness is the product instrument, so it is
+    # not run again as a start of its own
+    counts = []
+    seesaw = solvers.seesaw
+
+    def counted(starts, sweep, budget, max_sweeps=None, **kw):
+        starts = list(starts)
+        if max_sweeps is not None:  # only the instrument see-saw caps its sweeps
+            counts.append(len(starts))
+        return seesaw(starts, sweep, budget, max_sweeps, **kw)
+
+    monkeypatch.setattr(solvers, "seesaw", counted)
+    small = SolverBudget(restarts=4, max_sweeps=30, seed=1)
+    beta_owc_schedule(random_game(2, 2, seed=48), (1, 2), small)
+    assert counts == [2 + max(1, small.restarts // 2)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_owc_without_a_warm_witness_starts_from_the_one_message_witness(d):
+    g = random_game(2, 2, seed=49)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=2)
+    ladder = beta_owc_schedule(g, (1, d), small)
+    assert beta_owc(g, d, small).interval.lower == ladder[-1].interval.lower
