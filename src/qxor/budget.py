@@ -26,6 +26,8 @@ class SolverBudget:
             raise ValidationError("budget counts must be positive")
         if not (self.tol > 0):
             raise ValidationError("budget tolerance must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**32):
+            raise ValidationError("budget seed must be an integer in [0, 2**32)")
 
     def with_(self, **kw) -> "SolverBudget":
         return replace(self, **kw)
@@ -33,7 +35,7 @@ class SolverBudget:
     def rng(self, *key) -> np.random.Generator:
         """Independent stream derived from (seed, key); restart batches keyed
         this way give results independent of evaluation order."""
-        ints = [self.seed & 0xFFFFFFFF]
+        ints = [self.seed]
         for k in key:
             ints.append(k if isinstance(k, int) else zlib.crc32(str(k).encode()))
         return np.random.default_rng(np.random.SeedSequence(ints))

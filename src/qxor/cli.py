@@ -251,11 +251,12 @@ def cmd_hierarchy(args) -> int:
     if args.count < 1:
         print("validation error: count must be at least one", file=sys.stderr)
         return EXIT_VALIDATION
-    games = [
+    # drawn lazily, so the seed is checked by the budget before any game
+    games = (
         (f"random-{i:04d}",
          random_game(args.n, args.m, seed=np.random.SeedSequence([args.seed, i])))
         for i in range(args.count)
-    ]
+    )
     return _analyze_many(games, args)
 
 

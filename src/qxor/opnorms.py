@@ -32,9 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# not called here any more; the benchmark's tracer (perfbench/tracing.py)
-# wraps ``qxor.opnorms.linprog`` by name and needs the binding to exist
-from scipy.optimize import linprog  # noqa: F401
 
 from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
@@ -60,6 +57,18 @@ __all__ = [
     "CbNormResult",
     "pietsch_pi2",
 ]
+
+
+# Nothing in qxor calls scipy, and importing qxor does not load it. The
+# benchmark's tracer still counts calls to ``qxor.opnorms.linprog`` and looks
+# the name up with a getattr that has no default, so this hook imports the
+# scipy function on first access. Delete it once the benchmark drops that
+# counter.
+def __getattr__(name):
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -185,3 +185,14 @@ def test_normalize_schedule():
 def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValidationError, match="tolerance must be positive"):
         SolverBudget(tol=tol)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 1.5])
+def test_budget_rejects_a_seed_outside_32_bits(seed):
+    # seeds 0 and 2**32 would otherwise give one solver stream
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*32\)"):
+        SolverBudget(seed=seed)
+
+
+def test_budget_takes_the_largest_32_bit_seed():
+    SolverBudget(seed=2**32 - 1).rng("key").random()

@@ -427,22 +427,38 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def budget_argv(tmp_path, command):
+    """A small valid run of one of the subcommands that take budget flags."""
+    if command == "analyze":
+        f = tmp_path / "chsh.json"
+        write_game(f, chsh())
+        return ["analyze", str(f), *FAST]
+    if command == "hierarchy":
+        return ["hierarchy", "--count", "1", "--restarts", "1", "--sweeps", "5"]
+    f = tmp_path / "tensor.json"
+    f.write_text(json.dumps(tensor_payload([[1.0]])))
+    return ["factor", str(f), "--restarts", "1", "--sweeps", "5"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "hierarchy", "factor"])
 def test_nan_tolerance_exits_validation(tmp_path, capsys, command):
     # NaN compares False with every tolerance stop, so it would run each
     # see-saw to its sweep cap
-    if command == "analyze":
-        f = tmp_path / "chsh.json"
-        write_game(f, chsh())
-        argv = ["analyze", str(f), *FAST]
-    elif command == "hierarchy":
-        argv = ["hierarchy", "--count", "1", "--restarts", "1", "--sweeps", "5"]
-    else:
-        f = tmp_path / "tensor.json"
-        f.write_text(json.dumps(tensor_payload([[1.0]])))
-        argv = ["factor", str(f), "--restarts", "1", "--sweeps", "5"]
+    argv = budget_argv(tmp_path, command)
     assert main([*argv, "--tol", "nan"]) == EXIT_VALIDATION
     assert "budget tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+@pytest.mark.parametrize("command", ["analyze", "hierarchy", "factor"])
+def test_seed_outside_32_bits_exits_validation(tmp_path, capsys, command, seed):
+    # hierarchy seeds its games from --seed too, so the budget must reject
+    # the seed before any game is drawn
+    argv = budget_argv(tmp_path, command)
+    assert main([*argv, "--seed", seed]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "budget seed must be an integer in [0, 2**32)" in err
+    assert "Traceback" not in err
 
 
 # --- schema fuzzing: every file ends in exit 0, 2 or 3, never a traceback ---
