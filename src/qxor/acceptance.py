@@ -120,7 +120,7 @@ def criterion_chsh_oracles():
     obs = np.stack([np.diag(np.sign(coeffs[k])).astype(complex) for k in range(2)])
     protocol = OwcStrategy(2, e_plus, np.zeros((2, 2, 2), dtype=complex), obs)
     assert abs(bias_of(g, protocol) - 1.0) <= 1e-12
-    owc = beta_owc_schedule(g, (1, 2), budget)[-1]
+    owc = beta_owc_schedule(g, (1, 2), budget, _warm=prod.strategy)[-1]
     assert owc.interval.lower >= 1 - 1e-6, owc.interval
 
     ent = beta_entangled_schedule(g, ((1, 1), (2, 2)), budget)[-1]
@@ -141,7 +141,7 @@ def criterion_interval_soundness():
         owq = beta_owq(g)
         prod = beta_product(g, budget)
         assert prod.interval.lower <= owq + 1e-8, gid
-        owc = beta_owc_schedule(g, (1, 2), budget)
+        owc = beta_owc_schedule(g, (1, 2), budget, _warm=prod.strategy)
         assert owc[0].interval.lower == prod.interval.lower, (
             f"{gid}: single-message bias differs from the product bias"
         )

@@ -48,6 +48,10 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_QUALITY = 4
 
+# --n and --m are capped so that no flag asks numpy for more than it can allocate:
+# games are at most 64 x 64 (the solvers target n, m <= 4)
+MAX_REGISTER_DIM = 8
+
 
 class SchemaError(ValueError):
     """The payload does not match the declared schema."""
@@ -58,9 +62,7 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _matrix_to_lists(m: np.ndarray):
-    return [[float(v.real) for v in row] for row in m], [
-        [float(v.imag) for v in row] for row in m
-    ]
+    return np.real(m).tolist(), np.imag(m).tolist()
 
 
 def _lists_to_matrix(re, im, what: str) -> np.ndarray:
@@ -202,8 +204,7 @@ def _emit_report(report: HierarchyReport, timings: dict, fmt: str, out: str | No
     try:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
     finally:
         if out:
             fh.close()
@@ -213,6 +214,15 @@ def _budget(args) -> SolverBudget:
     return SolverBudget(
         restarts=args.restarts, max_sweeps=args.sweeps, tol=args.tol, seed=args.seed,
     )
+
+
+def _check_register_dims(args, *flags):
+    """Reject a register dimension flag outside ``[1, MAX_REGISTER_DIM]``."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and not 1 <= value <= MAX_REGISTER_DIM:
+            raise ValidationError(f"--{flag} must be an integer in [1, {MAX_REGISTER_DIM}], "
+                                  f"got {value}")
 
 
 def _analyze_many(named_games, args) -> int:
@@ -249,8 +259,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     if args.count < 1:
-        print("validation error: count must be at least one", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError("count must be at least one")
+    _check_register_dims(args, "n", "m")
     # drawn lazily, so the seed is checked by the budget before any game
     games = (
         (f"random-{i:04d}",
@@ -261,6 +271,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    _check_register_dims(args, "n")
     name, n, coeffs = args.name, args.n, args.coeffs
     if name == "swap":
         game = swap_game(n or 2)

@@ -114,6 +114,8 @@ class QuantumXorGame:
     episodes: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValidationError("register dimensions must be positive")
         g = require_hermitian(self.G, tol=1e-12 * max(1.0, float(np.abs(np.asarray(self.G)).max())))
         if g.shape != (self.n * self.m, self.n * self.m):
             raise ValidationError("game operator shape does not match (n, m)")
@@ -247,18 +249,20 @@ def to_episodes(game: QuantumXorGame) -> tuple:
     """
     w, u = eigh_desc(game.G)
     episodes = []
-    kept = 0.0
     for i in range(w.size):
         if abs(w[i]) <= 1e-14:
             continue
         v = u[:, i : i + 1]
         episodes.append(Episode(abs(float(w[i])), 1 if w[i] > 0 else -1, v @ v.conj().T))
-        kept += abs(float(w[i]))
-    pad = 1.0 - kept
+    return _padded(episodes, 1.0 - sum(e.p for e in episodes), game.dim)
+
+
+def _padded(episodes: list, pad: float, dim: int) -> tuple:
+    """``episodes`` plus two cancelling maximally mixed episodes of opposite
+    signs that carry the missing probability ``pad`` without changing G."""
     if pad > 1e-12 or not episodes:
-        mixed = np.eye(game.dim) / game.dim
-        episodes.append(Episode(pad / 2, 1, mixed))
-        episodes.append(Episode(pad / 2, -1, mixed))
+        mixed = np.eye(dim) / dim
+        episodes += [Episode(pad / 2, 1, mixed), Episode(pad / 2, -1, mixed)]
     return tuple(episodes)
 
 
@@ -356,12 +360,7 @@ def diagonal_game(M) -> QuantumXorGame:
             rho = np.zeros((n * m, n * m), dtype=complex)
             rho[idx, idx] = 1.0
             episodes.append(Episode(abs(float(M[i, j])), 1 if M[i, j] > 0 else -1, rho))
-    pad = 1.0 - total
-    if pad > 1e-12 or not episodes:
-        mixed = np.eye(n * m) / (n * m)
-        episodes.append(Episode(pad / 2, 1, mixed))
-        episodes.append(Episode(pad / 2, -1, mixed))
-    return QuantumXorGame(n, m, g, episodes=tuple(episodes))
+    return QuantumXorGame(n, m, g, episodes=_padded(episodes, 1.0 - total, n * m))
 
 
 def chsh() -> QuantumXorGame:

@@ -13,7 +13,8 @@ Warm embedding: the entangled and one-way-classical solvers take the
 previous level's strategy as it is, zero-pad it to their own dimensions
 and run it as their first start. Zero-padding keeps a witness feasible
 with the same value, so the lower bounds over a schedule never fall. The
-one-message witness is the product witness: the product see-saw runs once.
+one-way-classical ladder's first rung is the product strategy (one message
+carries nothing): :func:`pi1cb_bounds` feeds it :func:`beta_product`'s witness.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def _contraction_value(game: QuantumXorGame, a: np.ndarray, b: np.ndarray) -> fl
 
 
 def beta_product(game: QuantumXorGame,
-                 budget: SolverBudget = DEFAULT_BUDGET,
-                 _prod=None) -> ProductBiasResult:
+                 budget: SolverBudget = DEFAULT_BUDGET) -> ProductBiasResult:
     """Certified bounds for the unentangled product bias.
 
     Lower: best sign-update see-saw witness, re-evaluated through
@@ -160,10 +160,10 @@ def beta_product(game: QuantumXorGame,
     as the upper bound instead. That upper bound is conditional: sqrt(2)
     times a *lower* value of the norm bounds the product bias only when the
     Hermitian witness is within a factor sqrt(2) of the optimum, and no
-    inequality makes that true by construction. ``_prod`` is a precomputed
-    ``_product_core(game, budget, hermitian=True, key="prod")``.
+    inequality makes that true by construction. ``strategy`` is also the
+    one-message rung of :func:`beta_owc`.
     """
-    val, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
+    _, a, b = _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
@@ -297,6 +297,16 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     )
 
 
+def _ladder(solve, levels, warm=None):
+    """``solve(level, warm)`` at each level in turn, each warm started from
+    the previous level's strategy."""
+    results = []
+    for level in levels:
+        results.append(solve(level, warm))
+        warm = results[-1].strategy
+    return results
+
+
 def beta_entangled_schedule(game: QuantumXorGame,
                             dims: Optional[Sequence[tuple]] = None,
                             budget: SolverBudget = DEFAULT_BUDGET):
@@ -305,13 +315,8 @@ def beta_entangled_schedule(game: QuantumXorGame,
     so the lower bounds are non-decreasing."""
     if dims is None:
         dims = ((1, 1), (2, 2), (3, 3), (4, 4))
-    results = []
-    warm = None
-    for dA, dB in normalize_schedule(dims, "ancilla"):
-        res = beta_entangled(game, dA, dB, budget, _warm=warm)
-        results.append(res)
-        warm = res.strategy
-    return results
+    return _ladder(lambda level, warm: beta_entangled(game, *level, budget, _warm=warm),
+                   normalize_schedule(dims, "ancilla"))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +416,15 @@ def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
 
 def beta_owc(game: QuantumXorGame, d: int,
              budget: SolverBudget = DEFAULT_BUDGET,
-             _warm: Optional[OwcStrategy] = None, _prod=None) -> OwcBiasResult:
+             _warm: Optional[OwcStrategy | ProductStrategy] = None) -> OwcBiasResult:
     """Certified bounds for the one-way classical communication bias with
     ``d`` messages.
 
-    ``_warm`` is the strategy of a level with at most ``d`` messages.
-    Without it, the product see-saw's one-message strategy (``_prod`` is as
-    in :func:`beta_product`) takes its place, and at ``d = 1`` it is the
-    result: one message reduces to the product solver. For more messages the
+    ``_warm`` is the strategy of a level with at most ``d`` messages, or a
+    :class:`ProductStrategy`, the one-message rung; without it the product
+    see-saw runs. At ``d = 1`` a product witness is the result, with its own
+    bias as the lower bound, so :func:`beta_product`'s strategy gives
+    ``beta_product``'s lower bound bit for bit. For more messages the
     solver runs the zero-padded warm witness first, then the forward
     measurement and random instruments (one more at ``d >= 3``). It
     alternates an exact sign update of Bob's observables with a fixed-point
@@ -439,12 +445,15 @@ def beta_owc(game: QuantumXorGame, d: int,
     owq = beta_owq(game)
 
     if _warm is None:
+        _, a, b = _product_core(game, budget, hermitian=True, key="prod")
+        _warm = ProductStrategy(a, b)
+    if isinstance(_warm, ProductStrategy):
         # definition reduction: one message makes the instrument a plain
-        # two-outcome measurement, so the product solver is the solver
-        _, a, b = _prod or _product_core(game, budget, hermitian=True, key="prod")
-        _warm = OwcStrategy(1, [(np.eye(n) + a) / 2], [(np.eye(n) - a) / 2], [b])
+        # two-outcome measurement of Alice's observable
+        prod = _warm
+        _warm = OwcStrategy(1, [(np.eye(n) + prod.A) / 2], [(np.eye(n) - prod.A) / 2], [prod.B])
         if d == 1:
-            lower = bias_of(game, ProductStrategy(a, b))
+            lower = bias_of(game, prod)
             wrapped = bias_of(game, _warm)
             if abs(wrapped - lower) > 1e-12 * max(1.0, abs(lower)):
                 raise ValidationError("single-message reduction drifted from the product value")
@@ -525,17 +534,13 @@ def default_message_schedule(n: int) -> tuple[int, ...]:
 
 
 def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
-                      budget: SolverBudget = DEFAULT_BUDGET, _prod=None):
+                      budget: SolverBudget = DEFAULT_BUDGET,
+                      _warm: Optional[OwcStrategy | ProductStrategy] = None):
     """Increasing message counts, each level warm started from the previous
-    level's strategy (the first from the product witness), so the lower
-    bounds are non-decreasing along the schedule."""
-    results = []
-    warm = None
-    for d in normalize_schedule(ds, "message"):
-        res = beta_owc(game, d, budget, _warm=warm, _prod=_prod)
-        results.append(res)
-        warm = res.strategy
-    return results
+    level's strategy (the first from ``_warm``, as in :func:`beta_owc`), so
+    the lower bounds are non-decreasing along the schedule."""
+    return _ladder(lambda d, warm: beta_owc(game, d, budget, _warm=warm),
+                   normalize_schedule(ds, "message"), _warm)
 
 
 # ---------------------------------------------------------------------------
@@ -555,29 +560,25 @@ def pi1o_exact(obj) -> float:
 class Pi1cbResult:
     interval: BoundInterval
     per_d: tuple
+    product: ProductBiasResult
     owc_results: tuple
 
 
 def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
-    """Coerce a game, kernel map, or raw kernel to a unit-trace-norm game
-    plus the positive factor scaled out; the summing norms are positively
+    """Coerce a game or kernel map (nothing else) to a game of trace norm at
+    most one plus the factor scaled out; the summing norms are positively
     homogeneous, so results scale back exactly."""
     if isinstance(obj, QuantumXorGame):
         return obj, 1.0
-    if isinstance(obj, KernelMap):
-        kernel, n, m = obj.kernel, obj.n, obj.m
-    else:
+    if not isinstance(obj, KernelMap):
         raise ValidationError("expected a QuantumXorGame or KernelMap")
-    tn = trace_norm(kernel)
-    scale = max(tn, 1.0)
-    return QuantumXorGame(n, m, np.asarray(kernel) / scale), scale
+    scale = max(trace_norm(obj.kernel), 1.0)
+    return QuantumXorGame(obj.n, obj.m, np.asarray(obj.kernel) / scale), scale
 
 
 def pi1cb_bounds(game_or_map,
                  d_schedule: Optional[Sequence[int]] = None,
-                 budget: SolverBudget = DEFAULT_BUDGET,
-                 owc_results: Optional[Sequence[OwcBiasResult]] = None,
-                 _product: Optional[ProductBiasResult] = None) -> Pi1cbResult:
+                 budget: SolverBudget = DEFAULT_BUDGET) -> Pi1cbResult:
     """Interval for the (1, cb)-summing norm of the game's associated map.
 
     Lower: every one-way-communication witness satisfies the amplified
@@ -588,29 +589,23 @@ def pi1cb_bounds(game_or_map,
     1-summing norm. It is the trace norm of the game, which is also the
     one-way-quantum value, so the cap of four times that value never
     wins; the tag ``min_pi1o_4owq`` names both caps. Unnormalized kernels
-    are handled by homogeneity. ``owc_results`` must follow the sorted
-    schedule; ``_product`` is a precomputed :func:`beta_product` of the
-    same game and budget. Without it, and with one message in the
-    schedule, ``beta_product`` runs and shares its Hermitian see-saw with
-    the one-way solver.
+    are handled by homogeneity. :func:`beta_product` runs once, and its
+    strategy warm starts :func:`beta_owc_schedule`; both results, of the
+    normalized game, are returned as ``product`` and ``owc_results``.
     """
     game, scale = _normalized_game_of(game_or_map)
     if d_schedule is None:
         d_schedule = default_message_schedule(game.n)
-    d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
-
-    prod_core = None
-    if _product is None and d_schedule[0] == 1:
-        prod_core = _product_core(game, budget, hermitian=True, key="prod")
-        _product = beta_product(game, budget, _prod=prod_core)
-    if owc_results is None:
-        owc_results = beta_owc_schedule(game, d_schedule, budget, _prod=prod_core)
+    product = beta_product(game, budget)
+    owc_results = beta_owc_schedule(
+        game, (int(d) for d in d_schedule), budget, _warm=product.strategy,
+    )
     per_d = []
     lower = 0.0
-    for d, owc in zip(d_schedule, owc_results):
-        dlow = owc.interval.lower
+    for owc in owc_results:
+        d, dlow = owc.strategy.d, owc.interval.lower
         if d == 1:
-            dlow = max(dlow, _product.assisted_norm_estimate)
+            dlow = max(dlow, product.assisted_norm_estimate)
         per_d.append((d, dlow * scale))
         lower = max(lower, dlow)
 
@@ -619,6 +614,7 @@ def pi1cb_bounds(game_or_map,
     return Pi1cbResult(
         BoundInterval(lower * scale, upper * scale, "owc_and_assisted_norm", "min_pi1o_4owq"),
         tuple(per_d),
+        product,
         tuple(owc_results),
     )
 
@@ -690,20 +686,15 @@ def analyze_game(game: QuantumXorGame, game_id: str,
                  budget: SolverBudget = DEFAULT_BUDGET,
                  d_schedule: Optional[Sequence[int]] = None,
                  ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyRow:
-    """All strategy-class bounds for one game, with soundness flags."""
+    """All strategy-class bounds for one game, with soundness flags. The
+    product and one-way-classical results are those of :func:`pi1cb_bounds`."""
     owq = beta_owq(game)
-    prod_core = _product_core(game, budget, hermitian=True, key="prod")
-    prod = beta_product(game, budget, _prod=prod_core)
     if ancilla_schedule is None:
         ancilla_schedule = ((1, 1), (2, 2))
     ent_results = beta_entangled_schedule(game, ancilla_schedule, budget)
     ent = ent_results[-1]
-    if d_schedule is None:
-        d_schedule = default_message_schedule(game.n)
-    d_schedule = normalize_schedule((int(d) for d in d_schedule), "message")
-    owc_results = beta_owc_schedule(game, d_schedule, budget, _prod=prod_core)
-    p1cb = pi1cb_bounds(game, d_schedule, budget, owc_results=owc_results, _product=prod)
-    p1o = pi1o_exact(game)
+    p1cb = pi1cb_bounds(game, d_schedule, budget)
+    prod, owc_results = p1cb.product, p1cb.owc_results
 
     best_owc = max(r.interval.lower for r in owc_results)
     tol = 1e-8
@@ -719,12 +710,10 @@ def analyze_game(game: QuantumXorGame, game_id: str,
             violations.append(f"{name}_exceeds_owq")
     if ent.interval.lower > CB_VS_SUMMING_CONSTANT * p1cb.interval.upper + tol:
         violations.append("entangled_exceeds_summing_comparison")
-    ent_monotone = [r.interval.lower for r in ent_results]
-    if any(ent_monotone[i] > ent_monotone[i + 1] + tol for i in range(len(ent_monotone) - 1)):
-        violations.append("entangled_not_monotone")
-    owc_monotone = [r.interval.lower for r in owc_results]
-    if any(owc_monotone[i] > owc_monotone[i + 1] + tol for i in range(len(owc_monotone) - 1)):
-        violations.append("owc_not_monotone")
+    for name, ladder in (("entangled", ent_results), ("owc", owc_results)):
+        lows = [r.interval.lower for r in ladder]
+        if any(lo > hi + tol for lo, hi in zip(lows, lows[1:])):
+            violations.append(f"{name}_not_monotone")
 
     ratio = ent.interval.lower / best_owc if best_owc > 1e-12 else 0.0
     return HierarchyRow(
@@ -735,8 +724,8 @@ def analyze_game(game: QuantumXorGame, game_id: str,
         beta_product=prod.interval,
         beta_entangled=ent.interval,
         entangled_dims=ent.dims,
-        beta_owc_per_d=tuple((d, r.interval) for d, r in zip(d_schedule, owc_results)),
-        pi1o=p1o,
+        beta_owc_per_d=tuple((r.strategy.d, r.interval) for r in owc_results),
+        pi1o=owq,  # both are the trace norm of G
         pi1cb=p1cb.interval,
         ratio_entangled_vs_owc=ratio,
         violations=tuple(violations),

@@ -14,6 +14,7 @@ from qxor.cli import (
     EXIT_PARSE,
     EXIT_SELFTEST_FAIL,
     EXIT_VALIDATION,
+    MAX_REGISTER_DIM,
     SchemaError,
     _parse_schedule,
     game_from_payload,
@@ -459,6 +460,32 @@ def test_seed_outside_32_bits_exits_validation(tmp_path, capsys, command, seed):
     err = capsys.readouterr().err
     assert "budget seed must be an integer in [0, 2**32)" in err
     assert "Traceback" not in err
+
+
+# 2000000000 is a size numpy refuses without allocating, so a run that got
+# past the check would fail at once rather than exhaust memory
+@pytest.mark.parametrize("argv", [
+    ["hierarchy", "--count", "1", "--m", "2", "--n", "2000000000"],
+    ["hierarchy", "--count", "1", "--n", "2", "--m", "2000000000"],
+    ["hierarchy", "--count", "1", "--m", "0"],
+    ["gallery", "swap", "--n", "2000000000"],
+    ["gallery", "hadamard", "--n", "2000000000"],
+    ["gallery", "swap", "--n", str(MAX_REGISTER_DIM + 1)],
+    ["gallery", "swap", "--n", "0"],
+    ["gallery", "swap", "--n", "-1"],
+], ids=" ".join)
+def test_register_dimension_outside_the_cap_exits_validation(capsys, argv):
+    flag = argv[-2]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert f"{flag} must be an integer in [1, {MAX_REGISTER_DIM}], got {argv[-1]}" in err
+    assert out == ""
+
+
+def test_gallery_takes_the_largest_register_dimension(tmp_path):
+    out = tmp_path / "swap.json"
+    assert main(["gallery", "swap", "--n", str(MAX_REGISTER_DIM), "--out", str(out)]) == EXIT_OK
+    assert game_from_payload(json.loads(out.read_text())).n == MAX_REGISTER_DIM
 
 
 # --- schema fuzzing: every file ends in exit 0, 2 or 3, never a traceback ---

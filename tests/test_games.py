@@ -338,6 +338,13 @@ def test_game_rejects_oversized_trace_norm():
         QuantumXorGame(2, 2, np.eye(4))
 
 
+@pytest.mark.parametrize("n, m", [(-1, -1), (0, 2), (2, 0)])
+def test_game_rejects_non_positive_register_dimensions(n, m):
+    # (-1) * (-1) = 1 would pass the shape check on a 1 x 1 operator
+    with pytest.raises(ValidationError, match="register dimensions must be positive"):
+        QuantumXorGame(n, m, np.zeros((abs(n * m),) * 2))
+
+
 def test_game_rejects_non_hermitian():
     g = np.zeros((4, 4), dtype=complex)
     g[0, 1] = 0.3

@@ -5,7 +5,9 @@ two names the benchmark's tracer counts, ``qxor.opnorms.linprog`` and
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 import scipy.optimize
 
+import qxor
 from qxor import opnorms, tuples
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +87,20 @@ def test_tracer_wraps_the_lazy_names_in_their_home_modules_only(monkeypatch):
         tracer.uninstall()
     for module, attr in LAZY:
         assert getattr(module, attr) is originals[module.__name__, attr]
+
+
+def test_public_functions_take_no_private_parameter_but_warm():
+    # a private parameter is a side channel into a public function; the
+    # warm start of a solver ladder is the one kind allowed. Public means
+    # exported by the package or listed in a module's __all__.
+    modules = [importlib.import_module(f"qxor.{info.name}")
+               for info in pkgutil.iter_modules(qxor.__path__)]
+    public = {getattr(qxor, name) for name in vars(qxor) if not name.startswith("_")}
+    public |= {getattr(m, name) for m in modules for name in getattr(m, "__all__", ())}
+    found = sorted(
+        f"{f.__module__}.{f.__name__}({param})"
+        for f in public if inspect.isfunction(f)
+        for param in inspect.signature(f).parameters
+        if param.startswith("_") and param != "_warm"
+    )
+    assert found == []

@@ -467,7 +467,7 @@ def test_analyze_game_runs_the_product_seesaw_once(monkeypatch):
 
 @pytest.mark.parametrize("schedule, expected", [
     ((1, 2), ["prod", "prod-c", "prod-c2"]),
-    ((2,), ["prod"]),
+    ((2,), ["prod", "prod-c", "prod-c2"]),
 ])
 def test_pi1cb_bounds_shares_the_product_seesaw(monkeypatch, schedule, expected):
     keys = []
@@ -558,3 +558,14 @@ def test_owc_without_a_warm_witness_starts_from_the_one_message_witness(d):
     small = SolverBudget(restarts=2, max_sweeps=30, seed=2)
     ladder = beta_owc_schedule(g, (1, d), small)
     assert beta_owc(g, d, small).interval.lower == ladder[-1].interval.lower
+
+
+def test_owc_ladder_warm_started_from_the_product_witness_is_the_standalone_ladder():
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=3)
+    for seed in range(6):
+        g = random_game(2, 2, seed=700 + seed)
+        prod = beta_product(g, small)
+        warm = beta_owc_schedule(g, (1, 2, 3), small, _warm=prod.strategy)
+        cold = beta_owc_schedule(g, (1, 2, 3), small)
+        assert [r.interval for r in warm] == [r.interval for r in cold]
+        assert warm[0].interval.lower == prod.interval.lower
