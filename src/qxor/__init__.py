@@ -69,7 +69,6 @@ from .opnorms import (
     CbNormResult,
     amplified_norm,
     cb_norm_bounds,
-    ml_dual_norm,
     pietsch_pi2,
 )
 from .solvers import (

@@ -48,8 +48,12 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_QUALITY = 4
 
-# --n and --m are capped so that no flag asks numpy for more than it can allocate:
-# games are at most 64 x 64 (the solvers target n, m <= 4)
+# Every dimension a flag sets is capped, so that no flag asks numpy for more
+# than it can allocate: --n, --m, each --ancilla and --levels entry and the
+# rows and columns of --coeffs are at most MAX_REGISTER_DIM, so games are at
+# most 64 x 64 (the solvers target n, m <= 4); each --messages entry is at
+# most 2 * MAX_REGISTER_DIM, the largest count default_message_schedule makes
+# for such a register.
 MAX_REGISTER_DIM = 8
 
 
@@ -228,8 +232,8 @@ def _check_register_dims(args, *flags):
 def _analyze_many(named_games, args) -> int:
     """``hierarchy_report`` plus the wall time of each game, for CSV; writes
     the report and returns the exit code."""
-    messages = _parse_schedule(args.messages, "--messages")
-    ancilla = tuple((v, v) for v in _parse_schedule(args.ancilla, "--ancilla"))
+    messages = _capped_schedule(args, "messages", 2 * MAX_REGISTER_DIM)
+    ancilla = tuple((v, v) for v in _capped_schedule(args, "ancilla", MAX_REGISTER_DIM))
     budget = _budget(args)
     rows, timings = [], {}
     for gid, game in named_games:
@@ -286,6 +290,9 @@ def cmd_gallery(args) -> int:
             m = np.array([row.split(",") for row in coeffs.split(";")], dtype=float)
         except ValueError:
             raise SchemaError(f"--coeffs must be rows 'a,b;c,d' of numbers, got {coeffs!r}") from None
+        if max(m.shape) > MAX_REGISTER_DIM:
+            raise ValidationError(f"--coeffs must have at most {MAX_REGISTER_DIM} rows and "
+                                  f"columns, got {m.shape[0]} x {m.shape[1]}")
         game = diagonal_game(m)
     _dump_json(game_to_payload(game), args.out)
     return EXIT_OK
@@ -329,7 +336,7 @@ def _space_from_payload(p: dict, what: str) -> Space:
 
 
 def cmd_factor(args) -> int:
-    levels = _parse_schedule(args.levels, "--levels")
+    levels = _capped_schedule(args, "levels", MAX_REGISTER_DIM)
     budget = _budget(args)
     payload = _read_json(args.tensor_file)
     _check_fields(payload, "", "qxor-tensor/1", ("X", "Y", "coeff_re", "coeff_im"))
@@ -416,6 +423,15 @@ def _parse_schedule(text: str, flag: str) -> tuple:
             f"{flag} must be comma-separated positive integers, got {text!r}"
         ) from None
     return normalize_schedule(values, flag)
+
+
+def _capped_schedule(args, flag: str, cap: int) -> tuple:
+    """The schedule of ``--flag``; an entry above ``cap`` is a
+    :class:`ValidationError` naming the flag."""
+    schedule = _parse_schedule(getattr(args, flag), f"--{flag}")
+    if schedule[-1] > cap:
+        raise ValidationError(f"--{flag} entries must be at most {cap}, got {schedule[-1]}")
+    return schedule
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,5 @@
-"""Amplified operator norms, the dual-level evaluator for trace-class
-matrix levels, completely bounded norm intervals, and the 2-summing norm.
+"""Amplified operator norms, completely bounded norm intervals, and the
+2-summing norm.
 
 Lower bounds come from block-coordinate ascent (see-saw) where every block
 update is a closed-form norm-attaining choice: polar contractions for
@@ -11,9 +11,7 @@ rank-one factors; exhausting a budget can only weaken them, never break
 their direction.
 
 Pairings between trace-class and matrix levels are bilinear, ``<z, x> =
-tr(z x)``; the contraction level of the dual variable equals the outer
-matrix level, which is where the amplified norm of a map into matrices
-stabilizes.
+tr(z x)``, and the dual variable lives at the outer level ``L``.
 
 Warm embedding: a see-saw core's state is a tuple of arrays, and each core
 zero-pads a lower level's state to the shapes of its own identity start and
@@ -49,8 +47,6 @@ from .linalg import (
 from .maps import KernelMap, Space, VectorMap
 
 __all__ = [
-    "ml_dual_norm",
-    "dual_level_upper_cap",
     "dual_tuple_cap",
     "amplified_norm",
     "cb_norm_bounds",
@@ -75,47 +71,28 @@ def __getattr__(name):
 # certified caps
 # ---------------------------------------------------------------------------
 
-def _singular_term_cap(r: np.ndarray, m: int, level: Optional[int] = None) -> float:
-    """sum_t s_t * ||C_t|| * ||F_t||_1 over the singular terms s_t c_t f_t^T
-    of ``r`` above a relative 1e-15, with ``F_t`` the m x m matrix of
-    ``f_t`` and ``C_t`` the level x level matrix of ``c_t``. With ``level``
-    None every ``C_t`` has a single nonzero row or column, so ``||C_t|| =
-    ||c_t|| = 1``."""
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
+def dual_tuple_cap(x: np.ndarray) -> float:
+    """Certified upper bound on the norms of both the row embedding
+    sum_k e_{1k} (x) x_k and the column embedding sum_k e_{k1} (x) x_k of a
+    tuple over trace class.
+
+    Split the d x n^2 stack of the x_k into its singular terms
+    s_t c_t f_t^T above a relative 1e-15. Each term is C_t (x) F_t with
+    ``F_t`` the n x n matrix of ``f_t`` and ``C_t`` carrying ``c_t`` in one
+    row (column), so ``||C_t|| = 1``; a rank-one trace functional has
+    completely bounded norm equal to its trace norm, so the term adds
+    s_t ||F_t||_1, and the two caps are one number.
+    """
+    d, n = x.shape[0], x.shape[1]
+    u, s, vh = np.linalg.svd(np.reshape(x, (d, n * n)), full_matrices=False)
     k = int(np.count_nonzero(s > 1e-15 * s[0]))  # s is descending
     if k == 0:
         return 0.0
-    f = vh[:k].reshape(k, m, m)
+    f = vh[:k].reshape(k, n, n)
     if not (np.isfinite(u[:, :k]).all() and np.isfinite(f).all()):
         raise ValidationError("matrix entries must be finite")
-    terms = s[:k]
-    if level is not None:
-        terms = terms * np.linalg.svd(u[:, :k].T.reshape(k, level, level),
-                                      compute_uv=False)[:, 0]
-    terms = terms * np.linalg.svd(f, compute_uv=False).sum(axis=1)
+    terms = s[:k] * np.linalg.svd(f, compute_uv=False).sum(axis=1)
     return float(np.cumsum(terms)[-1])  # summed in term order, as a running total
-
-
-def dual_level_upper_cap(Z: np.ndarray, L: int, m: int) -> float:
-    """Certified upper bound on || Z ||_{M_L(S_1^m)}.
-
-    Splits Z across the (level | space) cut by singular terms; each term
-    C (x) F contributes ||C|| * ||F||_1 because rank-one trace functionals
-    have completely bounded norm equal to their trace norm.
-    """
-    z4 = as_matrix(Z).reshape(L, m, L, m)
-    r = np.ascontiguousarray(z4.transpose(0, 2, 1, 3).reshape(L * L, m * m))
-    return _singular_term_cap(r, m, L)
-
-
-def dual_tuple_cap(x: np.ndarray) -> float:
-    """The cap of :func:`dual_level_upper_cap` on both the row embedding
-    sum_k e_{1k} (x) x_k and the column embedding sum_k e_{k1} (x) x_k of a
-    tuple over trace class. Both are sum_t s_t ||F_t||_1 over the singular
-    terms of the d x n^2 stack of the x_k, because every level factor C_t
-    has one nonzero row (column), so the two caps are one number."""
-    d, n = x.shape[0], x.shape[1]
-    return _singular_term_cap(np.reshape(x, (d, n * n)), n)
 
 
 def _nuclear_cap(u: KernelMap) -> float:
@@ -148,7 +125,7 @@ def _nuclear_cap(u: KernelMap) -> float:
 # A core builds its starts one at a time and sweeps them as one stack: the
 # helpers below take arrays with any leading batch shape, and the sweeps
 # take every state component with a leading start axis. A core returns the
-# state of its best start, with its unit vectors as (level, L) or (L, m)
+# state of its best start, with its unit vectors as (L, L) or (L, m)
 # matrices, and embeds a ``warm`` state as the module docstring says.
 
 def _blocks(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -230,9 +207,9 @@ def _basis_projector(space: Space):
     return proj.T
 
 
-def _dual_value(g4, z4, v4, umat, vmat, kk, L):
+def _dual_value(g4, z4, v4, umat, vmat, L):
     w4 = np.einsum("prqs,...apbq->...arbs", g4, z4)
-    p = _blocks(np.einsum("...arbs,...isjr->...iajb", w4, v4), kk * L, kk * L)
+    p = _blocks(np.einsum("...arbs,...isjr->...iajb", w4, v4), L * L, L * L)
     return _form(umat, p, vmat), w4, p
 
 
@@ -241,49 +218,48 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     codomain; a state is ``(z4, v4, u, v)`` with ``u`` and ``v`` of shape
     ``(L, L)``."""
     n, m = u.n, u.m
-    kk = L  # contraction level of the dual variable; exact for M_L outputs
     g4 = u.kernel.reshape(n, m, n, m)
     pattern = u.domain.pattern
     bproj = _basis_projector(u.domain)
 
-    uv = max_entangled(kk, L).reshape(kk, L)
+    uv = max_entangled(L, L).reshape(L, L)
     ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n),
-             np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m), uv, uv)
+             np.eye(L * m, dtype=complex).reshape(L, m, L, m), uv, uv)
     # transpose-flavored start: swap patterns on both sides
     swap = (_partial_swap(L, n).reshape(L, n, L, n),
-            _partial_swap(kk, m).reshape(kk, m, kk, m), uv, uv)
+            _partial_swap(L, m).reshape(L, m, L, m), uv, uv)
     starts = _embedded(warm, ident) + [ident, swap]
     for i in range(len(starts), len(starts) + budget.restarts):
         rng = budget.rng("amp-dual", i)
         z4 = (rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n)))
-        v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
+        v = rng.normal(size=(L * m, L * m)) + 1j * rng.normal(size=(L * m, L * m))
         v /= max(1.0, operator_norm(v))
-        uv = rng.normal(size=kk * L) + 1j * rng.normal(size=kk * L)
-        uw = rng.normal(size=kk * L) + 1j * rng.normal(size=kk * L)
-        starts.append((z4, v.reshape(kk, m, kk, m), (uv / np.linalg.norm(uv)).reshape(kk, L),
-                       (uw / np.linalg.norm(uw)).reshape(kk, L)))
+        uv = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
+        uw = rng.normal(size=L * L) + 1j * rng.normal(size=L * L)
+        starts.append((z4, v.reshape(L, m, L, m), (uv / np.linalg.norm(uv)).reshape(L, L),
+                       (uw / np.linalg.norm(uw)).reshape(L, L)))
 
     def start(state):
         z4, v4, umat, vmat = state
         z4 = _feasible_input(z4, pattern, bproj)
-        val, w4, p = _dual_value(g4, z4, v4, umat, vmat, kk, L)
+        val, w4, p = _dual_value(g4, z4, v4, umat, vmat, L)
         return val, (z4, v4, umat, vmat, w4, p)
 
     def sweep(_, state):
         z4, v4, _, _, w4, p = state
         # singular-pair update
         _, uvec, vvec = _top_pair(p)
-        u2 = uvec.reshape(-1, kk, L)
-        v2 = vvec.reshape(-1, kk, L)
+        u2 = uvec.reshape(-1, L, L)
+        v2 = vvec.reshape(-1, L, L)
         # dual-variable update
         e4 = np.einsum("kia,kjb,karbs->kisjr", u2.conj(), v2, w4)
-        v4 = polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape)
+        v4 = polar_stack(_blocks(e4, L * m, L * m).swapaxes(-1, -2)).reshape(e4.shape)
         # input update
         gv = np.einsum("prqs,kisjr->kipjq", g4, v4)
         c4 = np.einsum("kia,kjb,kipjq->kapbq", u2.conj(), v2, gv)
         z4 = _input_update(c4, z4, pattern, bproj,
-                           lambda z: _dual_value(g4, z, v4, u2, v2, kk, L)[0])
-        val, w4, p = _dual_value(g4, z4, v4, u2, v2, kk, L)
+                           lambda z: _dual_value(g4, z, v4, u2, v2, L)[0])
+        val, w4, p = _dual_value(g4, z4, v4, u2, v2, L)
         return val, (z4, v4, u2, v2, w4, p)
 
     val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
@@ -414,66 +390,6 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
 # public surface
 # ---------------------------------------------------------------------------
 
-def ml_dual_norm(Z, k: int, m: int | None = None,
-                 budget: SolverBudget = DEFAULT_BUDGET) -> BoundInterval:
-    """Bounds for the level-L norm of a block matrix over trace-class.
-
-    ``Z`` is an (L*m, L*m) matrix read as an L x L array of m x m
-    trace-class blocks; ``k`` is the contraction level of the dual
-    variable. Level one is exact (the trace norm); higher levels report a
-    see-saw lower bound, non-decreasing in ``k`` under warm embedding, and
-    a singular-term upper cap.
-    """
-    z = as_matrix(Z)
-    if m is None:
-        raise ValidationError("ml_dual_norm needs the block dimension m")
-    if z.shape[0] % m:
-        raise ValidationError("matrix shape is not a multiple of the block size")
-    L = z.shape[0] // m
-    if L == 1:
-        tn = trace_norm(z)
-        return BoundInterval(tn, tn, "trace_norm", "trace_norm")
-    cap = dual_level_upper_cap(z, L, m)
-
-    z4 = z.reshape(L, m, L, m)
-    # increasing contraction levels with warm embedding keep the lower
-    # bounds non-decreasing in k
-    best = 0.0
-    state = None
-    for kk in default_level_schedule(k):
-        val, state = _pairing_seesaw(z4, L, m, kk, budget, warm=state)
-        best = max(best, val)
-    lower = min(best, cap)  # fp guard; the theorems force lower <= cap
-    return BoundInterval(lower, cap, "pairing_seesaw", "schmidt_cap")
-
-
-def _pairing_seesaw(z4, L, m, kk, budget: SolverBudget, warm=None):
-    """sup over contractions V at level kk and unit vectors of the pairing
-    norm; certified lower bound for the dual-level norm. A state is
-    ``(v4,)``; with no start above zero the first start is returned."""
-    ident = (np.eye(kk * m, dtype=complex).reshape(kk, m, kk, m),)
-    starts = _embedded(warm, ident) + [ident, (_partial_swap(kk, m).reshape(kk, m, kk, m),)]
-    for r in range(budget.restarts):
-        rng = budget.rng("pairing", kk, r)
-        v = rng.normal(size=(kk * m, kk * m)) + 1j * rng.normal(size=(kk * m, kk * m))
-        starts.append(((v / max(1.0, operator_norm(v))).reshape(kk, m, kk, m),))
-
-    def top_pair(v4):
-        p4 = np.einsum("arbs,...isjr->...iajb", z4, v4)
-        val, uvec, vvec = _top_pair(_blocks(p4, kk * L, kk * L))
-        return val, (v4, uvec, vvec)
-
-    def sweep(_, state):
-        _, uvec, vvec = state
-        u2 = uvec.reshape(-1, kk, L)
-        v2 = vvec.reshape(-1, kk, L)
-        e4 = np.einsum("kia,kjb,arbs->kisjr", u2.conj(), v2, z4)
-        return top_pair(polar_stack(_blocks(e4, kk * m, kk * m).swapaxes(-1, -2)).reshape(e4.shape))
-
-    best, state, _ = seesaw((top_pair(v4) for v4, in starts), sweep, budget, floor=0.0)
-    return best, starts[0] if state is None else state[:1]
-
-
 def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
                    _warm=None):
     """``(BoundInterval, state)`` for the norm of the level-L amplification
@@ -558,10 +474,15 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
 # 2-summing norm by a feasible fixed point
 # ---------------------------------------------------------------------------
 
-def pietsch_pi2(vectors, rel_tol: float = 1e-6, max_rounds: int = 20_000) -> float:
+# relative gap at which pietsch_pi2 stops, and the step cap it raises at
+PI2_REL_TOL = 1e-6
+PI2_MAX_ROUNDS = 20_000
+
+
+def pietsch_pi2(vectors) -> float:
     """2-summing norm of the map from the diagonal algebra sending the
-    k-th unit to the k-th vector, as a certified upper bound within
-    ``rel_tol``.
+    k-th unit to the k-th vector, as a certified upper bound within a
+    relative ``PI2_REL_TOL``.
 
     Its square is ``min { sum mu : diag(mu) >= G }`` for the Gram matrix
     ``G`` of the vectors, and by duality ``max { <G, X> : X >= 0, X_kk = 1 }``.
@@ -576,9 +497,9 @@ def pietsch_pi2(vectors, rel_tol: float = 1e-6, max_rounds: int = 20_000) -> flo
     is an upper bound on the square by construction.
 
     The best upper bound seen is kept; once it is within
-    ``rel_tol * max(lower, scale)`` of the lower bound, with ``scale`` the
-    larger of one and the largest Gram entry, its square root is returned.
-    ``max_rounds`` caps the steps, and reaching it raises
+    ``PI2_REL_TOL * max(lower, scale)`` of the lower bound, with ``scale``
+    the larger of one and the largest Gram entry, its square root is
+    returned. ``PI2_MAX_ROUNDS`` caps the steps, and reaching it raises
     :class:`ConvergenceError`. The vectors are solved at the exact
     power-of-two scale of their largest entry and the value is scaled back,
     so tiny or huge inputs neither underflow nor overflow.
@@ -590,13 +511,13 @@ def pietsch_pi2(vectors, rel_tol: float = 1e-6, max_rounds: int = 20_000) -> flo
     scale = max(1.0, float(np.abs(gram).max()))
     y = np.eye(d, dtype=complex)
     upper = math.inf
-    for _ in range(max_rounds):
+    for _ in range(PI2_MAX_ROUNDS):
         yg = y @ gram
         lower = float(np.real(np.vdot(y, yg)))  # tr(Y G Y^dagger)
         mu = np.linalg.norm(yg, axis=0)
         lam_min = float(np.linalg.eigvalsh(np.diag(mu) - gram)[0])
         upper = min(upper, float(mu.sum()) + d * max(0.0, -lam_min))
-        if upper - lower <= rel_tol * max(lower, scale):
+        if upper - lower <= PI2_REL_TOL * max(lower, scale):
             return pow2_restore(math.sqrt(upper), e)
         y = np.where(mu > 0, yg / np.where(mu > 0, mu, 1.0), y)
     raise ConvergenceError("2-summing fixed point step cap reached",

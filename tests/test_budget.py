@@ -154,10 +154,8 @@ def test_lockstep_equals_sequential(monkeypatch):
                          gue(4, rng))
     for u in (sandwich, vectors, subspace):
         opnorms.amplified_norm(u, 2, budget)
-    opnorms.ml_dual_norm(gue(6, rng), 2, m=3, budget=budget)
-    # six per game (three product, two entangled, one owc), one per map and
-    # one per contraction level of the pairing
-    assert len(calls) == 17
+    # six per game (three product, two entangled, one owc) and one per map
+    assert len(calls) == 15
 
     for starts, sweep, bud, cap, floor, trace in calls:
         alone = [seesaw([s], sweep, bud, cap, floor)[2].values[0] for s in starts]

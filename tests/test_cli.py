@@ -488,6 +488,53 @@ def test_gallery_takes_the_largest_register_dimension(tmp_path):
     assert game_from_payload(json.loads(out.read_text())).n == MAX_REGISTER_DIM
 
 
+# one above each cap, plus 10000000 where a run that got past the check asks
+# numpy for petabytes, which it refuses without allocating
+@pytest.mark.parametrize("command, flag, value, cap", [
+    ("analyze", "--ancilla", str(MAX_REGISTER_DIM + 1), MAX_REGISTER_DIM),
+    ("analyze", "--ancilla", "1,10000000", MAX_REGISTER_DIM),
+    ("hierarchy", "--ancilla", str(MAX_REGISTER_DIM + 1), MAX_REGISTER_DIM),
+    ("analyze", "--messages", str(2 * MAX_REGISTER_DIM + 1), 2 * MAX_REGISTER_DIM),
+    ("hierarchy", "--messages", f"1,{2 * MAX_REGISTER_DIM + 1}", 2 * MAX_REGISTER_DIM),
+    ("factor", "--levels", str(MAX_REGISTER_DIM + 1), MAX_REGISTER_DIM),
+    ("factor", "--levels", "1,10000000", MAX_REGISTER_DIM),
+], ids=str)
+def test_schedule_entry_above_the_cap_exits_validation(tmp_path, capsys, command, flag, value,
+                                                        cap):
+    argv = [*budget_argv(tmp_path, command), flag, value]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert f"{flag} entries must be at most {cap}, got {value.split(',')[-1]}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("coeffs, shape", [
+    (",".join(["0"] * (MAX_REGISTER_DIM + 1)), "1 x 9"),
+    (";".join(["0.1"] * (MAX_REGISTER_DIM + 1)), "9 x 1"),
+    ("0,0,0,0,0,0,0,0,0,0.5", "1 x 10"),
+])
+def test_diagonal_coefficients_above_the_cap_exit_validation(capsys, coeffs, shape):
+    assert main(["gallery", "diagonal", "--coeffs", coeffs]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert f"--coeffs must have at most {MAX_REGISTER_DIM} rows and columns, got {shape}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, flag, cap", [
+    ("analyze", "--ancilla", MAX_REGISTER_DIM),
+    ("analyze", "--messages", 2 * MAX_REGISTER_DIM),
+    ("factor", "--levels", MAX_REGISTER_DIM),
+], ids=str)
+def test_schedule_takes_its_cap(tmp_path, command, flag, cap):
+    out = tmp_path / "out.json"
+    assert main([*budget_argv(tmp_path, command), flag, f"1,{cap}", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    if flag == "--messages":
+        assert [r["d"] for r in report["rows"][0]["beta_owc_per_d"]] == [1, cap]
+    elif flag == "--levels":
+        assert "factorization_interval" in report
+
+
 # --- schema fuzzing: every file ends in exit 0, 2 or 3, never a traceback ---
 
 # values that JSON carries but a number field may not take: a boolean, a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
-from qxor import tuples
+from qxor import opnorms, tuples
 from qxor.budget import SolverBudget
 from qxor.config import ConvergenceError, ValidationError
 from qxor.factor import tuple_rplus2c_upper_in_space, weight_sandwich_check
@@ -13,12 +13,9 @@ from qxor.linalg import operator_norm
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
     _amp_rc_codomain,
-    _pairing_seesaw,
     amplified_norm,
     cb_norm_bounds,
-    dual_level_upper_cap,
     dual_tuple_cap,
-    ml_dual_norm,
     pietsch_pi2,
 )
 from qxor.tuples import (
@@ -224,34 +221,6 @@ def test_ordering_implies_row_col_domination():
         assert col_norm(xs) <= col_norm(ys) + 1e-8
 
 
-def test_ml_dual_level_one_exact():
-    rng = rng_for("mld-1")
-    rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    iv = ml_dual_norm(rho, k=1, m=3, budget=BUDGET)
-    assert iv.lower == pytest.approx(np.linalg.svd(rho, compute_uv=False).sum(), abs=1e-10)
-    assert iv.lower == iv.upper
-
-
-def test_ml_dual_single_block():
-    rng = rng_for("mld-block")
-    rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    z = np.zeros((4, 4), dtype=complex)
-    z[:2, :2] = rho
-    iv = ml_dual_norm(z, k=2, m=2, budget=BUDGET)
-    tn = np.linalg.svd(rho, compute_uv=False).sum()
-    assert iv.lower == pytest.approx(tn, rel=1e-8)
-    assert iv.upper == pytest.approx(tn, rel=1e-8)
-
-
-def test_ml_dual_monotone_in_contraction_level():
-    rng = rng_for("mld-mono")
-    for trial in range(5):
-        z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        vals = [ml_dual_norm(z, k=k, m=3, budget=BUDGET).lower for k in (1, 2, 3)]
-        assert vals[0] <= vals[1] + 1e-9
-        assert vals[1] <= vals[2] + 1e-9
-
-
 def test_amplified_identity_map():
     n = 3
     gid = sum(
@@ -334,14 +303,6 @@ def test_cb_bounds_transpose_interval():
     assert res.interval.upper == pytest.approx(4.0, abs=1e-9)
 
 
-def test_dual_level_cap_dominates_seesaw():
-    rng = rng_for("cap-dom")
-    for trial in range(5):
-        z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        iv = ml_dual_norm(z, k=3, m=3, budget=BUDGET)
-        assert iv.lower <= iv.upper + 1e-9
-
-
 def test_amplified_general_subspace_domain():
     # identity kernel restricted to the span of the diagonal units, routed
     # through the general-subspace machinery; the restriction acts like the
@@ -386,13 +347,6 @@ def test_space_rejects_unknown_pattern(pattern):
         Space("matrix", 2, pattern)
 
 
-def test_ml_dual_requires_block_dimension():
-    from qxor.config import ValidationError
-
-    with pytest.raises(ValidationError):
-        ml_dual_norm(np.eye(4), k=2)
-
-
 def test_pietsch_identity_and_duplicates():
     for n in (2, 3, 4):
         val = pietsch_pi2([np.eye(n)[k] for k in range(n)])
@@ -429,16 +383,18 @@ def test_pietsch_zero_and_collinear_vectors():
     assert pietsch_pi2([f, -2 * f, 1j * f]) == pytest.approx(4 * norm, rel=1e-6)
 
 
-def test_pietsch_step_cap_raises():
+def test_pietsch_step_cap_raises(monkeypatch):
     rng = rng_for("pi2-cap")
     h = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)]
-    with pytest.raises(ConvergenceError, match="step cap"):
-        pietsch_pi2(h, max_rounds=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(opnorms, "PI2_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError, match="step cap"):
+            pietsch_pi2(h)
     pietsch_pi2(h)
 
 
 # values of the cutting-plane LP this fixed point replaced, on the maps of
-# rng_for("pi2-pinned", trial); both are certified within the default rel_tol
+# rng_for("pi2-pinned", trial); both are certified within the default PI2_REL_TOL
 PI2_PINNED = (
     4.228022245884964,
     4.390067065825689,
@@ -461,12 +417,16 @@ def test_pietsch_matches_pinned_values(trial):
     assert pietsch_pi2(h) == pytest.approx(PI2_PINNED[trial], rel=1e-6)
 
 
-def test_pietsch_default_tolerance_stays_above_a_tight_solve():
+def test_pietsch_default_tolerance_stays_above_a_tight_solve(monkeypatch):
+    inputs = []
     for trial in range(10):
         rng = rng_for("pi2-tight", trial)
         d, p = int(rng.integers(2, 9)), int(rng.integers(1, 6))
-        h = [rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(d)]
-        assert pietsch_pi2(h) ** 2 >= pietsch_pi2(h, rel_tol=1e-12) ** 2 * (1 - 1e-12)
+        inputs.append([rng.normal(size=p) + 1j * rng.normal(size=p) for _ in range(d)])
+    default = [pietsch_pi2(h) for h in inputs]
+    monkeypatch.setattr(opnorms, "PI2_REL_TOL", 1e-12)
+    for h, value in zip(inputs, default):
+        assert value ** 2 >= pietsch_pi2(h) ** 2 * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("power", [600, -600])
@@ -536,7 +496,10 @@ def test_operator_norm_is_the_spectral_norm_bit_for_bit():
 
 
 def _dual_cap_per_term(z, L, m):
-    """The singular-term cap, one operator norm and one trace norm per term."""
+    """The singular-term cap of an L x L block matrix over m x m trace
+    class: sum_t s_t ||C_t|| ||F_t||_1 over the terms s_t C_t (x) F_t of the
+    (level | space) cut above a relative 1e-15, one operator norm and one
+    trace norm per term."""
     z4 = np.asarray(z, dtype=complex).reshape(L, m, L, m)
     r = np.ascontiguousarray(z4.transpose(0, 2, 1, 3).reshape(L * L, m * m))
     u, s, vh = np.linalg.svd(r, full_matrices=False)
@@ -548,23 +511,6 @@ def _dual_cap_per_term(z, L, m):
         tr = np.linalg.svd(vh[t].reshape(m, m), compute_uv=False).sum()
         cap += float(s[t]) * float(op) * float(tr)
     return cap
-
-
-def test_dual_level_cap_equals_the_per_term_sum():
-    rng = rng_for("dual-cap-terms")
-    for trial in range(30):
-        L, m = (int(v) for v in rng.integers(1, 5, size=2))
-        # rank k across the (level | space) cut; k < min(L^2, m^2) is rank-deficient
-        k = int(rng.integers(1, min(L * L, m * m) + 1))
-        left = rng.normal(size=(L * L, k)) + 1j * rng.normal(size=(L * L, k))
-        right = rng.normal(size=(k, m * m)) + 1j * rng.normal(size=(k, m * m))
-        z = (left @ right).reshape(L, L, m, m).transpose(0, 2, 1, 3).reshape(L * m, L * m)
-        assert dual_level_upper_cap(z, L, m) == _dual_cap_per_term(z, L, m)
-    # a singular value near 1e-14 of the largest sits just above the cut-off
-    left = rng.normal(size=(4, 2)) * [1.0, 1e-14]
-    z = (left @ rng.normal(size=(2, 9))).reshape(2, 2, 3, 3).transpose(0, 2, 1, 3).reshape(6, 6)
-    assert dual_level_upper_cap(z, 2, 3) == _dual_cap_per_term(z, 2, 3)
-    assert dual_level_upper_cap(np.zeros((6, 6)), 2, 3) == 0.0
 
 
 def _row_embed(x):
@@ -593,8 +539,8 @@ def test_dual_split_upper_equals_the_per_split_caps():
         x = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
 
         def cap(tpart, spart):
-            return math.sqrt(dual_level_upper_cap(_row_embed(tpart), d, n) ** 2
-                             + dual_level_upper_cap(_col_embed(spart), d, n) ** 2)
+            return math.sqrt(_dual_cap_per_term(_row_embed(tpart), d, n) ** 2
+                             + _dual_cap_per_term(_col_embed(spart), d, n) ** 2)
 
         ref = min(cap(lam * x, (1 - lam) * x) for lam in np.linspace(0.0, 1.0, 9))
         split_rng = budget.rng("dual-split")
@@ -631,27 +577,31 @@ def test_tuple_cap_is_the_row_and_the_column_cap():
         left = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
         right = rng.normal(size=(k, n * n)) + 1j * rng.normal(size=(k, n * n))
         tuples_.append((left @ right).reshape(d, n, n))
+    # a singular value near 1e-14 of the largest sits just above the cut-off
+    near_cut = (rng.normal(size=(3, 2)) * [1.0, 1e-14]) @ rng.normal(size=(2, 4))
     single = np.zeros((3, 2, 2), dtype=complex)
     single[1, 0, 1] = 2.5 - 1j
-    tuples_ += [single, np.zeros((2, 3, 3), dtype=complex)]
+    tuples_ += [near_cut.reshape(3, 2, 2), single, np.zeros((2, 3, 3), dtype=complex)]
     for x in tuples_:
         d, n = x.shape[0], x.shape[1]
         cap = dual_tuple_cap(x)
         for embed in (_row_embed, _col_embed):
-            assert cap == pytest.approx(dual_level_upper_cap(embed(x), d, n), rel=1e-12, abs=0)
+            assert cap == pytest.approx(_dual_cap_per_term(embed(x), d, n), rel=1e-12, abs=0)
+    # the near-cut-off term counts: the cap exceeds its first term alone
+    _, s, vh = np.linalg.svd(near_cut, full_matrices=False)
+    assert 1e-15 < s[1] / s[0] < 1e-13
+    first = s[0] * np.linalg.svd(vh[0].reshape(2, 2), compute_uv=False).sum()
+    assert dual_tuple_cap(tuples_[-3]) > first
     assert dual_tuple_cap(single) == pytest.approx(abs(2.5 - 1j), rel=1e-15)
     assert dual_tuple_cap(tuples_[-1]) == 0.0
 
 
 def _level_runs(kind, trial):
     """``run(L, budget, warm) -> (lower, state)`` for one seeded map of
-    ``kind``, or for the pairing see-saw of ``ml_dual_norm``."""
+    ``kind``."""
     rng = rng_for("warm-embed", trial)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     vm = VectorMap(tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)))
-    z4 = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))).reshape(2, 3, 2, 3)
-    if kind == "pairing":
-        return lambda L, budget, warm: _pairing_seesaw(z4, 2, 3, L, budget, warm=warm)
     u = {"dual": KernelMap(full_matrix_space(2), dual_space(2), g),
          "matrix": KernelMap(full_matrix_space(2), Space("matrix", 2), g),
          "vector": vm}[kind]
@@ -662,7 +612,7 @@ def _level_runs(kind, trial):
     return run
 
 
-@pytest.mark.parametrize("kind", ["dual", "matrix", "vector", "pairing"])
+@pytest.mark.parametrize("kind", ["dual", "matrix", "vector"])
 def test_a_level_starts_from_the_embedded_lower_level_witness(kind):
     # one sweep from three starts falls short of a converged level-one
     # witness on these maps, so only the embedded witness carries the bound
