@@ -52,7 +52,7 @@ from .solvers import (
     pi1cb_bounds,
     pi1o_exact,
 )
-from .tuples import mix_tuple
+from .tuples import mix_tuple, rplus2c_split
 
 
 def _gue(n: int, rng) -> np.ndarray:
@@ -195,23 +195,24 @@ def criterion_weight_axioms():
     """Homogeneity, subadditivity, monotonicity, and the half-to-one
     sandwich for the splitting weight on one hundred random tuples."""
     rng = np.random.default_rng(10)
-    prev = None
+    prev = prev_split = None
     for trial in range(100):
         d = int(rng.integers(1, 5))
         t = np.stack([_gue(3, rng) for _ in range(d)])
-        ws = weight_sandwich_check(t)
+        split = rplus2c_split(t)  # the solve is deterministic, so each check reuses it
+        ws = weight_sandwich_check(t, split=split)
         assert ws.ok, f"trial {trial}: sandwich {ws}"
-        lhs, rhs, ok = weight_homogeneity_check(t, float(rng.uniform(0.3, 3.0)))
+        lhs, rhs, ok = weight_homogeneity_check(t, float(rng.uniform(0.3, 3.0)), split=split)
         assert ok, f"trial {trial}: homogeneity {lhs} vs {rhs}"
         if prev is not None:
-            l2, r2, ok = weight_subadditivity_check(t, prev)
+            l2, r2, ok = weight_subadditivity_check(t, prev, x_split=split, y_split=prev_split)
             assert ok, f"trial {trial}: subadditivity {l2} vs {r2}"
         da = int(rng.integers(1, d + 1))
         a = rng.normal(size=(da, d)) + 1j * rng.normal(size=(da, d))
         a /= max(1.0, np.linalg.norm(a, 2))
-        wx, wy, ok = weight_monotonicity_check(mix_tuple(a, t), t)
+        wx, wy, ok = weight_monotonicity_check(mix_tuple(a, t), t, ys_split=split)
         assert ok, f"trial {trial}: monotonicity {wx} vs {wy}"
-        prev = t
+        prev, prev_split = t, split
 
 
 def criterion_two_summing_cross_check():

@@ -35,8 +35,9 @@ from .config import ValidationError
 from .games import mab_tensor
 from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times
 from .maps import KernelMap, Space, dual_space, full_matrix_space
-from .opnorms import cb_norm_bounds, dual_tuple_cap
+from .opnorms import cb_norm_bounds, dual_tuple_cap, dual_tuple_caps
 from .tuples import (
+    SplitResult,
     as_stack,
     col_norm,
     mix_tuple,
@@ -88,16 +89,18 @@ class WeightSandwich:
     ok: bool
 
 
-def weight_sandwich_check(t, tol: float = 1e-6) -> WeightSandwich:
+def weight_sandwich_check(t, tol: float = 1e-6, *,
+                          split: Optional[SplitResult] = None) -> WeightSandwich:
     """Check that the weight sits between half the squared linear splitting
     norm and the squared linear splitting norm itself.
 
     Cross warm starts make the comparison sound at solver accuracy: the
     quadratic value is re-evaluated on the linear solver's splitting and
     vice versa, so the per-splitting mean-square inequalities apply.
+    ``split`` is ``rplus2c_split(t)``, when the caller already has it.
     """
     x = as_stack(t)
-    w_res = rplus2c_split(x)
+    w_res = rplus2c_split(x) if split is None else split
     q_res = rplusc_split(x, inits=[w_res.row_part])
     quad_at_q = math.sqrt(
         row_norm(q_res.row_part) ** 2 + col_norm(q_res.col_part) ** 2
@@ -108,12 +111,15 @@ def weight_sandwich_check(t, tol: float = 1e-6) -> WeightSandwich:
     return WeightSandwich(q_sq / 2, w_val, q_sq, ok)
 
 
-def weight_subadditivity_check(x, y, tol: float = 1e-6):
+def weight_subadditivity_check(x, y, tol: float = 1e-6, *,
+                               x_split: Optional[SplitResult] = None,
+                               y_split: Optional[SplitResult] = None):
     """w(concatenation) <= w(x) + w(y); the concatenated solve warm-starts
-    from the block splitting of the parts, which realizes the inequality."""
+    from the block splitting of the parts, which realizes the inequality.
+    ``x_split`` and ``y_split`` are the ``rplus2c_split`` of ``x`` and ``y``."""
     xs, ys = as_stack(x), as_stack(y)
-    rx = rplus2c_split(xs)
-    ry = rplus2c_split(ys)
+    rx = rplus2c_split(xs) if x_split is None else x_split
+    ry = rplus2c_split(ys) if y_split is None else y_split
     joint_init = np.concatenate([rx.row_part, ry.row_part], axis=0)
     joint = rplus2c_split(np.concatenate([xs, ys], axis=0), inits=[joint_init])
     lhs = joint.value ** 2
@@ -121,22 +127,26 @@ def weight_subadditivity_check(x, y, tol: float = 1e-6):
     return lhs, rhs, lhs <= rhs + tol
 
 
-def weight_monotonicity_check(xs, ys, tol: float = 1e-6):
-    """When the ordering test dominates xs by ys, the weight must follow."""
+def weight_monotonicity_check(xs, ys, tol: float = 1e-6, *,
+                              ys_split: Optional[SplitResult] = None):
+    """When the ordering test dominates xs by ys, the weight must follow.
+    ``ys_split`` is ``rplus2c_split(ys)``, when the caller already has it."""
     dominated, a = ordering_check(xs, ys)
     if not dominated:
         raise ValidationError("monotonicity check needs a dominated pair")
-    ry = rplus2c_split(ys)
+    ry = rplus2c_split(ys) if ys_split is None else ys_split
     warm = [mix_tuple(a, ry.row_part)]
     wx = rplus2c_split(xs, inits=warm).value ** 2
     wy = ry.value ** 2
     return wx, wy, wx <= wy + tol
 
 
-def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6):
-    """w(sqrt(factor) x) = factor w(x) up to solver accuracy."""
+def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6, *,
+                             split: Optional[SplitResult] = None):
+    """w(sqrt(factor) x) = factor w(x) up to solver accuracy. ``split`` is
+    ``rplus2c_split(t)``, when the caller already has it."""
     x = as_stack(t)
-    base = rplus2c_split(x)
+    base = rplus2c_split(x) if split is None else split
     scaled = rplus2c_split(
         math.sqrt(factor) * x, inits=[math.sqrt(factor) * base.row_part]
     )
@@ -172,12 +182,14 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
     x = as_stack(t)
     if space.kind == "matrix":
         return rplus2c_split(x).value
-    best = dual_tuple_cap(x) / math.sqrt(2)
     rng = budget.rng("dual-split")
-    for _ in range(min(budget.restarts, 12)):
-        lamk = rng.uniform(0.0, 1.0, size=x.shape[0])
-        tpart = lamk[:, None, None] * x
-        best = min(best, _split_cap(dual_tuple_cap(tpart), dual_tuple_cap(x - tpart)))
+    tparts = [rng.uniform(0.0, 1.0, size=x.shape[0])[:, None, None] * x
+              for _ in range(min(budget.restarts, 12))]
+    # the caps of x, then of each split's two parts, from one stacked evaluation
+    caps = dual_tuple_caps(np.stack([x] + [p for t in tparts for p in (t, x - t)])).tolist()
+    best = caps[0] / math.sqrt(2)
+    for row_cap, col_cap in zip(caps[1::2], caps[2::2]):
+        best = min(best, _split_cap(row_cap, col_cap))
     return best
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "pow2_restore",
     "pow2_times",
     "zero_pad",
+    "regroup",
     "max_entangled",
     "partial_contract_A",
     "partial_contract_B",
@@ -196,6 +197,15 @@ def zero_pad(a, shape) -> np.ndarray:
     out = np.zeros(shape, dtype=complex)
     out[tuple(slice(0, k) for k in np.shape(a))] = a
     return out
+
+
+def regroup(x: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
+    """Every matrix of the stack ``x`` read as an array of ``shape``, its
+    axes permuted by ``axes`` and merged into a matrix, rows from the first
+    two and columns from the last two."""
+    lead = x.shape[:-2]
+    y = x.reshape(lead + shape).transpose(*range(len(lead)), *(len(lead) + i for i in axes))
+    return y.reshape(lead + (shape[axes[0]] * shape[axes[1]], -1))
 
 
 def max_entangled(a: int, b: int) -> np.ndarray:

@@ -20,7 +20,8 @@ same value, so callers pass a state from one level to the next as it is,
 and the lower bounds over a level schedule never fall.
 
 The row and column embeddings of a tuple over trace class have one
-singular-term cap, :func:`dual_tuple_cap`.
+singular-term cap, :func:`dual_tuple_cap`, evaluated on a stack of tuples by
+:func:`dual_tuple_caps`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .linalg import (
     polar_stack,
     pow2_restore,
     pow2_scaled,
+    regroup,
     trace_norm,
     zero_pad,
 )
@@ -48,6 +50,7 @@ from .maps import KernelMap, Space, VectorMap
 
 __all__ = [
     "dual_tuple_cap",
+    "dual_tuple_caps",
     "amplified_norm",
     "cb_norm_bounds",
     "CbNormResult",
@@ -74,7 +77,7 @@ def __getattr__(name):
 def dual_tuple_cap(x: np.ndarray) -> float:
     """Certified upper bound on the norms of both the row embedding
     sum_k e_{1k} (x) x_k and the column embedding sum_k e_{k1} (x) x_k of a
-    tuple over trace class.
+    tuple over trace class: the first entry of :func:`dual_tuple_caps`.
 
     Split the d x n^2 stack of the x_k into its singular terms
     s_t c_t f_t^T above a relative 1e-15. Each term is C_t (x) F_t with
@@ -83,16 +86,22 @@ def dual_tuple_cap(x: np.ndarray) -> float:
     completely bounded norm equal to its trace norm, so the term adds
     s_t ||F_t||_1, and the two caps are one number.
     """
-    d, n = x.shape[0], x.shape[1]
-    u, s, vh = np.linalg.svd(np.reshape(x, (d, n * n)), full_matrices=False)
-    k = int(np.count_nonzero(s > 1e-15 * s[0]))  # s is descending
-    if k == 0:
-        return 0.0
-    f = vh[:k].reshape(k, n, n)
-    if not (np.isfinite(u[:, :k]).all() and np.isfinite(f).all()):
+    return float(dual_tuple_caps(x[None])[0])
+
+
+def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
+    """:func:`dual_tuple_cap` of every tuple of the stack ``xs`` of shape
+    ``(..., d, n, n)``, from one SVD of the tuples and one of their terms;
+    each cap sums its terms in order, as a running total."""
+    d, n = xs.shape[-3], xs.shape[-2]
+    u, s, vh = np.linalg.svd(xs.reshape(xs.shape[:-3] + (d, n * n)), full_matrices=False)
+    keep = s > 1e-15 * s[..., :1]  # s is descending, so the kept terms lead
+    f = vh.reshape(vh.shape[:-1] + (n, n))
+    finite = np.isfinite(u).all(axis=-2) & np.isfinite(f).all(axis=(-2, -1))
+    if (keep & ~finite).any():
         raise ValidationError("matrix entries must be finite")
-    terms = s[:k] * np.linalg.svd(f, compute_uv=False).sum(axis=1)
-    return float(np.cumsum(terms)[-1])  # summed in term order, as a running total
+    trace = np.linalg.svd(np.where(keep[..., None, None], f, 0), compute_uv=False).sum(axis=-1)
+    return np.cumsum(np.where(keep, s * trace, 0.0), axis=-1)[..., -1]
 
 
 def _nuclear_cap(u: KernelMap) -> float:
@@ -207,20 +216,66 @@ def _basis_projector(space: Space):
     return proj.T
 
 
-def _dual_value(g4, z4, v4, umat, vmat, L):
-    w4 = np.einsum("prqs,...apbq->...arbs", g4, z4)
-    p = _blocks(np.einsum("...arbs,...isjr->...iajb", w4, v4), L * L, L * L)
-    return _form(umat, p, vmat), w4, p
+def _pair_matrix(umat: np.ndarray, vmat: np.ndarray) -> np.ndarray:
+    """``X[(i,j),(a,b)] = conj(u[i,a]) v[j,b]`` per batch entry, so that
+    ``Re u^dagger M v = Re tr(X M~)`` for ``M~[(a,b),(i,j)] = M[(i,a),(j,b)]``."""
+    x = umat.conj()[..., :, None, :, None] * vmat[..., None, :, None, :]
+    s = x.shape
+    return x.reshape(s[:-4] + (s[-4] * s[-3], s[-2] * s[-1]))
+
+
+def _amp_kernels(u: KernelMap, L: int):
+    """``(image, pairing, dual_coeff, input_coeff)`` of the level-L see-saw
+    cores, with the kernel ``K[(p,q),(r,s)] = g4[p,r,q,s]`` built once from
+    ``g4[p,r,q,s] = G[(p,r),(q,s)]``. Each takes matrices or block arrays
+    with any leading batch shape and is one matrix product:
+
+    * ``image(z4)``: ``W = Z~ K``, the blocks ``W[(a,b),(r,s)] = u(z_ab)[r,s]``
+      of the input ``z4[a,p,b,q]`` read as ``Z~[(a,b),(p,q)]``;
+    * ``pairing(w, vt)``: ``P[(i,a),(j,b)] = (W V~)[(a,b),(i,j)]``, the
+      pairing of ``W`` with the dual variable ``v4[i,s,j,r]`` read as
+      ``V~[(r,s),(i,j)]``;
+    * ``dual_coeff(x, w)``: ``E[(i,s),(j,r)] = (X W)[(i,j),(r,s)]`` for the
+      :func:`_pair_matrix` ``X`` of the unit vectors;
+    * ``input_coeff(y)``: the coefficient blocks ``c4[a,p,b,q] = (Y K^T)[(a,b),(p,q)]``
+      of an input, for ``Y[(a,b),(r,s)]``.
+    """
+    n, m = u.n, u.m
+    k = u.kernel.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+    def image(z4):
+        return _blocks(z4.swapaxes(-3, -2), L * L, n * n) @ k
+
+    def pairing(w, vt):
+        return regroup(w @ vt, (L, L, L, L), (2, 0, 3, 1))
+
+    def dual_coeff(x, w):
+        return regroup(x @ w, (L, L, m, m), (0, 3, 1, 2))
+
+    def input_coeff(y):
+        c = y @ k.T
+        return c.reshape(c.shape[:-2] + (L, L, n, n)).swapaxes(-3, -2)
+
+    return image, pairing, dual_coeff, input_coeff
 
 
 def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     """See-saw lower bound for || id_{M_L} (x) u || with trace-class
     codomain; a state is ``(z4, v4, u, v)`` with ``u`` and ``v`` of shape
-    ``(L, L)``."""
+    ``(L, L)``: the input ``z4[a,p,b,q]`` of norm at most one, the dual
+    variable ``v4[i,s,j,r]`` of norm at most one and the unit vectors
+    ``u[i,a]``, ``v[j,b]``. The value is ``Re u^dagger P v`` for the
+    pairing ``P[(i,a),(j,b)] = sum_rs u(z_ab)[r,s] v4[i,s,j,r]``; a sweep
+    updates ``(u, v)`` to the top singular pair of ``P``, ``v4`` to the
+    polar of ``E^T`` and ``z4`` to the polar of its coefficient
+    ``X^T V~^T K^T``, in the layouts of :func:`_amp_kernels`."""
     n, m = u.n, u.m
-    g4 = u.kernel.reshape(n, m, n, m)
+    image, pairing, dual_coeff, input_coeff = _amp_kernels(u, L)
     pattern = u.domain.pattern
     bproj = _basis_projector(u.domain)
+
+    def dual_matrix(v4):  # V~[(r,s),(i,j)] = v4[i,s,j,r]
+        return regroup(_blocks(v4, L * m, L * m), (L, m, L, m), (3, 1, 0, 2))
 
     uv = max_entangled(L, L).reshape(L, L)
     ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n),
@@ -242,25 +297,27 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     def start(state):
         z4, v4, umat, vmat = state
         z4 = _feasible_input(z4, pattern, bproj)
-        val, w4, p = _dual_value(g4, z4, v4, umat, vmat, L)
-        return val, (z4, v4, umat, vmat, w4, p)
+        w = image(z4)
+        p = pairing(w, dual_matrix(v4))
+        return _form(umat, p, vmat), (z4, v4, umat, vmat, w, p)
 
     def sweep(_, state):
-        z4, v4, _, _, w4, p = state
+        z4, v4, _, _, w, p = state
         # singular-pair update
         _, uvec, vvec = _top_pair(p)
         u2 = uvec.reshape(-1, L, L)
         v2 = vvec.reshape(-1, L, L)
+        x = _pair_matrix(u2, v2)
         # dual-variable update
-        e4 = np.einsum("kia,kjb,karbs->kisjr", u2.conj(), v2, w4)
-        v4 = polar_stack(_blocks(e4, L * m, L * m).swapaxes(-1, -2)).reshape(e4.shape)
+        v4 = polar_stack(dual_coeff(x, w).swapaxes(-1, -2)).reshape(-1, L, m, L, m)
+        vt = dual_matrix(v4)
         # input update
-        gv = np.einsum("prqs,kisjr->kipjq", g4, v4)
-        c4 = np.einsum("kia,kjb,kipjq->kapbq", u2.conj(), v2, gv)
+        c4 = input_coeff(x.swapaxes(-1, -2) @ vt.swapaxes(-1, -2))
         z4 = _input_update(c4, z4, pattern, bproj,
-                           lambda z: _dual_value(g4, z, v4, u2, v2, L)[0])
-        val, w4, p = _dual_value(g4, z4, v4, u2, v2, L)
-        return val, (z4, v4, u2, v2, w4, p)
+                           lambda z: _form(u2, pairing(image(z), vt), v2))
+        w = image(z4)
+        p = pairing(w, vt)
+        return _form(u2, p, v2), (z4, v4, u2, v2, w, p)
 
     val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
     return val, None if best is None else best[:4]
@@ -268,14 +325,20 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
 
 def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     """See-saw lower bound with operator-norm codomain evaluation; a state
-    is ``(z4, u, v)`` with ``u`` and ``v`` of shape ``(L, m)``."""
+    is ``(z4, u, v)`` with ``u`` and ``v`` of shape ``(L, m)``: the input
+    ``z4[a,p,b,q]`` of norm at most one and the unit vectors ``u[a,r]``,
+    ``v[b,s]``. The value is ``Re u^dagger W v`` for the block matrix
+    ``W[(a,r),(b,s)] = u(z_ab)[r,s]``; a sweep updates ``(u, v)`` to its top
+    singular pair and ``z4`` to the polar of the coefficient ``Y K^T`` with
+    ``Y`` the :func:`_pair_matrix` of ``(u, v)``, in the layouts of
+    :func:`_amp_kernels`."""
     n, m = u.n, u.m
-    g4 = u.kernel.reshape(n, m, n, m)
+    image, _, _, input_coeff = _amp_kernels(u, L)
     pattern = u.domain.pattern
     bproj = _basis_projector(u.domain)
 
     def value(z4):
-        return _blocks(np.einsum("prqs,...apbq->...arbs", g4, z4), L * m, L * m)
+        return regroup(image(z4), (L, L, m, m), (0, 2, 1, 3))
 
     e0 = np.zeros((L, m), dtype=complex)
     e0[0, 0] = 1.0
@@ -302,7 +365,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         _, uvec, vvec = _top_pair(w)
         u2 = uvec.reshape(-1, L, m)
         v2 = vvec.reshape(-1, L, m)
-        c4 = np.einsum("kar,kbs,prqs->kapbq", u2.conj(), v2, g4)
+        c4 = input_coeff(_pair_matrix(u2, v2))
         z4 = _input_update(c4, z4, pattern, bproj, lambda z: _form(u2, value(z), v2))
         w = value(z4)
         return _form(u2, w, v2), (z4, u2, v2, w)

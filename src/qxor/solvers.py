@@ -42,6 +42,7 @@ from .linalg import (
     partial_contract_A,
     partial_contract_B,
     polar_stack,
+    regroup,
     sign_hermitian,
     sign_stack,
     trace_norm,
@@ -208,20 +209,17 @@ def _entangled_kernels(g4, dA, dB):
     k = g4.transpose(2, 0, 3, 1).reshape(n * n, m * m)
     sa, sb, sr, anc = (n, dA, n, dA), (m, dB, m, dB), (dA, dB, dA, dB), (1, 3, 0, 2)
 
-    def mat(x, shape, axes):
-        lead = x.shape[:-2]
-        y = x.reshape(lead + shape).transpose(*range(len(lead)), *(len(lead) + i for i in axes))
-        return y.reshape(lead + (shape[axes[0]] * shape[axes[1]], -1))
-
     def eff(a, b):
-        return mat(mat(a, sa, anc) @ k @ mat(b, sb, anc).swapaxes(-1, -2),
-                   (dA, dA, dB, dB), (0, 2, 1, 3))
+        return regroup(regroup(a, sa, anc) @ k @ regroup(b, sb, anc).swapaxes(-1, -2),
+                       (dA, dA, dB, dB), (0, 2, 1, 3))
 
     def alice(b, rho):
-        return mat(mat(rho, sr, (0, 2, 3, 1)) @ mat(b, sb, anc) @ k.T, (dA, dA, n, n), (3, 0, 2, 1))
+        return regroup(regroup(rho, sr, (0, 2, 3, 1)) @ regroup(b, sb, anc) @ k.T,
+                       (dA, dA, n, n), (3, 0, 2, 1))
 
     def bob(a, rho):
-        return mat(mat(rho, sr, (1, 3, 2, 0)) @ mat(a, sa, anc) @ k, (dB, dB, m, m), (3, 0, 2, 1))
+        return regroup(regroup(rho, sr, (1, 3, 2, 0)) @ regroup(a, sa, anc) @ k,
+                       (dB, dB, m, m), (3, 0, 2, 1))
 
     return eff, alice, bob
 

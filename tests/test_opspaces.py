@@ -6,16 +6,17 @@ import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
 from qxor import opnorms, tuples
-from qxor.budget import SolverBudget
+from qxor.budget import SolverBudget, seesaw
 from qxor.config import ConvergenceError, ValidationError
 from qxor.factor import tuple_rplus2c_upper_in_space, weight_sandwich_check
-from qxor.linalg import operator_norm
+from qxor.linalg import operator_norm, regroup
 from qxor.maps import KernelMap, Space, VectorMap, dual_space, full_matrix_space
 from qxor.opnorms import (
     _amp_rc_codomain,
     amplified_norm,
     cb_norm_bounds,
     dual_tuple_cap,
+    dual_tuple_caps,
     pietsch_pi2,
 )
 from qxor.tuples import (
@@ -622,3 +623,165 @@ def test_a_level_starts_from_the_embedded_lower_level_witness(kind):
         lower1, state = run(1, BUDGET, None)
         lower2, _ = run(2, tiny, state)
         assert lower2 >= lower1 * (1 - 1e-12)
+
+
+def test_stacked_tuple_caps_are_the_single_caps_bit_for_bit():
+    # one shape, ranks 0 to 4, so each row keeps its own number of terms
+    rng = rng_for("tuple-caps-stack")
+    xs = []
+    for k in range(5):
+        left = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+        right = rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4))
+        xs.append((left @ right).reshape(4, 2, 2) * 10.0 ** (40 * k - 80))
+    caps = dual_tuple_caps(np.stack(xs))
+    assert caps.tolist() == [dual_tuple_cap(x) for x in xs]
+    assert caps[0] == 0.0 and (caps[1:] > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# amplified-norm cores on rectangular maps (n != m)
+# ---------------------------------------------------------------------------
+
+RECT_SHAPES = [(2, 3), (3, 2), (1, 3)]
+RECT_BUDGET = SolverBudget(restarts=3, max_sweeps=60, seed=11)
+
+
+def _rect_map(kind, n, m):
+    rng = rng_for("rect-map", kind, n, m)
+    g = rng.normal(size=(n * m, n * m)) + 1j * rng.normal(size=(n * m, n * m))
+    codomain = dual_space(m) if kind == "dual" else full_matrix_space(m)
+    return KernelMap(full_matrix_space(n), codomain, g)
+
+
+def _einsum_contractions(g4, z4, v4, ud, vd, um, vm):
+    """Reference for the see-saw contractions on stacks with a leading
+    axis ``k``: the image ``w4[a,r,b,s]``, the pairing ``P[i,a,j,b]``, the
+    dual coefficient ``e4[i,s,j,r]``, the dual input coefficient and the
+    matrix-codomain input coefficient ``c4[a,p,b,q]``."""
+    w4 = np.einsum("prqs,kapbq->karbs", g4, z4)
+    p = np.einsum("karbs,kisjr->kiajb", w4, v4)
+    e4 = np.einsum("kia,kjb,karbs->kisjr", ud.conj(), vd, w4)
+    gv = np.einsum("prqs,kisjr->kipjq", g4, v4)
+    c4_dual = np.einsum("kia,kjb,kipjq->kapbq", ud.conj(), vd, gv)
+    c4_matrix = np.einsum("kar,kbs,prqs->kapbq", um.conj(), vm, g4)
+    return w4, p, e4, c4_dual, c4_matrix
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, m", RECT_SHAPES)
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_amp_kernels_match_the_einsum_contractions(n, m, L):
+    rng = rng_for("amp-kernels", n, m, L)
+
+    def cplx(*shape):
+        return rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
+
+    z4, v4 = cplx(L, n, L, n), cplx(L, m, L, m)
+    ud, vd, um, vm = cplx(L, L), cplx(L, L), cplx(L, m), cplx(L, m)
+    for kind in ("dual", "matrix"):
+        u = _rect_map(kind, n, m)
+        w4, p, e4, c4_dual, c4_matrix = _einsum_contractions(
+            u.kernel.reshape(n, m, n, m), z4, v4, ud, vd, um, vm)
+        image, pairing, dual_coeff, input_coeff = opnorms._amp_kernels(u, L)
+        w = image(z4)
+        _assert_close(w, w4.transpose(0, 1, 3, 2, 4).reshape(3, L * L, m * m))
+        # the matrix codomain reads W as the block matrix [(a,r),(b,s)]
+        _assert_close(regroup(w, (L, L, m, m), (0, 2, 1, 3)), w4.reshape(3, L * m, L * m))
+        vt = v4.transpose(0, 4, 2, 1, 3).reshape(3, m * m, L * L)  # V~[(r,s),(i,j)]
+        _assert_close(pairing(w, vt), p.reshape(3, L * L, L * L))
+        x = opnorms._pair_matrix(ud, vd)
+        _assert_close(dual_coeff(x, w), e4.reshape(3, L * m, L * m))
+        _assert_close(input_coeff(x.swapaxes(-1, -2) @ vt.swapaxes(-1, -2)), c4_dual)
+        _assert_close(input_coeff(opnorms._pair_matrix(um, vm)), c4_matrix)
+
+
+# cb_norm_bounds(_rect_map(kind, n, m), (1, 2, 4), RECT_BUDGET) as (lower, upper),
+# recorded when the see-saw cores ran the einsum contractions above
+RECT_BOUNDS = {
+    ("dual", 2, 3): (11.182886752912228, 17.879095715248337),
+    ("dual", 3, 2): (12.140231247432315, 17.809407847683545),
+    ("dual", 1, 3): (3.8570093977780973, 3.8570093977780973),
+    ("matrix", 2, 3): (6.256112221457848, 12.726638097100063),
+    ("matrix", 3, 2): (8.467045821439559, 21.580702655687748),
+    ("matrix", 1, 3): (3.807498472776399, 3.807498472776399),
+}
+
+
+@pytest.mark.parametrize("kind, n, m", list(RECT_BOUNDS))
+def test_cb_norm_bounds_of_rectangular_maps_match_the_recorded_bounds(kind, n, m):
+    lower, upper = RECT_BOUNDS[kind, n, m]
+    res = cb_norm_bounds(_rect_map(kind, n, m), (1, 2, 4), RECT_BUDGET)
+    assert res.interval.lower == pytest.approx(lower, rel=1e-8, abs=0)
+    assert res.interval.upper == upper
+
+
+@pytest.mark.parametrize("kind", ["dual", "matrix"])
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_a_level_four_witness_is_feasible_and_valued_block_by_block(kind, n, m):
+    L, u = 4, _rect_map(kind, n, m)
+    iv, state = amplified_norm(u, L, RECT_BUDGET)
+    assert iv.lower < iv.upper  # the lower is the witness value, not the cap
+    z4, uu, vv = state[0], state[-2], state[-1]
+    assert operator_norm(z4.reshape(L * n, L * n)) <= 1 + 1e-12
+    assert np.linalg.norm(uu) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(vv) == pytest.approx(1.0, abs=1e-12)
+    image = {(a, b): u.apply(z4[a, :, b, :]) for a in range(L) for b in range(L)}
+    if kind == "dual":
+        v4 = state[1]
+        assert operator_norm(v4.reshape(L * m, L * m)) <= 1 + 1e-12
+        # P[(i,a),(j,b)] = tr(u(z_ab) v_ij) with v_ij[s,r] = v4[i,s,j,r]
+        value = sum(uu[i, a].conj() * vv[j, b] * np.trace(image[a, b] @ v4[i, :, j, :])
+                    for i, a, j, b in itertools.product(range(L), repeat=4))
+    else:
+        value = sum(uu[a].conj() @ image[a, b] @ vv[b] for a in range(L) for b in range(L))
+    assert np.real(value) == pytest.approx(iv.lower, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["dual", "matrix"])
+def test_level_four_starts_give_the_same_values_in_lockstep_as_alone(kind, monkeypatch):
+    calls = []
+
+    def recording(starts, sweep, budget, max_sweeps=None, floor=-math.inf):
+        starts = list(starts)
+        calls.append((starts, sweep, budget, max_sweeps, floor))
+        return seesaw(starts, sweep, budget, max_sweeps, floor)
+
+    monkeypatch.setattr(opnorms, "seesaw", recording)
+    for n, m in RECT_SHAPES:
+        amplified_norm(_rect_map(kind, n, m), 4, RECT_BUDGET)
+    assert len(calls) == len(RECT_SHAPES)
+    for starts, sweep, budget, cap, floor in calls:
+        together = seesaw(starts, sweep, budget, cap, floor)[2].values
+        alone = [seesaw([s], sweep, budget, cap, floor)[2].values[0] for s in starts]
+        assert together == tuple(alone)
+
+
+def test_a_dual_sweep_is_three_svds_and_no_einsum(monkeypatch):
+    # the contractions are matrix products on one kernel; the SVDs are the
+    # top singular pair and the two polar updates
+    live, per_sweep = {"einsum": 0, "svd": 0}, []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            live[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+
+    def recording(starts, sweep, budget, **kwargs):
+        def counted_sweep(vals, states):
+            before = dict(live)
+            out = sweep(vals, states)
+            per_sweep.append((live["einsum"] - before["einsum"], live["svd"] - before["svd"]))
+            return out
+        return seesaw(starts, counted_sweep, budget, **kwargs)
+
+    monkeypatch.setattr(opnorms, "seesaw", recording)
+    amplified_norm(_rect_map("dual", 2, 3), 4, RECT_BUDGET)
+    assert per_sweep and set(per_sweep) == {(0, 3)}
