@@ -332,7 +332,7 @@ def _space_from_payload(p: dict, what: str) -> Space:
     kind, dim = p.get("kind"), p.get("dim")
     if kind not in ("matrix", "dual") or type(dim) is not int:
         raise SchemaError(f"field {what} has invalid kind or dim")
-    return Space(kind, dim, "full")
+    return Space(kind, dim)
 
 
 def cmd_factor(args) -> int:

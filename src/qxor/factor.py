@@ -33,7 +33,7 @@ from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget
 from .config import ValidationError
 from .games import mab_tensor
-from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times
+from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
 from .maps import KernelMap, Space, dual_space, full_matrix_space
 from .opnorms import cb_norm_bounds, dual_tuple_cap, dual_tuple_caps
 from .tuples import (
@@ -233,9 +233,9 @@ class TensorElement:
 
 
 def tensor_from_kernel(kernel, n: int, m: int) -> TensorElement:
-    """View a bipartite kernel as an element of trace-class (x) trace-class."""
-    g4 = as_matrix(kernel).reshape(n, m, n, m)
-    coeff = np.ascontiguousarray(g4.transpose(0, 2, 1, 3).reshape(n * n, m * m))
+    """View a bipartite kernel as an element of trace-class (x) trace-class,
+    with coefficients ``C[(p,q),(r,s)] = G[(p,r),(q,s)]``."""
+    coeff = regroup(as_matrix(kernel), (n, m, n, m), (0, 2, 1, 3))
     return TensorElement(dual_space(n), dual_space(m), coeff)
 
 
@@ -343,13 +343,9 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
     z, e = _evaluable(z)
     gamma_upper = pow2_restore(gamma_upper, -e)
     n, m = z.X.dim, z.Y.dim
-    coeff4 = z.coeff.reshape(n, n, m, m)
-    kernel = np.ascontiguousarray(coeff4.transpose(0, 2, 1, 3).reshape(n * m, n * m))
-    if z.Y.kind == "dual":
-        codomain = dual_space(m)
-    else:
-        codomain = Space("matrix", m, "full")
-    t_z = KernelMap(full_matrix_space(n), codomain, kernel)
+    # the inverse of the realignment in tensor_from_kernel
+    kernel = regroup(z.coeff, (n, n, m, m), (0, 2, 1, 3))
+    t_z = KernelMap(full_matrix_space(n), z.Y, kernel)
     res = cb_norm_bounds(t_z, schedule=schedule, budget=budget)
     lower = res.interval.lower
     upper = math.sqrt(2) * gamma_upper

@@ -1,24 +1,21 @@
 """Concrete carriers for linear maps between small operator spaces.
 
-A :class:`Space` is either a subspace of a matrix algebra carrying the
-operator norm (``kind="matrix"``) or the dual of a matrix algebra carrying
-the trace norm (``kind="dual"``). A :class:`KernelMap` stores a map
-``T: M_n -> M_m`` through its coefficient kernel ``G``, an ``(n*m, n*m)``
-matrix under the composite index convention of :mod:`qxor.linalg`:
+A :class:`Space` is either the full matrix algebra ``M_n`` carrying the
+operator norm (``kind="matrix"``) or its dual, trace class, carrying the
+trace norm (``kind="dual"``). A :class:`KernelMap` stores a map
+``T: M_n -> M_m`` on the full algebra through its coefficient kernel ``G``,
+an ``(n*m, n*m)`` matrix under the composite index convention of
+:mod:`qxor.linalg`:
 
     ``T(x)[k, l] = sum_ij G[(i,k), (j,l)] x[i, j]``.
 
-Maps defined only on a subspace (for example the diagonal algebra) keep the
-full kernel with zero coefficients off the subspace; their amplified norms
-are evaluated with inputs restricted to the subspace pattern, which matches
-the subspace norm because matrix levels of a subspace inherit the ambient
-norms entrywise.
+Its domain is always ``M_n``; the codomain is ``M_m`` or trace class. A map
+from the diagonal algebra is a :class:`VectorMap`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +26,6 @@ __all__ = [
     "Space",
     "full_matrix_space",
     "dual_space",
-    "matrix_subspace",
     "KernelMap",
     "VectorMap",
 ]
@@ -37,31 +33,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Space:
-    kind: str              # "matrix" or "dual"
-    dim: int               # ambient matrix dimension N
-    pattern: str = "full"  # "full" or "general" (matrix kind only)
-    basis: Optional[tuple] = None
+    kind: str  # "matrix" or "dual"
+    dim: int   # matrix dimension N
 
     def __post_init__(self):
         if self.kind not in ("matrix", "dual"):
             raise ValidationError(f"unknown space kind {self.kind!r}")
         if self.dim < 1:
             raise ValidationError("space dimension must be positive")
-        if self.pattern not in ("full", "general"):
-            raise ValidationError(f"unknown subspace pattern {self.pattern!r}")
-        if self.kind == "dual" and self.pattern != "full":
-            raise ValidationError("dual spaces carry no subspace pattern")
-        if self.pattern == "general":
-            if not self.basis:
-                raise ValidationError("general subspace requires a basis")
-            mats = [as_matrix(b) for b in self.basis]
-            flat = np.stack([b.ravel() for b in mats])
-            if np.linalg.matrix_rank(flat) != len(mats):
-                raise ValidationError("subspace basis must be linearly independent")
 
 
 def full_matrix_space(n: int) -> Space:
-    return Space("matrix", n, "full")
+    return Space("matrix", n)
 
 
 def dual_space(n: int) -> Space:
@@ -69,23 +52,18 @@ def dual_space(n: int) -> Space:
     return Space("dual", n)
 
 
-def matrix_subspace(basis, ambient_dim: int) -> Space:
-    mats = tuple(np.asarray(b, dtype=complex) for b in basis)
-    for b in mats:
-        if b.shape != (ambient_dim, ambient_dim):
-            raise ValidationError("basis matrices must match the ambient dimension")
-    return Space("matrix", ambient_dim, "general", mats)
-
-
 @dataclass(frozen=True)
 class KernelMap:
-    """Linear map between matrix-carried spaces, stored by its kernel."""
+    """Linear map from the full matrix algebra ``M_n`` into ``M_m`` or
+    trace class, stored by its kernel."""
 
     domain: Space
     codomain: Space
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.domain.kind != "matrix":
+            raise ValidationError("a kernel map's domain must be a matrix space")
         g = as_matrix(self.kernel)
         n, m = self.domain.dim, self.codomain.dim
         if g.shape != (n * m, n * m):

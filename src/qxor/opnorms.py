@@ -10,8 +10,11 @@ that are valid by the triangle inequality plus the contractivity of
 rank-one factors; exhausting a budget can only weaken them, never break
 their direction.
 
-Pairings between trace-class and matrix levels are bilinear, ``<z, x> =
-tr(z x)``, and the dual variable lives at the outer level ``L``.
+A :class:`KernelMap` acts on the full matrix algebra ``M_n``, so the
+input of every see-saw ranges over the whole unit ball of ``M_L(M_n)``; a
+map from the diagonal algebra is a :class:`VectorMap`. Pairings between
+trace-class and matrix levels are bilinear, ``<z, x> = tr(z x)``, and the
+dual variable lives at the outer level ``L``.
 
 Warm embedding: a see-saw core's state is a tuple of arrays, and each core
 zero-pads a lower level's state to the shapes of its own identity start and
@@ -36,7 +39,6 @@ from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
-    as_matrix,
     max_entangled,
     operator_norm,
     polar_stack,
@@ -46,7 +48,7 @@ from .linalg import (
     trace_norm,
     zero_pad,
 )
-from .maps import KernelMap, Space, VectorMap
+from .maps import KernelMap, VectorMap
 
 __all__ = [
     "dual_tuple_cap",
@@ -92,7 +94,10 @@ def dual_tuple_cap(x: np.ndarray) -> float:
 def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
     """:func:`dual_tuple_cap` of every tuple of the stack ``xs`` of shape
     ``(..., d, n, n)``, from one SVD of the tuples and one of their terms;
-    each cap sums its terms in order, as a running total."""
+    each cap sums its terms in order, as a running total. The stack is
+    solved at the exact power-of-two scale of its largest entry, so the
+    SVDs cannot overflow, and a cap beyond the float range is ``inf``."""
+    xs, e = pow2_scaled(xs)
     d, n = xs.shape[-3], xs.shape[-2]
     u, s, vh = np.linalg.svd(xs.reshape(xs.shape[:-3] + (d, n * n)), full_matrices=False)
     keep = s > 1e-15 * s[..., :1]  # s is descending, so the kept terms lead
@@ -101,30 +106,20 @@ def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
     if (keep & ~finite).any():
         raise ValidationError("matrix entries must be finite")
     trace = np.linalg.svd(np.where(keep[..., None, None], f, 0), compute_uv=False).sum(axis=-1)
-    return np.cumsum(np.where(keep, s * trace, 0.0), axis=-1)[..., -1]
+    caps = np.cumsum(np.where(keep, s * trace, 0.0), axis=-1)[..., -1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(caps, e)
 
 
 def _nuclear_cap(u: KernelMap) -> float:
-    """sum_s ||dual functional_s||_1 * ||u(basis_s)||_codomain over a basis
-    of the domain; valid for every amplification level. The images of the
-    whole basis come from one contraction and their norms from one stacked
-    SVD; the terms are summed in basis order."""
+    """sum_ij ||u(E_ij)||_codomain over the matrix units of ``M_n``, whose
+    dual functionals are the units themselves; valid for every amplification
+    level. The norms come from one stacked SVD and are summed ``i`` major."""
     n, m = u.n, u.m
-    g4 = u.kernel.reshape(n, m, n, m)
-    dom = u.domain
-    if dom.pattern == "general":
-        basis = np.stack([as_matrix(b) for b in dom.basis])
-        flat = basis.reshape(len(basis), n * n)
-        dual = np.linalg.pinv(flat).conj().T  # rows pair to one against the basis
-        # u(b)[k, l] = sum_ij g4[i, k, j, l] b[i, j], as KernelMap.apply
-        images = np.einsum("ikjl,sij->skl", g4, basis)
-        weights = np.linalg.svd(dual.reshape(-1, n, n), compute_uv=False).sum(axis=1)
-    else:
-        images = g4.transpose(0, 2, 1, 3).reshape(n * n, m, m)  # u(E_ij), i major
-        weights = 1.0  # the dual functional of E_ij is E_ij
+    images = regroup(u.kernel, (n, m, n, m), (0, 2, 1, 3)).reshape(n * n, m, m)  # u(E_ij)
     sv = np.linalg.svd(images, compute_uv=False)
     out = sv.sum(axis=1) if u.codomain.kind == "dual" else sv[:, 0]
-    return float(np.cumsum(weights * out)[-1])
+    return float(np.cumsum(out)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,34 +160,18 @@ def _top_pair(x: np.ndarray) -> tuple:
     return xs[..., 0], xu[..., :, 0], xvh[..., 0, :].conj()
 
 
-def _project_pattern(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
-    """Restrict an input block matrix to the domain pattern."""
-    if pattern == "full":
-        return z4
-    # general subspace: project each block onto the span
-    L, n = z4.shape[-4], z4.shape[-3]
-    coeffs = _blocks(z4.swapaxes(-3, -2), L * L, n * n) @ basis_proj
-    return coeffs.reshape(z4.shape[:-4] + (L, L, n, n)).swapaxes(-3, -2)
-
-
-def _feasible_input(z4: np.ndarray, pattern: str, basis_proj=None) -> np.ndarray:
-    z4 = _project_pattern(z4, pattern, basis_proj)
+def _feasible_input(z4: np.ndarray) -> np.ndarray:
+    """The input blocks ``z4`` divided by their norm where it exceeds one."""
     L, n = z4.shape[-4], z4.shape[-3]
     nrm = np.linalg.svd(_blocks(z4, L * n, L * n), compute_uv=False)[..., 0]
     return z4 / np.maximum(nrm, 1.0)[..., None, None, None, None]
 
 
-def _input_update(c4, z4, pattern: str, bproj, objective) -> np.ndarray:
-    """Norm-attaining input against the coefficient blocks ``c4``. On a
-    general subspace the projected candidate replaces ``z4`` only if the
-    ``objective`` does not drop."""
+def _input_update(c4) -> np.ndarray:
+    """Norm-attaining input against the coefficient blocks ``c4``: the
+    polar of their transpose."""
     L, n = c4.shape[-4], c4.shape[-3]
-    cand = polar_stack(_blocks(c4, L * n, L * n).swapaxes(-1, -2)).reshape(c4.shape)
-    if pattern == "full":
-        return cand
-    cand = _feasible_input(cand, pattern, bproj)
-    keep = objective(cand) >= objective(z4)
-    return np.where(keep[..., None, None, None, None], cand, z4)
+    return polar_stack(_blocks(c4, L * n, L * n).swapaxes(-1, -2)).reshape(c4.shape)
 
 
 def _partial_swap(L: int, n: int) -> np.ndarray:
@@ -203,17 +182,6 @@ def _partial_swap(L: int, n: int) -> np.ndarray:
         for j in range(min(L, n)):
             s[i * n + j, j * n + i] = 1.0
     return s
-
-
-def _basis_projector(space: Space):
-    """Right-multiplication matrix projecting flattened row vectors onto
-    the span of the flattened basis."""
-    if space.pattern != "general":
-        return None
-    basis = np.stack([as_matrix(b).ravel() for b in space.basis])
-    q, _ = np.linalg.qr(basis.T)
-    proj = q @ q.conj().T
-    return proj.T
 
 
 def _pair_matrix(umat: np.ndarray, vmat: np.ndarray) -> np.ndarray:
@@ -241,7 +209,7 @@ def _amp_kernels(u: KernelMap, L: int):
       of an input, for ``Y[(a,b),(r,s)]``.
     """
     n, m = u.n, u.m
-    k = u.kernel.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    k = regroup(u.kernel, (n, m, n, m), (0, 2, 1, 3))
 
     def image(z4):
         return _blocks(z4.swapaxes(-3, -2), L * L, n * n) @ k
@@ -271,8 +239,6 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     ``X^T V~^T K^T``, in the layouts of :func:`_amp_kernels`."""
     n, m = u.n, u.m
     image, pairing, dual_coeff, input_coeff = _amp_kernels(u, L)
-    pattern = u.domain.pattern
-    bproj = _basis_projector(u.domain)
 
     def dual_matrix(v4):  # V~[(r,s),(i,j)] = v4[i,s,j,r]
         return regroup(_blocks(v4, L * m, L * m), (L, m, L, m), (3, 1, 0, 2))
@@ -296,7 +262,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
 
     def start(state):
         z4, v4, umat, vmat = state
-        z4 = _feasible_input(z4, pattern, bproj)
+        z4 = _feasible_input(z4)
         w = image(z4)
         p = pairing(w, dual_matrix(v4))
         return _form(umat, p, vmat), (z4, v4, umat, vmat, w, p)
@@ -313,8 +279,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         vt = dual_matrix(v4)
         # input update
         c4 = input_coeff(x.swapaxes(-1, -2) @ vt.swapaxes(-1, -2))
-        z4 = _input_update(c4, z4, pattern, bproj,
-                           lambda z: _form(u2, pairing(image(z), vt), v2))
+        z4 = _input_update(c4)
         w = image(z4)
         p = pairing(w, vt)
         return _form(u2, p, v2), (z4, v4, u2, v2, w, p)
@@ -334,8 +299,6 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     :func:`_amp_kernels`."""
     n, m = u.n, u.m
     image, _, _, input_coeff = _amp_kernels(u, L)
-    pattern = u.domain.pattern
-    bproj = _basis_projector(u.domain)
 
     def value(z4):
         return regroup(image(z4), (L, L, m, m), (0, 2, 1, 3))
@@ -356,7 +319,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
 
     def start(state):
         z4, umat, vmat = state
-        z4 = _feasible_input(z4, pattern, bproj)
+        z4 = _feasible_input(z4)
         w = value(z4)
         return _form(umat, w, vmat), (z4, umat, vmat, w)
 
@@ -366,7 +329,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         u2 = uvec.reshape(-1, L, m)
         v2 = vvec.reshape(-1, L, m)
         c4 = input_coeff(_pair_matrix(u2, v2))
-        z4 = _input_update(c4, z4, pattern, bproj, lambda z: _form(u2, value(z), v2))
+        z4 = _input_update(c4)
         w = value(z4)
         return _form(u2, w, v2), (z4, u2, v2, w)
 
@@ -460,10 +423,10 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
 
     The lower bound is the best see-saw witness value over the budgeted
     restarts; the upper bound is the smallest available certified cap
-    (trace norm of the coefficient kernel for trace-class codomains, a
-    basis nuclear cap otherwise). ``state`` is the best witness, and passed
-    back as ``_warm`` at a higher level it is embedded there as the first
-    start, so that level's lower bound is at least this one.
+    (trace norm of the coefficient kernel for trace-class codomains, the
+    matrix-unit nuclear cap otherwise). ``state`` is the best witness, and
+    passed back as ``_warm`` at a higher level it is embedded there as the
+    first start, so that level's lower bound is at least this one.
     """
     if L < 1:
         raise ValidationError("amplification level must be positive")

@@ -545,12 +545,19 @@ def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
 # summing norms
 # ---------------------------------------------------------------------------
 
+def _summing_kernel(u: KernelMap) -> np.ndarray:
+    """The kernel of a map into trace class, read as a game."""
+    if u.codomain.kind != "dual":
+        raise ValidationError("summing norms take a map into trace class")
+    return u.kernel
+
+
 def pi1o_exact(obj) -> float:
     """Completely 1-summing norm: the trace norm of the coefficient kernel."""
     if isinstance(obj, QuantumXorGame):
         return trace_norm(obj.G)
     if isinstance(obj, KernelMap):
-        return trace_norm(obj.kernel)
+        return trace_norm(_summing_kernel(obj))
     return trace_norm(obj)
 
 
@@ -563,15 +570,16 @@ class Pi1cbResult:
 
 
 def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
-    """Coerce a game or kernel map (nothing else) to a game of trace norm at
-    most one plus the factor scaled out; the summing norms are positively
-    homogeneous, so results scale back exactly."""
+    """Coerce a game or a kernel map into trace class (nothing else) to a
+    game of trace norm at most one plus the factor scaled out; the summing
+    norms are positively homogeneous, so results scale back exactly."""
     if isinstance(obj, QuantumXorGame):
         return obj, 1.0
     if not isinstance(obj, KernelMap):
         raise ValidationError("expected a QuantumXorGame or KernelMap")
-    scale = max(trace_norm(obj.kernel), 1.0)
-    return QuantumXorGame(obj.n, obj.m, np.asarray(obj.kernel) / scale), scale
+    kernel = _summing_kernel(obj)
+    scale = max(trace_norm(kernel), 1.0)
+    return QuantumXorGame(obj.n, obj.m, np.asarray(kernel) / scale), scale
 
 
 def pi1cb_bounds(game_or_map,
@@ -586,10 +594,11 @@ def pi1cb_bounds(game_or_map,
     ``owc_and_assisted_norm`` names both routes. Upper: the completely
     1-summing norm. It is the trace norm of the game, which is also the
     one-way-quantum value, so the cap of four times that value never
-    wins; the tag ``min_pi1o_4owq`` names both caps. Unnormalized kernels
-    are handled by homogeneity. :func:`beta_product` runs once, and its
-    strategy warm starts :func:`beta_owc_schedule`; both results, of the
-    normalized game, are returned as ``product`` and ``owc_results``.
+    wins; the tag ``min_pi1o_4owq`` names both caps. A map must be into
+    trace class, and unnormalized kernels are handled by homogeneity.
+    :func:`beta_product` runs once, and its strategy warm starts
+    :func:`beta_owc_schedule`; both results, of the normalized game, are
+    returned as ``product`` and ``owc_results``.
     """
     game, scale = _normalized_game_of(game_or_map)
     if d_schedule is None:

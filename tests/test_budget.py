@@ -9,7 +9,7 @@ from qxor import opnorms, solvers
 from qxor.budget import SolverBudget, normalize_schedule, seesaw
 from qxor.config import MonotonicityError, ValidationError
 from qxor.games import mab_tensor, random_game
-from qxor.maps import KernelMap, VectorMap, dual_space, full_matrix_space, matrix_subspace
+from qxor.maps import KernelMap, VectorMap, dual_space, full_matrix_space
 
 BUDGET = SolverBudget(restarts=1, max_sweeps=50, tol=1e-6, seed=0)
 
@@ -150,9 +150,8 @@ def test_lockstep_equals_sequential(monkeypatch):
     a, b = (x / np.linalg.norm(x) for x in (gue(2, rng), gue(2, rng)))
     sandwich = KernelMap(full_matrix_space(2), dual_space(2), mab_tensor(a, b))
     vectors = VectorMap(tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)))
-    subspace = KernelMap(matrix_subspace((gue(2, rng), gue(2, rng)), 2), full_matrix_space(2),
-                         gue(4, rng))
-    for u in (sandwich, vectors, subspace):
+    into_matrix = KernelMap(full_matrix_space(2), full_matrix_space(2), gue(4, rng))
+    for u in (sandwich, vectors, into_matrix):
         opnorms.amplified_norm(u, 2, budget)
     # six per game (three product, two entangled, one owc) and one per map
     assert len(calls) == 15

@@ -116,7 +116,7 @@ def test_gamma_rank_one_single_term():
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     z = TensorElement(
-        Space("matrix", 2, "full"), Space("matrix", 2, "full"),
+        Space("matrix", 2), Space("matrix", 2),
         np.outer(x.ravel(), y.ravel()),
     )
     res = gamma_rc_upper(z, BUDGET)
@@ -129,7 +129,7 @@ def test_gamma_rank_one_single_term():
 def test_gamma_scaling():
     rng = rng_for("gamma-scale")
     coeff = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    sp = Space("matrix", 2, "full")
+    sp = Space("matrix", 2)
     v1 = gamma_rc_upper(TensorElement(sp, sp, coeff), BUDGET).gamma_upper
     v2 = gamma_rc_upper(TensorElement(sp, sp, 3.0 * coeff), BUDGET).gamma_upper
     assert v2 == pytest.approx(3.0 * v1, rel=1e-6)
@@ -138,7 +138,7 @@ def test_gamma_scaling():
 def test_gamma_mixing_invariance():
     rng = rng_for("gamma-mix")
     coeff = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    sp = Space("matrix", 2, "full")
+    sp = Space("matrix", 2)
     z = TensorElement(sp, sp, coeff)
     res = gamma_rc_upper(z, BUDGET)
     r = res.xs.shape[0]

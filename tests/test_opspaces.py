@@ -229,7 +229,7 @@ def test_amplified_identity_map():
         for i in range(n)
         for j in range(n)
     )
-    ident = KernelMap(full_matrix_space(n), Space("matrix", n, "full"), gid)
+    ident = KernelMap(full_matrix_space(n), Space("matrix", n), gid)
     for L in (1, 2):
         iv, _ = amplified_norm(ident, L, BUDGET)
         assert iv.lower == pytest.approx(1.0, abs=1e-9)
@@ -239,7 +239,7 @@ def test_amplified_identity_map():
 def test_amplified_transpose_matrix_codomain():
     # transpose with operator-norm output evaluation: the swap witness gives
     # the full level value at amplification two
-    tau_mat = KernelMap(full_matrix_space(2), Space("matrix", 2, "full"), swap_matrix(2))
+    tau_mat = KernelMap(full_matrix_space(2), Space("matrix", 2), swap_matrix(2))
     iv, _ = amplified_norm(tau_mat, 2, BUDGET)
     assert iv.lower >= 2 - 1e-6
     iv1, _ = amplified_norm(tau_mat, 1, BUDGET)
@@ -291,7 +291,7 @@ def test_cb_bounds_identity_interval():
         for i in range(n)
         for j in range(n)
     )
-    ident = KernelMap(full_matrix_space(n), Space("matrix", n, "full"), gid)
+    ident = KernelMap(full_matrix_space(n), Space("matrix", n), gid)
     res = cb_norm_bounds(ident, schedule=(1, 2), budget=BUDGET)
     assert res.interval.lower == pytest.approx(1.0, abs=1e-9)
     assert res.interval.upper == pytest.approx(n * n, abs=1e-9)
@@ -302,50 +302,6 @@ def test_cb_bounds_transpose_interval():
     res = cb_norm_bounds(tau, schedule=(1, 2), budget=BUDGET)
     assert res.interval.lower >= 2 - 1e-9
     assert res.interval.upper == pytest.approx(4.0, abs=1e-9)
-
-
-def test_amplified_general_subspace_domain():
-    # identity kernel restricted to the span of the diagonal units, routed
-    # through the general-subspace machinery; the restriction acts like the
-    # two-point diagonal algebra
-    from qxor.maps import matrix_subspace
-
-    e00 = matrix_unit(2, 0, 0)
-    e11 = matrix_unit(2, 1, 1)
-    gid = sum(
-        np.kron(matrix_unit(2, i, j), matrix_unit(2, i, j))
-        for i in range(2)
-        for j in range(2)
-    )
-    dom = matrix_subspace([e00, e11], 2)
-    assert dom.pattern == "general"
-    ident = KernelMap(dom, Space("matrix", 2, "full"), gid)
-    for L in (1, 2):
-        iv, _ = amplified_norm(ident, L, BUDGET)
-        assert iv.lower == pytest.approx(1.0, abs=1e-8)
-        assert iv.upper == pytest.approx(2.0, abs=1e-9)  # dual-basis nuclear cap
-    into_dual = KernelMap(dom, dual_space(2), gid)
-    iv, _ = amplified_norm(into_dual, 2, BUDGET)
-    # the diagonal-carrier identity into trace-class has value two
-    assert iv.lower == pytest.approx(2.0, abs=1e-7)
-    assert iv.upper == pytest.approx(2.0, abs=1e-9)
-
-
-def test_matrix_subspace_rejects_dependent_basis():
-    from qxor.config import ValidationError
-    from qxor.maps import matrix_subspace
-
-    e = matrix_unit(2, 0, 0)
-    with pytest.raises(ValidationError):
-        matrix_subspace([e, 2 * e], 2)
-
-
-@pytest.mark.parametrize("pattern", ["diag", "bogus", ""])
-def test_space_rejects_unknown_pattern(pattern):
-    from qxor.config import ValidationError
-
-    with pytest.raises(ValidationError, match="pattern"):
-        Space("matrix", 2, pattern)
 
 
 def test_pietsch_identity_and_duplicates():
@@ -636,6 +592,31 @@ def test_stacked_tuple_caps_are_the_single_caps_bit_for_bit():
     caps = dual_tuple_caps(np.stack(xs))
     assert caps.tolist() == [dual_tuple_cap(x) for x in xs]
     assert caps[0] == 0.0 and (caps[1:] > 0).all()
+
+
+def test_a_trace_class_cap_beyond_the_float_range_is_inf():
+    x = np.full((2, 2, 2), 1e308 + 0j)
+    x[1] *= -0.5
+    # the cap is homogeneous, and a quarter of the tuple has a cap above a
+    # quarter of the largest float
+    assert 4 * dual_tuple_cap(x / 4) == math.inf
+    assert dual_tuple_cap(x) == math.inf
+    assert tuple_rplus2c_upper_in_space(x, dual_space(2), SolverBudget(restarts=3)) == math.inf
+    # below the float range the stack scale is exact
+    assert dual_tuple_cap(x / 16) == 4 * dual_tuple_cap(x / 64)
+
+
+def test_a_kernel_map_from_trace_class_is_rejected():
+    # the identity S_1^2 -> S_1^2 has norm one; the see-saws range over the
+    # unit ball of M_2, where the same kernel is the identity M_2 -> S_1^2 of
+    # norm two
+    ident = sum(np.kron(matrix_unit(2, i, j), matrix_unit(2, i, j))
+                for i in range(2) for j in range(2))
+    with pytest.raises(ValidationError, match="domain"):
+        KernelMap(dual_space(2), dual_space(2), ident)
+    iv, _ = amplified_norm(KernelMap(full_matrix_space(2), dual_space(2), ident), 1, BUDGET)
+    assert iv.lower == pytest.approx(2.0, abs=1e-9)
+    assert iv.upper == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

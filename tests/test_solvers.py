@@ -21,6 +21,7 @@ from qxor.games import (
     swap_game,
 )
 from qxor.linalg import partial_contract_A, zero_pad
+from qxor.maps import KernelMap, full_matrix_space
 from qxor import solvers
 from qxor.solvers import (
     analyze_game,
@@ -385,6 +386,18 @@ def test_pi1o_values():
     assert pi1o_exact(g) == pytest.approx(beta_owq(g), abs=1e-12)
     M = np.array([[0.3, -0.2], [0.1, 0.25]])
     assert pi1o_exact(diagonal_game(M)) == pytest.approx(np.abs(M).sum(), abs=1e-10)
+
+
+def test_summing_norms_reject_a_map_into_matrices():
+    # the summing norms read a kernel as a game, which is a map into trace
+    # class; the same kernel into M_2 is a different map
+    tau = associated_map(swap_matrix(2), 2, 2)
+    into_matrix = KernelMap(full_matrix_space(2), full_matrix_space(2), tau.kernel)
+    with pytest.raises(ValidationError, match="trace class"):
+        pi1o_exact(into_matrix)
+    with pytest.raises(ValidationError, match="trace class"):
+        pi1cb_bounds(into_matrix, (1,), BUDGET)
+    assert pi1o_exact(tau) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_pi1cb_transpose_bracket():
