@@ -64,8 +64,7 @@ class SeesawTrace:
 
 
 def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
-           budget: SolverBudget, max_sweeps: Optional[int] = None,
-           floor: float = -math.inf) -> tuple:
+           budget: SolverBudget, floor: float = -math.inf) -> tuple:
     """Block-coordinate ascent from every start in lockstep; returns
     ``(value, state, trace)`` of the best start and a :class:`SeesawTrace`.
 
@@ -82,8 +81,8 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
       raises :class:`MonotonicityError`, because closed-form block updates
       cannot lower the objective unless a formula is wrong;
     * a start stops once a sweep gains at most ``budget.tol`` relative to
-      the new value, or after ``max_sweeps`` sweeps (default
-      ``budget.max_sweeps``); a stopped start is never swept again;
+      the new value, or after ``budget.max_sweeps`` sweeps; a stopped start
+      is never swept again;
     * the best start is the first whose final value is strictly greater
       than every earlier one and than ``floor``; its state row is returned,
       and when none beats ``floor`` the result is ``(floor, None, trace)``;
@@ -92,7 +91,6 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
     * each start that stops at the sweep cap is logged at DEBUG on the
       ``qxor.budget`` logger.
     """
-    cap = budget.max_sweeps if max_sweeps is None else max_sweeps
     starts = list(starts)
     # per-start bookkeeping in Python floats, which for a handful of starts
     # costs less than numpy calls; ``active`` maps the stack's rows to starts
@@ -103,7 +101,7 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
     finals = [None] * len(starts)
     active = list(range(len(starts)))
     comps = tuple(np.stack(c) for c in zip(*(s for _, s in starts)))
-    for _ in range(cap):
+    for _ in range(budget.max_sweeps):
         if not active:
             break
         new, comps = sweep(np.array([vals[i] for i in active]), comps)

@@ -160,15 +160,6 @@ def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6, *,
 # tuple norms with trace-class carriers
 # ---------------------------------------------------------------------------
 
-def _split_cap(row_cap: float, col_cap: float) -> float:
-    """sqrt(row_cap^2 + col_cap^2), or inf, still a valid cap, when a square
-    overflows."""
-    try:
-        return math.sqrt(row_cap ** 2 + col_cap ** 2)
-    except OverflowError:
-        return math.inf
-
-
 def tuple_rplus2c_upper_in_space(t, space: Space,
                                  budget: SolverBudget = DEFAULT_BUDGET) -> float:
     """Certified upper bound for the quadratic splitting norm over a
@@ -178,10 +169,12 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
     Over trace class the row and the column cap of a tuple are the same
     number K (:func:`dual_tuple_cap`), so of the splits ``(lam x, (1-lam)
     x)`` the equal one is best, at ``K / sqrt(2)``; random per-entry splits
-    follow."""
+    follow. They are compared at the exact power-of-two scale of the tuple,
+    so no cap or square overflows, and the best is scaled back."""
     x = as_stack(t)
     if space.kind == "matrix":
         return rplus2c_split(x).value
+    x, e = pow2_scaled(x)
     rng = budget.rng("dual-split")
     tparts = [rng.uniform(0.0, 1.0, size=x.shape[0])[:, None, None] * x
               for _ in range(min(budget.restarts, 12))]
@@ -189,8 +182,8 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
     caps = dual_tuple_caps(np.stack([x] + [p for t in tparts for p in (t, x - t)])).tolist()
     best = caps[0] / math.sqrt(2)
     for row_cap, col_cap in zip(caps[1::2], caps[2::2]):
-        best = min(best, _split_cap(row_cap, col_cap))
-    return best
+        best = min(best, math.sqrt(row_cap ** 2 + col_cap ** 2))
+    return pow2_restore(best, e)
 
 
 # ---------------------------------------------------------------------------

@@ -112,14 +112,13 @@ def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
 
 
 def _nuclear_cap(u: KernelMap) -> float:
-    """sum_ij ||u(E_ij)||_codomain over the matrix units of ``M_n``, whose
-    dual functionals are the units themselves; valid for every amplification
-    level. The norms come from one stacked SVD and are summed ``i`` major."""
+    """sum_ij ||u(E_ij)|| over the matrix units of ``M_n``, whose dual
+    functionals are the units themselves; valid for every amplification
+    level. The codomain is a matrix space, so each norm is the operator
+    norm. The norms come from one stacked SVD and are summed ``i`` major."""
     n, m = u.n, u.m
     images = regroup(u.kernel, (n, m, n, m), (0, 2, 1, 3)).reshape(n * n, m, m)  # u(E_ij)
-    sv = np.linalg.svd(images, compute_uv=False)
-    out = sv.sum(axis=1) if u.codomain.kind == "dual" else sv[:, 0]
-    return float(np.cumsum(out)[-1])
+    return float(np.cumsum(np.linalg.svd(images, compute_uv=False)[:, 0])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +367,19 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
     h = np.stack(vm.vectors)
     d, p = h.shape
 
+    def contract(blocks):
+        """Each block divided by its norm where that exceeds one."""
+        nrm = np.linalg.svd(blocks, compute_uv=False)[..., :1, None]
+        return blocks / np.maximum(nrm, 1.0)
+
     ident = (np.stack([np.eye(L, dtype=complex)] * d),)
     starts = _embedded(warm, ident) + [ident]
     for i in range(len(starts), len(starts) + budget.restarts):
         rng = budget.rng("amp-rc", i)
-        blocks = rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))
-        for k in range(d):
-            blocks[k] /= max(1.0, operator_norm(blocks[k]))
-        starts.append((blocks,))
+        starts.append((contract(rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))),))
 
     def start(state):
-        blocks = state[0].copy()
-        for k in range(d):
-            nk = operator_norm(blocks[k])
-            if nk > 1:
-                blocks[k] /= nk
+        blocks = contract(state[0])
         val, w, top_is_col = _rc_level(blocks, h)
         return val, (blocks, w, top_is_col)
 

@@ -39,8 +39,6 @@ from .linalg import (
     eigh_stack,
     max_entangled,
     operator_norm,
-    partial_contract_A,
-    partial_contract_B,
     polar_stack,
     regroup,
     sign_hermitian,
@@ -94,6 +92,19 @@ def _random_herm_contraction(n: int, rng) -> np.ndarray:
     return h / max(1.0, operator_norm(h))
 
 
+def _to_bob(g4, a):
+    """``D[..., k, l] = sum_ij g4[i, k, j, l] a[..., j, i]``, so that
+    ``tr(G (a (x) b)) = tr(D b)``: :func:`~qxor.linalg.partial_contract_A`
+    of a trusted stack of Alice's operators, for the see-saws."""
+    return np.einsum("ikjl,...ji->...kl", g4, a)
+
+
+def _to_alice(g4, b):
+    """``C[..., i, j] = sum_kl g4[i, k, j, l] b[..., l, k]``, so that
+    ``tr(G (a (x) b)) = tr(a C)``: the mirror of :func:`_to_bob`."""
+    return np.einsum("ikjl,...lk->...ij", g4, b)
+
+
 def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=None):
     """Alternating optimal-response ascent over observable pairs.
 
@@ -103,21 +114,20 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
     every running start at once; it reads only ``a``. ``warm``, an
     observable of Alice, is the first start.
     """
-    g = game.G
     n, m = game.n, game.m
     g4 = game.kernel_tensor()
     update = sign_stack if hermitian else polar_stack
 
     def sweep(_, state):
         a = state[0]
-        b = update(np.einsum("ikjl,...ji->...kl", g4, a))
-        a = update(np.einsum("ikjl,...lk->...ij", g4, b))
-        d = np.einsum("ikjl,...ji->...kl", g4, a)
+        b = update(_to_bob(g4, a))
+        a = update(_to_alice(g4, b))
+        d = _to_bob(g4, a)
         return np.real(np.trace(d @ b, axis1=-2, axis2=-1)), (a, b)
 
     starts = [] if warm is None else [warm]
     starts.append(np.eye(n, dtype=complex))
-    starts.append(sign_hermitian(partial_contract_B(g, np.eye(m), n, m)))
+    starts.append(sign_hermitian(_to_alice(g4, np.eye(m, dtype=complex))))
     for r in range(budget.restarts):
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
@@ -404,11 +414,9 @@ def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget,
 def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
     """Partition the computational basis into d groups; output +1 and send
     the group index."""
-    groups = np.array_split(np.arange(n), d)
     e = np.zeros((2 * d, n, n), dtype=complex)
-    for k, idx in enumerate(groups):
-        for i in idx:
-            e[k, i, i] = 1.0
+    for k, idx in enumerate(np.array_split(np.arange(n), d)):
+        e[k, idx, idx] = 1.0
     return e
 
 
@@ -427,19 +435,21 @@ def beta_owc(game: QuantumXorGame, d: int,
     measurement and random instruments (one more at ``d >= 3``). It
     alternates an exact sign update of Bob's observables with a fixed-point
     update of Alice's instrument (:func:`_instrument_fixed_point`) whose
-    iterates are exact instruments. That inner solve is inexact: a sweep
-    solves it to a relative dual gap of ``max(budget.tol, 0.01 * g)``, with
-    ``g`` the previous sweep's relative gain (1 on a start's first sweep). A
-    loose sweep that gains at most ``budget.tol`` is redone at
-    ``budget.tol``, so a start only stops on a tight sweep. The winning
-    start gets one more sweep at ``budget.tol``, kept only if its value does
-    not drop. The dual gap of the final instrument against the final
-    observables is reported; it measures quality only, never the bound
-    direction.
+    iterates are exact instruments. A sweep is one step on the stack of
+    running starts, in which only that inner solve runs per start. It is
+    inexact: a sweep solves it to a relative dual gap of
+    ``max(budget.tol, 0.01 * g)``, with ``g`` the start's previous relative
+    gain (1 at first). Starts whose loose sweep gains at most ``budget.tol``
+    are redone at ``budget.tol``, so a start only stops on a tight sweep.
+    The winning start gets one more tight sweep, on a one-row stack, kept
+    only if its value does not drop. The dual gap of the final instrument
+    against the final observables is reported; it measures quality only,
+    never the bound direction.
     """
     if d < 1:
         raise ValidationError("message count must be positive")
     n, m = game.n, game.m
+    g4 = game.kernel_tensor()
     owq = beta_owq(game)
 
     if _warm is None:
@@ -461,45 +471,39 @@ def beta_owc(game: QuantumXorGame, d: int,
             )
 
     def bob_step(e):
-        obs = np.zeros((d, m, m), dtype=complex)
-        val = 0.0
-        for k in range(d):
-            dk = partial_contract_A(game.G, e[k] - e[d + k], n, m)
-            obs[k] = sign_hermitian(dk)
-            val += trace_norm(dk)
-        return obs, val
+        """Bob's best observables against the instruments ``e`` and their
+        value: his per-message trace norms, summed in message order."""
+        dk = _to_bob(g4, e[..., :d, :, :] - e[..., d:, :, :])
+        tn = np.linalg.svd(dk, compute_uv=False).sum(axis=-1)
+        return sign_stack(dk), np.cumsum(tn, axis=-1)[..., -1]
 
     def objective(obs):
         """The instrument stack ``(+C_k, -C_k)`` that Bob's observables
         induce: the value of an instrument ``e`` is ``sum_j tr(h_j e_j)``."""
-        c = np.stack([partial_contract_B(game.G, obs[k], n, m) for k in range(d)])
-        c = (c + c.conj().transpose(0, 2, 1)) / 2
-        return np.concatenate([c, -c])
-
-    def start(e):
-        e = np.asarray(e, dtype=complex)
-        obs, val = bob_step(e)
-        return val, (e, obs, 1.0)
-
-    def sweep_one(val, e, obs, gain):
-        # a loose sweep that stalls is redone tight: the see-saw's stop rule
-        # must only fire on a tight sweep
-        h = objective(obs)
-        tol = max(budget.tol, _INNER_KAPPA * gain)
-        cand = _instrument_fixed_point(h, e, budget, tol)
-        cand_obs, cand_val = bob_step(cand)
-        if tol > budget.tol and cand_val - val <= budget.tol * max(1.0, abs(cand_val)):
-            cand = _instrument_fixed_point(h, cand, budget)
-            cand_obs, cand_val = bob_step(cand)
-        if cand_val >= val:
-            return cand_val, (cand, cand_obs, (cand_val - val) / max(1.0, abs(cand_val)))
-        return val, (e, obs, gain)
+        c = _to_alice(g4, obs)
+        c = (c + c.conj().swapaxes(-1, -2)) / 2
+        return np.concatenate([c, -c], axis=-3)
 
     def sweep(vals, state):
-        # the inner solve and its redo rule stay per start
-        rows = [sweep_one(v, *row) for v, row in zip(vals, zip(*state))]
-        return (np.array([v for v, _ in rows]),
-                tuple(np.stack(c) for c in zip(*(row for _, row in rows))))
+        # the inner solve stays per start; a loose sweep that stalls is redone
+        # tight, since the see-saw's stop rule must only fire on a tight sweep
+        e, obs, gain = state
+        h = objective(obs)
+        tol = np.maximum(budget.tol, _INNER_KAPPA * gain)
+        cand = np.stack([_instrument_fixed_point(*row, budget, t) for *row, t in zip(h, e, tol)])
+        cand_obs, cand_val = bob_step(cand)
+        stalled = cand_val - vals <= budget.tol * np.maximum(1.0, np.abs(cand_val))
+        redo = (tol > budget.tol) & stalled
+        if redo.any():
+            cand[redo] = np.stack([_instrument_fixed_point(*row, budget)
+                                   for row in zip(h[redo], cand[redo])])
+            cand_obs[redo], cand_val[redo] = bob_step(cand[redo])
+        keep = cand_val >= vals
+        block = keep[:, None, None, None]
+        return np.where(keep, cand_val, vals), (
+            np.where(block, cand, e), np.where(block, cand_obs, obs),
+            np.where(keep, (cand_val - vals) / np.maximum(1.0, np.abs(cand_val)), gain),
+        )
 
     warm = np.concatenate([zero_pad(_warm.e_plus, (d, n, n)), zero_pad(_warm.e_minus, (d, n, n))])
     starts = [warm, _measure_forward_instrument(n, d)]
@@ -511,11 +515,13 @@ def beta_owc(game: QuantumXorGame, d: int,
             raw.append(x @ x.conj().T + 0.02 * np.eye(n))
         starts.append(_normalize_instrument(np.stack(raw)))
 
-    val, (e, obs, _), _ = seesaw(map(start, starts), sweep, budget,
-                                 max_sweeps=min(budget.max_sweeps, 40))
+    e = np.stack(starts)
+    obs, vals = bob_step(e)
+    val, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep,
+                                 budget.with_(max_sweeps=min(budget.max_sweeps, 40)))
     # one tight sweep on the winner, so the reported gap and convergence
     # flag judge an instrument solved to ``budget.tol``
-    _, (e, obs, _) = sweep_one(val, e, obs, 0.0)
+    _, ((e,), (obs,), _) = sweep(np.array([val]), (e[None], obs[None], np.zeros(1)))
     primal, gap = _instrument_gap(objective(obs), e)
     converged = gap <= 1e-4 * max(1.0, abs(primal))
 

@@ -50,13 +50,14 @@ def test_stops_at_sweep_cap():
     _, (calls,), trace = seesaw([(0.0, (0,))], counting(lambda v: v + 1.0), BUDGET)
     assert calls == BUDGET.max_sweeps
     assert trace.stop_reasons == ("sweep_cap",)
-    val, (calls,), _ = seesaw([(0.0, (0,))], counting(lambda v: v + 1.0), BUDGET, max_sweeps=3)
+    val, (calls,), _ = seesaw([(0.0, (0,))], counting(lambda v: v + 1.0),
+                              BUDGET.with_(max_sweeps=3))
     assert (val, calls) == (3.0, 3)
 
 
 def test_one_sweep_reports_the_cap_for_every_start():
     starts = [(float(k), (0,)) for k in range(4)]
-    _, _, trace = seesaw(starts, counting(lambda v: v + 1.0), BUDGET, max_sweeps=1)
+    _, _, trace = seesaw(starts, counting(lambda v: v + 1.0), BUDGET.with_(max_sweeps=1))
     assert trace.sweeps == (1, 1, 1, 1)
     assert trace.stop_reasons == ("sweep_cap",) * 4
     assert (trace.winner, trace.values) == (3, (1.0, 2.0, 3.0, 4.0))
@@ -134,10 +135,10 @@ def test_lockstep_equals_sequential(monkeypatch):
     # every see-saw call of the solvers below is rerun one start at a time
     calls = []
 
-    def recording(starts, sweep, budget, max_sweeps=None, floor=-math.inf):
+    def recording(starts, sweep, budget, floor=-math.inf):
         starts = list(starts)
-        together = seesaw(starts, sweep, budget, max_sweeps, floor)
-        calls.append((starts, sweep, budget, max_sweeps, floor, together[2]))
+        together = seesaw(starts, sweep, budget, floor)
+        calls.append((starts, sweep, budget, floor, together[2]))
         return together
 
     monkeypatch.setattr(solvers, "seesaw", recording)
@@ -156,8 +157,8 @@ def test_lockstep_equals_sequential(monkeypatch):
     # six per game (three product, two entangled, one owc) and one per map
     assert len(calls) == 15
 
-    for starts, sweep, bud, cap, floor, trace in calls:
-        alone = [seesaw([s], sweep, bud, cap, floor)[2].values[0] for s in starts]
+    for starts, sweep, bud, floor, trace in calls:
+        alone = [seesaw([s], sweep, bud, floor)[2].values[0] for s in starts]
         assert trace.values == pytest.approx(alone, rel=1e-12, abs=1e-12)
         best, winner = floor, None
         for i, val in enumerate(alone):

@@ -601,7 +601,12 @@ def test_a_trace_class_cap_beyond_the_float_range_is_inf():
     # quarter of the largest float
     assert 4 * dual_tuple_cap(x / 4) == math.inf
     assert dual_tuple_cap(x) == math.inf
-    assert tuple_rplus2c_upper_in_space(x, dual_space(2), SolverBudget(restarts=3)) == math.inf
+    # the splits are compared at the tuple's exact power-of-two scale, where
+    # the cap and its squares stay finite, so the split bound does too
+    split = tuple_rplus2c_upper_in_space(x, dual_space(2), SolverBudget(restarts=3))
+    assert split == 1.5811388300841897e308
+    assert split == 2**8 * tuple_rplus2c_upper_in_space(x * 2**-8, dual_space(2),
+                                                       SolverBudget(restarts=3))
     # below the float range the stack scale is exact
     assert dual_tuple_cap(x / 16) == 4 * dual_tuple_cap(x / 64)
 
@@ -726,18 +731,18 @@ def test_a_level_four_witness_is_feasible_and_valued_block_by_block(kind, n, m):
 def test_level_four_starts_give_the_same_values_in_lockstep_as_alone(kind, monkeypatch):
     calls = []
 
-    def recording(starts, sweep, budget, max_sweeps=None, floor=-math.inf):
+    def recording(starts, sweep, budget, floor=-math.inf):
         starts = list(starts)
-        calls.append((starts, sweep, budget, max_sweeps, floor))
-        return seesaw(starts, sweep, budget, max_sweeps, floor)
+        calls.append((starts, sweep, budget, floor))
+        return seesaw(starts, sweep, budget, floor)
 
     monkeypatch.setattr(opnorms, "seesaw", recording)
     for n, m in RECT_SHAPES:
         amplified_norm(_rect_map(kind, n, m), 4, RECT_BUDGET)
     assert len(calls) == len(RECT_SHAPES)
-    for starts, sweep, budget, cap, floor in calls:
-        together = seesaw(starts, sweep, budget, cap, floor)[2].values
-        alone = [seesaw([s], sweep, budget, cap, floor)[2].values[0] for s in starts]
+    for starts, sweep, budget, floor in calls:
+        together = seesaw(starts, sweep, budget, floor)[2].values
+        alone = [seesaw([s], sweep, budget, floor)[2].values[0] for s in starts]
         assert together == tuple(alone)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,47 @@ def test_owc_loose_sweep_that_stalls_is_redone_tight():
     assert beta_owc(g, 2, C4_BUDGET).interval.lower >= 0.78999
 
 
+def test_an_owc_sweep_contracts_the_whole_stack_at_once(monkeypatch):
+    # Bob's contraction of an instrument stack (rows, 2d, n, n): "B"; an
+    # inner solve at a sweep's tolerance "F", and a tight redo "R"
+    events, rows, traces = [], [], []
+    to_bob, fixed_point, seesaw = solvers._to_bob, solvers._instrument_fixed_point, solvers.seesaw
+
+    def counted_to_bob(g4, a):
+        if a.ndim == 4:  # the product see-saw contracts stacks (rows, n, n)
+            events.append("B")
+            rows.append(a.shape[0])
+        return to_bob(g4, a)
+
+    def counted_fixed_point(h, e, budget, tol=None):
+        events.append("R" if tol is None else "F")
+        return fixed_point(h, e, budget, tol)
+
+    def traced(*args, **kw):
+        out = seesaw(*args, **kw)
+        traces.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_to_bob", counted_to_bob)
+    monkeypatch.setattr(solvers, "_instrument_fixed_point", counted_fixed_point)
+    monkeypatch.setattr(solvers, "seesaw", traced)
+    beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
+    log = "".join(events)
+    # one contraction for the starts, then per sweep one for the stack and
+    # one more for the rows it redoes
+    assert re.fullmatch(r"B(F+B(R+B)?)+", log), log
+    # the see-saw's sweeps and the winner's final tight sweep
+    assert len(re.findall(r"F+B", log)) == max(traces[-1].sweeps) + 1
+    assert "R" in log
+    assert rows[1] >= 2 and rows[-1] == 1
+
+
+def test_the_solvers_leave_the_validated_contractions_to_bias_of():
+    # bias_of re-evaluates every witness on a path that no optimizer uses
+    assert not hasattr(solvers, "partial_contract_A")
+    assert not hasattr(solvers, "partial_contract_B")
+
+
 def test_owc_three_messages_on_c4_games():
     # r20: a three-outcome instrument beats the two-message value 0.872636,
     # found by the extra random start at d >= 3
@@ -553,11 +595,11 @@ def test_owc_schedule_runs_each_start_once(monkeypatch):
     counts = []
     seesaw = solvers.seesaw
 
-    def counted(starts, sweep, budget, max_sweeps=None, **kw):
+    def counted(starts, sweep, budget, **kw):
         starts = list(starts)
-        if max_sweeps is not None:  # only the instrument see-saw caps its sweeps
+        if sweep.__qualname__.startswith("beta_owc."):
             counts.append(len(starts))
-        return seesaw(starts, sweep, budget, max_sweeps, **kw)
+        return seesaw(starts, sweep, budget, **kw)
 
     monkeypatch.setattr(solvers, "seesaw", counted)
     small = SolverBudget(restarts=4, max_sweeps=30, seed=1)
