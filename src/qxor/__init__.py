@@ -82,18 +82,15 @@ from .solvers import (
     beta_owc_schedule,
     beta_owq,
     beta_product,
-    hierarchy_report,
     owq_witness,
     pi1cb_bounds,
     pi1o_exact,
 )
 from .tuples import (
-    MatrixTuple,
     col_norm,
     ordering_check,
     rc_norm,
     row_norm,
-    rplus2c_norm,
     rplus2c_split,
 )
 

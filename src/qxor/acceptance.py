@@ -3,8 +3,9 @@
 
 These are the package's exit conditions at desk scale (registers up to
 four-dimensional, ancillas up to four, minutes of total runtime). Every
-tolerance is pinned here; the CLI ``selftest`` subcommand and the pytest
-acceptance module both execute this registry.
+tolerance is pinned here, except the 1e-6 slack of the weight checks (C7),
+which is ``qxor.factor._CHECK_TOL``; the CLI ``selftest`` subcommand and the
+pytest acceptance module both execute this registry.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ from .config import TOL
 class BoundInterval:
     lower: float
     upper: float
-    lower_method: str = "unknown"
-    upper_method: str = "unknown"
+    lower_method: str
+    upper_method: str
 
     def __post_init__(self):
         if math.isnan(self.lower) or math.isnan(self.upper):

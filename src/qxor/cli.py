@@ -230,8 +230,8 @@ def _check_register_dims(args, *flags):
 
 
 def _analyze_many(named_games, args) -> int:
-    """``hierarchy_report`` plus the wall time of each game, for CSV; writes
-    the report and returns the exit code."""
+    """The :class:`HierarchyReport` of ``analyze_game`` on each game, plus its
+    wall time, for CSV; writes the report and returns the exit code."""
     messages = _capped_schedule(args, "messages", 2 * MAX_REGISTER_DIM)
     ancilla = tuple((v, v) for v in _capped_schedule(args, "ancilla", MAX_REGISTER_DIM))
     budget = _budget(args)
@@ -313,11 +313,8 @@ def cmd_norms(args) -> int:
         raise SchemaError("entries must be one or more matrices of one shape")
     t = np.stack(entries)
     res = rplus2c_split(t)
-    weight = res.value * res.value
-    if res.value > 0 and weight < sys.float_info.min:
-        weight = math.nextafter(weight, math.inf)  # rounded up, never to zero
     out = {"row": row_norm(t), "col": col_norm(t), "rc": rc_norm(t),
-           "rplus2c": res.value, "weight": weight}
+           "rplus2c": res.value, "weight": res.weight}
     # an upper beyond the float range is reported as unbounded (null) and
     # the lower is rounded down to the largest float
     out = {k: v if math.isfinite(v) else None for k, v in out.items()}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -75,10 +75,13 @@ CB_VS_SUMMING_CONSTANT = 8 * math.sqrt(2)
 # the splitting weight
 # ---------------------------------------------------------------------------
 
-def weight_w(t, inits: Optional[Sequence] = None) -> float:
+_CHECK_TOL = 1e-6  # absolute slack of the weight checks; relative for homogeneity
+
+
+def weight_w(t) -> float:
     """Weight of the positive form sum_k x_k (x) conj(x_k): the squared
-    quadratic splitting norm of the tuple."""
-    return rplus2c_split(t, inits=inits).value ** 2
+    quadratic splitting norm of the tuple, :attr:`SplitResult.weight`."""
+    return rplus2c_split(t).weight
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,7 @@ class WeightSandwich:
     ok: bool
 
 
-def weight_sandwich_check(t, tol: float = 1e-6, *,
-                          split: Optional[SplitResult] = None) -> WeightSandwich:
+def weight_sandwich_check(t, *, split: Optional[SplitResult] = None) -> WeightSandwich:
     """Check that the weight sits between half the squared linear splitting
     norm and the squared linear splitting norm itself.
 
@@ -107,12 +109,11 @@ def weight_sandwich_check(t, tol: float = 1e-6, *,
     )
     w_val = min(w_res.value, quad_at_q) ** 2
     q_sq = q_res.value ** 2
-    ok = (q_sq / 2 - tol <= w_val <= q_sq + tol)
+    ok = (q_sq / 2 - _CHECK_TOL <= w_val <= q_sq + _CHECK_TOL)
     return WeightSandwich(q_sq / 2, w_val, q_sq, ok)
 
 
-def weight_subadditivity_check(x, y, tol: float = 1e-6, *,
-                               x_split: Optional[SplitResult] = None,
+def weight_subadditivity_check(x, y, *, x_split: Optional[SplitResult] = None,
                                y_split: Optional[SplitResult] = None):
     """w(concatenation) <= w(x) + w(y); the concatenated solve warm-starts
     from the block splitting of the parts, which realizes the inequality.
@@ -124,11 +125,10 @@ def weight_subadditivity_check(x, y, tol: float = 1e-6, *,
     joint = rplus2c_split(np.concatenate([xs, ys], axis=0), inits=[joint_init])
     lhs = joint.value ** 2
     rhs = rx.value ** 2 + ry.value ** 2
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + _CHECK_TOL
 
 
-def weight_monotonicity_check(xs, ys, tol: float = 1e-6, *,
-                              ys_split: Optional[SplitResult] = None):
+def weight_monotonicity_check(xs, ys, *, ys_split: Optional[SplitResult] = None):
     """When the ordering test dominates xs by ys, the weight must follow.
     ``ys_split`` is ``rplus2c_split(ys)``, when the caller already has it."""
     dominated, a = ordering_check(xs, ys)
@@ -138,11 +138,10 @@ def weight_monotonicity_check(xs, ys, tol: float = 1e-6, *,
     warm = [mix_tuple(a, ry.row_part)]
     wx = rplus2c_split(xs, inits=warm).value ** 2
     wy = ry.value ** 2
-    return wx, wy, wx <= wy + tol
+    return wx, wy, wx <= wy + _CHECK_TOL
 
 
-def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6, *,
-                             split: Optional[SplitResult] = None):
+def weight_homogeneity_check(t, factor: float, *, split: Optional[SplitResult] = None):
     """w(sqrt(factor) x) = factor w(x) up to solver accuracy. ``split`` is
     ``rplus2c_split(t)``, when the caller already has it."""
     x = as_stack(t)
@@ -152,7 +151,7 @@ def weight_homogeneity_check(t, factor: float, rel_tol: float = 1e-6, *,
     )
     lhs = scaled.value ** 2
     rhs = factor * base.value ** 2
-    ok = abs(lhs - rhs) <= rel_tol * max(rhs, 1e-30)
+    ok = abs(lhs - rhs) <= _CHECK_TOL * max(rhs, 1e-30)
     return lhs, rhs, ok
 
 

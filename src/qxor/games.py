@@ -116,7 +116,7 @@ class QuantumXorGame:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValidationError("register dimensions must be positive")
-        g = require_hermitian(self.G, tol=1e-12 * max(1.0, float(np.abs(np.asarray(self.G)).max())))
+        g = require_hermitian(self.G)
         if g.shape != (self.n * self.m, self.n * self.m):
             raise ValidationError("game operator shape does not match (n, m)")
         # no entry's modulus exceeds the trace norm: an oversized game is

@@ -41,9 +41,9 @@ __all__ = [
 ]
 
 
-def as_matrix(m, dtype=complex) -> np.ndarray:
+def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array and reject non-finite entries."""
-    a = np.asarray(m, dtype=dtype)
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValidationError(f"expected a matrix, got array of ndim {a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -122,24 +122,27 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def sign_hermitian(m, zero_tol: float = 1e-12) -> np.ndarray:
+_ZERO_TOL = 1e-12  # eigenvalues of modulus at most this count as zero in a sign
+
+
+def sign_hermitian(m) -> np.ndarray:
     """Spectral sign ``U sign(w) U^dagger`` with ``sign(0) := +1``.
 
-    Eigenvalues with ``|w| <= zero_tol`` count as zero and map to +1, so the
+    Eigenvalues with ``|w| <= _ZERO_TOL`` count as zero and map to +1, so the
     result is always a Hermitian contraction of norm one and maximizes
     ``tr(m X)`` over Hermitian contractions ``X`` with value ``trace_norm(m)``.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("Hermitian matrix must be square")
-    return sign_stack(a, zero_tol)
+    return sign_stack(a)
 
 
-def sign_stack(a: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+def sign_stack(a: np.ndarray) -> np.ndarray:
     """:func:`sign_hermitian` of every matrix of a trusted stack
     ``(..., n, n)``, with one eigendecomposition call for the stack."""
     w, u = eigh_stack((a + _adjoint(a)) / 2)
-    signs = np.where(w < -zero_tol, -1.0, 1.0)
+    signs = np.where(w < -_ZERO_TOL, -1.0, 1.0)
     out = (u * signs[..., None, :]) @ _adjoint(u)
     return (out + _adjoint(out)) / 2
 

@@ -89,9 +89,6 @@ class KernelMap:
             raise ValidationError("input shape does not match the domain")
         return partial_contract_A(self.kernel, x.T, self.n, self.m)
 
-    def scale(self, t: float) -> "KernelMap":
-        return KernelMap(self.domain, self.codomain, self.kernel * t)
-
 
 @dataclass(frozen=True)
 class VectorMap:

@@ -28,6 +28,7 @@ import numpy as np
 from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
 from .config import ValidationError
+from .factor import CB_VS_SUMMING_CONSTANT
 from .games import (
     EntangledStrategy,
     OwcStrategy,
@@ -64,7 +65,6 @@ __all__ = [
     "pi1cb_bounds",
     "HierarchyRow",
     "HierarchyReport",
-    "hierarchy_report",
     "default_message_schedule",
 ]
 
@@ -551,20 +551,22 @@ def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
 # summing norms
 # ---------------------------------------------------------------------------
 
-def _summing_kernel(u: KernelMap) -> np.ndarray:
-    """The kernel of a map into trace class, read as a game."""
-    if u.codomain.kind != "dual":
+def _summing_kernel(obj) -> np.ndarray:
+    """The kernel of a game, or of a map into trace class read as a game;
+    nothing else has summing norms here."""
+    if isinstance(obj, QuantumXorGame):
+        return obj.G
+    if not isinstance(obj, KernelMap):
+        raise ValidationError("expected a QuantumXorGame or KernelMap")
+    if obj.codomain.kind != "dual":
         raise ValidationError("summing norms take a map into trace class")
-    return u.kernel
+    return obj.kernel
 
 
 def pi1o_exact(obj) -> float:
-    """Completely 1-summing norm: the trace norm of the coefficient kernel."""
-    if isinstance(obj, QuantumXorGame):
-        return trace_norm(obj.G)
-    if isinstance(obj, KernelMap):
-        return trace_norm(_summing_kernel(obj))
-    return trace_norm(obj)
+    """Completely 1-summing norm of a game or of a map into trace class: the
+    trace norm of the coefficient kernel."""
+    return trace_norm(_summing_kernel(obj))
 
 
 @dataclass(frozen=True)
@@ -581,8 +583,6 @@ def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
     norms are positively homogeneous, so results scale back exactly."""
     if isinstance(obj, QuantumXorGame):
         return obj, 1.0
-    if not isinstance(obj, KernelMap):
-        raise ValidationError("expected a QuantumXorGame or KernelMap")
     kernel = _summing_kernel(obj)
     scale = max(trace_norm(kernel), 1.0)
     return QuantumXorGame(obj.n, obj.m, np.asarray(kernel) / scale), scale
@@ -635,9 +635,6 @@ def pi1cb_bounds(game_or_map,
 # ---------------------------------------------------------------------------
 # hierarchy report
 # ---------------------------------------------------------------------------
-
-from .factor import CB_VS_SUMMING_CONSTANT  # noqa: E402  (no import cycle)
-
 
 @dataclass(frozen=True)
 class HierarchyRow:
@@ -742,15 +739,4 @@ def analyze_game(game: QuantumXorGame, game_id: str,
         pi1cb=p1cb.interval,
         ratio_entangled_vs_owc=ratio,
         violations=tuple(violations),
-    )
-
-
-def hierarchy_report(games: Sequence[tuple],
-                     budget: SolverBudget = DEFAULT_BUDGET,
-                     d_schedule: Optional[Sequence[int]] = None,
-                     ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyReport:
-    """Analyze ``(game_id, game)`` pairs and aggregate soundness flags."""
-    return HierarchyReport.of(
-        analyze_game(game, game_id, budget, d_schedule, ancilla_schedule)
-        for game_id, game in games
     )

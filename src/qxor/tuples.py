@@ -22,6 +22,7 @@ power-of-two scale of the largest entry, so no square under- or overflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,14 +32,12 @@ from .config import ValidationError
 from .linalg import as_matrix, operator_norm, pow2_restore, pow2_scaled, pow2_times
 
 __all__ = [
-    "MatrixTuple",
     "as_stack",
     "row_norm",
     "col_norm",
     "rc_norm",
     "SplitResult",
     "rplus2c_split",
-    "rplus2c_norm",
     "rplusc_split",
     "mix_tuple",
     "ordering_check",
@@ -57,33 +56,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class MatrixTuple:
-    entries: tuple = field(repr=False)
-
-    def __post_init__(self):
-        mats = tuple(as_matrix(e) for e in self.entries)
-        if not mats:
-            raise ValidationError("tuple must contain at least one matrix")
-        shape = mats[0].shape
-        if any(m.shape != shape for m in mats):
-            raise ValidationError("tuple entries must share a shape")
-        object.__setattr__(self, "entries", mats)
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
-
-    @property
-    def shape(self):
-        return self.entries[0].shape
-
-
 def as_stack(t) -> np.ndarray:
-    """Coerce a MatrixTuple / sequence of matrices to a (d, r, c) stack."""
-    if isinstance(t, MatrixTuple):
-        return np.stack(t.entries)
-    return np.stack([as_matrix(e) for e in t])
+    """The ``(d, r, c)`` complex stack of a nonempty sequence of matrices of
+    one shape; the one validator of tuples."""
+    mats = [as_matrix(e) for e in t]
+    if not mats:
+        raise ValidationError("tuple must contain at least one matrix")
+    if any(m.shape != mats[0].shape for m in mats):
+        raise ValidationError("tuple entries must share a shape")
+    return np.stack(mats)
 
 
 def row_norm(t) -> float:
@@ -130,8 +111,15 @@ class SplitResult:
     value: float
     row_part: np.ndarray = field(repr=False)
     col_part: np.ndarray = field(repr=False)
-    converged: bool = True
-    lower: float = 0.0
+    converged: bool
+    lower: float
+
+    @property
+    def weight(self) -> float:
+        """``value`` squared, an upper bound on the squared infimum: a square
+        below the normal float range is rounded up, never to zero."""
+        w = self.value * self.value
+        return math.nextafter(w, math.inf) if 0 < self.value and w < sys.float_info.min else w
 
 
 def _density(log_m: np.ndarray):
@@ -262,10 +250,6 @@ def rplus2c_split(t, inits: Optional[Sequence] = None) -> SplitResult:
     return _solve_split(t, quadratic=True, inits=inits)
 
 
-def rplus2c_norm(t, inits: Optional[Sequence] = None) -> float:
-    return rplus2c_split(t, inits=inits).value
-
-
 def rplusc_split(t, inits: Optional[Sequence] = None) -> SplitResult:
     """Linear splitting infimum, inf row(T) + col(S)."""
     return _solve_split(t, quadratic=False, inits=inits)
@@ -276,7 +260,10 @@ def rplusc_split(t, inits: Optional[Sequence] = None) -> SplitResult:
 # ---------------------------------------------------------------------------
 
 
-def ordering_check(xs, ys, tol: float = 1e-9):
+_ORDER_TOL = 1e-9  # relative residual and contraction slack of the ordering test
+
+
+def ordering_check(xs, ys):
     """Decide whether the positive form of ``xs`` is dominated by ``ys``.
 
     Solves ``x_i = sum_j a[i,j] y_j`` by minimal-norm least squares on the
@@ -292,8 +279,8 @@ def ordering_check(xs, ys, tol: float = 1e-9):
     a = xf @ np.linalg.pinv(yf, rcond=1e-10)
     residual = float(np.abs(a @ yf - xf).max(initial=0.0))
     scale = max(1.0, float(np.abs(xf).max(initial=0.0)))
-    if residual > tol * scale:
+    if residual > _ORDER_TOL * scale:
         return False, None
-    if operator_norm(a) > 1 + tol:
+    if operator_norm(a) > 1 + _ORDER_TOL:
         return False, None
     return True, a

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ from qxor.opnorms import dual_tuple_cap
 from qxor.tuples import mix_tuple, rc_norm, rplus2c_split
 
 BUDGET = SolverBudget(restarts=4, max_sweeps=80, seed=13)
+
+
+def test_the_weight_of_a_tiny_tuple_stays_an_upper_bound():
+    # the tuple of the CLI test of the same name at scale 1e-200: its
+    # weight rplus2c**2 is below the normal float range and is rounded up
+    rng = np.random.default_rng(3)
+    t = [1e-200 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) for _ in range(2)]
+    w, value = weight_w(t), rplus2c_split(t).value
+    assert w > 0
+    assert Fraction(w) >= Fraction(value) ** 2
 
 
 def test_weight_single_element():

@@ -58,7 +58,11 @@ def test_unknown_name_raises_attribute_error_naming_the_module(module):
     assert getattr(module, "no_such_name", None) is None
 
 
-@pytest.mark.parametrize("module", [opnorms, tuples])
+QXOR_MODULES = [importlib.import_module(f"qxor.{info.name}")
+                for info in pkgutil.iter_modules(qxor.__path__)]
+
+
+@pytest.mark.parametrize("module", [m for m in QXOR_MODULES if hasattr(m, "__all__")])
 def test_star_import_exports_all_and_no_lazy_name(module):
     namespace = {}
     exec(f"from {module.__name__} import *", namespace)
@@ -89,18 +93,32 @@ def test_tracer_wraps_the_lazy_names_in_their_home_modules_only(monkeypatch):
         assert getattr(module, attr) is originals[module.__name__, attr]
 
 
+def public_functions() -> set:
+    """The functions the package exports or a module lists in ``__all__``."""
+    public = {getattr(qxor, name) for name in vars(qxor) if not name.startswith("_")}
+    public |= {getattr(m, name) for m in QXOR_MODULES for name in getattr(m, "__all__", ())}
+    return {f for f in public if inspect.isfunction(f)}
+
+
 def test_public_functions_take_no_private_parameter_but_warm():
     # a private parameter is a side channel into a public function; the
-    # warm start of a solver ladder is the one kind allowed. Public means
-    # exported by the package or listed in a module's __all__.
-    modules = [importlib.import_module(f"qxor.{info.name}")
-               for info in pkgutil.iter_modules(qxor.__path__)]
-    public = {getattr(qxor, name) for name in vars(qxor) if not name.startswith("_")}
-    public |= {getattr(m, name) for m in modules for name in getattr(m, "__all__", ())}
+    # warm start of a solver ladder is the one kind allowed
     found = sorted(
         f"{f.__module__}.{f.__name__}({param})"
-        for f in public if inspect.isfunction(f)
+        for f in public_functions()
         for param in inspect.signature(f).parameters
         if param.startswith("_") and param != "_warm"
     )
     assert found == []
+
+
+def test_public_functions_take_no_tolerance_but_the_symmetry_check():
+    # each numerical threshold is a module constant; only require_hermitian
+    # takes one, because the strategies validate at their own tolerance
+    found = sorted(
+        f"{f.__module__}.{f.__name__}({param})"
+        for f in public_functions()
+        for param in inspect.signature(f).parameters
+        if param in ("tol", "zero_tol", "rel_tol", "dtype")
+    )
+    assert found == ["qxor.linalg.require_hermitian(tol)"]

@@ -20,13 +20,11 @@ from qxor.opnorms import (
     pietsch_pi2,
 )
 from qxor.tuples import (
-    MatrixTuple,
     col_norm,
     mix_tuple,
     ordering_check,
     rc_norm,
     row_norm,
-    rplus2c_norm,
     rplus2c_split,
     rplusc_split,
 )
@@ -35,7 +33,7 @@ BUDGET = SolverBudget(restarts=4, max_sweeps=120, seed=7)
 
 
 def test_row_col_rc_matrix_units():
-    t = MatrixTuple((matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)))
+    t = [matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)]
     assert row_norm(t) == pytest.approx(np.sqrt(2), abs=1e-12)
     assert col_norm(t) == pytest.approx(1.0, abs=1e-12)
     assert rc_norm(t) == pytest.approx(np.sqrt(2), abs=1e-12)
@@ -43,9 +41,19 @@ def test_row_col_rc_matrix_units():
 
 def test_row_col_single_unitary():
     u = random_unitary(3, rng_for("tuple-unitary"))
-    t = MatrixTuple((u,))
+    t = [u]
     assert row_norm(t) == pytest.approx(1.0, abs=1e-12)
     assert col_norm(t) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [row_norm, rplus2c_split])
+@pytest.mark.parametrize("t, message", [
+    ([], "tuple must contain at least one matrix"),
+    ([np.eye(2), np.eye(3)], "tuple entries must share a shape"),
+], ids=["empty", "ragged"])
+def test_a_malformed_tuple_is_a_validation_error(call, t, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(t)
 
 
 def test_tuple_norm_homogeneity():
@@ -60,16 +68,16 @@ def test_rplus2c_single_element_closed_form():
     # min_y ||y||^2 + ||x - y||^2 = ||x||^2 / 2 by the triangle inequality
     rng = rng_for("rp2c-single")
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    val = rplus2c_norm(np.stack([x]))
+    val = rplus2c_split(np.stack([x])).value
     assert val == pytest.approx(np.linalg.norm(x, 2) / np.sqrt(2), rel=1e-6)
-    assert rplus2c_norm(np.stack([np.eye(4, dtype=complex)])) == pytest.approx(
+    assert rplus2c_split(np.stack([np.eye(4, dtype=complex)])).value == pytest.approx(
         1 / np.sqrt(2), rel=1e-8
     )
 
 
 def test_rplus2c_grid_oracle_matrix_units():
     t = np.stack([matrix_unit(2, 0, 0), matrix_unit(2, 0, 1)])
-    val = rplus2c_norm(t)
+    val = rplus2c_split(t).value
     rng = rng_for("rp2c-grid")
     best = np.inf
     for _ in range(10_000):
@@ -84,7 +92,7 @@ def test_rplus2c_bounded_by_pure_splittings():
     rng = rng_for("rp2c-pure")
     for trial in range(10):
         t = np.stack([gue(3, rng) for _ in range(3)])
-        assert rplus2c_norm(t) <= min(row_norm(t), col_norm(t)) + 1e-8
+        assert rplus2c_split(t).value <= min(row_norm(t), col_norm(t)) + 1e-8
 
 
 def test_rplus2c_contraction_mixing_monotone():
@@ -96,7 +104,7 @@ def test_rplus2c_contraction_mixing_monotone():
         a /= max(1.0, np.linalg.norm(a, 2))
         mixed = mix_tuple(a, t)
         warm = [mix_tuple(a, res.row_part)]
-        assert rplus2c_norm(mixed, inits=warm) <= res.value + 1e-8
+        assert rplus2c_split(mixed, inits=warm).value <= res.value + 1e-8
 
 
 def test_rplusc_single_element():
@@ -266,7 +274,7 @@ def test_amplified_scaling_homogeneity():
     rng = rng_for("amp-scale")
     g = gue(4, rng)
     u1 = KernelMap(full_matrix_space(2), dual_space(2), g)
-    u2 = u1.scale(0.35)
+    u2 = KernelMap(u1.domain, u1.codomain, u1.kernel * 0.35)
     iv1, _ = amplified_norm(u1, 2, BUDGET)
     iv2, _ = amplified_norm(u2, 2, BUDGET)
     assert iv2.lower == pytest.approx(0.35 * iv1.lower, rel=1e-9)

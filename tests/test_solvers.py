@@ -25,6 +25,7 @@ from qxor.linalg import partial_contract_A, zero_pad
 from qxor.maps import KernelMap, full_matrix_space
 from qxor import solvers
 from qxor.solvers import (
+    HierarchyReport,
     analyze_game,
     beta_entangled,
     beta_entangled_schedule,
@@ -33,7 +34,6 @@ from qxor.solvers import (
     beta_owq,
     beta_product,
     default_message_schedule,
-    hierarchy_report,
     owq_witness,
     pi1cb_bounds,
     pi1o_exact,
@@ -442,6 +442,12 @@ def test_summing_norms_reject_a_map_into_matrices():
     assert pi1o_exact(tau) == pytest.approx(4.0, abs=1e-8)
 
 
+def test_pi1o_rejects_a_bare_matrix():
+    # a matrix names no map: it is neither a game nor a map into trace class
+    with pytest.raises(ValidationError, match="expected a QuantumXorGame or KernelMap"):
+        pi1o_exact(np.eye(4))
+
+
 def test_pi1cb_transpose_bracket():
     for n in (2, 3):
         tau = associated_map(swap_matrix(n), n, n)
@@ -478,7 +484,8 @@ def test_pi1cb_zero_game():
 def test_hierarchy_report_small():
     games = [(f"g{k}", random_game(2, 2, seed=300 + k)) for k in range(3)]
     small = SolverBudget(restarts=3, max_sweeps=60, seed=9)
-    rep = hierarchy_report(games, small, d_schedule=(1, 2), ancilla_schedule=((1, 1), (2, 2)))
+    rep = HierarchyReport.of(analyze_game(g, gid, small, (1, 2), ((1, 1), (2, 2)))
+                             for gid, g in games)
     assert rep.violations == ()
     assert len(rep.rows) == 3
     assert [r.game_id for r in rep.rows] == sorted(r.game_id for r in rep.rows)
@@ -488,7 +495,7 @@ def test_hierarchy_report_small():
 
 
 def test_hierarchy_report_empty():
-    rep = hierarchy_report([], BUDGET)
+    rep = HierarchyReport.of([])
     assert rep.rows == ()
     assert rep.max_ratio == 0.0
 
