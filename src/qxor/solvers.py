@@ -19,6 +19,7 @@ carries nothing): :func:`pi1cb_bounds` feeds it :func:`beta_product`'s witness.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,6 +49,8 @@ from .linalg import (
     zero_pad,
 )
 from .maps import KernelMap
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "beta_owq",
@@ -366,28 +369,53 @@ def _instrument_gap(h: np.ndarray, e: np.ndarray) -> tuple[float, float]:
 
 _FIXED_POINT_ITERS = 200
 _FIXED_POINT_MIX = 0.01
-_GAP_EVERY = 5
 _INNER_KAPPA = 0.01
+_FINAL_TOL_SCALE = 0.1
+
+
+def _clip_to_instrument(y: np.ndarray) -> np.ndarray:
+    """An exact instrument near a Hermitian stack ``y`` whose blocks sum to
+    the identity: every eigenvalue below ``1e-14`` of the stack's largest
+    (positive, since the blocks' traces sum to ``n``) is raised to it, and
+    :func:`_normalize_instrument` makes the blocks sum to the identity
+    again."""
+    w, u = np.linalg.eigh((y + y.conj().transpose(0, 2, 1)) / 2)
+    w = np.maximum(w, 1e-14 * w.max())
+    return _normalize_instrument((u * w[:, None, :]) @ u.conj().transpose(0, 2, 1))
 
 
 def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget,
                             tol: Optional[float] = None) -> np.ndarray:
     """Best instrument found for ``max sum_j tr(h_j e_j)`` from ``e``.
 
-    The Jezek-Rehacek-Fiurasek iteration (Phys. Rev. A 65, 060301(R), 2002)
-    ``E_j <- R^-1 P_j E_j P_j R^-1`` with ``P_j = h_j + c I > 0`` and
-    ``R^2 = sum_j P_j E_j P_j`` keeps every iterate an exact instrument: it
-    is :func:`_normalize_instrument` of ``P_j E_j P_j``. A multiplicative
-    update cannot grow a zero
-    block, so it runs from ``e`` mixed with the uniform instrument, by
-    ``e``'s relative dual gap capped at 1%: every block and ``R`` are then
-    invertible, and a nearly optimal ``e`` is barely moved. ``e`` itself
-    still competes for the best value. The solve is only as exact as asked:
-    it stops once the dual gap is at most ``tol`` (default ``budget.tol``)
-    relative to the value, or after a fixed number of steps. Each step
-    tracks the value with one contraction; the dual gap, an eigenvalue
-    problem per block, is checked only every ``_GAP_EVERY`` steps, so a
-    solve may run up to ``_GAP_EVERY - 1`` steps past its tolerance.
+    The step is the Jezek-Rehacek-Fiurasek iteration (Phys. Rev. A 65,
+    060301(R), 2002) ``F: E_j <- R^-1 P_j E_j P_j R^-1`` with
+    ``P_j = h_j + c I > 0`` and ``R^2 = sum_j P_j E_j P_j``: it is
+    :func:`_normalize_instrument` of ``P_j E_j P_j``. A multiplicative update
+    cannot grow a zero block, so it runs from ``e`` mixed with the uniform
+    instrument, by ``e``'s relative dual gap capped at 1%: every block and
+    ``R`` are then invertible, and a nearly optimal ``e`` is barely moved.
+    ``e`` itself still competes for the best value.
+
+    The steps run in squared-extrapolation cycles (SQUAREM: Varadhan and
+    Roland, Scand. J. Statist. 35, 335-353, 2008) of three evaluations of
+    ``F``: ``x1 = F(x)``, ``x2 = F(x1)``, then ``F`` of the point
+    ``x - 2a r + a^2 v`` with ``r = x1 - x``, ``v = x2 - 2 x1 + x`` and
+    ``a = min(-|r| / |v|, -1)``, which is ``x2`` itself at ``a = -1``. That
+    point need not be positive, so :func:`_clip_to_instrument` makes it an
+    exact instrument before ``F`` runs on it, and the cycle keeps the result
+    only when its value is at least ``x2``'s; otherwise the next cycle starts
+    from ``x2``. The first cycle is plain (``a = -1``): next to the mixed
+    start, ``r`` and ``v`` measure the fast decay of the mixing, not the
+    iteration's slow direction. Every point ``F`` returns is an exact
+    instrument, and so is every point returned here: the best value seen
+    among ``e`` and those points.
+
+    The solve is only as exact as asked: after each cycle it stops once the
+    dual gap of the cycle's point is at most ``tol`` (default ``budget.tol``)
+    relative to its value. The cap counts evaluations of ``F``: at most
+    ``_FIXED_POINT_ITERS``, so ``_FIXED_POINT_ITERS // 3`` cycles. A solve
+    that stops at the cap is logged at DEBUG with its relative gap.
     """
     if tol is None:
         tol = budget.tol
@@ -401,13 +429,31 @@ def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget,
     p = h + 1.001 * float(np.abs(np.linalg.eigvalsh(h)).max()) * np.eye(n)
     mix = min(_FIXED_POINT_MIX, gap / scale)
     x = (1 - mix) * e + (mix / j) * np.eye(n)
-    for step in range(1, _FIXED_POINT_ITERS + 1):
+
+    def step(x):
+        nonlocal best, best_val
         x = _normalize_instrument(p @ x @ p)
         val = float(np.einsum("kab,kba->", h, x).real)
         if val > best_val:
             best, best_val = x, val
-        if step % _GAP_EVERY == 0 and _instrument_gap(h, x)[1] <= tol * max(1.0, abs(val)):
+        return x, val
+
+    for cycle in range(_FIXED_POINT_ITERS // 3):
+        x1, _ = step(x)
+        x2, val = step(x1)
+        r, v = x1 - x, x2 - 2 * x1 + x
+        nv = np.linalg.norm(v)
+        a = min(-np.linalg.norm(r) / nv, -1.0) if cycle and nv > 0 else -1.0
+        x3, val3 = step(x2 if a == -1.0 else _clip_to_instrument(x - 2 * a * r + a * a * v))
+        x, val = (x3, val3) if val3 >= val else (x2, val)
+        gap = _instrument_gap(h, x)[1]
+        if gap <= tol * max(1.0, abs(val)):
             break
+    else:
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("instrument fixed point stopped at its cap of %d evaluations: "
+                       "relative gap %.3g, tolerance %.3g",
+                       3 * (_FIXED_POINT_ITERS // 3), gap / max(1.0, abs(val)), tol)
     return best
 
 
@@ -433,18 +479,26 @@ def beta_owc(game: QuantumXorGame, d: int,
     ``beta_product``'s lower bound bit for bit. For more messages the
     solver runs the zero-padded warm witness first, then the forward
     measurement and random instruments (one more at ``d >= 3``). It
-    alternates an exact sign update of Bob's observables with a fixed-point
-    update of Alice's instrument (:func:`_instrument_fixed_point`) whose
-    iterates are exact instruments. A sweep is one step on the stack of
-    running starts, in which only that inner solve runs per start. It is
-    inexact: a sweep solves it to a relative dual gap of
-    ``max(budget.tol, 0.01 * g)``, with ``g`` the start's previous relative
-    gain (1 at first). Starts whose loose sweep gains at most ``budget.tol``
-    are redone at ``budget.tol``, so a start only stops on a tight sweep.
-    The winning start gets one more tight sweep, on a one-row stack, kept
-    only if its value does not drop. The dual gap of the final instrument
-    against the final observables is reported; it measures quality only,
-    never the bound direction.
+    alternates an exact sign update of Bob's observables with an update of
+    Alice's instrument by :func:`_instrument_fixed_point`: an extrapolated
+    fixed point whose every returned point is an exact instrument, because
+    each extrapolated point is clipped back to one before it is stepped
+    from. A sweep is one step on the stack of running starts, in which only
+    that inner solve runs per start. It is inexact: a sweep solves it to a
+    relative dual gap of ``max(budget.tol, 0.01 * g)``, with ``g`` the
+    start's previous relative gain (1 at first), or until its cap of
+    ``_FIXED_POINT_ITERS`` evaluations of the step. Starts whose loose sweep
+    gains at most ``budget.tol`` are redone at ``budget.tol``, so a start
+    only stops on a tight sweep. The winning start gets one more sweep, on
+    a one-row stack, that solves the inner problem to a tenth of
+    ``budget.tol`` and is kept only if its value does not drop. The dual gap
+    of the final instrument against the final observables is reported; it
+    measures quality only, never the bound direction.
+
+    At DEBUG the ``qxor.solvers`` logger records each sweep that redoes
+    loose rows tight, each sweep that keeps a start's old instrument
+    because the candidate's value was lower, and each inner solve that
+    stops at its cap.
     """
     if d < 1:
         raise ValidationError("message count must be positive")
@@ -484,21 +538,27 @@ def beta_owc(game: QuantumXorGame, d: int,
         c = (c + c.conj().swapaxes(-1, -2)) / 2
         return np.concatenate([c, -c], axis=-3)
 
-    def sweep(vals, state):
+    def sweep(vals, state, floor=budget.tol):
         # the inner solve stays per start; a loose sweep that stalls is redone
         # tight, since the see-saw's stop rule must only fire on a tight sweep
         e, obs, gain = state
         h = objective(obs)
-        tol = np.maximum(budget.tol, _INNER_KAPPA * gain)
+        tol = np.maximum(floor, _INNER_KAPPA * gain)
         cand = np.stack([_instrument_fixed_point(*row, budget, t) for *row, t in zip(h, e, tol)])
         cand_obs, cand_val = bob_step(cand)
         stalled = cand_val - vals <= budget.tol * np.maximum(1.0, np.abs(cand_val))
         redo = (tol > budget.tol) & stalled
         if redo.any():
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("owc sweep at d=%d redoes %d of %d loose rows tight",
+                           d, int(redo.sum()), len(redo))
             cand[redo] = np.stack([_instrument_fixed_point(*row, budget)
                                    for row in zip(h[redo], cand[redo])])
             cand_obs[redo], cand_val[redo] = bob_step(cand[redo])
         keep = cand_val >= vals
+        if _log.isEnabledFor(logging.DEBUG) and not keep.all():
+            _log.debug("owc sweep at d=%d keeps the old instrument of %d of %d rows: "
+                       "the candidate's value is lower", d, int((~keep).sum()), len(keep))
         block = keep[:, None, None, None]
         return np.where(keep, cand_val, vals), (
             np.where(block, cand, e), np.where(block, cand_obs, obs),
@@ -519,9 +579,10 @@ def beta_owc(game: QuantumXorGame, d: int,
     obs, vals = bob_step(e)
     val, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep,
                                  budget.with_(max_sweeps=min(budget.max_sweeps, 40)))
-    # one tight sweep on the winner, so the reported gap and convergence
-    # flag judge an instrument solved to ``budget.tol``
-    _, ((e,), (obs,), _) = sweep(np.array([val]), (e[None], obs[None], np.zeros(1)))
+    # one tighter sweep on the winner, so the reported gap and convergence
+    # flag judge an instrument solved past ``budget.tol``
+    _, ((e,), (obs,), _) = sweep(np.array([val]), (e[None], obs[None], np.zeros(1)),
+                                 _FINAL_TOL_SCALE * budget.tol)
     primal, gap = _instrument_gap(objective(obs), e)
     converged = gap <= 1e-4 * max(1.0, abs(primal))
 

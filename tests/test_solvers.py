@@ -1,6 +1,10 @@
 import itertools
+import logging
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,18 +286,71 @@ def test_instrument_fixed_point_grows_a_zero_block():
     assert solvers._instrument_gap(h, best)[1] <= 1e-6
 
 
-def test_instrument_fixed_point_at_a_loose_tolerance_is_exact():
-    rng = rng_for("owc-loose")
+def test_instrument_fixed_point_stays_between_the_start_and_its_dual_bound():
+    # the extrapolated points are clipped back to instruments, so from any
+    # start and at any tolerance the result is an exact instrument, no worse
+    # than the start and no better than the start's value plus its dual gap;
+    # the 1e-12 slack covers the two contraction orders that evaluate a value
+    rng = rng_for("owc-bracket")
     for j, n in ((4, 2), (6, 3), (8, 4)):
-        h = np.stack([gue(n, rng) for _ in range(j)])
-        e = random_instrument(j, n, rng)
-        for tol in (1e-2, 0.5):
+        vecs = rng.normal(size=(j, n, 1)) + 1j * rng.normal(size=(j, n, 1))
+        signs = rng.choice([-1.0, 1.0], size=(j, 1, 1))
+        objectives = {
+            "random": np.stack([gue(n, rng) for _ in range(j)]),
+            "zero-padded": zero_pad(np.stack([gue(n - 1, rng) for _ in range(j)]), (j, n, n)),
+            "rank-one": signs * vecs @ vecs.conj().transpose(0, 2, 1),
+        }
+        starts = (random_instrument(j, n, rng),
+                  np.concatenate([random_instrument(j // 2, n, rng),
+                                  np.zeros((j - j // 2, n, n), dtype=complex)]))
+        for (kind, h), e, tol in itertools.product(objectives.items(), starts, (None, 1e-2, 0.5)):
+            val, gap = solvers._instrument_gap(h, e)
             best = solvers._instrument_fixed_point(h, e, BUDGET, tol)
             assert_instrument(best)
-            assert instrument_value(h, best) >= instrument_value(h, e)
+            assert instrument_value(h, e) - 1e-12 <= instrument_value(h, best), (kind, j, n)
+            assert instrument_value(h, best) <= val + gap + 1e-12, (kind, j, n)
 
 
 C4_BUDGET = SolverBudget(restarts=3, max_sweeps=60, seed=4)
+
+
+def test_owc_inner_solves_are_extrapolated(monkeypatch):
+    # every fixed-point step and every clip normalises one instrument; the
+    # squared extrapolation needs 643 normalisations here, the plain
+    # fixed point took 1286
+    calls = []
+    normalize = solvers._normalize_instrument
+
+    def counted(x):
+        calls.append(x.shape)
+        return normalize(x)
+
+    monkeypatch.setattr(solvers, "_normalize_instrument", counted)
+    beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
+    assert len(calls) <= 770
+
+
+def test_owc_logs_the_tight_redo_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="qxor")
+    beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
+    messages = [r.getMessage() for r in caplog.records if r.name == "qxor.solvers"]
+    assert any(re.fullmatch(r"owc sweep at d=2 redoes [1-9]\d* of \d+ loose rows tight", m)
+               for m in messages), messages
+
+
+def test_owc_debug_records_stay_off_stderr_without_logging_configured():
+    # the records are made (the logger is at DEBUG) but only the package's
+    # NullHandler sees them
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (f"import sys, logging; sys.path[:0] = [{str(src)!r}]\n"
+             "from qxor.budget import SolverBudget\n"
+             "from qxor.games import random_game\n"
+             "from qxor.solvers import beta_owc\n"
+             "logging.getLogger('qxor').setLevel(logging.DEBUG)\n"
+             "beta_owc(random_game(2, 2, seed=5), 2, SolverBudget(restarts=3, max_sweeps=60, seed=4))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stderr == ""
 
 
 def test_owc_loose_sweep_that_stalls_is_redone_tight():
