@@ -115,7 +115,7 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
     complex variant uses polar contractions and estimates the norm of the
     associated map instead. A sweep updates the stacked pairs ``(a, b)`` of
     every running start at once; it reads only ``a``. ``warm``, an
-    observable of Alice, is the first start.
+    observable of Alice, is the first start. Returns ``(val, a, b, trace)``.
     """
     n, m = game.n, game.m
     g4 = game.kernel_tensor()
@@ -135,10 +135,10 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
     b0 = np.zeros((m, m), dtype=complex)
-    val, (a, b), _ = seesaw(
+    val, (a, b), trace = seesaw(
         ((-math.inf, (np.asarray(a0, dtype=complex), b0)) for a0 in starts), sweep, budget
     )
-    return val, a, b
+    return val, a, b, trace
 
 
 @dataclass(frozen=True)
@@ -168,27 +168,26 @@ def beta_product(game: QuantumXorGame,
     construction. A complex-contraction see-saw, warm started from the
     Hermitian witness, estimates the associated map's norm. Its witness
     pair, re-evaluated by :func:`_contraction_value`, is feasible, so that
-    value, ``assisted_norm_estimate``, is a lower value of the norm. When a
-    second see-saw with half the restarts agrees with it, the smaller
-    ``sqrt2_assisted_norm`` value, sqrt(2) times the estimate, is reported
-    as the upper bound instead. That upper bound is conditional: sqrt(2)
-    times a *lower* value of the norm bounds the product bias only when the
-    Hermitian witness is within a factor sqrt(2) of the optimum, and no
-    inequality makes that true by construction. ``strategy`` is also the
-    one-message rung of :func:`beta_owc`.
+    value, ``assisted_norm_estimate``, is a lower value of the norm. When
+    that see-saw's winner stopped converged and another start ended within
+    ``1e-6 * max(1, |v|)`` of its value ``v`` (``assisted_stabilized``), the
+    smaller ``sqrt2_assisted_norm`` value, sqrt(2) times the estimate, is
+    reported as the upper bound instead. That upper bound is conditional:
+    sqrt(2) times a *lower* value of the norm bounds the product bias only
+    when the Hermitian witness is within a factor sqrt(2) of the optimum,
+    and no inequality makes that true by construction. ``strategy`` is also
+    the one-message rung of :func:`beta_owc`.
     """
-    _, a, b = _product_core(game, budget, hermitian=True, key="prod")
+    _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
 
-    _, ca, cb = _product_core(game, budget, hermitian=False, key="prod-c", warm=a)
+    val, ca, cb, trace = _product_core(game, budget, hermitian=False, key="prod-c", warm=a)
     estimate = _contraction_value(game, ca, cb)
-    second, _, _ = _product_core(
-        game, budget.with_(restarts=max(1, budget.restarts // 2)),
-        hermitian=False, key="prod-c2", warm=a,
-    )
-    stabilized = abs(estimate - second) <= 1e-6 * max(1.0, abs(estimate))
+    # the winner is one of the starts that end close to its value
+    close = [abs(v - val) <= 1e-6 * max(1.0, abs(val)) for v in trace.values]
+    stabilized = trace.stop_reasons[trace.winner] == "converged" and sum(close) > 1
     upper = owq
     upper_tag = "beta_owq"
     if stabilized and math.sqrt(2) * estimate < owq:
@@ -484,7 +483,8 @@ def beta_owc(game: QuantumXorGame, d: int,
     fixed point whose every returned point is an exact instrument, because
     each extrapolated point is clipped back to one before it is stepped
     from. A sweep is one step on the stack of running starts, in which only
-    that inner solve runs per start. It is inexact: a sweep solves it to a
+    that inner solve runs per start, and each start runs for up to
+    ``budget.max_sweeps`` sweeps. It is inexact: a sweep solves it to a
     relative dual gap of ``max(budget.tol, 0.01 * g)``, with ``g`` the
     start's previous relative gain (1 at first), or until its cap of
     ``_FIXED_POINT_ITERS`` evaluations of the step. Starts whose loose sweep
@@ -507,7 +507,7 @@ def beta_owc(game: QuantumXorGame, d: int,
     owq = beta_owq(game)
 
     if _warm is None:
-        _, a, b = _product_core(game, budget, hermitian=True, key="prod")
+        _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
         _warm = ProductStrategy(a, b)
     if isinstance(_warm, ProductStrategy):
         # definition reduction: one message makes the instrument a plain
@@ -577,8 +577,7 @@ def beta_owc(game: QuantumXorGame, d: int,
 
     e = np.stack(starts)
     obs, vals = bob_step(e)
-    val, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep,
-                                 budget.with_(max_sweeps=min(budget.max_sweeps, 40)))
+    val, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep, budget)
     # one tighter sweep on the winner, so the reported gap and convergence
     # flag judge an instrument solved past ``budget.tol``
     _, ((e,), (obs,), _) = sweep(np.array([val]), (e[None], obs[None], np.zeros(1)),

@@ -154,8 +154,8 @@ def test_lockstep_equals_sequential(monkeypatch):
     into_matrix = KernelMap(full_matrix_space(2), full_matrix_space(2), gue(4, rng))
     for u in (sandwich, vectors, into_matrix):
         opnorms.amplified_norm(u, 2, budget)
-    # six per game (three product, two entangled, one owc) and one per map
-    assert len(calls) == 15
+    # five per game (two product, two entangled, one owc) and one per map
+    assert len(calls) == 13
 
     for starts, sweep, bud, floor, trace in calls:
         alone = [seesaw([s], sweep, bud, floor)[2].values[0] for s in starts]
