@@ -6,8 +6,8 @@ from __future__ import annotations
 import logging
 import math
 import zlib
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,15 +22,13 @@ class SolverBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_sweeps < 1:
-            raise ValidationError("budget counts must be positive")
+        if not all(isinstance(c, (int, np.integer)) and c >= 1
+                   for c in (self.restarts, self.max_sweeps)):
+            raise ValidationError("budget counts must be positive integers")
         if not (self.tol > 0):
             raise ValidationError("budget tolerance must be positive")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**32):
             raise ValidationError("budget seed must be an integer in [0, 2**32)")
-
-    def with_(self, **kw) -> "SolverBudget":
-        return replace(self, **kw)
 
     def rng(self, *key) -> np.random.Generator:
         """Independent stream derived from (seed, key); restart batches keyed
@@ -52,19 +50,18 @@ _log = logging.getLogger(__name__)
 class SeesawTrace:
     """How a :func:`seesaw` call spent its budget: per start, the final
     value, the sweeps run and why it stopped (``"converged"`` or
-    ``"sweep_cap"``); the index of the winning start (``None`` when no
-    start beat the floor) and that start's relative gain on its last
-    sweep."""
+    ``"sweep_cap"``); the index of the winning start and that start's
+    relative gain on its last sweep."""
 
     values: tuple
     sweeps: tuple
     stop_reasons: tuple
-    winner: Optional[int]
-    final_gain: Optional[float]
+    winner: int
+    final_gain: float
 
 
 def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
-           budget: SolverBudget, floor: float = -math.inf) -> tuple:
+           budget: SolverBudget) -> tuple:
     """Block-coordinate ascent from every start in lockstep; returns
     ``(value, state, trace)`` of the best start and a :class:`SeesawTrace`.
 
@@ -84,8 +81,8 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
       the new value, or after ``budget.max_sweeps`` sweeps; a stopped start
       is never swept again;
     * the best start is the first whose final value is strictly greater
-      than every earlier one and than ``floor``; its state row is returned,
-      and when none beats ``floor`` the result is ``(floor, None, trace)``;
+      than every earlier one, so the winner is always an index; its state
+      row is returned;
     * the driver draws no randomness: callers build their starts, so the
       ``budget.rng`` keys and the start order stay theirs;
     * each start that stops at the sweep cap is logged at DEBUG on the
@@ -121,19 +118,18 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
             active = [active[row] for row in keep]
     for row, i in enumerate(active):
         finals[i] = tuple(c[row] for c in comps)
-    best_val, winner = floor, None
+    winner = 0
     for i, val in enumerate(vals):
-        if val > best_val:
-            best_val, winner = val, i
-    trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner,
-                        None if winner is None else gains[winner])
+        if val > vals[winner]:
+            winner = i
+    trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner, gains[winner])
     if _log.isEnabledFor(logging.DEBUG):
         for i, reason in enumerate(trace.stop_reasons):
             if reason == "sweep_cap":
                 _log.debug("see-saw start %d of %d stopped at the sweep cap after %d sweeps: "
                            "value %r, last relative gain %.3g", i, len(starts),
                            trace.sweeps[i], trace.values[i], gains[i])
-    return best_val, None if winner is None else finals[winner], trace
+    return vals[winner], finals[winner], trace
 
 
 def normalize_schedule(values, what: str) -> tuple:

@@ -160,17 +160,6 @@ def _dump_json(obj, path: str | None):
         sys.stdout.write(text + "\n")
 
 
-CSV_COLUMNS = [
-    "game_id", "n", "m", "beta_owq",
-    "beta_product_lower", "beta_product_upper",
-    "beta_entangled_lower", "beta_entangled_upper", "ent_dA", "ent_dB",
-    "pi1o", "pi1cb_lower", "pi1cb_upper",
-    "ratio_entangled_vs_owc", "violations",
-    "owc_bounds",  # per-message d:lower:upper triples joined by ';'
-    "time_total_s",  # excluded from the determinism guarantee
-]
-
-
 def _row_to_csv(row, elapsed: float) -> dict:
     owc = ";".join(
         f"{d}:{iv.lower!r}:{iv.upper!r}" for d, iv in row.beta_owc_per_d
@@ -186,13 +175,13 @@ def _row_to_csv(row, elapsed: float) -> dict:
         "beta_entangled_upper": repr(row.beta_entangled.upper),
         "ent_dA": row.entangled_dims[0],
         "ent_dB": row.entangled_dims[1],
-        "pi1o": repr(row.pi1o),
+        "pi1o": repr(row.beta_owq),  # both are the trace norm of G
         "pi1cb_lower": repr(row.pi1cb.lower),
         "pi1cb_upper": repr(row.pi1cb.upper),
         "ratio_entangled_vs_owc": repr(row.ratio_entangled_vs_owc),
         "violations": ";".join(row.violations),
-        "owc_bounds": owc,
-        "time_total_s": f"{elapsed:.3f}",
+        "owc_bounds": owc,  # per-message d:lower:upper triples joined by ';'
+        "time_total_s": f"{elapsed:.3f}",  # excluded from the determinism guarantee
     }
 
 
@@ -206,7 +195,7 @@ def _emit_report(report: HierarchyReport, timings: dict, fmt: str, out: str | No
     else:
         fh = sys.stdout
     try:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:

@@ -159,6 +159,9 @@ def weight_homogeneity_check(t, factor: float, *, split: Optional[SplitResult] =
 # tuple norms with trace-class carriers
 # ---------------------------------------------------------------------------
 
+_DUAL_SPLITS = 6  # the most random splits a trace-class upper bound draws
+
+
 def tuple_rplus2c_upper_in_space(t, space: Space,
                                  budget: SolverBudget = DEFAULT_BUDGET) -> float:
     """Certified upper bound for the quadratic splitting norm over a
@@ -167,16 +170,17 @@ def tuple_rplus2c_upper_in_space(t, space: Space,
 
     Over trace class the row and the column cap of a tuple are the same
     number K (:func:`dual_tuple_cap`), so of the splits ``(lam x, (1-lam)
-    x)`` the equal one is best, at ``K / sqrt(2)``; random per-entry splits
-    follow. They are compared at the exact power-of-two scale of the tuple,
-    so no cap or square overflows, and the best is scaled back."""
+    x)`` the equal one is best, at ``K / sqrt(2)``; up to ``_DUAL_SPLITS``
+    random per-entry splits follow. They are compared at the exact
+    power-of-two scale of the tuple, so no cap or square overflows, and
+    the best is scaled back."""
     x = as_stack(t)
     if space.kind == "matrix":
         return rplus2c_split(x).value
     x, e = pow2_scaled(x)
     rng = budget.rng("dual-split")
     tparts = [rng.uniform(0.0, 1.0, size=x.shape[0])[:, None, None] * x
-              for _ in range(min(budget.restarts, 12))]
+              for _ in range(min(budget.restarts, _DUAL_SPLITS))]
     # the caps of x, then of each split's two parts, from one stacked evaluation
     caps = dual_tuple_caps(np.stack([x] + [p for t in tparts for p in (t, x - t)])).tolist()
     best = caps[0] / math.sqrt(2)
@@ -276,8 +280,7 @@ def gamma_rc_upper(z: TensorElement,
     if scale == 0.0:
         return GammaResult(0.0, xs, ys, 0.0, 0.0, 1)
 
-    small = budget.with_(restarts=min(budget.restarts, 6))
-    best, xn, yn = _gamma_objective(z, xs, ys, small)
+    best, xn, yn = _gamma_objective(z, xs, ys, budget)
     # rebalance overall scale: the product is invariant, but balanced
     # factors keep the mixing search conditioned; both norms are
     # homogeneous, so they follow the factors
@@ -302,7 +305,7 @@ def gamma_rc_upper(z: TensorElement,
         if np.abs(recon - z.coeff).max() > 1e-10 * max(1.0, scale):
             sigma *= 0.7
             continue
-        val, xn_c, yn_c = _gamma_objective(z, xs_c, ys_c, small)
+        val, xn_c, yn_c = _gamma_objective(z, xs_c, ys_c, budget)
         evaluations += 1
         if val < best:
             best = val

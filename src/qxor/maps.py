@@ -115,8 +115,3 @@ class VectorMap:
     @property
     def p(self) -> int:
         return self.vectors[0].size
-
-    def gram(self) -> np.ndarray:
-        """PSD matrix with z^dagger Gram z = || sum_k z_k h_k ||^2."""
-        h = np.stack(self.vectors)
-        return h.conj() @ h.T

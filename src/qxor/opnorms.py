@@ -283,8 +283,8 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         p = pairing(w, vt)
         return _form(u2, p, v2), (z4, v4, u2, v2, w, p)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else best[:4]
+    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    return val, best[:4]
 
 
 def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
@@ -332,8 +332,8 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         w = value(z4)
         return _form(u2, w, v2), (z4, u2, v2, w)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else best[:3]
+    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    return val, best[:3]
 
 
 def _rc_level(blocks: np.ndarray, h: np.ndarray) -> tuple:
@@ -405,8 +405,8 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
             np.where(keep, cand_is_col, top_is_col),
         )
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, floor=0.0)
-    return val, None if best is None else best[:1]
+    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    return val, best[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +529,7 @@ def pietsch_pi2(vectors) -> float:
     """
     vm = vectors if isinstance(vectors, VectorMap) else VectorMap(tuple(vectors))
     h, e = pow2_scaled(np.stack(vm.vectors))
-    gram = VectorMap(tuple(h)).gram()
+    gram = h.conj() @ h.T  # z^dagger G z = || sum_k z_k h_k ||^2
     d = vm.d
     scale = max(1.0, float(np.abs(gram).max()))
     y = np.eye(d, dtype=complex)

@@ -211,7 +211,6 @@ def beta_product(game: QuantumXorGame,
 class EntangledBiasResult:
     interval: BoundInterval
     strategy: EntangledStrategy
-    dims: tuple
 
 
 def _entangled_kernels(g4, dA, dB):
@@ -301,10 +300,7 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     lower = bias_of(game, strategy)
     owq = beta_owq(game)
     return EntangledBiasResult(
-        BoundInterval(lower, max(owq, lower), "seesaw_witness", "beta_owq"),
-        strategy,
-        (dA, dB),
-    )
+        BoundInterval(lower, max(owq, lower), "seesaw_witness", "beta_owq"), strategy)
 
 
 def _ladder(solve, levels, warm=None):
@@ -706,7 +702,6 @@ class HierarchyRow:
     beta_entangled: BoundInterval
     entangled_dims: tuple
     beta_owc_per_d: tuple
-    pi1o: float
     pi1cb: BoundInterval
     ratio_entangled_vs_owc: float
     violations: tuple
@@ -723,7 +718,7 @@ class HierarchyRow:
             "beta_owc_per_d": [
                 {"d": d, **iv.to_dict()} for d, iv in self.beta_owc_per_d
             ],
-            "pi1o": self.pi1o,
+            "pi1o": self.beta_owq,  # both are the trace norm of G
             "pi1cb": self.pi1cb.to_dict(),
             "ratio_entangled_vs_owc": self.ratio_entangled_vs_owc,
             "violations": list(self.violations),
@@ -793,9 +788,8 @@ def analyze_game(game: QuantumXorGame, game_id: str,
         beta_owq=owq,
         beta_product=prod.interval,
         beta_entangled=ent.interval,
-        entangled_dims=ent.dims,
+        entangled_dims=(ent.strategy.dA, ent.strategy.dB),
         beta_owc_per_d=tuple((r.strategy.d, r.interval) for r in owc_results),
-        pi1o=owq,  # both are the trace norm of G
         pi1cb=p1cb.interval,
         ratio_entangled_vs_owc=ratio,
         violations=tuple(violations),

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -51,13 +52,14 @@ def test_stops_at_sweep_cap():
     assert calls == BUDGET.max_sweeps
     assert trace.stop_reasons == ("sweep_cap",)
     val, (calls,), _ = seesaw([(0.0, (0,))], counting(lambda v: v + 1.0),
-                              BUDGET.with_(max_sweeps=3))
+                              dataclasses.replace(BUDGET, max_sweeps=3))
     assert (val, calls) == (3.0, 3)
 
 
 def test_one_sweep_reports_the_cap_for_every_start():
     starts = [(float(k), (0,)) for k in range(4)]
-    _, _, trace = seesaw(starts, counting(lambda v: v + 1.0), BUDGET.with_(max_sweeps=1))
+    _, _, trace = seesaw(starts, counting(lambda v: v + 1.0),
+                         dataclasses.replace(BUDGET, max_sweeps=1))
     assert trace.sweeps == (1, 1, 1, 1)
     assert trace.stop_reasons == ("sweep_cap",) * 4
     assert (trace.winner, trace.values) == (3, (1.0, 2.0, 3.0, 4.0))
@@ -66,7 +68,7 @@ def test_one_sweep_reports_the_cap_for_every_start():
 def test_a_start_at_the_sweep_cap_is_logged_at_debug(caplog):
     caplog.set_level(logging.DEBUG, logger="qxor")
     seesaw([(1.0, (0,)), (2.0, (0,))], counting(lambda v: v + 1.0),
-           BUDGET.with_(max_sweeps=1))
+           dataclasses.replace(BUDGET, max_sweeps=1))
     records = [r for r in caplog.records if r.name == "qxor.budget"]
     assert [r.levelno for r in records] == [logging.DEBUG] * 2
     assert "start 0 of 2 stopped at the sweep cap after 1 sweeps" in records[0].getMessage()
@@ -103,11 +105,10 @@ def test_tied_values_keep_the_earlier_start():
     assert (val, state) == (2.0, ("third",))
 
 
-def test_floor_returns_no_state_when_unbeaten():
+def test_the_best_start_returns_its_state_and_index():
     starts = [(-1.0, ("a",)), (0.0, ("b",))]
-    val, state, trace = seesaw(starts, lambda v, s: (v, s), BUDGET, floor=0.0)
-    assert (val, state, trace.winner, trace.final_gain) == (0.0, None, None, None)
-    assert seesaw(starts, lambda v, s: (v, s), BUDGET)[:2] == (0.0, ("b",))
+    val, state, trace = seesaw(starts, lambda v, s: (v, s), BUDGET)
+    assert (val, state, trace.winner, trace.final_gain) == (0.0, ("b",), 1, 0.0)
 
 
 def test_a_stopped_start_is_never_swept_again():
@@ -135,10 +136,10 @@ def test_lockstep_equals_sequential(monkeypatch):
     # every see-saw call of the solvers below is rerun one start at a time
     calls = []
 
-    def recording(starts, sweep, budget, floor=-math.inf):
+    def recording(starts, sweep, budget):
         starts = list(starts)
-        together = seesaw(starts, sweep, budget, floor)
-        calls.append((starts, sweep, budget, floor, together[2]))
+        together = seesaw(starts, sweep, budget)
+        calls.append((starts, sweep, budget, together[2]))
         return together
 
     monkeypatch.setattr(solvers, "seesaw", recording)
@@ -157,14 +158,10 @@ def test_lockstep_equals_sequential(monkeypatch):
     # five per game (two product, two entangled, one owc) and one per map
     assert len(calls) == 13
 
-    for starts, sweep, bud, floor, trace in calls:
-        alone = [seesaw([s], sweep, bud, floor)[2].values[0] for s in starts]
+    for starts, sweep, bud, trace in calls:
+        alone = [seesaw([s], sweep, bud)[2].values[0] for s in starts]
         assert trace.values == pytest.approx(alone, rel=1e-12, abs=1e-12)
-        best, winner = floor, None
-        for i, val in enumerate(alone):
-            if val > best:
-                best, winner = val, i
-        assert trace.winner == winner
+        assert trace.winner == alone.index(max(alone))
 
 
 def test_normalize_schedule():
@@ -190,6 +187,19 @@ def test_budget_rejects_a_seed_outside_32_bits(seed):
     # seeds 0 and 2**32 would otherwise give one solver stream
     with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*32\)"):
         SolverBudget(seed=seed)
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_sweeps"])
+@pytest.mark.parametrize("count", [0, 2.5, 3.0, "3"])
+def test_budget_rejects_a_count_that_is_not_a_positive_integer(field, count):
+    # a fractional count would otherwise reach range() inside a solver
+    with pytest.raises(ValidationError, match="counts must be positive integers"):
+        SolverBudget(**{field: count})
+
+
+def test_budget_takes_numpy_integer_counts():
+    budget = SolverBudget(restarts=np.int64(2), max_sweeps=np.uint8(3))
+    assert (budget.restarts, budget.max_sweeps) == (2, 3)
 
 
 def test_budget_takes_the_largest_32_bit_seed():

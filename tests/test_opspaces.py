@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, random_unitary, rng_for, swap_matrix
-from qxor import opnorms, tuples
+from qxor import factor, opnorms, tuples
 from qxor.budget import SolverBudget, seesaw
 from qxor.config import ConvergenceError, ValidationError
 from qxor.factor import tuple_rplus2c_upper_in_space, weight_sandwich_check
@@ -426,6 +426,18 @@ def test_vector_nuclear_cap_does_not_underflow():
     assert res.interval.upper == pytest.approx((1 + math.sqrt(2)) * 1e-200, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zero", [
+    KernelMap(full_matrix_space(2), dual_space(2), np.zeros((4, 4))),
+    KernelMap(full_matrix_space(2), full_matrix_space(3), np.zeros((6, 6))),
+    VectorMap((np.zeros(2), np.zeros(2), np.zeros(2))),
+], ids=["into-trace-class", "into-M3", "vector"])
+def test_cb_norm_bounds_of_a_zero_map_are_zero(zero):
+    res = cb_norm_bounds(zero, (1, 2, 4), BUDGET)
+    assert res.per_level == ((1, 0.0), (2, 0.0), (4, 0.0))
+    assert (res.interval.lower, res.interval.upper) == (0.0, 0.0)
+
+
 def test_pietsch_dominates_operator_norm():
     for trial in range(10):
         rng = rng_for("pi2-op", trial)
@@ -496,24 +508,36 @@ def _col_embed(x):
     return z
 
 
-def test_dual_split_upper_equals_the_per_split_caps():
-    budget = SolverBudget(restarts=5, seed=3)
-    for trial in range(6):
-        rng = rng_for("dual-split-upper", trial)
-        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        x = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
+def test_dual_split_upper_equals_the_per_split_caps(monkeypatch):
+    # at most six random splits, all capped in one stacked evaluation
+    stacked = []
 
-        def cap(tpart, spart):
-            return math.sqrt(_dual_cap_per_term(_row_embed(tpart), d, n) ** 2
-                             + _dual_cap_per_term(_col_embed(spart), d, n) ** 2)
+    def counting(stack):
+        stacked.append(len(stack))
+        return dual_tuple_caps(stack)
 
-        ref = min(cap(lam * x, (1 - lam) * x) for lam in np.linspace(0.0, 1.0, 9))
-        split_rng = budget.rng("dual-split")
-        for _ in range(5):
-            tpart = split_rng.uniform(0.0, 1.0, size=d)[:, None, None] * x
-            ref = min(ref, cap(tpart, x - tpart))
-        got = tuple_rplus2c_upper_in_space(x, dual_space(n), budget)
-        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+    monkeypatch.setattr(factor, "dual_tuple_caps", counting)
+    for restarts in (5, 12):
+        budget = SolverBudget(restarts=restarts, seed=3)
+        splits = min(restarts, 6)
+        for trial in range(6):
+            rng = rng_for("dual-split-upper", trial)
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            x = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
+
+            def cap(tpart, spart):
+                return math.sqrt(_dual_cap_per_term(_row_embed(tpart), d, n) ** 2
+                                 + _dual_cap_per_term(_col_embed(spart), d, n) ** 2)
+
+            ref = min(cap(lam * x, (1 - lam) * x) for lam in np.linspace(0.0, 1.0, 9))
+            split_rng = budget.rng("dual-split")
+            for _ in range(splits):
+                tpart = split_rng.uniform(0.0, 1.0, size=d)[:, None, None] * x
+                ref = min(ref, cap(tpart, x - tpart))
+            stacked.clear()
+            got = tuple_rplus2c_upper_in_space(x, dual_space(n), budget)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
+            assert stacked == [1 + 2 * splits]
 
 
 def test_rc_seesaw_value_is_the_level_norm_of_its_witness():
@@ -739,18 +763,18 @@ def test_a_level_four_witness_is_feasible_and_valued_block_by_block(kind, n, m):
 def test_level_four_starts_give_the_same_values_in_lockstep_as_alone(kind, monkeypatch):
     calls = []
 
-    def recording(starts, sweep, budget, floor=-math.inf):
+    def recording(starts, sweep, budget):
         starts = list(starts)
-        calls.append((starts, sweep, budget, floor))
-        return seesaw(starts, sweep, budget, floor)
+        calls.append((starts, sweep, budget))
+        return seesaw(starts, sweep, budget)
 
     monkeypatch.setattr(opnorms, "seesaw", recording)
     for n, m in RECT_SHAPES:
         amplified_norm(_rect_map(kind, n, m), 4, RECT_BUDGET)
     assert len(calls) == len(RECT_SHAPES)
-    for starts, sweep, budget, floor in calls:
-        together = seesaw(starts, sweep, budget, floor)[2].values
-        alone = [seesaw([s], sweep, budget, floor)[2].values[0] for s in starts]
+    for starts, sweep, budget in calls:
+        together = seesaw(starts, sweep, budget)[2].values
+        alone = [seesaw([s], sweep, budget)[2].values[0] for s in starts]
         assert together == tuple(alone)
 
 
