@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -22,8 +23,7 @@ class SolverBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(c, (int, np.integer)) and c >= 1
-                   for c in (self.restarts, self.max_sweeps)):
+        if not (is_count(self.restarts) and is_count(self.max_sweeps)):
             raise ValidationError("budget counts must be positive integers")
         if not (self.tol > 0):
             raise ValidationError("budget tolerance must be positive")
@@ -37,6 +37,11 @@ class SolverBudget:
         for k in key:
             ints.append(k if isinstance(k, int) else zlib.crc32(str(k).encode()))
         return np.random.default_rng(np.random.SeedSequence(ints))
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is a positive ``int`` or numpy integer."""
+    return isinstance(value, (int, np.integer)) and value >= 1
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -134,9 +139,17 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
 
 def normalize_schedule(values, what: str) -> tuple:
     """Sorted, duplicate-free schedule of positive levels (integers or
-    tuples), each at least the one before it in every component, so warm
-    starts only ever embed a smaller witness into a larger one."""
-    schedule = tuple(sorted(set(values)))
+    tuples of them, a list read as a tuple), each at least the one before
+    it in every component, so warm starts only ever embed a smaller witness
+    into a larger one. Every entry becomes a Python ``int``."""
+    def as_int(v):
+        return tuple(map(operator.index, v)) if isinstance(v, (tuple, list)) else operator.index(v)
+
+    try:
+        schedule = {as_int(v) for v in values}
+    except TypeError:
+        raise ValidationError(f"{what} schedule entries must be integers") from None
+    schedule = tuple(sorted(schedule))
     if not schedule:
         raise ValidationError(f"{what} schedule must be nonempty")
     levels = [np.atleast_1d(level) for level in schedule]

@@ -104,6 +104,8 @@ class VectorMap:
         p = vs[0].size
         if any(v.size != p for v in vs):
             raise ValidationError("image vectors must share a dimension")
+        if p == 0:
+            raise ValidationError("image vectors must have a positive dimension")
         if not all(np.isfinite(v).all() for v in vs):
             raise ValidationError("image vector entries must be finite")
         object.__setattr__(self, "vectors", vs)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .budget import DEFAULT_BUDGET, SolverBudget, is_count, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
     max_entangled,
@@ -383,7 +383,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
         val, w, top_is_col = _rc_level(blocks, h)
         return val, (blocks, w, top_is_col)
 
-    def sweep(vals, state):
+    def sweep(_, state):
         blocks, w, top_is_col = state
         coeff = np.empty_like(blocks)
         for col in (True, False):
@@ -396,14 +396,9 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
             else:
                 coeff[rows] = np.einsum("ia,kr,ibr->ikab", uvec.conj(), h, vvec.reshape(-1, L, p))
         # polar contraction of every coeff[k].T of every start
-        cand = polar_stack(coeff.swapaxes(-1, -2))
-        cand_vals, cand_w, cand_is_col = _rc_level(cand, h)
-        keep = cand_vals >= vals
-        return np.where(keep, cand_vals, vals), (
-            np.where(keep[:, None, None, None], cand, blocks),
-            np.where(keep[:, None, None, None], cand_w, w),
-            np.where(keep, cand_is_col, top_is_col),
-        )
+        blocks = polar_stack(coeff.swapaxes(-1, -2))
+        val, w, top_is_col = _rc_level(blocks, h)
+        return val, (blocks, w, top_is_col)
 
     val, best, _ = seesaw(map(start, starts), sweep, budget)
     return val, best[:1]
@@ -425,8 +420,8 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
     passed back as ``_warm`` at a higher level it is embedded there as the
     first start, so that level's lower bound is at least this one.
     """
-    if L < 1:
-        raise ValidationError("amplification level must be positive")
+    if not is_count(L):
+        raise ValidationError("amplification level must be a positive integer")
     if isinstance(u, VectorMap):
         lower, state = _amp_rc_codomain(u, L, budget, warm=_warm)
         # at the exact scale of the largest entry, so the norms cannot underflow
@@ -477,7 +472,7 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
         cap_level = u.n * u.m
     if schedule is None:
         schedule = default_level_schedule(cap_level)
-    schedule = normalize_schedule((int(L) for L in schedule), "level")
+    schedule = normalize_schedule(schedule, "level")
 
     per_level = []
     best = 0.0

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .budget import DEFAULT_BUDGET, SolverBudget, is_count, normalize_schedule, seesaw
 from .config import ValidationError
 from .factor import CB_VS_SUMMING_CONSTANT
 from .games import (
@@ -293,8 +293,8 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     value above. ``_warm``, the strategy of a level with ancillas no larger
     than ``(dA, dB)``, is embedded as the see-saw's first start.
     """
-    if dA < 1 or dB < 1:
-        raise ValidationError("ancilla dimensions must be positive")
+    if not (is_count(dA) and is_count(dB)):
+        raise ValidationError("ancilla dimensions must be positive integers")
     val, psi, a, b = _entangled_core(game, dA, dB, budget, warm=_warm)
     strategy = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
     lower = bias_of(game, strategy)
@@ -379,8 +379,7 @@ def _clip_to_instrument(y: np.ndarray) -> np.ndarray:
     return _normalize_instrument((u * w[:, None, :]) @ u.conj().transpose(0, 2, 1))
 
 
-def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget,
-                            tol: Optional[float] = None) -> np.ndarray:
+def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
     """Best instrument found for ``max sum_j tr(h_j e_j)`` from ``e``.
 
     The step is the Jezek-Rehacek-Fiurasek iteration (Phys. Rev. A 65,
@@ -407,13 +406,11 @@ def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, budget: SolverBudget,
     among ``e`` and those points.
 
     The solve is only as exact as asked: after each cycle it stops once the
-    dual gap of the cycle's point is at most ``tol`` (default ``budget.tol``)
-    relative to its value. The cap counts evaluations of ``F``: at most
-    ``_FIXED_POINT_ITERS``, so ``_FIXED_POINT_ITERS // 3`` cycles. A solve
-    that stops at the cap is logged at DEBUG with its relative gap.
+    dual gap of the cycle's point is at most ``tol`` relative to its value.
+    The cap counts evaluations of ``F``: at most ``_FIXED_POINT_ITERS``, so
+    ``_FIXED_POINT_ITERS // 3`` cycles. A solve that stops at the cap is
+    logged at DEBUG with its relative gap.
     """
-    if tol is None:
-        tol = budget.tol
     val, gap = _instrument_gap(h, e)
     scale = max(1.0, abs(val))
     if gap <= tol * scale:
@@ -485,19 +482,18 @@ def beta_owc(game: QuantumXorGame, d: int,
     start's previous relative gain (1 at first), or until its cap of
     ``_FIXED_POINT_ITERS`` evaluations of the step. Starts whose loose sweep
     gains at most ``budget.tol`` are redone at ``budget.tol``, so a start
-    only stops on a tight sweep. The winning start gets one more sweep, on
-    a one-row stack, that solves the inner problem to a tenth of
-    ``budget.tol`` and is kept only if its value does not drop. The dual gap
-    of the final instrument against the final observables is reported; it
-    measures quality only, never the bound direction.
+    only stops on a tight sweep. Every sweep returns its new instruments,
+    so a sweep that lowers a start's value raises in :func:`seesaw`. The
+    winner's instrument is then solved once more, to a tenth of
+    ``budget.tol``, and Bob's observables answer it. The dual gap of that
+    instrument against those observables is reported; it measures quality
+    only, never the bound direction.
 
     At DEBUG the ``qxor.solvers`` logger records each sweep that redoes
-    loose rows tight, each sweep that keeps a start's old instrument
-    because the candidate's value was lower, and each inner solve that
-    stops at its cap.
+    loose rows tight and each inner solve that stops at its cap.
     """
-    if d < 1:
-        raise ValidationError("message count must be positive")
+    if not is_count(d):
+        raise ValidationError("message count must be a positive integer")
     n, m = game.n, game.m
     g4 = game.kernel_tensor()
     owq = beta_owq(game)
@@ -534,13 +530,13 @@ def beta_owc(game: QuantumXorGame, d: int,
         c = (c + c.conj().swapaxes(-1, -2)) / 2
         return np.concatenate([c, -c], axis=-3)
 
-    def sweep(vals, state, floor=budget.tol):
+    def sweep(vals, state):
         # the inner solve stays per start; a loose sweep that stalls is redone
         # tight, since the see-saw's stop rule must only fire on a tight sweep
         e, obs, gain = state
         h = objective(obs)
-        tol = np.maximum(floor, _INNER_KAPPA * gain)
-        cand = np.stack([_instrument_fixed_point(*row, budget, t) for *row, t in zip(h, e, tol)])
+        tol = np.maximum(budget.tol, _INNER_KAPPA * gain)
+        cand = np.stack([_instrument_fixed_point(*row) for row in zip(h, e, tol)])
         cand_obs, cand_val = bob_step(cand)
         stalled = cand_val - vals <= budget.tol * np.maximum(1.0, np.abs(cand_val))
         redo = (tol > budget.tol) & stalled
@@ -548,18 +544,10 @@ def beta_owc(game: QuantumXorGame, d: int,
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug("owc sweep at d=%d redoes %d of %d loose rows tight",
                            d, int(redo.sum()), len(redo))
-            cand[redo] = np.stack([_instrument_fixed_point(*row, budget)
+            cand[redo] = np.stack([_instrument_fixed_point(*row, budget.tol)
                                    for row in zip(h[redo], cand[redo])])
             cand_obs[redo], cand_val[redo] = bob_step(cand[redo])
-        keep = cand_val >= vals
-        if _log.isEnabledFor(logging.DEBUG) and not keep.all():
-            _log.debug("owc sweep at d=%d keeps the old instrument of %d of %d rows: "
-                       "the candidate's value is lower", d, int((~keep).sum()), len(keep))
-        block = keep[:, None, None, None]
-        return np.where(keep, cand_val, vals), (
-            np.where(block, cand, e), np.where(block, cand_obs, obs),
-            np.where(keep, (cand_val - vals) / np.maximum(1.0, np.abs(cand_val)), gain),
-        )
+        return cand_val, (cand, cand_obs, (cand_val - vals) / np.maximum(1.0, np.abs(cand_val)))
 
     warm = np.concatenate([zero_pad(_warm.e_plus, (d, n, n)), zero_pad(_warm.e_minus, (d, n, n))])
     starts = [warm, _measure_forward_instrument(n, d)]
@@ -573,11 +561,11 @@ def beta_owc(game: QuantumXorGame, d: int,
 
     e = np.stack(starts)
     obs, vals = bob_step(e)
-    val, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep, budget)
-    # one tighter sweep on the winner, so the reported gap and convergence
+    _, (e, obs, _), _ = seesaw(zip(vals, zip(e, obs, np.ones(len(e)))), sweep, budget)
+    # one tighter solve on the winner, so the reported gap and convergence
     # flag judge an instrument solved past ``budget.tol``
-    _, ((e,), (obs,), _) = sweep(np.array([val]), (e[None], obs[None], np.zeros(1)),
-                                 _FINAL_TOL_SCALE * budget.tol)
+    e = _instrument_fixed_point(objective(obs[None])[0], e, _FINAL_TOL_SCALE * budget.tol)
+    (obs,), _ = bob_step(e[None])
     primal, gap = _instrument_gap(objective(obs), e)
     converged = gap <= 1e-4 * max(1.0, abs(primal))
 
@@ -666,9 +654,7 @@ def pi1cb_bounds(game_or_map,
     if d_schedule is None:
         d_schedule = default_message_schedule(game.n)
     product = beta_product(game, budget)
-    owc_results = beta_owc_schedule(
-        game, (int(d) for d in d_schedule), budget, _warm=product.strategy,
-    )
+    owc_results = beta_owc_schedule(game, d_schedule, budget, _warm=product.strategy)
     per_d = []
     lower = 0.0
     for owc in owc_results:

@@ -176,6 +176,20 @@ def test_normalize_schedule():
         normalize_schedule(((1, 3), (2, 1)), "ancilla")
 
 
+def test_normalize_schedule_reads_lists_as_tuples_and_entries_as_ints():
+    schedule = normalize_schedule([[2, 2], [np.int64(1), 1]], "ancilla")
+    assert schedule == ((1, 1), (2, 2))
+    assert {type(c) for level in schedule for c in level} == {int}
+    assert [type(v) for v in normalize_schedule(np.array([2, 1]), "message")] == [int, int]
+
+
+@pytest.mark.parametrize("values", [(1.5,), (1, 2.0), ((1, 1.5),), ("2",), ([[1]],)])
+def test_normalize_schedule_rejects_an_entry_that_is_not_an_integer(values):
+    # a fractional level would otherwise be truncated, or reach a solver
+    with pytest.raises(ValidationError, match="level schedule entries must be integers"):
+        normalize_schedule(values, "level")
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
 def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValidationError, match="tolerance must be positive"):

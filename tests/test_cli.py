@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import math
 import warnings
@@ -121,6 +122,36 @@ def test_hierarchy_csv_report(tmp_path):
     assert float(rows[0]["beta_owq"]) == pytest.approx(1.0, abs=1e-10)
     assert "time_total_s" in rows[0]
     assert rows[0]["violations"] == ""
+
+
+def test_hierarchy_csv_without_out_goes_to_stdout(capsys):
+    code = main(["hierarchy", "--count", "1", "--n", "2", "--m", "2",
+                 "--seed", "3", *FAST, "--format", "csv"])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 and rows[0]["game_id"] == "random-0000"
+
+
+def test_analyze_kernel_of_the_wrong_shape_exits_parse(tmp_path, capsys):
+    f = tmp_path / "game.json"
+    f.write_text(json.dumps({"schema": "qxor/1", "n": 2, "m": 2,
+                             "G_re": [[0.0] * 3] * 3, "G_im": [[0.0] * 3] * 3}))
+    assert main(["analyze", str(f), *FAST]) == EXIT_PARSE
+    assert "field G_re has wrong shape" in capsys.readouterr().err
+
+
+def test_factor_space_that_is_not_an_object_exits_parse(tmp_path, capsys):
+    payload = tensor_payload([[1.0]])
+    payload["X"] = "dual"
+    f = tmp_path / "tensor.json"
+    f.write_text(json.dumps(payload))
+    assert main(["factor", str(f)]) == EXIT_PARSE
+    assert "field X must be {kind, dim}" in capsys.readouterr().err
+
+
+def test_gallery_diagonal_without_coeffs_exits_validation(capsys):
+    assert main(["gallery", "diagonal"]) == EXIT_VALIDATION
+    assert "diagonal needs --coeffs" in capsys.readouterr().err
 
 
 def test_gallery_emit_and_reload(tmp_path):

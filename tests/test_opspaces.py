@@ -419,6 +419,27 @@ def test_vector_map_rejects_non_finite_entries(bad):
         pietsch_pi2([[1.0, complex(0.0, bad)]])
 
 
+@pytest.mark.parametrize("vectors", [(np.zeros(0),), ([], [])])
+def test_vector_map_rejects_empty_image_vectors(vectors):
+    with pytest.raises(ValidationError, match="positive dimension"):
+        VectorMap(vectors)
+
+
+def test_a_fractional_level_is_rejected():
+    vm = VectorMap(([1.0, 0.0], [0.0, 1.0]))
+    with pytest.raises(ValidationError, match="level schedule entries must be integers"):
+        cb_norm_bounds(vm, (1.5,), BUDGET)
+    with pytest.raises(ValidationError, match="amplification level must be a positive integer"):
+        amplified_norm(vm, 1.5, BUDGET)
+
+
+def test_cb_norm_bounds_default_levels_double_up_to_n_times_m():
+    u = KernelMap(full_matrix_space(2), dual_space(2), swap_matrix(2) / 2)
+    res = cb_norm_bounds(u, budget=BUDGET)
+    assert [L for L, _ in res.per_level] == [1, 2, 4]
+    assert res == cb_norm_bounds(u, (1, 2, 4), BUDGET)
+
+
 def test_vector_nuclear_cap_does_not_underflow():
     vm = VectorMap(([1e-200, 0], [1e-200, 1e-200]))
     res = cb_norm_bounds(vm, (1, 2))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gue, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
-from qxor.config import ValidationError
+from qxor.config import MonotonicityError, ValidationError
 from qxor.games import (
     EntangledStrategy,
     OwcStrategy,
@@ -26,8 +26,9 @@ from qxor.games import (
     swap_game,
 )
 from qxor.linalg import partial_contract_A, zero_pad
-from qxor.maps import KernelMap, full_matrix_space
-from qxor import solvers
+from qxor.maps import KernelMap, VectorMap, full_matrix_space
+from qxor import opnorms, solvers
+from qxor.opnorms import cb_norm_bounds
 from qxor.solvers import (
     HierarchyReport,
     analyze_game,
@@ -283,7 +284,7 @@ def test_instrument_gap_weak_duality():
         val, gap = solvers._instrument_gap(h, e)
         assert gap >= -1e-12
         assert val == pytest.approx(instrument_value(h, e), abs=1e-12)
-        best = solvers._instrument_fixed_point(h, e, BUDGET)
+        best = solvers._instrument_fixed_point(h, e, BUDGET.tol)
         for other in (random_instrument(j, n, rng), best):
             assert instrument_value(h, other) <= val + gap + 1e-12
 
@@ -294,7 +295,7 @@ def test_instrument_fixed_point_from_zero_padded_warm_start():
     prev = random_instrument(2, n, rng)
     warm = np.concatenate([zero_pad(prev[:1], (2, n, n)), zero_pad(prev[1:], (2, n, n))])
     h = np.stack([gue(n, rng) for _ in range(4)])
-    best = solvers._instrument_fixed_point(h, warm, BUDGET)
+    best = solvers._instrument_fixed_point(h, warm, BUDGET.tol)
     assert_instrument(best)
     assert instrument_value(h, best) >= instrument_value(h, warm)
 
@@ -306,7 +307,7 @@ def test_instrument_fixed_point_grows_a_zero_block():
                   np.zeros((2, 2))]).astype(complex)
     start = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)),
                       np.zeros((2, 2))]).astype(complex)
-    best = solvers._instrument_fixed_point(h, start, BUDGET)
+    best = solvers._instrument_fixed_point(h, start, BUDGET.tol)
     assert_instrument(best)
     assert instrument_value(h, start) == pytest.approx(1.0)
     assert instrument_value(h, best) == pytest.approx(2.0, abs=1e-6)
@@ -330,9 +331,10 @@ def test_instrument_fixed_point_stays_between_the_start_and_its_dual_bound():
         starts = (random_instrument(j, n, rng),
                   np.concatenate([random_instrument(j // 2, n, rng),
                                   np.zeros((j - j // 2, n, n), dtype=complex)]))
-        for (kind, h), e, tol in itertools.product(objectives.items(), starts, (None, 1e-2, 0.5)):
+        tols = (BUDGET.tol, 1e-2, 0.5)
+        for (kind, h), e, tol in itertools.product(objectives.items(), starts, tols):
             val, gap = solvers._instrument_gap(h, e)
-            best = solvers._instrument_fixed_point(h, e, BUDGET, tol)
+            best = solvers._instrument_fixed_point(h, e, tol)
             assert_instrument(best)
             assert instrument_value(h, e) - 1e-12 <= instrument_value(h, best), (kind, j, n)
             assert instrument_value(h, best) <= val + gap + 1e-12, (kind, j, n)
@@ -387,9 +389,10 @@ def test_owc_loose_sweep_that_stalls_is_redone_tight():
     assert beta_owc(g, 2, C4_BUDGET).interval.lower >= 0.78999
 
 
-def test_an_owc_sweep_contracts_the_whole_stack_at_once(monkeypatch):
+def test_an_owc_sweep_contracts_the_whole_stack_at_once(monkeypatch, caplog):
     # Bob's contraction of an instrument stack (rows, 2d, n, n): "B"; an
-    # inner solve at a sweep's tolerance "F", and a tight redo "R"
+    # inner solve "F", which is a tight redo "R" once the sweep has logged
+    # that it redoes rows
     events, rows, traces = [], [], []
     to_bob, fixed_point, seesaw = solvers._to_bob, solvers._instrument_fixed_point, solvers.seesaw
 
@@ -399,27 +402,56 @@ def test_an_owc_sweep_contracts_the_whole_stack_at_once(monkeypatch):
             rows.append(a.shape[0])
         return to_bob(g4, a)
 
-    def counted_fixed_point(h, e, budget, tol=None):
-        events.append("R" if tol is None else "F")
-        return fixed_point(h, e, budget, tol)
+    def counted_fixed_point(h, e, tol):
+        events.append("F")
+        return fixed_point(h, e, tol)
 
     def traced(*args, **kw):
         out = seesaw(*args, **kw)
         traces.append(out[2])
         return out
 
+    class Redoes(logging.Handler):
+        def emit(self, record):
+            if "redoes" in record.getMessage():
+                events.append("|")
+
     monkeypatch.setattr(solvers, "_to_bob", counted_to_bob)
     monkeypatch.setattr(solvers, "_instrument_fixed_point", counted_fixed_point)
     monkeypatch.setattr(solvers, "seesaw", traced)
-    beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
-    log = "".join(events)
+    caplog.set_level(logging.DEBUG, logger="qxor.solvers")
+    logger, handler = logging.getLogger("qxor.solvers"), Redoes()
+    logger.addHandler(handler)
+    try:
+        beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
+    finally:
+        logger.removeHandler(handler)
+    log = re.sub(r"\|(F+)", lambda redo: "R" * len(redo.group(1)), "".join(events))
     # one contraction for the starts, then per sweep one for the stack and
     # one more for the rows it redoes
     assert re.fullmatch(r"B(F+B(R+B)?)+", log), log
-    # the see-saw's sweeps and the winner's final tight sweep
+    # each contraction takes the rows solved just before it, all at once
+    assert [len(solves) for solves in re.findall(r"[FR]+", log)] == rows[1:]
+    # the see-saw's sweeps and the winner's final tight solve
     assert len(re.findall(r"F+B", log)) == max(traces[-1].sweeps) + 1
     assert "R" in log
     assert rows[1] >= 2 and rows[-1] == 1
+
+
+def test_a_sweep_that_loses_value_raises(monkeypatch):
+    # no sweep keeps a start's old state: a drop reaches the driver's
+    # monotonicity guard, whether the instrument or a polar step is wrong
+    def uniform(h, e, *_):
+        return np.broadcast_to(np.eye(e.shape[-1]) / e.shape[0], e.shape).astype(complex)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_instrument_fixed_point", uniform)
+        with pytest.raises(MonotonicityError):
+            beta_owc(random_game(2, 2, seed=5), 2, C4_BUDGET)
+    monkeypatch.setattr(opnorms, "polar_stack", np.zeros_like)
+    vm = VectorMap(([1.0, 0.5], [0.0, 1.0], [0.5, -0.5]))
+    with pytest.raises(MonotonicityError):
+        cb_norm_bounds(vm, (1, 2), C4_BUDGET)
 
 
 def test_the_solvers_leave_the_validated_contractions_to_bias_of():
@@ -584,6 +616,46 @@ def test_hierarchy_report_empty():
     rep = HierarchyReport.of([])
     assert rep.rows == ()
     assert rep.max_ratio == 0.0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: beta_owc(g, 1.5),
+    lambda g: beta_owc(g, 2.0),
+    lambda g: beta_entangled(g, 1.5, 1),
+    lambda g: beta_entangled(g, 1, 2.0),
+], ids=["owc-fraction", "owc-float", "entangled-fraction", "entangled-float"])
+def test_a_level_that_is_not_an_integer_is_rejected(solve):
+    with pytest.raises(ValidationError, match="must be (a )?positive integers?"):
+        solve(chsh())
+
+
+def test_an_ancilla_schedule_of_lists_runs_as_tuples():
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
+    g = random_game(2, 2, seed=49)
+    lists = beta_entangled_schedule(g, [[2, 2], [1, 1]], small)
+    tuples = beta_entangled_schedule(g, ((1, 1), (2, 2)), small)
+    assert [r.interval for r in lists] == [r.interval for r in tuples]
+
+
+def test_entangled_schedule_defaults_to_four_symmetric_ancillas():
+    res = beta_entangled_schedule(chsh(), budget=SolverBudget(restarts=2, max_sweeps=40, seed=1))
+    assert [(r.strategy.dA, r.strategy.dB) for r in res] == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    lowers = [r.interval.lower for r in res]
+    assert lowers[0] == pytest.approx(0.5, abs=1e-9)
+    assert lowers[1:] == pytest.approx([math.sqrt(2) / 2] * 3, abs=1e-9)
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(example, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 5 and float(printed[0]) == pytest.approx(1.0)
+    # the last line is pi1cb_bounds at the default message schedule
+    res = pi1cb_bounds(chsh())
+    assert printed[-1] == repr(res.interval)
+    assert [d for d, _ in res.per_d] == list(default_message_schedule(2)) == [1, 2, 4]
+    assert (res.interval.lower, res.interval.upper) == pytest.approx((1.0, 1.0))
 
 
 def test_default_message_schedule_sorted():
