@@ -137,24 +137,29 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
     return vals[winner], finals[winner], trace
 
 
-def normalize_schedule(values, what: str) -> tuple:
-    """Sorted, duplicate-free schedule of positive levels (integers or
-    tuples of them, a list read as a tuple), each at least the one before
-    it in every component, so warm starts only ever embed a smaller witness
-    into a larger one. Every entry becomes a Python ``int``."""
-    def as_int(v):
-        return tuple(map(operator.index, v)) if isinstance(v, (tuple, list)) else operator.index(v)
+def normalize_schedule(values, what: str, width: int = 0) -> tuple:
+    """Sorted, duplicate-free schedule of positive levels, each at least the
+    one before it in every component, so warm starts only ever embed a
+    smaller witness into a larger one. A level is an integer or, with
+    ``width``, a tuple (or list) of ``width`` integers; its shape is checked
+    before anything is sorted, and every entry becomes a Python ``int``."""
+    def level(v):
+        if not width:
+            return operator.index(v)
+        if not (isinstance(v, (tuple, list)) and len(v) == width):
+            raise TypeError
+        return tuple(map(operator.index, v))
 
     try:
-        schedule = {as_int(v) for v in values}
+        schedule = tuple(sorted({level(v) for v in values}))
     except TypeError:
-        raise ValidationError(f"{what} schedule entries must be integers") from None
-    schedule = tuple(sorted(schedule))
+        shape = f"tuples of {width} integers" if width else "integers"
+        raise ValidationError(f"{what} schedule entries must be {shape}") from None
     if not schedule:
         raise ValidationError(f"{what} schedule must be nonempty")
-    levels = [np.atleast_1d(level) for level in schedule]
-    if min(level.min() for level in levels) < 1:
+    levels = np.array(schedule)
+    if levels.min() < 1:
         raise ValidationError(f"{what} schedule must be positive")
-    if any((hi < lo).any() for lo, hi in zip(levels, levels[1:])):
+    if (np.diff(levels, axis=0) < 0).any():
         raise ValidationError(f"{what} schedule must grow in every component")
     return schedule

@@ -408,35 +408,35 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
 # public surface
 # ---------------------------------------------------------------------------
 
-def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET,
-                   _warm=None):
+def _amp_solver(u) -> tuple:
+    """``(core, cap, cap_method, top_level)`` of a map: its see-saw core, its
+    certified cap at every level with the cap's tag, and the top level of its
+    default schedule."""
+    if isinstance(u, VectorMap):
+        # at the exact scale of the largest entry, so the norms cannot underflow
+        scaled, e = pow2_scaled(np.stack(u.vectors))
+        cap = pow2_restore(sum(float(np.linalg.norm(v)) for v in scaled), e)
+        return _amp_rc_codomain, cap, "nuclear_cap", u.d * u.p
+    if not isinstance(u, KernelMap):
+        raise ValidationError("expects a KernelMap or VectorMap")
+    if u.codomain.kind == "dual":
+        return _amp_into_dual, trace_norm(u.kernel), "pi1o_cap", u.n * u.m
+    return _amp_into_matrix, _nuclear_cap(u), "nuclear_cap", u.n * u.m
+
+
+def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
     """``(BoundInterval, state)`` for the norm of the level-L amplification
     of a map.
 
     The lower bound is the best see-saw witness value over the budgeted
-    restarts; the upper bound is the smallest available certified cap
-    (trace norm of the coefficient kernel for trace-class codomains, the
-    matrix-unit nuclear cap otherwise). ``state`` is the best witness, and
-    passed back as ``_warm`` at a higher level it is embedded there as the
-    first start, so that level's lower bound is at least this one.
-    """
+    restarts; the upper bound is the certified cap: the trace norm of the
+    coefficient kernel for trace-class codomains, the matrix-unit nuclear
+    cap otherwise. ``state`` is the best witness."""
     if not is_count(L):
         raise ValidationError("amplification level must be a positive integer")
-    if isinstance(u, VectorMap):
-        lower, state = _amp_rc_codomain(u, L, budget, warm=_warm)
-        # at the exact scale of the largest entry, so the norms cannot underflow
-        scaled, e = pow2_scaled(np.stack(u.vectors))
-        cap = pow2_restore(sum(float(np.linalg.norm(v)) for v in scaled), e)
-        return BoundInterval(min(lower, cap), cap, "seesaw", "nuclear_cap"), state
-    if not isinstance(u, KernelMap):
-        raise ValidationError("amplified_norm expects a KernelMap or VectorMap")
-    if u.codomain.kind == "dual":
-        lower, state = _amp_into_dual(u, L, budget, warm=_warm)
-        cap = trace_norm(u.kernel)
-        return BoundInterval(min(lower, cap), cap, "seesaw", "pi1o_cap"), state
-    lower, state = _amp_into_matrix(u, L, budget, warm=_warm)
-    cap = _nuclear_cap(u)
-    return BoundInterval(min(lower, cap), cap, "seesaw", "nuclear_cap"), state
+    core, cap, cap_method, _ = _amp_solver(u)
+    lower, state = core(u, L, budget)
+    return BoundInterval(min(lower, cap), cap, "seesaw", cap_method), state
 
 
 def default_level_schedule(cap: int) -> tuple[int, ...]:
@@ -460,31 +460,25 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
                    budget: SolverBudget = DEFAULT_BUDGET) -> CbNormResult:
     """Interval for the completely bounded norm via a level schedule.
 
-    The lower bound is the best amplified lower over the schedule (warm
-    starts embed smaller-level witnesses, so the sequence is monotone);
-    the upper bound is the certified cap. The amplification level at which
+    The map's see-saw core runs at each level, warm started from the
+    previous level's witness, so the lower bounds never fall; the lower
+    bound is the best of them, each clipped to the certified cap, which is
+    computed once and is the upper bound. The amplification level at which
     these maps stabilize is not known in advance, so agreement of the last
     two levels within 1e-6 is reported as a flag, never as a theorem.
     """
-    if isinstance(u, VectorMap):
-        cap_level = u.d * u.p
-    else:
-        cap_level = u.n * u.m
+    core, cap, cap_method, top_level = _amp_solver(u)
     if schedule is None:
-        schedule = default_level_schedule(cap_level)
-    schedule = normalize_schedule(schedule, "level")
-
+        schedule = default_level_schedule(top_level)
     per_level = []
-    best = 0.0
-    state = None
-    for L in schedule:
-        interval, state = amplified_norm(u, L, budget, _warm=state)
-        best = max(best, interval.lower)
+    best, state = 0.0, None
+    for L in normalize_schedule(schedule, "level"):
+        lower, state = core(u, L, budget, warm=state)
+        best = max(best, min(lower, cap))
         per_level.append((L, best))
-    upper, up_tag = interval.upper, interval.upper_method
     stabilized = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) <= 1e-6
     return CbNormResult(
-        BoundInterval(best, upper, "seesaw_schedule", up_tag), tuple(per_level), stabilized
+        BoundInterval(best, cap, "seesaw_schedule", cap_method), tuple(per_level), stabilized
     )
 
 

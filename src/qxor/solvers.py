@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, is_count, normalize_schedule, seesaw
+from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
 from .config import ValidationError
 from .factor import CB_VS_SUMMING_CONSTANT
 from .games import (
@@ -176,7 +176,7 @@ def beta_product(game: QuantumXorGame,
     sqrt(2) times a *lower* value of the norm bounds the product bias only
     when the Hermitian witness is within a factor sqrt(2) of the optimum,
     and no inequality makes that true by construction. ``strategy`` is also
-    the one-message rung of :func:`beta_owc`.
+    the one-message rung of :func:`beta_owc_schedule`.
     """
     _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)
@@ -284,45 +284,31 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
 
 
 def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
-                   budget: SolverBudget = DEFAULT_BUDGET,
-                   _warm: Optional[EntangledStrategy] = None) -> EntangledBiasResult:
-    """Certified bounds for the entangled bias at fixed ancilla dimensions.
-
-    No finite ancilla dimension is known to attain the supremum, so the
-    result is an interval: the see-saw witness below, the one-way-quantum
-    value above. ``_warm``, the strategy of a level with ancillas no larger
-    than ``(dA, dB)``, is embedded as the see-saw's first start.
-    """
-    if not (is_count(dA) and is_count(dB)):
-        raise ValidationError("ancilla dimensions must be positive integers")
-    val, psi, a, b = _entangled_core(game, dA, dB, budget, warm=_warm)
-    strategy = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
-    lower = bias_of(game, strategy)
-    owq = beta_owq(game)
-    return EntangledBiasResult(
-        BoundInterval(lower, max(owq, lower), "seesaw_witness", "beta_owq"), strategy)
-
-
-def _ladder(solve, levels, warm=None):
-    """``solve(level, warm)`` at each level in turn, each warm started from
-    the previous level's strategy."""
-    results = []
-    for level in levels:
-        results.append(solve(level, warm))
-        warm = results[-1].strategy
-    return results
+                   budget: SolverBudget = DEFAULT_BUDGET) -> EntangledBiasResult:
+    """Certified bounds for the entangled bias at fixed ancilla dimensions,
+    the one-level :func:`beta_entangled_schedule`: the see-saw witness below,
+    the one-way-quantum value above. No finite ancilla dimension is known to
+    attain the supremum."""
+    return beta_entangled_schedule(game, [(dA, dB)], budget)[0]
 
 
 def beta_entangled_schedule(game: QuantumXorGame,
                             dims: Optional[Sequence[tuple]] = None,
                             budget: SolverBudget = DEFAULT_BUDGET):
-    """Run the entangled solver over ancilla dimensions that grow in both
-    components, each level warm started from the previous level's strategy,
-    so the lower bounds are non-decreasing."""
+    """Run the entangled solver over ancilla dimensions ``(dA, dB)`` that
+    grow in both components, each level warm started from the previous
+    level's strategy, so the lower bounds are non-decreasing."""
     if dims is None:
         dims = ((1, 1), (2, 2), (3, 3), (4, 4))
-    return _ladder(lambda level, warm: beta_entangled(game, *level, budget, _warm=warm),
-                   normalize_schedule(dims, "ancilla"))
+    owq = beta_owq(game)
+    results, warm = [], None
+    for dA, dB in normalize_schedule(dims, "ancilla", width=2):
+        _, psi, a, b = _entangled_core(game, dA, dB, budget, warm)
+        warm = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
+        lower = bias_of(game, warm)
+        results.append(EntangledBiasResult(
+            BoundInterval(lower, max(owq, lower), "seesaw_witness", "beta_owq"), warm))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -459,69 +445,74 @@ def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
 
 
 def beta_owc(game: QuantumXorGame, d: int,
-             budget: SolverBudget = DEFAULT_BUDGET,
-             _warm: Optional[OwcStrategy | ProductStrategy] = None) -> OwcBiasResult:
+             budget: SolverBudget = DEFAULT_BUDGET) -> OwcBiasResult:
     """Certified bounds for the one-way classical communication bias with
-    ``d`` messages.
+    ``d`` messages: the one-level :func:`beta_owc_schedule`.
 
-    ``_warm`` is the strategy of a level with at most ``d`` messages, or a
-    :class:`ProductStrategy`, the one-message rung; without it the product
-    see-saw runs. At ``d = 1`` a product witness is the result, with its own
-    bias as the lower bound, so :func:`beta_product`'s strategy gives
-    ``beta_product``'s lower bound bit for bit. For more messages the
-    solver runs the zero-padded warm witness first, then the forward
-    measurement and random instruments (one more at ``d >= 3``). It
-    alternates an exact sign update of Bob's observables with an update of
-    Alice's instrument by :func:`_instrument_fixed_point`: an extrapolated
-    fixed point whose every returned point is an exact instrument, because
-    each extrapolated point is clipped back to one before it is stepped
-    from. A sweep is one step on the stack of running starts, in which only
-    that inner solve runs per start, and each start runs for up to
-    ``budget.max_sweeps`` sweeps. It is inexact: a sweep solves it to a
-    relative dual gap of ``max(budget.tol, 0.01 * g)``, with ``g`` the
-    start's previous relative gain (1 at first), or until its cap of
-    ``_FIXED_POINT_ITERS`` evaluations of the step. Starts whose loose sweep
-    gains at most ``budget.tol`` are redone at ``budget.tol``, so a start
-    only stops on a tight sweep. Every sweep returns its new instruments,
-    so a sweep that lowers a start's value raises in :func:`seesaw`. The
-    winner's instrument is then solved once more, to a tenth of
-    ``budget.tol``, and Bob's observables answer it. The dual gap of that
-    instrument against those observables is reported; it measures quality
-    only, never the bound direction.
-
-    At DEBUG the ``qxor.solvers`` logger records each sweep that redoes
-    loose rows tight and each inner solve that stops at its cap.
+    The lower bound is a validated witness's bias, the upper bound the
+    one-way-quantum value. At ``d = 1`` the witness is the product
+    see-saw's, so the lower bound is ``beta_product``'s bit for bit.
+    ``duality_gap`` and ``instrument_converged`` judge the winning
+    instrument's quality only, never the bound direction. At DEBUG the
+    ``qxor.solvers`` logger records each sweep that redoes loose rows tight
+    and each inner solve that stops at its cap.
     """
-    if not is_count(d):
-        raise ValidationError("message count must be a positive integer")
-    n, m = game.n, game.m
+    return beta_owc_schedule(game, [d], budget)[0]
+
+
+def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget,
+               warm: Optional[OwcStrategy | ProductStrategy]) -> OwcBiasResult:
+    """One level of :func:`beta_owc_schedule`. ``warm`` is the strategy of
+    a level with at most ``d`` messages, or a :class:`ProductStrategy`, the
+    one-message rung; without it the product see-saw runs. At ``d = 1`` the
+    product witness is the result. For more messages the solver runs the
+    zero-padded warm witness first, then the forward measurement and random
+    instruments (one more at ``d >= 3``). It alternates an exact sign update
+    of Bob's observables with an update of Alice's instrument by
+    :func:`_instrument_fixed_point`: an extrapolated fixed point whose every
+    returned point is an exact instrument, because each extrapolated point
+    is clipped back to one before it is stepped from. A sweep is one step on
+    the stack of running starts, in which only that inner solve runs per
+    start, and each start runs for up to ``budget.max_sweeps`` sweeps. It is
+    inexact: a sweep solves it to a relative dual gap of
+    ``max(budget.tol, 0.01 * g)``, with ``g`` the start's previous relative
+    gain (1 at first), or until its cap of ``_FIXED_POINT_ITERS`` evaluations
+    of the step. Starts whose loose sweep gains at most ``budget.tol`` are
+    redone at ``budget.tol``, so a start only stops on a tight sweep. Every
+    sweep returns its new instruments, so a sweep that lowers a start's
+    value raises in :func:`seesaw`. The winner's instrument is then solved
+    once more, to a tenth of ``budget.tol``, and Bob's observables answer
+    it; the dual gap of that pair is the reported one.
+    """
+    n = game.n
     g4 = game.kernel_tensor()
     owq = beta_owq(game)
 
-    if _warm is None:
+    if warm is None:
         _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
-        _warm = ProductStrategy(a, b)
-    if isinstance(_warm, ProductStrategy):
+        warm = ProductStrategy(a, b)
+    if isinstance(warm, ProductStrategy):
         # definition reduction: one message makes the instrument a plain
         # two-outcome measurement of Alice's observable
-        prod = _warm
-        _warm = OwcStrategy(1, [(np.eye(n) + prod.A) / 2], [(np.eye(n) - prod.A) / 2], [prod.B])
+        prod = warm
+        warm = OwcStrategy(1, [(np.eye(n) + prod.A) / 2], [(np.eye(n) - prod.A) / 2], [prod.B])
         if d == 1:
             lower = bias_of(game, prod)
-            wrapped = bias_of(game, _warm)
+            wrapped = bias_of(game, warm)
             if abs(wrapped - lower) > 1e-12 * max(1.0, abs(lower)):
                 raise ValidationError("single-message reduction drifted from the product value")
             return OwcBiasResult(
                 BoundInterval(lower, max(owq, lower), "product_seesaw", "beta_owq"),
-                _warm, None, True,
+                warm, None, True,
             )
 
     def bob_step(e):
         """Bob's best observables against the instruments ``e`` and their
-        value: his per-message trace norms, summed in message order."""
+        value ``Re tr(D_k B_k)``, summed in message order."""
         dk = _to_bob(g4, e[..., :d, :, :] - e[..., d:, :, :])
-        tn = np.linalg.svd(dk, compute_uv=False).sum(axis=-1)
-        return sign_stack(dk), np.cumsum(tn, axis=-1)[..., -1]
+        obs = sign_stack(dk)
+        val = np.real(np.sum(dk * obs.swapaxes(-1, -2), axis=(-2, -1)))
+        return obs, np.cumsum(val, axis=-1)[..., -1]
 
     def objective(obs):
         """The instrument stack ``(+C_k, -C_k)`` that Bob's observables
@@ -549,8 +540,8 @@ def beta_owc(game: QuantumXorGame, d: int,
             cand_obs[redo], cand_val[redo] = bob_step(cand[redo])
         return cand_val, (cand, cand_obs, (cand_val - vals) / np.maximum(1.0, np.abs(cand_val)))
 
-    warm = np.concatenate([zero_pad(_warm.e_plus, (d, n, n)), zero_pad(_warm.e_minus, (d, n, n))])
-    starts = [warm, _measure_forward_instrument(n, d)]
+    starts = [np.concatenate([zero_pad(warm.e_plus, (d, n, n)), zero_pad(warm.e_minus, (d, n, n))]),
+              _measure_forward_instrument(n, d)]
     for r in range(max(1, budget.restarts // 2) + (d >= 3)):
         rng = budget.rng("owc", d, r)
         raw = []
@@ -584,11 +575,18 @@ def default_message_schedule(n: int) -> tuple[int, ...]:
 def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
                       budget: SolverBudget = DEFAULT_BUDGET,
                       _warm: Optional[OwcStrategy | ProductStrategy] = None):
-    """Increasing message counts, each level warm started from the previous
-    level's strategy (the first from ``_warm``, as in :func:`beta_owc`), so
-    the lower bounds are non-decreasing along the schedule."""
-    return _ladder(lambda d, warm: beta_owc(game, d, budget, _warm=warm),
-                   normalize_schedule(ds, "message"), _warm)
+    """:func:`_owc_level` at increasing message counts, each level warm
+    started from the previous level's strategy, so the lower bounds are
+    non-decreasing along the schedule. ``_warm`` warm starts the first level
+    only; it is a strategy with at most that level's messages or a
+    :class:`ProductStrategy`, the one-message rung, as :func:`pi1cb_bounds`
+    passes so that the product see-saw runs once per game. Without it the
+    first level runs the product see-saw itself."""
+    results = []
+    for d in normalize_schedule(ds, "message"):
+        results.append(_owc_level(game, d, budget, _warm))
+        _warm = results[-1].strategy
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -166,18 +166,19 @@ def test_lockstep_equals_sequential(monkeypatch):
 
 def test_normalize_schedule():
     assert normalize_schedule((4, 1, 2, 2), "message") == (1, 2, 4)
-    assert normalize_schedule(((2, 2), (1, 1)), "ancilla") == ((1, 1), (2, 2))
-    assert normalize_schedule(((1, 1), (2, 3), (2, 2)), "ancilla") == ((1, 1), (2, 2), (2, 3))
+    assert normalize_schedule(((2, 2), (1, 1)), "ancilla", width=2) == ((1, 1), (2, 2))
+    assert normalize_schedule(((1, 1), (2, 3), (2, 2)), "ancilla", width=2) == (
+        (1, 1), (2, 2), (2, 3))
     with pytest.raises(ValidationError):
         normalize_schedule((), "level")
     with pytest.raises(ValidationError, match="message schedule must be positive"):
         normalize_schedule((0, 1), "message")
     with pytest.raises(ValidationError, match="ancilla schedule must grow in every component"):
-        normalize_schedule(((1, 3), (2, 1)), "ancilla")
+        normalize_schedule(((1, 3), (2, 1)), "ancilla", width=2)
 
 
 def test_normalize_schedule_reads_lists_as_tuples_and_entries_as_ints():
-    schedule = normalize_schedule([[2, 2], [np.int64(1), 1]], "ancilla")
+    schedule = normalize_schedule([[2, 2], [np.int64(1), 1]], "ancilla", width=2)
     assert schedule == ((1, 1), (2, 2))
     assert {type(c) for level in schedule for c in level} == {int}
     assert [type(v) for v in normalize_schedule(np.array([2, 1]), "message")] == [int, int]

@@ -45,6 +45,19 @@ def random_owc(n, m, d, rng):
     return OwcStrategy(d, np.stack(blocks[:d]), np.stack(blocks[d:]), obs)
 
 
+def test_diagonal_game_gives_a_zero_coefficient_no_episode():
+    g = diagonal_game([[0.25, 0.0], [0.0, 0.25]])
+    # the pure episodes sit on the diagonal indices of the entries (0, 0)
+    # and (1, 1); the entries (0, 1) and (1, 0), at indices 1 and 2, get none
+    pure = [e for e in g.episodes if np.count_nonzero(np.diag(e.rho)) == 1]
+    assert [int(np.argmax(np.diag(e.rho).real)) for e in pure] == [0, 3]
+    assert [e.p for e in pure] == [0.25, 0.25]
+    assert len(g.episodes) == 4  # plus the two cancelling mixed ones
+    assert sum(e.p for e in g.episodes) == pytest.approx(1.0, abs=1e-15)
+    rebuilt = from_episodes(2, 2, g.episodes)
+    np.testing.assert_allclose(rebuilt.G, g.G, atol=1e-15)
+
+
 def test_from_episodes_single():
     rng = rng_for("ep-single")
     rho = random_density(4, rng)

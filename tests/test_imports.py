@@ -101,15 +101,16 @@ def public_functions() -> set:
 
 
 def test_public_functions_take_no_private_parameter_but_warm():
-    # a private parameter is a side channel into a public function; the
-    # warm start of a solver ladder is the one kind allowed
+    # a private parameter is a side channel into a public function; the one
+    # allowed is the first rung of the message ladder, through which the
+    # product witness enters without a second product see-saw
     found = sorted(
         f"{f.__module__}.{f.__name__}({param})"
         for f in public_functions()
         for param in inspect.signature(f).parameters
-        if param.startswith("_") and param != "_warm"
+        if param.startswith("_")
     )
-    assert found == []
+    assert found == ["qxor.solvers.beta_owc_schedule(_warm)"]
 
 
 def test_public_functions_take_no_tolerance_but_the_symmetry_check():

@@ -433,6 +433,28 @@ def test_a_fractional_level_is_rejected():
         amplified_norm(vm, 1.5, BUDGET)
 
 
+@pytest.mark.parametrize("schedule", [None, (1, 2)])
+def test_cb_norm_bounds_rejects_what_is_not_a_map(schedule):
+    with pytest.raises(ValidationError, match="expects a KernelMap or VectorMap"):
+        cb_norm_bounds(np.eye(2), schedule, BUDGET)
+
+
+def test_cb_norm_bounds_computes_the_trace_class_cap_once(monkeypatch):
+    calls = []
+    trace_norm = opnorms.trace_norm
+
+    def counted(x):
+        calls.append(1)
+        return trace_norm(x)
+
+    u = KernelMap(full_matrix_space(2), dual_space(2), swap_matrix(2) / 2)
+    light = SolverBudget(restarts=1, max_sweeps=20, seed=2)
+    expected = cb_norm_bounds(u, (1, 2, 4), light)
+    monkeypatch.setattr(opnorms, "trace_norm", counted)
+    assert cb_norm_bounds(u, (1, 2, 4), light) == expected
+    assert len(calls) == 1
+
+
 def test_cb_norm_bounds_default_levels_double_up_to_n_times_m():
     u = KernelMap(full_matrix_space(2), dual_space(2), swap_matrix(2) / 2)
     res = cb_norm_bounds(u, budget=BUDGET)
@@ -616,10 +638,8 @@ def _level_runs(kind, trial):
          "matrix": KernelMap(full_matrix_space(2), Space("matrix", 2), g),
          "vector": vm}[kind]
 
-    def run(L, budget, warm):
-        iv, state = amplified_norm(u, L, budget, _warm=warm)
-        return iv.lower, state
-    return run
+    core, *_ = opnorms._amp_solver(u)
+    return lambda L, budget, warm: core(u, L, budget, warm=warm)
 
 
 @pytest.mark.parametrize("kind", ["dual", "matrix", "vector"])

@@ -340,6 +340,20 @@ def test_instrument_fixed_point_stays_between_the_start_and_its_dual_bound():
             assert instrument_value(h, best) <= val + gap + 1e-12, (kind, j, n)
 
 
+def test_instrument_fixed_point_logs_a_solve_that_stops_at_its_cap(monkeypatch, caplog):
+    # one cycle of three evaluations cannot close the gap to 1e-12
+    monkeypatch.setattr(solvers, "_FIXED_POINT_ITERS", 3)
+    caplog.set_level(logging.DEBUG, logger="qxor.solvers")
+    rng = rng_for("owc-cap")
+    h = np.stack([gue(2, rng) for _ in range(4)])
+    start = np.stack([np.eye(2, dtype=complex) / 4] * 4)
+    best = solvers._instrument_fixed_point(h, start, 1e-12)
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert sum("stopped at its cap of 3 evaluations" in msg for msg in messages) == 1
+    assert_instrument(best)
+    assert instrument_value(h, best) >= instrument_value(h, start)
+
+
 C4_BUDGET = SolverBudget(restarts=3, max_sweeps=60, seed=4)
 
 
@@ -625,8 +639,15 @@ def test_hierarchy_report_empty():
     lambda g: beta_entangled(g, 1, 2.0),
 ], ids=["owc-fraction", "owc-float", "entangled-fraction", "entangled-float"])
 def test_a_level_that_is_not_an_integer_is_rejected(solve):
-    with pytest.raises(ValidationError, match="must be (a )?positive integers?"):
+    with pytest.raises(ValidationError, match="schedule entries must be (tuples of 2 )?integers"):
         solve(chsh())
+
+
+@pytest.mark.parametrize("dims", [[(1, 1, 1)], [1, (2, 2)], [()], [1, 2]],
+                         ids=["triple", "mixed", "empty-level", "integers"])
+def test_an_ancilla_level_that_is_not_a_pair_is_rejected(dims):
+    with pytest.raises(ValidationError, match="ancilla schedule entries must be tuples of 2 integers"):
+        beta_entangled_schedule(chsh(), dims, SolverBudget(restarts=1, max_sweeps=2))
 
 
 def test_an_ancilla_schedule_of_lists_runs_as_tuples():
@@ -735,11 +756,18 @@ def test_analyze_game_rejects_an_ancilla_schedule_that_is_not_a_chain():
 
 
 def _game_level_runs(kind, game):
-    """``(run(level, budget, warm) -> result, lower level, higher level)``."""
+    """``(run(level, budget, warm) -> (lower, strategy), lower level, higher level)``."""
     if kind == "entangled":
-        return (lambda dims, budget, warm: beta_entangled(game, *dims, budget, _warm=warm),
-                (1, 1), (2, 2))
-    return lambda d, budget, warm: beta_owc(game, d, budget, _warm=warm), 2, 3
+        def run(dims, budget, warm):
+            _, psi, a, b = solvers._entangled_core(game, *dims, budget, warm=warm)
+            strategy = EntangledStrategy(game.n, game.m, *dims, psi, a, b)
+            return bias_of(game, strategy), strategy
+        return run, (1, 1), (2, 2)
+
+    def run(d, budget, warm):
+        res = solvers._owc_level(game, d, budget, warm)
+        return res.interval.lower, res.strategy
+    return run, 2, 3
 
 
 @pytest.mark.parametrize("kind", ["entangled", "owc"])
@@ -749,9 +777,9 @@ def test_a_game_level_starts_from_the_embedded_lower_witness(kind):
     tiny = SolverBudget(restarts=1, max_sweeps=1, seed=7)
     for seed in range(6):
         run, low, high = _game_level_runs(kind, random_game(2, 2, seed=600 + seed))
-        lower = run(low, BUDGET, None)
-        upper_level = run(high, tiny, lower.strategy)
-        assert upper_level.interval.lower >= lower.interval.lower * (1 - 1e-12)
+        lower, strategy = run(low, BUDGET, None)
+        higher, _ = run(high, tiny, strategy)
+        assert higher >= lower * (1 - 1e-12)
 
 
 def test_owc_schedule_runs_each_start_once(monkeypatch):
@@ -762,7 +790,7 @@ def test_owc_schedule_runs_each_start_once(monkeypatch):
 
     def counted(starts, sweep, budget, **kw):
         starts = list(starts)
-        if sweep.__qualname__.startswith("beta_owc."):
+        if sweep.__qualname__.startswith("_owc_level."):
             counts.append(len(starts))
         return seesaw(starts, sweep, budget, **kw)
 
