@@ -46,7 +46,7 @@ from .games import (
 from .maps import VectorMap
 from .opnorms import amplified_norm, cb_norm_bounds, pietsch_pi2
 from .solvers import (
-    beta_entangled_schedule,
+    _entangled_ladder,
     beta_owc_schedule,
     beta_owq,
     beta_product,
@@ -124,7 +124,7 @@ def criterion_chsh_oracles():
     owc = beta_owc_schedule(g, (1, 2), budget, _warm=prod.strategy)[-1]
     assert owc.interval.lower >= 1 - 1e-6, owc.interval
 
-    ent = beta_entangled_schedule(g, ((1, 1), (2, 2)), budget)[-1]
+    ent = _entangled_ladder(g, ((1, 1), (2, 2)), budget, prod.strategy)[-1]
     assert ent.interval.lower >= 0.7071 - 1e-3, ent.interval
 
 
@@ -146,13 +146,11 @@ def criterion_interval_soundness():
         assert owc[0].interval.lower == prod.interval.lower, (
             f"{gid}: single-message bias differs from the product bias"
         )
-        lows = [r.interval.lower for r in owc]
-        assert all(lows[i] <= lows[i + 1] + 1e-8 for i in range(len(lows) - 1)), gid
-        assert lows[-1] <= owq + 1e-8, gid
-        ent = beta_entangled_schedule(g, ((1, 1), (2, 2)), budget)
-        elows = [r.interval.lower for r in ent]
-        assert all(elows[i] <= elows[i + 1] + 1e-8 for i in range(len(elows) - 1)), gid
-        assert elows[-1] <= owq + 1e-8, gid
+        ent = _entangled_ladder(g, ((1, 1), (2, 2)), budget, prod.strategy)
+        for ladder in (owc, ent):
+            lows = [r.interval.lower for r in ladder]
+            assert all(lows[i] <= lows[i + 1] + 1e-8 for i in range(len(lows) - 1)), gid
+            assert lows[-1] <= owq + 1e-8, gid
         z = tensor_from_kernel(g.G, g.n, g.m)
         gres = gamma_rc_upper(z, budget)
         iv = gamma_to_Gamma(z, gres.gamma_upper, budget, schedule=(1, 2))

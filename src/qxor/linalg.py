@@ -35,7 +35,6 @@ __all__ = [
     "pow2_times",
     "zero_pad",
     "regroup",
-    "max_entangled",
     "partial_contract_A",
     "partial_contract_B",
 ]
@@ -209,15 +208,6 @@ def regroup(x: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
     lead = x.shape[:-2]
     y = x.reshape(lead + shape).transpose(*range(len(lead)), *(len(lead) + i for i in axes))
     return y.reshape(lead + (shape[axes[0]] * shape[axes[1]], -1))
-
-
-def max_entangled(a: int, b: int) -> np.ndarray:
-    """Unit vector on ``C^a (x) C^b`` with equal weight on ``e_i (x) e_i``
-    for ``i < min(a, b)``."""
-    v = np.zeros(a * b, dtype=complex)
-    for i in range(min(a, b)):
-        v[i * b + i] = 1.0
-    return v / np.linalg.norm(v)
 
 
 def _as_bipartite_tensor(G, n: int, m: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget, is_count, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
-    max_entangled,
     operator_norm,
     polar_stack,
     pow2_restore,
@@ -242,7 +241,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     def dual_matrix(v4):  # V~[(r,s),(i,j)] = v4[i,s,j,r]
         return regroup(_blocks(v4, L * m, L * m), (L, m, L, m), (3, 1, 0, 2))
 
-    uv = max_entangled(L, L).reshape(L, L)
+    uv = np.eye(L, dtype=complex) / math.sqrt(L)  # the maximally entangled vector
     ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n),
              np.eye(L * m, dtype=complex).reshape(L, m, L, m), uv, uv)
     # transpose-flavored start: swap patterns on both sides
@@ -305,7 +304,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     e0 = np.zeros((L, m), dtype=complex)
     e0[0, 0] = 1.0
     ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n), e0, e0)
-    uv1 = max_entangled(L, m).reshape(L, m)
+    uv1 = np.eye(L, m, dtype=complex) / math.sqrt(min(L, m))  # the same on C^L (x) C^m
     starts = _embedded(warm, ident) + [
         ident, (_partial_swap(L, n).reshape(L, n, L, n), uv1, uv1)]
     for i in range(len(starts), len(starts) + budget.restarts):

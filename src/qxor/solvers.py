@@ -12,9 +12,9 @@ between strategy classes).
 Warm embedding: the entangled and one-way-classical solvers take the
 previous level's strategy as it is, zero-pad it to their own dimensions
 and run it as their first start. Zero-padding keeps a witness feasible
-with the same value, so the lower bounds over a schedule never fall. The
-one-way-classical ladder's first rung is the product strategy (one message
-carries nothing): :func:`pi1cb_bounds` feeds it :func:`beta_product`'s witness.
+with the same value, so the lower bounds over a schedule never fall. Both
+ladders' first rung is :func:`beta_product`'s witness, since one message or
+one-dimensional ancillas carry nothing: :func:`analyze_game` feeds it to both.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .games import (
 )
 from .linalg import (
     eigh_stack,
-    max_entangled,
     operator_norm,
     polar_stack,
     regroup,
@@ -176,7 +175,7 @@ def beta_product(game: QuantumXorGame,
     sqrt(2) times a *lower* value of the norm bounds the product bias only
     when the Hermitian witness is within a factor sqrt(2) of the optimum,
     and no inequality makes that true by construction. ``strategy`` is also
-    the one-message rung of :func:`beta_owc_schedule`.
+    the first rung of :func:`beta_owc_schedule` and :func:`beta_entangled_schedule`.
     """
     _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)
@@ -242,7 +241,9 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
     Alice's ``rho[(c,a),(b,d)] B~ K^T`` and Bob's ``db = rho[(d,b),(a,c)] A~ K``, reordered
     to ``[(a,b),(c,d)]``, ``[(j,c),(i,a)]``, ``[(l,d),(k,b)]``; the bias is ``Re tr(db B)``.
     ``warm``, an :class:`EntangledStrategy` with ancillas no larger than
-    ``(dA, dB)``, is zero-padded to them and runs as the first start."""
+    ``(dA, dB)``, is zero-padded to them and runs as the first start, then
+    ``budget.restarts`` random ones. A sweep recomputes ``psi`` from ``(A, B)``
+    before it uses it, so a start's ``psi`` only sets its start value."""
     n, m = game.n, game.m
     eff, alice, bob = _entangled_kernels(game.kernel_tensor(), dA, dB)
 
@@ -267,9 +268,6 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
         zero_pad(warm.A.reshape(n, warm.dA, n, warm.dA), (n, dA, n, dA)).reshape(n * dA, -1),
         zero_pad(warm.B.reshape(m, warm.dB, m, warm.dB), (m, dB, m, dB)).reshape(m * dB, -1),
     )]
-    starts.append((
-        max_entangled(dA, dB), np.eye(n * dA, dtype=complex), np.eye(m * dB, dtype=complex),
-    ))
     for r in range(budget.restarts):
         rng = budget.rng("ent", dA, dB, r)
         psi = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
@@ -286,9 +284,9 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
 def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
                    budget: SolverBudget = DEFAULT_BUDGET) -> EntangledBiasResult:
     """Certified bounds for the entangled bias at fixed ancilla dimensions,
-    the one-level :func:`beta_entangled_schedule`: the see-saw witness below,
-    the one-way-quantum value above. No finite ancilla dimension is known to
-    attain the supremum."""
+    the one-level :func:`beta_entangled_schedule`, so the product see-saw
+    runs first: the see-saw witness below, the one-way-quantum value above.
+    No finite ancilla dimension is known to attain the supremum."""
     return beta_entangled_schedule(game, [(dA, dB)], budget)[0]
 
 
@@ -297,14 +295,29 @@ def beta_entangled_schedule(game: QuantumXorGame,
                             budget: SolverBudget = DEFAULT_BUDGET):
     """Run the entangled solver over ancilla dimensions ``(dA, dB)`` that
     grow in both components, each level warm started from the previous
-    level's strategy, so the lower bounds are non-decreasing."""
+    level's strategy, so the lower bounds are non-decreasing. The first rung
+    is the product see-saw's witness: the result at ``(1, 1)``, where
+    :func:`_entangled_core` never runs, and the next level's warm start."""
+    return _entangled_ladder(game, dims, budget, None)
+
+
+def _entangled_ladder(game: QuantumXorGame, dims: Optional[Sequence[tuple]],
+                      budget: SolverBudget, product: Optional[ProductStrategy]):
+    """:func:`beta_entangled_schedule` from :func:`beta_product`'s witness
+    ``product``; without it the product see-saw runs here."""
     if dims is None:
         dims = ((1, 1), (2, 2), (3, 3), (4, 4))
+    dims = normalize_schedule(dims, "ancilla", width=2)
+    if product is None:
+        _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
+        product = ProductStrategy(a, b)
     owq = beta_owq(game)
-    results, warm = [], None
-    for dA, dB in normalize_schedule(dims, "ancilla", width=2):
-        _, psi, a, b = _entangled_core(game, dA, dB, budget, warm)
-        warm = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
+    warm = EntangledStrategy(game.n, game.m, 1, 1, [1], product.A, product.B)
+    results = []
+    for dA, dB in dims:
+        if (dA, dB) != (1, 1):
+            _, psi, a, b = _entangled_core(game, dA, dB, budget, warm)
+            warm = EntangledStrategy(game.n, game.m, dA, dB, psi, a, b)
         lower = bias_of(game, warm)
         results.append(EntangledBiasResult(
             BoundInterval(lower, max(owq, lower), "seesaw_witness", "beta_owq"), warm))
@@ -577,11 +590,8 @@ def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
                       _warm: Optional[OwcStrategy | ProductStrategy] = None):
     """:func:`_owc_level` at increasing message counts, each level warm
     started from the previous level's strategy, so the lower bounds are
-    non-decreasing along the schedule. ``_warm`` warm starts the first level
-    only; it is a strategy with at most that level's messages or a
-    :class:`ProductStrategy`, the one-message rung, as :func:`pi1cb_bounds`
-    passes so that the product see-saw runs once per game. Without it the
-    first level runs the product see-saw itself."""
+    non-decreasing along the schedule. ``_warm`` is :func:`_owc_level`'s
+    ``warm`` for the first level; :func:`pi1cb_bounds` passes the product witness."""
     results = []
     for d in normalize_schedule(ds, "message"):
         results.append(_owc_level(game, d, budget, _warm))
@@ -735,15 +745,15 @@ def analyze_game(game: QuantumXorGame, game_id: str,
                  budget: SolverBudget = DEFAULT_BUDGET,
                  d_schedule: Optional[Sequence[int]] = None,
                  ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyRow:
-    """All strategy-class bounds for one game, with soundness flags. The
-    product and one-way-classical results are those of :func:`pi1cb_bounds`."""
+    """All strategy-class bounds for one game, with soundness flags: one
+    :func:`pi1cb_bounds` run, and the entangled ladder on its product witness."""
     owq = beta_owq(game)
     if ancilla_schedule is None:
         ancilla_schedule = ((1, 1), (2, 2))
-    ent_results = beta_entangled_schedule(game, ancilla_schedule, budget)
-    ent = ent_results[-1]
     p1cb = pi1cb_bounds(game, d_schedule, budget)
     prod, owc_results = p1cb.product, p1cb.owc_results
+    ent_results = _entangled_ladder(game, ancilla_schedule, budget, prod.strategy)
+    ent = ent_results[-1]
 
     best_owc = max(r.interval.lower for r in owc_results)
     tol = 1e-8

@@ -155,8 +155,9 @@ def test_lockstep_equals_sequential(monkeypatch):
     into_matrix = KernelMap(full_matrix_space(2), full_matrix_space(2), gue(4, rng))
     for u in (sandwich, vectors, into_matrix):
         opnorms.amplified_norm(u, 2, budget)
-    # five per game (two product, two entangled, one owc) and one per map
-    assert len(calls) == 13
+    # four per game (two product, one entangled above the product rung, one
+    # owc) and one per map
+    assert len(calls) == 11
 
     for starts, sweep, bud, trace in calls:
         alone = [seesaw([s], sweep, bud)[2].values[0] for s in starts]

@@ -168,7 +168,8 @@ def test_beta_entangled_trivial_ancilla_matches_product():
     g = random_game(2, 2, seed=33)
     ent = beta_entangled(g, 1, 1, BUDGET)
     prod = beta_product(g, BUDGET)
-    assert ent.interval.lower == pytest.approx(prod.interval.lower, abs=1e-7)
+    # the (1, 1) rung is the product witness, so only bias_of's rounding differs
+    assert ent.interval.lower == pytest.approx(prod.interval.lower, rel=1e-12)
 
 
 def test_beta_entangled_product_state_game():
@@ -798,6 +799,64 @@ def test_owc_schedule_runs_each_start_once(monkeypatch):
     small = SolverBudget(restarts=4, max_sweeps=30, seed=1)
     beta_owc_schedule(random_game(2, 2, seed=48), (1, 2), small)
     assert counts == [2 + max(1, small.restarts // 2)]
+
+
+def test_entangled_ladder_runs_each_start_once(monkeypatch):
+    # the product witness is the only warm start; no identity start replays it
+    counts = []
+    seesaw = solvers.seesaw
+
+    def counted(starts, sweep, budget, **kw):
+        starts = list(starts)
+        if sweep.__qualname__.startswith("_entangled_core."):
+            counts.append(len(starts))
+        return seesaw(starts, sweep, budget, **kw)
+
+    monkeypatch.setattr(solvers, "seesaw", counted)
+    small = SolverBudget(restarts=3, max_sweeps=30, seed=1)
+    g = random_game(2, 2, seed=48)
+    beta_entangled_schedule(g, ((1, 1), (2, 2), (2, 3)), small)
+    beta_entangled(g, 2, 2, small)
+    analyze_game(g, "g", small, d_schedule=(1,), ancilla_schedule=((1, 1), (2, 2)))
+    assert counts == [1 + small.restarts] * 4
+
+
+def test_analyze_game_solves_the_product_class_once(monkeypatch):
+    # beta_product's witness is the entangled (1, 1) rung and its warm start
+    levels, keys = [], []
+    entangled_core, product_core = solvers._entangled_core, solvers._product_core
+
+    def entangled(game, dA, dB, *args):
+        levels.append((dA, dB))
+        return entangled_core(game, dA, dB, *args)
+
+    def product(game, budget, hermitian, key, **kw):
+        keys.append(key)
+        return product_core(game, budget, hermitian, key, **kw)
+
+    monkeypatch.setattr(solvers, "_entangled_core", entangled)
+    monkeypatch.setattr(solvers, "_product_core", product)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=2)
+    analyze_game(random_game(3, 3, seed=49), "g", small, d_schedule=(1, 2),
+                 ancilla_schedule=((1, 1), (2, 2), (3, 3)))
+    assert levels == [(2, 2), (3, 3)]
+    assert keys == ["prod", "prod-c"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_entangled_rung_is_at_least_the_product_lower(n):
+    small = SolverBudget(restarts=2, max_sweeps=40, seed=5)
+    for seed in range(4):
+        g = random_game(n, n, seed=900 + seed)
+        prod = beta_product(g, small)
+        floor = prod.interval.lower - 1e-12 * abs(prod.interval.lower)
+        ladders = (
+            solvers._entangled_ladder(g, ((1, 1), (2, 2), (3, 3)), small, prod.strategy),
+            beta_entangled_schedule(g, ((1, 1), (2, 2), (3, 3)), small),
+            [beta_entangled(g, 2, 2, small)],
+        )
+        for ladder in ladders:
+            assert all(r.interval.lower >= floor for r in ladder), (seed, prod.interval)
 
 
 @pytest.mark.parametrize("d", [2, 3])
