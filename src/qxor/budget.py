@@ -54,19 +54,61 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SeesawTrace:
     """How a :func:`seesaw` call spent its budget: per start, the final
-    value, the sweeps run and why it stopped (``"converged"`` or
-    ``"sweep_cap"``); the index of the winning start and that start's
-    relative gain on its last sweep."""
+    value, the sweeps run, why it stopped (``"converged"`` or
+    ``"sweep_cap"``), the extrapolated sweeps it tried and how many of
+    those fell back to a plain sweep; the index of the winning start and
+    that start's relative gain on its last sweep. A start ran
+    ``sweeps + rejections`` row-sweeps."""
 
     values: tuple
     sweeps: tuple
     stop_reasons: tuple
     winner: int
     final_gain: float
+    extrapolations: tuple
+    rejections: tuple
+
+
+def _squarem_point(past: list, comps: tuple, extrapolate: tuple) -> tuple:
+    """``(point, tried)`` of :func:`seesaw`'s extrapolated sweep: ``past``
+    holds the named components of the states ``x0``, ``x1`` and ``x2`` of
+    the cycle, ``comps`` is the whole of ``x2``; ``point`` is every row's
+    squared-extrapolation point, and ``tried`` marks the rows whose step
+    length ``a`` is below -1, the only rows whose point is not ``x2``."""
+    x0, x1, x2 = past
+    rows = len(x2[0])
+    r = [b - a for a, b in zip(x0, x1)]
+    v = [c - 2 * b + a for a, b, c in zip(x0, x1, x2)]
+
+    def norms(parts):  # one norm per row over all the named components
+        return np.sqrt(sum(np.sum(np.abs(p.reshape(rows, -1)) ** 2, axis=1) for p in parts))
+
+    steps = []
+    for nr, nv in zip(norms(r).tolist(), norms(v).tolist()):
+        a = min(-nr / nv, -1.0) if nv > 0 else -1.0
+        steps.append(a if math.isfinite(a * a) else -1.0)
+    a = np.array(steps)
+    tried = a < -1.0
+    if not tried.any():
+        return comps, tried
+    point = list(comps)
+    for j, c0, rj, vj, c2 in zip(extrapolate, x0, r, v, x2):
+        shape = (rows,) + (1,) * (c2.ndim - 1)
+        s = a.reshape(shape)
+        point[j] = np.where(tried.reshape(shape), c0 - 2 * s * rj + s * s * vj, c2)
+    return tuple(point), tried
+
+
+def _rows_replaced(c, rows: np.ndarray, new) -> np.ndarray:
+    """A copy of the stack ``c`` with its ``rows`` replaced by ``new``; a
+    copy, since a sweep may return its arguments."""
+    c = np.array(c)
+    c[rows] = new
+    return c
 
 
 def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
-           budget: SolverBudget) -> tuple:
+           budget: SolverBudget, extrapolate: tuple = ()) -> tuple:
     """Block-coordinate ascent from every start in lockstep; returns
     ``(value, state, trace)`` of the best start and a :class:`SeesawTrace`.
 
@@ -92,23 +134,62 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
       ``budget.rng`` keys and the start order stay theirs;
     * each start that stops at the sweep cap is logged at DEBUG on the
       ``qxor.budget`` logger.
+
+    ``extrapolate`` names, by index, the state components that the sweep
+    reads. A core may name them only if its sweep takes any point in those
+    components, feasible or not, and returns a feasible state with its
+    value. The first sweep of each start is plain, since a start need not
+    lie where sweeps land (a random contraction is not a spectral sign).
+    From then on the sweeps run in squared-extrapolation cycles (SQUAREM:
+    Varadhan and Roland, Scand. J. Statist. 35, 335-353, 2008) of three.
+    From the states ``x0``, ``x1 = sweep(x0)`` and ``x2 = sweep(x1)``, the
+    third sweep of each running row starts from ``x0 - 2a r + a^2 v`` in
+    the named components, with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
+    ``a = min(-|r| / |v|, -1)`` over the named components of that row, and
+    from ``x2`` in the others. At ``a = -1`` that point is ``x2``, so the
+    sweep is a plain one. A row that an extrapolated sweep leaves below its
+    current value is swept again from ``x2``, all such rows in one stacked
+    call, and that plain sweep is the row's sweep: the rules above judge
+    it, so no sweep loses value and a start still runs as it would alone.
     """
     starts = list(starts)
     # per-start bookkeeping in Python floats, which for a handful of starts
     # costs less than numpy calls; ``active`` maps the stack's rows to starts
     vals = [float(v) for v, _ in starts]
     sweeps = [0] * len(starts)
+    tries = [0] * len(starts)
+    rejects = [0] * len(starts)
     gains = [math.inf] * len(starts)
     reasons = ["sweep_cap"] * len(starts)
     finals = [None] * len(starts)
     active = list(range(len(starts)))
     comps = tuple(np.stack(c) for c in zip(*(s for _, s in starts)))
-    for _ in range(budget.max_sweeps):
+    past = []  # the named components before each sweep of the current cycle
+    for k in range(budget.max_sweeps):
         if not active:
             break
-        new, comps = sweep(np.array([vals[i] for i in active]), comps)
+        current = np.array([vals[i] for i in active])
+        if extrapolate and k:
+            past.append(tuple(np.asarray(comps[j]) for j in extrapolate))
+        if len(past) < 3:
+            new, comps = sweep(current, comps)
+            new = np.asarray(new, dtype=float)
+        else:
+            point, tried = _squarem_point(past, comps, extrapolate)
+            past = []
+            new, out = sweep(current, point)
+            new = np.array(new, dtype=float)
+            lost = tried & ~(new >= current)
+            if lost.any():  # sweep these rows again from x2, plainly
+                back, redone = sweep(current[lost], tuple(np.asarray(c)[lost] for c in comps))
+                new[lost] = back
+                out = tuple(_rows_replaced(c, lost, b) for c, b in zip(out, redone))
+            comps = out
+            for row, i in enumerate(active):
+                tries[i] += int(tried[row])
+                rejects[i] += int(lost[row])
         keep = []
-        for row, (i, val) in enumerate(zip(active, np.asarray(new, dtype=float).tolist())):
+        for row, (i, val) in enumerate(zip(active, new.tolist())):
             old = vals[i]
             if val < old - _MONO_SLACK * max(1.0, abs(old)):
                 raise MonotonicityError(f"see-saw objective decreased from {old!r} to {val!r}")
@@ -120,6 +201,7 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
                 keep.append(row)
         if len(keep) < len(active):  # drop the stopped rows from the stack
             comps = tuple(np.asarray(c)[keep] for c in comps)
+            past = [tuple(c[keep] for c in p) for p in past]
             active = [active[row] for row in keep]
     for row, i in enumerate(active):
         finals[i] = tuple(c[row] for c in comps)
@@ -127,7 +209,8 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
     for i, val in enumerate(vals):
         if val > vals[winner]:
             winner = i
-    trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner, gains[winner])
+    trace = SeesawTrace(tuple(vals), tuple(sweeps), tuple(reasons), winner, gains[winner],
+                        tuple(tries), tuple(rejects))
     if _log.isEnabledFor(logging.DEBUG):
         for i, reason in enumerate(trace.stop_reasons):
             if reason == "sweep_cap":

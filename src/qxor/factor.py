@@ -290,9 +290,8 @@ def gamma_rc_upper(z: TensorElement,
     r = xs.shape[0]
     rng = budget.rng("gamma")
     sigma = 0.3
-    accepted = 0
     steps = max(10, 4 * budget.restarts)
-    for it in range(steps):
+    for _ in range(steps):
         noise = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
         mix = np.eye(r) + sigma * noise
         try:
@@ -311,7 +310,6 @@ def gamma_rc_upper(z: TensorElement,
             best = val
             t = math.sqrt(yn_c / xn_c) if xn_c > 0 and yn_c > 0 else 1.0
             xs, ys, xn, yn = xs_c * t, ys_c / t, xn_c * t, yn_c / t
-            accepted += 1
             sigma = min(0.5, sigma * 1.3)
         else:
             sigma = max(1e-3, sigma * 0.85)

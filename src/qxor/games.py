@@ -112,6 +112,8 @@ class QuantumXorGame:
     m: int
     G: np.ndarray = field(repr=False)
     episodes: Optional[tuple] = None
+    # the trace norm of ``G``, computed once here for every solver to read
+    trace_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -124,10 +126,11 @@ class QuantumXorGame:
         big = float(np.abs(g).max())
         if big > 1 + 1e-10:
             raise ValidationError(f"game trace norm is at least {big:.6e} and exceeds one")
-        tn = trace_norm(g)
+        object.__setattr__(self, "G", _frozen(g))
+        tn = trace_norm(self.G)
         if tn > 1 + 1e-10:
             raise ValidationError(f"game trace norm {tn:.12f} exceeds one")
-        object.__setattr__(self, "G", _frozen(g))
+        object.__setattr__(self, "trace_norm", tn)
         if self.episodes is not None:
             eps = tuple(
                 e if isinstance(e, Episode) else Episode(*e) for e in self.episodes
@@ -321,7 +324,7 @@ def bias_of(game: QuantumXorGame, strategy) -> float:
     if abs(val.imag) > TOL.identity:
         raise ValidationError(f"bias came out non-real: {val!r}")
     out = val.real
-    if abs(out) > trace_norm(game.G) + TOL.interval:
+    if abs(out) > game.trace_norm + TOL.interval:
         raise ValidationError("bias exceeds the trace-norm bound; formula bug")
     return out
 

@@ -5,10 +5,14 @@ Lower bounds come from block-coordinate ascent (see-saw) where every block
 update is a closed-form norm-attaining choice: polar contractions for
 matrix blocks and top singular pairs for vectors. Each reported lower is
 the objective of an explicitly feasible point, so it is a true lower bound
-regardless of solver quality. Upper bounds come from decomposition caps
-that are valid by the triangle inequality plus the contractivity of
-rank-one factors; exhausting a budget can only weaken them, never break
-their direction.
+regardless of solver quality. A sweep reads only the matrices that the
+last feasible point induces, the images ``W`` and for the trace-class
+codomain the pairing ``P``, and builds every block afresh from them; so
+any point in those matrices gives a feasible state, and
+:func:`~qxor.budget.seesaw` runs the sweeps in its squared-extrapolation
+cycles on them. Upper bounds come from decomposition caps that are valid
+by the triangle inequality plus the contractivity of rank-one factors;
+exhausting a budget can only weaken them, never break their direction.
 
 A :class:`KernelMap` acts on the full matrix algebra ``M_n``, so the
 input of every see-saw ranges over the whole unit ball of ``M_L(M_n)``; a
@@ -234,7 +238,8 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     pairing ``P[(i,a),(j,b)] = sum_rs u(z_ab)[r,s] v4[i,s,j,r]``; a sweep
     updates ``(u, v)`` to the top singular pair of ``P``, ``v4`` to the
     polar of ``E^T`` and ``z4`` to the polar of its coefficient
-    ``X^T V~^T K^T``, in the layouts of :func:`_amp_kernels`."""
+    ``X^T V~^T K^T``, in the layouts of :func:`_amp_kernels`. It reads only
+    ``W`` and ``P``, the components the driver extrapolates."""
     n, m = u.n, u.m
     image, pairing, dual_coeff, input_coeff = _amp_kernels(u, L)
 
@@ -282,7 +287,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         p = pairing(w, vt)
         return _form(u2, p, v2), (z4, v4, u2, v2, w, p)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(4, 5))
     return val, best[:4]
 
 
@@ -294,7 +299,8 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     ``W[(a,r),(b,s)] = u(z_ab)[r,s]``; a sweep updates ``(u, v)`` to its top
     singular pair and ``z4`` to the polar of the coefficient ``Y K^T`` with
     ``Y`` the :func:`_pair_matrix` of ``(u, v)``, in the layouts of
-    :func:`_amp_kernels`."""
+    :func:`_amp_kernels`. It reads only ``W``, the component the driver
+    extrapolates."""
     n, m = u.n, u.m
     image, _, _, input_coeff = _amp_kernels(u, L)
 
@@ -331,7 +337,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         w = value(z4)
         return _form(u2, w, v2), (z4, u2, v2, w)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(3,))
     return val, best[:3]
 
 
@@ -362,7 +368,9 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
     structure; a state is ``(blocks,)`` with blocks of shape ``(d, L, L)``.
     A running state carries its blocks with their ``_rc_level``, so a
     sweep takes four stacked SVD calls per shape of top matrix: the top
-    pairs, the polars and the two norms of the candidates."""
+    pairs, the polars and the two norms of the candidates. It reads the
+    level's ``w``, which the driver extrapolates, and which of its two
+    matrices is the larger."""
     h = np.stack(vm.vectors)
     d, p = h.shape
 
@@ -399,7 +407,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
         val, w, top_is_col = _rc_level(blocks, h)
         return val, (blocks, w, top_is_col)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget)
+    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(1,))
     return val, best[:1]
 
 

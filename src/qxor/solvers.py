@@ -15,6 +15,13 @@ and run it as their first start. Zero-padding keeps a witness feasible
 with the same value, so the lower bounds over a schedule never fall. Both
 ladders' first rung is :func:`beta_product`'s witness, since one message or
 one-dimensional ancillas carry nothing: :func:`analyze_game` feeds it to both.
+
+Sweeps: every see-saw runs in :func:`qxor.budget.seesaw`. The entangled
+sweep builds a feasible strategy from any Hermitian pair of observables, so
+it runs in the driver's squared-extrapolation cycles; the product and
+one-way-classical sweeps stay plain, for the reasons their cores give. An
+extrapolated point only steers a sweep: every witness is a state a sweep
+returned, re-evaluated through ``bias_of``.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ __all__ = [
 
 def beta_owq(game: QuantumXorGame) -> float:
     """Exact optimal bias under global measurements: the trace norm."""
-    return trace_norm(game.G)
+    return game.trace_norm
 
 
 def owq_witness(game: QuantumXorGame) -> np.ndarray:
@@ -115,6 +122,8 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
     associated map instead. A sweep updates the stacked pairs ``(a, b)`` of
     every running start at once; it reads only ``a``. ``warm``, an
     observable of Alice, is the first start. Returns ``(val, a, b, trace)``.
+    Its sweeps are plain, never extrapolated: :func:`beta_product` reads the
+    final values of the complex starts that did not win.
     """
     n, m = game.n, game.m
     g4 = game.kernel_tensor()
@@ -243,7 +252,9 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
     ``warm``, an :class:`EntangledStrategy` with ancillas no larger than
     ``(dA, dB)``, is zero-padded to them and runs as the first start, then
     ``budget.restarts`` random ones. A sweep recomputes ``psi`` from ``(A, B)``
-    before it uses it, so a start's ``psi`` only sets its start value."""
+    before it uses it, so a start's ``psi`` only sets its start value. It
+    takes any Hermitian ``(A, B)`` and returns spectral signs, so the driver
+    extrapolates ``A`` and ``B``."""
     n, m = game.n, game.m
     eff, alice, bob = _entangled_kernels(game.kernel_tensor(), dA, dB)
 
@@ -277,7 +288,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
             _random_herm_contraction(m * dB, rng),
         ))
 
-    val, (psi, a, b), _ = seesaw((start(*s) for s in starts), sweep, budget)
+    val, (psi, a, b), _ = seesaw((start(*s) for s in starts), sweep, budget, extrapolate=(1, 2))
     return val, psi, a, b
 
 
@@ -493,9 +504,11 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget,
     of the step. Starts whose loose sweep gains at most ``budget.tol`` are
     redone at ``budget.tol``, so a start only stops on a tight sweep. Every
     sweep returns its new instruments, so a sweep that lowers a start's
-    value raises in :func:`seesaw`. The winner's instrument is then solved
-    once more, to a tenth of ``budget.tol``, and Bob's observables answer
-    it; the dual gap of that pair is the reported one.
+    value raises in :func:`seesaw`. The sweeps are plain, never
+    extrapolated: the inner solve starts from the instrument component, and
+    an extrapolated point is not an instrument. The winner's instrument is
+    then solved once more, to a tenth of ``budget.tol``, and Bob's
+    observables answer it; the dual gap of that pair is the reported one.
     """
     n = game.n
     g4 = game.kernel_tensor()
@@ -604,10 +617,8 @@ def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _summing_kernel(obj) -> np.ndarray:
-    """The kernel of a game, or of a map into trace class read as a game;
-    nothing else has summing norms here."""
-    if isinstance(obj, QuantumXorGame):
-        return obj.G
+    """The kernel of a map into trace class, read as a game; a game and such
+    a map are all that have summing norms here."""
     if not isinstance(obj, KernelMap):
         raise ValidationError("expected a QuantumXorGame or KernelMap")
     if obj.codomain.kind != "dual":
@@ -618,6 +629,8 @@ def _summing_kernel(obj) -> np.ndarray:
 def pi1o_exact(obj) -> float:
     """Completely 1-summing norm of a game or of a map into trace class: the
     trace norm of the coefficient kernel."""
+    if isinstance(obj, QuantumXorGame):
+        return obj.trace_norm
     return trace_norm(_summing_kernel(obj))
 
 

@@ -132,14 +132,83 @@ def test_a_stopped_start_is_never_swept_again():
     assert trace.values[0] == pytest.approx(2.0, abs=1e-5)
 
 
+def halving(penalty):
+    """A sweep that halves each start's distance to 2 and scores the result,
+    less ``penalty`` if the point it read is 2 or more, which only an
+    extrapolated point can be."""
+    seen = []
+
+    def sweep(vals, state):
+        (x,) = state
+        seen.append(x[:, 0].tolist())
+        out = (x + 2) / 2
+        return out[:, 0] - penalty * (x[:, 0] >= 2), (out,)
+    return sweep, seen
+
+
+def test_an_extrapolated_sweep_lands_on_the_limit_of_a_linear_iteration():
+    # after the plain first sweep, x0, x1, x2 = 1, 1.5, 1.75 give a = -2
+    # and the point 2, the fixed point; the next sweep gains nothing
+    sweep, seen = halving(0.0)
+    val, (x,), trace = seesaw([(0.0, (np.zeros(1),))], sweep, BUDGET, extrapolate=(0,))
+    assert seen == [[0.0], [1.0], [1.5], [2.0], [2.0]]
+    assert (val, x.tolist()) == (2.0, [2.0])
+    assert trace.sweeps == (5,) and trace.stop_reasons == ("converged",)
+    assert (trace.extrapolations, trace.rejections) == ((1,), (0,))
+
+
+def test_an_extrapolated_sweep_that_loses_falls_back_to_a_plain_one():
+    # every extrapolated point is 2, which scores 2 - 10, below the
+    # current value; the row is swept again from x2, so the values still rise
+    sweep, seen = halving(10.0)
+    val, (x,), trace = seesaw([(0.0, (np.zeros(1),))], sweep,
+                              dataclasses.replace(BUDGET, max_sweeps=7), extrapolate=(0,))
+    assert seen == [[0.0], [1.0], [1.5], [2.0], [1.75], [1.875], [1.9375], [2.0], [1.96875]]
+    assert (val, x.tolist()) == (1.984375, [1.984375])
+    assert trace.sweeps == (7,) and trace.stop_reasons == ("sweep_cap",)
+    assert (trace.extrapolations, trace.rejections) == ((2,), (2,))
+
+
+def test_lockstep_equals_sequential_bit_for_bit_with_extrapolation():
+    # a power iteration per start on its own PSD matrix, scored by its
+    # Rayleigh quotient; on every other start, less a penalty on how far
+    # the point read is from the unit sphere, where only extrapolated points
+    # lie, so those starts fall back
+    rng = rng_for("extrapolated lockstep")
+    starts = []
+    for k in range(6):
+        g = gue(5, rng)
+        x = rng.normal(size=5) + 1j * rng.normal(size=5)
+        starts.append((-math.inf, (g @ g + 0.1 * np.eye(5), 100.0 * (k % 2),
+                                   x / np.linalg.norm(x))))
+
+    def sweep(_, state):
+        m, penalty, x = state
+        y = (m @ x[..., None])[..., 0]
+        y = y / np.linalg.norm(y, axis=-1, keepdims=True)
+        quotient = np.real(np.sum(y.conj() * (m @ y[..., None])[..., 0], axis=-1))
+        return quotient - penalty * np.abs(1 - np.linalg.norm(x, axis=-1)), (m, penalty, y)
+
+    budget = SolverBudget(restarts=1, max_sweeps=200, tol=1e-12, seed=0)
+    together = seesaw(starts, sweep, budget, extrapolate=(2,))
+    alone = [seesaw([s], sweep, budget, extrapolate=(2,)) for s in starts]
+    trace = together[2]
+    assert trace.values == tuple(a[2].values[0] for a in alone)
+    for field in ("sweeps", "stop_reasons", "extrapolations", "rejections"):
+        assert getattr(trace, field) == tuple(getattr(a[2], field)[0] for a in alone)
+    assert np.array_equal(together[1][2], alone[trace.winner][1][2])
+    assert all(trace.rejections[k] == 0 < trace.extrapolations[k] for k in (0, 2, 4))
+    assert all(trace.rejections[k] > 0 for k in (1, 3, 5))
+
+
 def test_lockstep_equals_sequential(monkeypatch):
     # every see-saw call of the solvers below is rerun one start at a time
     calls = []
 
-    def recording(starts, sweep, budget):
+    def recording(starts, sweep, budget, **kw):
         starts = list(starts)
-        together = seesaw(starts, sweep, budget)
-        calls.append((starts, sweep, budget, together[2]))
+        together = seesaw(starts, sweep, budget, **kw)
+        calls.append((starts, sweep, budget, kw, together[2]))
         return together
 
     monkeypatch.setattr(solvers, "seesaw", recording)
@@ -159,8 +228,8 @@ def test_lockstep_equals_sequential(monkeypatch):
     # owc) and one per map
     assert len(calls) == 11
 
-    for starts, sweep, bud, trace in calls:
-        alone = [seesaw([s], sweep, bud)[2].values[0] for s in starts]
+    for starts, sweep, bud, kw, trace in calls:
+        alone = [seesaw([s], sweep, bud, **kw)[2].values[0] for s in starts]
         assert trace.values == pytest.approx(alone, rel=1e-12, abs=1e-12)
         assert trace.winner == alone.index(max(alone))
 

@@ -804,18 +804,18 @@ def test_a_level_four_witness_is_feasible_and_valued_block_by_block(kind, n, m):
 def test_level_four_starts_give_the_same_values_in_lockstep_as_alone(kind, monkeypatch):
     calls = []
 
-    def recording(starts, sweep, budget):
+    def recording(starts, sweep, budget, **kw):
         starts = list(starts)
-        calls.append((starts, sweep, budget))
-        return seesaw(starts, sweep, budget)
+        calls.append((starts, sweep, budget, kw))
+        return seesaw(starts, sweep, budget, **kw)
 
     monkeypatch.setattr(opnorms, "seesaw", recording)
     for n, m in RECT_SHAPES:
         amplified_norm(_rect_map(kind, n, m), 4, RECT_BUDGET)
     assert len(calls) == len(RECT_SHAPES)
-    for starts, sweep, budget in calls:
-        together = seesaw(starts, sweep, budget)[2].values
-        alone = [seesaw([s], sweep, budget)[2].values[0] for s in starts]
+    for starts, sweep, budget, kw in calls:
+        together = seesaw(starts, sweep, budget, **kw)[2].values
+        alone = [seesaw([s], sweep, budget, **kw)[2].values[0] for s in starts]
         assert together == tuple(alone)
 
 

@@ -843,6 +843,29 @@ def test_analyze_game_solves_the_product_class_once(monkeypatch):
     assert keys == ["prod", "prod-c"]
 
 
+def test_analyze_game_reads_the_trace_norm_the_game_computed(monkeypatch):
+    # the game takes its trace norm once, when it is built; no solver takes it again
+    import qxor
+    from qxor import games, linalg
+
+    game = random_game(3, 3, seed=50)
+    calls = []
+    real = linalg.trace_norm
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+
+    for module in (qxor, linalg, games, solvers, opnorms):
+        monkeypatch.setattr(module, "trace_norm", counted)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=2)
+    row = analyze_game(game, "g", small, d_schedule=(1,),
+                       ancilla_schedule=((1, 1), (2, 2), (3, 3), (4, 4)))
+    assert calls == []
+    assert row.beta_owq == game.trace_norm == real(game.G)
+    assert solvers.pi1o_exact(game) == game.trace_norm
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_every_entangled_rung_is_at_least_the_product_lower(n):
     small = SolverBudget(restarts=2, max_sweeps=40, seed=5)
