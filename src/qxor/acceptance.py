@@ -47,7 +47,7 @@ from .maps import VectorMap
 from .opnorms import amplified_norm, cb_norm_bounds, pietsch_pi2
 from .solvers import (
     _entangled_ladder,
-    beta_owc_schedule,
+    _owc_ladder,
     beta_owq,
     beta_product,
     pi1cb_bounds,
@@ -121,7 +121,7 @@ def criterion_chsh_oracles():
     obs = np.stack([np.diag(np.sign(coeffs[k])).astype(complex) for k in range(2)])
     protocol = OwcStrategy(2, e_plus, np.zeros((2, 2, 2), dtype=complex), obs)
     assert abs(bias_of(g, protocol) - 1.0) <= 1e-12
-    owc = beta_owc_schedule(g, (1, 2), budget, _warm=prod.strategy)[-1]
+    owc = _owc_ladder(g, (1, 2), budget, prod.strategy)[-1]
     assert owc.interval.lower >= 1 - 1e-6, owc.interval
 
     ent = _entangled_ladder(g, ((1, 1), (2, 2)), budget, prod.strategy)[-1]
@@ -142,7 +142,7 @@ def criterion_interval_soundness():
         owq = beta_owq(g)
         prod = beta_product(g, budget)
         assert prod.interval.lower <= owq + 1e-8, gid
-        owc = beta_owc_schedule(g, (1, 2), budget, _warm=prod.strategy)
+        owc = _owc_ladder(g, (1, 2), budget, prod.strategy)
         assert owc[0].interval.lower == prod.interval.lower, (
             f"{gid}: single-message bias differs from the product bias"
         )

@@ -25,8 +25,8 @@ class SolverBudget:
     def __post_init__(self):
         if not (is_count(self.restarts) and is_count(self.max_sweeps)):
             raise ValidationError("budget counts must be positive integers")
-        if not (self.tol > 0):
-            raise ValidationError("budget tolerance must be positive")
+        if not (0 < self.tol < 1):
+            raise ValidationError("budget tolerance must be positive and below 1")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**32):
             raise ValidationError("budget seed must be an integer in [0, 2**32)")
 

@@ -261,7 +261,7 @@ def test_normalize_schedule_rejects_an_entry_that_is_not_an_integer(values):
         normalize_schedule(values, "level")
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf, 1.0])
 def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValidationError, match="tolerance must be positive"):
         SolverBudget(tol=tol)

@@ -475,10 +475,11 @@ def budget_argv(tmp_path, command):
 @pytest.mark.parametrize("command", ["analyze", "hierarchy", "factor"])
 def test_nan_tolerance_exits_validation(tmp_path, capsys, command):
     # NaN compares False with every tolerance stop, so it would run each
-    # see-saw to its sweep cap
+    # see-saw to its sweep cap; an infinite one would stop each after a sweep
     argv = budget_argv(tmp_path, command)
-    assert main([*argv, "--tol", "nan"]) == EXIT_VALIDATION
-    assert "budget tolerance must be positive" in capsys.readouterr().err
+    for tol in ("nan", "inf"):
+        assert main([*argv, "--tol", tol]) == EXIT_VALIDATION
+        assert "budget tolerance must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-1", "4294967296"])

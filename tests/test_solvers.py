@@ -766,8 +766,11 @@ def _game_level_runs(kind, game):
         return run, (1, 1), (2, 2)
 
     def run(d, budget, warm):
-        res = solvers._owc_level(game, d, budget, warm)
-        return res.interval.lower, res.strategy
+        if warm is None:
+            strategy = beta_owc(game, d, budget).strategy
+        else:
+            strategy, _, _ = solvers._owc_level(game, d, budget, warm)
+        return bias_of(game, strategy), strategy
     return run, 2, 3
 
 
@@ -895,7 +898,68 @@ def test_owc_ladder_warm_started_from_the_product_witness_is_the_standalone_ladd
     for seed in range(6):
         g = random_game(2, 2, seed=700 + seed)
         prod = beta_product(g, small)
-        warm = beta_owc_schedule(g, (1, 2, 3), small, _warm=prod.strategy)
+        warm = solvers._owc_ladder(g, (1, 2, 3), small, prod.strategy)
         cold = beta_owc_schedule(g, (1, 2, 3), small)
         assert [r.interval for r in warm] == [r.interval for r in cold]
         assert warm[0].interval.lower == prod.interval.lower
+
+
+def test_the_owc_instrument_solver_never_runs_at_one_message(monkeypatch):
+    # the one-message rung is the product witness, built by the ladder itself
+    levels = []
+    level = solvers._owc_level
+
+    def counted(game, d, *args):
+        levels.append(d)
+        return level(game, d, *args)
+
+    monkeypatch.setattr(solvers, "_owc_level", counted)
+    small = SolverBudget(restarts=2, max_sweeps=30, seed=1)
+    g = random_game(2, 2, seed=51)
+    beta_owc_schedule(g, (1, 2, 3), small)
+    pi1cb_bounds(g, (1, 2), small)
+    analyze_game(g, "g", small, d_schedule=(1, 2))
+    assert levels == [2, 3, 2, 2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, b: beta_owc_schedule(g, (0, 1), b),
+    lambda g, b: beta_owc_schedule(g, (1.5,), b),
+    lambda g, b: beta_owc(g, 0, b),
+    lambda g, b: beta_entangled_schedule(g, ((1, 3), (2, 1)), b),
+    lambda g, b: beta_entangled_schedule(g, (2, 2), b),
+    lambda g, b: beta_entangled(g, 0, 1, b),
+], ids=["owc-schedule-zero", "owc-schedule-fraction", "owc-zero",
+        "entangled-schedule-chain", "entangled-schedule-shape", "entangled-zero"])
+def test_a_malformed_schedule_is_refused_before_the_product_seesaw(monkeypatch, call):
+    keys = []
+    core = solvers._product_core
+
+    def counted(game, budget, hermitian, key, **kw):
+        keys.append(key)
+        return core(game, budget, hermitian, key, **kw)
+
+    monkeypatch.setattr(solvers, "_product_core", counted)
+    small = SolverBudget(restarts=1, max_sweeps=5, seed=0)
+    with pytest.raises(ValidationError, match="schedule"):
+        call(random_game(2, 2, seed=52), small)
+    assert keys == []
+
+
+def test_the_one_message_rung_refuses_a_drifted_reduction(monkeypatch):
+    # the wrapped measurement must keep the product value; a relative drift
+    # of 1e-9 is far above rounding and raises
+    bias = solvers.bias_of
+
+    def drifted(game, strategy):
+        value = bias(game, strategy)
+        return value * (1 + 1e-9) if isinstance(strategy, OwcStrategy) else value
+
+    small = SolverBudget(restarts=1, max_sweeps=10, seed=0)
+    g = random_game(2, 2, seed=53)
+    prod = beta_product(g, small)
+    assert solvers._owc_ladder(g, (1,), small, prod.strategy)[0].interval.lower == (
+        prod.interval.lower)
+    monkeypatch.setattr(solvers, "bias_of", drifted)
+    with pytest.raises(ValidationError, match="single-message reduction drifted"):
+        solvers._owc_ladder(g, (1,), small, prod.strategy)
