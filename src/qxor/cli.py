@@ -40,7 +40,7 @@ from .games import (
 )
 from .maps import Space
 from .solvers import HierarchyReport, analyze_game
-from .tuples import col_norm, rc_norm, row_norm, rplus2c_split
+from .tuples import col_norm, row_norm, rplus2c_split
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAIL = 1
@@ -302,8 +302,8 @@ def cmd_norms(args) -> int:
         raise SchemaError("entries must be one or more matrices of one shape")
     t = np.stack(entries)
     res = rplus2c_split(t)
-    out = {"row": row_norm(t), "col": col_norm(t), "rc": rc_norm(t),
-           "rplus2c": res.value, "weight": res.weight}
+    row, col = row_norm(t), col_norm(t)
+    out = {"row": row, "col": col, "rc": max(row, col), "rplus2c": res.value, "weight": res.weight}
     # an upper beyond the float range is reported as unbounded (null) and
     # the lower is rounded down to the largest float
     out = {k: v if math.isfinite(v) else None for k, v in out.items()}

@@ -34,7 +34,7 @@ singular-term cap, :func:`dual_tuple_cap`, evaluated on a stack of tuples by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,7 +130,9 @@ def _nuclear_cap(u: KernelMap) -> float:
 #
 # A core builds its starts one at a time and sweeps them as one stack: the
 # helpers below take arrays with any leading batch shape, and the sweeps
-# take every state component with a leading start axis. A core returns the
+# take every state component with a leading start axis. A core values a
+# feasible point in one local ``derive``, which its starts call on their
+# contracted inputs and its sweep on the point it reaches. A core returns the
 # state of its best start, with its unit vectors as (L, L) or (L, m)
 # matrices, and embeds a ``warm`` state as the module docstring says.
 
@@ -263,15 +265,13 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         starts.append((z4, v.reshape(L, m, L, m), (uv / np.linalg.norm(uv)).reshape(L, L),
                        (uw / np.linalg.norm(uw)).reshape(L, L)))
 
-    def start(state):
-        z4, v4, umat, vmat = state
-        z4 = _feasible_input(z4)
+    def derive(z4, v4, umat, vmat, vt):  # vt is dual_matrix(v4)
         w = image(z4)
-        p = pairing(w, dual_matrix(v4))
+        p = pairing(w, vt)
         return _form(umat, p, vmat), (z4, v4, umat, vmat, w, p)
 
     def sweep(_, state):
-        z4, v4, _, _, w, p = state
+        *_, w, p = state
         # singular-pair update
         _, uvec, vvec = _top_pair(p)
         u2 = uvec.reshape(-1, L, L)
@@ -282,12 +282,10 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         vt = dual_matrix(v4)
         # input update
         c4 = input_coeff(x.swapaxes(-1, -2) @ vt.swapaxes(-1, -2))
-        z4 = _input_update(c4)
-        w = image(z4)
-        p = pairing(w, vt)
-        return _form(u2, p, v2), (z4, v4, u2, v2, w, p)
+        return derive(_input_update(c4), v4, u2, v2, vt)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(4, 5))
+    points = (derive(_feasible_input(z4), v4, a, b, dual_matrix(v4)) for z4, v4, a, b in starts)
+    val, best, _ = seesaw(points, sweep, budget, extrapolate=(4, 5))
     return val, best[:4]
 
 
@@ -304,9 +302,6 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     n, m = u.n, u.m
     image, _, _, input_coeff = _amp_kernels(u, L)
 
-    def value(z4):
-        return regroup(image(z4), (L, L, m, m), (0, 2, 1, 3))
-
     e0 = np.zeros((L, m), dtype=complex)
     e0[0, 0] = 1.0
     ident = (np.eye(L * n, dtype=complex).reshape(L, n, L, n), e0, e0)
@@ -321,23 +316,19 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
         starts.append((z4, (uv / np.linalg.norm(uv)).reshape(L, m),
                        (vv / np.linalg.norm(vv)).reshape(L, m)))
 
-    def start(state):
-        z4, umat, vmat = state
-        z4 = _feasible_input(z4)
-        w = value(z4)
+    def derive(z4, umat, vmat):
+        w = regroup(image(z4), (L, L, m, m), (0, 2, 1, 3))
         return _form(umat, w, vmat), (z4, umat, vmat, w)
 
     def sweep(_, state):
-        z4, _, _, w = state
+        *_, w = state
         _, uvec, vvec = _top_pair(w)
         u2 = uvec.reshape(-1, L, m)
         v2 = vvec.reshape(-1, L, m)
-        c4 = input_coeff(_pair_matrix(u2, v2))
-        z4 = _input_update(c4)
-        w = value(z4)
-        return _form(u2, w, v2), (z4, u2, v2, w)
+        return derive(_input_update(input_coeff(_pair_matrix(u2, v2))), u2, v2)
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(3,))
+    points = (derive(_feasible_input(z4), a, b) for z4, a, b in starts)
+    val, best, _ = seesaw(points, sweep, budget, extrapolate=(3,))
     return val, best[:3]
 
 
@@ -385,8 +376,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
         rng = budget.rng("amp-rc", i)
         starts.append((contract(rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))),))
 
-    def start(state):
-        blocks = contract(state[0])
+    def derive(blocks):
         val, w, top_is_col = _rc_level(blocks, h)
         return val, (blocks, w, top_is_col)
 
@@ -403,11 +393,10 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
             else:
                 coeff[rows] = np.einsum("ia,kr,ibr->ikab", uvec.conj(), h, vvec.reshape(-1, L, p))
         # polar contraction of every coeff[k].T of every start
-        blocks = polar_stack(coeff.swapaxes(-1, -2))
-        val, w, top_is_col = _rc_level(blocks, h)
-        return val, (blocks, w, top_is_col)
+        return derive(polar_stack(coeff.swapaxes(-1, -2)))
 
-    val, best, _ = seesaw(map(start, starts), sweep, budget, extrapolate=(1,))
+    points = (derive(contract(start[0])) for start in starts)
+    val, best, _ = seesaw(points, sweep, budget, extrapolate=(1,))
     return val, best[:1]
 
 
@@ -433,7 +422,8 @@ def _amp_solver(u) -> tuple:
 
 def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
     """``(BoundInterval, state)`` for the norm of the level-L amplification
-    of a map.
+    of a map: the interval and witness of :func:`cb_norm_bounds` on the
+    one-level schedule ``(L,)``.
 
     The lower bound is the best see-saw witness value over the budgeted
     restarts; the upper bound is the certified cap: the trace norm of the
@@ -441,9 +431,8 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
     cap otherwise. ``state`` is the best witness."""
     if not is_count(L):
         raise ValidationError("amplification level must be a positive integer")
-    core, cap, cap_method, _ = _amp_solver(u)
-    lower, state = core(u, L, budget)
-    return BoundInterval(min(lower, cap), cap, "seesaw", cap_method), state
+    res = cb_norm_bounds(u, (L,), budget)
+    return res.interval, res.witness
 
 
 def default_level_schedule(cap: int) -> tuple[int, ...]:
@@ -458,9 +447,13 @@ def default_level_schedule(cap: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CbNormResult:
+    """``per_level`` holds ``(L, lower)`` after each level, and ``witness``
+    the see-saw state behind the lower bound; it takes no part in ``==``."""
+
     interval: BoundInterval
     per_level: tuple
     stabilized: bool
+    witness: tuple = field(repr=False, compare=False)
 
 
 def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
@@ -470,23 +463,28 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
     The map's see-saw core runs at each level, warm started from the
     previous level's witness, so the lower bounds never fall; the lower
     bound is the best of them, each clipped to the certified cap, which is
-    computed once and is the upper bound. The amplification level at which
-    these maps stabilize is not known in advance, so agreement of the last
-    two levels within 1e-6 is reported as a flag, never as a theorem.
+    computed once and is the upper bound. The witness is the state of the
+    level that sets it, the later one on a tie (the first if none reaches
+    zero). The amplification level at which these maps stabilize is not
+    known in advance, so agreement of the last two levels within 1e-6 is
+    reported as a flag, never as a theorem.
     """
     core, cap, cap_method, top_level = _amp_solver(u)
     if schedule is None:
         schedule = default_level_schedule(top_level)
     per_level = []
-    best, state = 0.0, None
+    best, state, witness = 0.0, None, None
     for L in normalize_schedule(schedule, "level"):
         lower, state = core(u, L, budget, warm=state)
-        best = max(best, min(lower, cap))
+        lower = min(lower, cap)
+        if witness is None or lower >= best:
+            witness = state
+        best = max(best, lower)
         per_level.append((L, best))
     stabilized = len(per_level) >= 2 and abs(per_level[-1][1] - per_level[-2][1]) <= 1e-6
-    return CbNormResult(
-        BoundInterval(best, cap, "seesaw_schedule", cap_method), tuple(per_level), stabilized
-    )
+    # a state row is a view into the see-saw's stacks; a copy lets them go
+    return CbNormResult(BoundInterval(best, cap, "seesaw_schedule", cap_method),
+                        tuple(per_level), stabilized, tuple(a.copy() for a in witness))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ two names the benchmark's tracer counts, ``qxor.opnorms.linprog`` and
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -122,3 +123,14 @@ def test_public_functions_take_no_tolerance_but_the_symmetry_check():
         if param in ("tol", "zero_tol", "rel_tol", "dtype")
     )
     assert found == ["qxor.linalg.require_hermitian(tol)"]
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # CI also runs the suite on Python 3.10; a newer interpreter alone would
+    # accept newer syntax, so parse every file with the 3.10 grammar
+    paths = sorted(p for top in (SRC, ROOT / "tests", BENCH) for p in top.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

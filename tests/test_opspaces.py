@@ -782,22 +782,53 @@ def test_cb_norm_bounds_of_rectangular_maps_match_the_recorded_bounds(kind, n, m
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
 def test_a_level_four_witness_is_feasible_and_valued_block_by_block(kind, n, m):
     L, u = 4, _rect_map(kind, n, m)
+    ladder = cb_norm_bounds(u, (1, 2, L), RECT_BUDGET)
+    for iv, state in (amplified_norm(u, L, RECT_BUDGET), (ladder.interval, ladder.witness)):
+        assert iv.lower < iv.upper  # the lower is the witness value, not the cap
+        z4, uu, vv = state[0], state[-2], state[-1]
+        assert operator_norm(z4.reshape(L * n, L * n)) <= 1 + 1e-12
+        assert np.linalg.norm(uu) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(vv) == pytest.approx(1.0, abs=1e-12)
+        image = {(a, b): u.apply(z4[a, :, b, :]) for a in range(L) for b in range(L)}
+        if kind == "dual":
+            v4 = state[1]
+            assert operator_norm(v4.reshape(L * m, L * m)) <= 1 + 1e-12
+            # P[(i,a),(j,b)] = tr(u(z_ab) v_ij) with v_ij[s,r] = v4[i,s,j,r]
+            value = sum(uu[i, a].conj() * vv[j, b] * np.trace(image[a, b] @ v4[i, :, j, :])
+                        for i, a, j, b in itertools.product(range(L), repeat=4))
+        else:
+            value = sum(uu[a].conj() @ image[a, b] @ vv[b] for a in range(L) for b in range(L))
+        assert np.real(value) == pytest.approx(iv.lower, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("u", [
+    _rect_map("dual", 2, 3),
+    _rect_map("matrix", 3, 2),
+    VectorMap(tuple(rng_for("amp-one-level").normal(size=(3, 2)))),
+], ids=["into-trace-class", "into-M2", "vector"])
+def test_amplified_norm_is_the_one_level_ladder(u, L):
     iv, state = amplified_norm(u, L, RECT_BUDGET)
-    assert iv.lower < iv.upper  # the lower is the witness value, not the cap
-    z4, uu, vv = state[0], state[-2], state[-1]
-    assert operator_norm(z4.reshape(L * n, L * n)) <= 1 + 1e-12
-    assert np.linalg.norm(uu) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(vv) == pytest.approx(1.0, abs=1e-12)
-    image = {(a, b): u.apply(z4[a, :, b, :]) for a in range(L) for b in range(L)}
-    if kind == "dual":
-        v4 = state[1]
-        assert operator_norm(v4.reshape(L * m, L * m)) <= 1 + 1e-12
-        # P[(i,a),(j,b)] = tr(u(z_ab) v_ij) with v_ij[s,r] = v4[i,s,j,r]
-        value = sum(uu[i, a].conj() * vv[j, b] * np.trace(image[a, b] @ v4[i, :, j, :])
-                    for i, a, j, b in itertools.product(range(L), repeat=4))
-    else:
-        value = sum(uu[a].conj() @ image[a, b] @ vv[b] for a in range(L) for b in range(L))
-    assert np.real(value) == pytest.approx(iv.lower, rel=1e-12, abs=0)
+    res = cb_norm_bounds(u, (L,), RECT_BUDGET)
+    assert iv == res.interval
+    assert iv.lower_method == "seesaw_schedule"
+    assert len(state) == len(res.witness)
+    assert all(np.array_equal(a, b) for a, b in zip(state, res.witness))
+
+
+@pytest.mark.parametrize("lowers, best, level", [
+    ({1: -1.0, 2: -0.5}, 0.0, 1),  # no level reaches zero: the first level's state
+    ({1: 0.5, 2: 0.5}, 0.5, 2),  # a tie goes to the later level
+], ids=["below-zero", "tie"])
+def test_the_ladder_witness_is_the_state_of_the_level_behind_the_lower(monkeypatch, lowers,
+                                                                        best, level):
+    def core(u, L, budget, warm=None):
+        return lowers[L], (np.full(L, float(L)),)
+
+    monkeypatch.setattr(opnorms, "_amp_rc_codomain", core)
+    res = cb_norm_bounds(VectorMap((np.ones(2),)), (1, 2), BUDGET)
+    assert res.per_level == ((1, best), (2, best))
+    assert np.array_equal(res.witness[0], np.full(level, float(level)))
 
 
 @pytest.mark.parametrize("kind", ["dual", "matrix"])

@@ -26,7 +26,7 @@ from qxor.games import (
     swap_game,
 )
 from qxor.linalg import partial_contract_A, zero_pad
-from qxor.maps import KernelMap, VectorMap, full_matrix_space
+from qxor.maps import KernelMap, VectorMap, dual_space, full_matrix_space
 from qxor import opnorms, solvers
 from qxor.opnorms import cb_norm_bounds
 from qxor.solvers import (
@@ -575,6 +575,18 @@ def test_summing_norms_reject_a_map_into_matrices():
     assert pi1o_exact(tau) == pytest.approx(4.0, abs=1e-8)
 
 
+def test_pi1cb_bounds_names_the_hermitian_kernel_it_needs():
+    # pi1o is the trace norm of any kernel; pi1cb reads the kernel as a game
+    rng = np.random.default_rng(0)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u = KernelMap(full_matrix_space(2), dual_space(2), k)
+    assert pi1o_exact(u) == pytest.approx(7.966, abs=1e-3)
+    with pytest.raises(ValidationError,
+                       match="^pi1cb_bounds needs a Hermitian kernel, that is a game up to scale; "
+                             "matrix is not Hermitian"):
+        pi1cb_bounds(u, (1,), BUDGET)
+
+
 def test_pi1o_rejects_a_bare_matrix():
     # a matrix names no map: it is neither a game nor a map into trace class
     with pytest.raises(ValidationError, match="expected a QuantumXorGame or KernelMap"):
@@ -867,6 +879,18 @@ def test_analyze_game_reads_the_trace_norm_the_game_computed(monkeypatch):
     assert calls == []
     assert row.beta_owq == game.trace_norm == real(game.G)
     assert solvers.pi1o_exact(game) == game.trace_norm
+
+
+def test_a_bias_above_the_trace_norm_raises_before_any_flag_could(monkeypatch):
+    # every lower that analyze_game compares with beta_owq is bias_of of a
+    # witness, which raises 1e-9 above the trace norm; a flag 1e-8 above it
+    # could never fire
+    from qxor import games
+
+    game = random_game(2, 2, seed=51)
+    monkeypatch.setattr(games, "_entangled_bias", lambda g, s: g.trace_norm + 5e-9)
+    with pytest.raises(ValidationError, match="bias exceeds the trace-norm bound"):
+        analyze_game(game, "g", SolverBudget(restarts=1, max_sweeps=10, seed=2), d_schedule=(1,))
 
 
 @pytest.mark.parametrize("n", [2, 3])
