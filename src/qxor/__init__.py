@@ -33,7 +33,6 @@ from .factor import (
     weight_monotonicity_check,
     weight_sandwich_check,
     weight_subadditivity_check,
-    weight_w,
 )
 from .games import (
     EntangledStrategy,
@@ -47,7 +46,6 @@ from .games import (
     diagonal_game,
     from_episodes,
     hadamard_game,
-    mab_game,
     mab_tensor,
     product_state_game,
     random_game,

@@ -6,6 +6,9 @@ four-dimensional, ancillas up to four, minutes of total runtime). Every
 tolerance is pinned here, except the 1e-6 slack of the weight checks (C7),
 which is ``qxor.factor._CHECK_TOL``; the CLI ``selftest`` subcommand and the
 pytest acceptance module both execute this registry.
+
+C3 and C4 run :func:`~qxor.solvers.analyze_game`, the pipeline users run,
+and its soundness flags are C4's monotonicity checks of both ladders.
 """
 
 from __future__ import annotations
@@ -45,14 +48,7 @@ from .games import (
 )
 from .maps import VectorMap
 from .opnorms import amplified_norm, cb_norm_bounds, pietsch_pi2
-from .solvers import (
-    _entangled_ladder,
-    _owc_ladder,
-    beta_owq,
-    beta_product,
-    pi1cb_bounds,
-    pi1o_exact,
-)
+from .solvers import analyze_game, beta_owq, pi1cb_bounds, pi1o_exact
 from .tuples import mix_tuple, rplus2c_split
 
 
@@ -112,8 +108,8 @@ def criterion_chsh_oracles():
         for t in itertools.product((-1, 1), repeat=2)
     )
     assert abs(oracle - 0.5) <= 1e-12
-    prod = beta_product(g, budget)
-    assert abs(prod.interval.lower - oracle) <= 1e-6, prod.interval
+    row = analyze_game(g, "chsh", budget, (1, 2), ((1, 1), (2, 2)))
+    assert abs(row.beta_product.lower - oracle) <= 1e-6, row.beta_product
 
     e_plus = np.zeros((2, 2, 2), dtype=complex)
     e_plus[0, 0, 0] = 1.0
@@ -121,11 +117,9 @@ def criterion_chsh_oracles():
     obs = np.stack([np.diag(np.sign(coeffs[k])).astype(complex) for k in range(2)])
     protocol = OwcStrategy(2, e_plus, np.zeros((2, 2, 2), dtype=complex), obs)
     assert abs(bias_of(g, protocol) - 1.0) <= 1e-12
-    owc = _owc_ladder(g, (1, 2), budget, prod.strategy)[-1]
-    assert owc.interval.lower >= 1 - 1e-6, owc.interval
-
-    ent = _entangled_ladder(g, ((1, 1), (2, 2)), budget, prod.strategy)[-1]
-    assert ent.interval.lower >= 0.7071 - 1e-3, ent.interval
+    owc = row.beta_owc_per_d[-1][1]
+    assert owc.lower >= 1 - 1e-6, owc
+    assert row.beta_entangled.lower >= 0.7071 - 1e-3, row.beta_entangled
 
 
 def criterion_interval_soundness():
@@ -139,18 +133,15 @@ def criterion_interval_soundness():
     games += [("swap2", swap_game(2)), ("chsh", chsh()),
               ("prod", product_state_game(rho, np.eye(2) / 2))]
     for gid, g in games:
-        owq = beta_owq(g)
-        prod = beta_product(g, budget)
-        assert prod.interval.lower <= owq + 1e-8, gid
-        owc = _owc_ladder(g, (1, 2), budget, prod.strategy)
-        assert owc[0].interval.lower == prod.interval.lower, (
-            f"{gid}: single-message bias differs from the product bias"
-        )
-        ent = _entangled_ladder(g, ((1, 1), (2, 2)), budget, prod.strategy)
-        for ladder in (owc, ent):
-            lows = [r.interval.lower for r in ladder]
-            assert all(lows[i] <= lows[i + 1] + 1e-8 for i in range(len(lows) - 1)), gid
-            assert lows[-1] <= owq + 1e-8, gid
+        row = analyze_game(g, gid, budget, (1, 2), ((1, 1), (2, 2)))
+        owq, prod = row.beta_owq, row.beta_product.lower
+        assert prod <= owq + 1e-8, gid
+        owc = [iv.lower for _, iv in row.beta_owc_per_d]
+        assert owc[0] == prod, f"{gid}: single-message bias differs from the product bias"
+        # the flags are the monotonicity checks of both ladders, at 1e-8
+        assert not row.violations, (gid, row.violations)
+        assert owc[-1] <= owq + 1e-8, gid
+        assert row.beta_entangled.lower <= owq + 1e-8, gid
         z = tensor_from_kernel(g.G, g.n, g.m)
         gres = gamma_rc_upper(z, budget)
         iv = gamma_to_Gamma(z, gres.gamma_upper, budget, schedule=(1, 2))

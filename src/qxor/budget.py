@@ -69,6 +69,23 @@ class SeesawTrace:
     rejections: tuple
 
 
+def stop_rule(old: float, new: float, tol: float) -> tuple:
+    """``(gain, stalled)`` of a see-saw step from ``old`` to ``new``: the gain
+    relative to ``max(1, |new|)``, and whether it is at most ``tol`` of that
+    scale. The one stop test of :func:`seesaw` and of every inner solve that
+    must predict it."""
+    scale = max(1.0, abs(new))
+    return (new - old) / scale, new - old <= tol * scale
+
+
+def squarem_length(nr: float, nv: float) -> float:
+    """SQUAREM step length ``min(-nr / nv, -1)`` from the norms ``nr = |r|``
+    and ``nv = |v|``; ``-1``, a plain step, when ``nv`` is zero or the
+    square of the length is not a finite float."""
+    a = min(-nr / nv, -1.0) if nv > 0 else -1.0
+    return a if math.isfinite(a * a) else -1.0
+
+
 def _squarem_point(past: list, comps: tuple, extrapolate: tuple) -> tuple:
     """``(point, tried)`` of :func:`seesaw`'s extrapolated sweep: ``past``
     holds the named components of the states ``x0``, ``x1`` and ``x2`` of
@@ -83,11 +100,7 @@ def _squarem_point(past: list, comps: tuple, extrapolate: tuple) -> tuple:
     def norms(parts):  # one norm per row over all the named components
         return np.sqrt(sum(np.sum(np.abs(p.reshape(rows, -1)) ** 2, axis=1) for p in parts))
 
-    steps = []
-    for nr, nv in zip(norms(r).tolist(), norms(v).tolist()):
-        a = min(-nr / nv, -1.0) if nv > 0 else -1.0
-        steps.append(a if math.isfinite(a * a) else -1.0)
-    a = np.array(steps)
+    a = np.array([squarem_length(nr, nv) for nr, nv in zip(norms(r).tolist(), norms(v).tolist())])
     tried = a < -1.0
     if not tried.any():
         return comps, tried
@@ -125,8 +138,8 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
       raises :class:`MonotonicityError`, because closed-form block updates
       cannot lower the objective unless a formula is wrong;
     * a start stops once a sweep gains at most ``budget.tol`` relative to
-      the new value, or after ``budget.max_sweeps`` sweeps; a stopped start
-      is never swept again;
+      the new value (:func:`stop_rule`), or after ``budget.max_sweeps``
+      sweeps; a stopped start is never swept again;
     * the best start is the first whose final value is strictly greater
       than every earlier one, so the winner is always an index; its state
       row is returned;
@@ -145,12 +158,13 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
     From the states ``x0``, ``x1 = sweep(x0)`` and ``x2 = sweep(x1)``, the
     third sweep of each running row starts from ``x0 - 2a r + a^2 v`` in
     the named components, with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
-    ``a = min(-|r| / |v|, -1)`` over the named components of that row, and
-    from ``x2`` in the others. At ``a = -1`` that point is ``x2``, so the
-    sweep is a plain one. A row that an extrapolated sweep leaves below its
-    current value is swept again from ``x2``, all such rows in one stacked
-    call, and that plain sweep is the row's sweep: the rules above judge
-    it, so no sweep loses value and a start still runs as it would alone.
+    ``a`` the :func:`squarem_length` of ``|r|`` and ``|v|`` over the named
+    components of that row, and from ``x2`` in the others. At ``a = -1``
+    that point is ``x2``, so the sweep is a plain one. A row that an
+    extrapolated sweep leaves below its current value is swept again from
+    ``x2``, all such rows in one stacked call, and that plain sweep is the
+    row's sweep: the rules above judge it, so no sweep loses value and a
+    start still runs as it would alone.
     """
     starts = list(starts)
     # per-start bookkeeping in Python floats, which for a handful of starts
@@ -193,9 +207,9 @@ def seesaw(starts: Iterable[tuple], sweep: Callable[[np.ndarray, tuple], tuple],
             old = vals[i]
             if val < old - _MONO_SLACK * max(1.0, abs(old)):
                 raise MonotonicityError(f"see-saw objective decreased from {old!r} to {val!r}")
-            scale = max(1.0, abs(val))
-            vals[i], gains[i], sweeps[i] = val, (val - old) / scale, sweeps[i] + 1
-            if val - old <= budget.tol * scale:
+            gains[i], stalled = stop_rule(old, val, budget.tol)
+            vals[i], sweeps[i] = val, sweeps[i] + 1
+            if stalled:
                 reasons[i], finals[i] = "converged", tuple(c[row] for c in comps)
             else:
                 keep.append(row)

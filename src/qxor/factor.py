@@ -1,5 +1,6 @@
-"""Factorization-norm layer: the splitting weight on positive tuple forms,
-the decomposition seminorm over row-intersect-column, its relation to the
+"""Factorization-norm layer: checks of the splitting weight on positive
+tuple forms (the weight of ``t`` is ``rplus2c_split(t).weight``), the
+decomposition seminorm over row-intersect-column, its relation to the
 factorization norm, and the certificate checks for sandwich maps and the
 cb-versus-summing comparison.
 
@@ -51,7 +52,6 @@ from .tuples import (
 __all__ = [
     "MAB_FACTORIZATION_CONSTANT",
     "CB_VS_SUMMING_CONSTANT",
-    "weight_w",
     "WeightSandwich",
     "weight_sandwich_check",
     "weight_subadditivity_check",
@@ -76,12 +76,6 @@ CB_VS_SUMMING_CONSTANT = 8 * math.sqrt(2)
 # ---------------------------------------------------------------------------
 
 _CHECK_TOL = 1e-6  # absolute slack of the weight checks; relative for homogeneity
-
-
-def weight_w(t) -> float:
-    """Weight of the positive form sum_k x_k (x) conj(x_k): the squared
-    quadratic splitting norm of the tuple, :attr:`SplitResult.weight`."""
-    return rplus2c_split(t).weight
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ __all__ = [
     "diagonal_game",
     "chsh",
     "mab_tensor",
-    "mab_game",
     "product_state_game",
     "hadamard_game",
     "hadamard_matrix",
@@ -384,21 +383,6 @@ def mab_tensor(a, b) -> np.ndarray:
     left = a.T.ravel()
     right = b.ravel()
     return np.outer(left, right)
-
-
-def mab_game(a, b) -> QuantumXorGame:
-    """Game form of the sandwich map, for factor pairs whose kernel is
-    Hermitian (for example ``b = t a^dagger`` with real t)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    s2 = float(np.linalg.norm(a, "fro") * np.linalg.norm(b, "fro"))
-    if s2 > 1 + 1e-10:
-        raise ValidationError("factors must lie in the Hilbert-Schmidt unit ball")
-    g = mab_tensor(a, b)
-    tn = trace_norm(g)
-    if tn > 1 + 1e-10:
-        raise ValidationError("sandwich kernel escaped the trace-norm unit ball")
-    return QuantumXorGame(a.shape[0], a.shape[0], g)
 
 
 def product_state_game(rho_a, rho_b) -> QuantumXorGame:

@@ -35,7 +35,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .budget import (
+    DEFAULT_BUDGET,
+    SolverBudget,
+    normalize_schedule,
+    seesaw,
+    squarem_length,
+    stop_rule,
+)
 from .config import ValidationError
 from .games import (
     EntangledStrategy,
@@ -408,7 +415,8 @@ def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, tol: float) -> np.ndar
     Roland, Scand. J. Statist. 35, 335-353, 2008) of three evaluations of
     ``F``: ``x1 = F(x)``, ``x2 = F(x1)``, then ``F`` of the point
     ``x - 2a r + a^2 v`` with ``r = x1 - x``, ``v = x2 - 2 x1 + x`` and
-    ``a = min(-|r| / |v|, -1)``, which is ``x2`` itself at ``a = -1``. That
+    ``a`` the see-saw driver's :func:`~qxor.budget.squarem_length` of
+    ``|r|`` and ``|v|``, which is ``x2`` itself at ``a = -1``. That
     point need not be positive, so :func:`_clip_to_instrument` makes it an
     exact instrument before ``F`` runs on it, and the cycle keeps the result
     only when its value is at least ``x2``'s; otherwise the next cycle starts
@@ -447,8 +455,7 @@ def _instrument_fixed_point(h: np.ndarray, e: np.ndarray, tol: float) -> np.ndar
         x1, _ = step(x)
         x2, val = step(x1)
         r, v = x1 - x, x2 - 2 * x1 + x
-        nv = np.linalg.norm(v)
-        a = min(-np.linalg.norm(r) / nv, -1.0) if cycle and nv > 0 else -1.0
+        a = squarem_length(float(np.linalg.norm(r)), float(np.linalg.norm(v))) if cycle else -1.0
         x3, val3 = step(x2 if a == -1.0 else _clip_to_instrument(x - 2 * a * r + a * a * v))
         x, val = (x3, val3) if val3 >= val else (x2, val)
         gap = _instrument_gap(h, x)[1]
@@ -502,8 +509,9 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget, warm: OwcStra
     inexact: a sweep solves it to a relative dual gap of
     ``max(budget.tol, 0.01 * g)``, with ``g`` the start's previous relative
     gain (1 at first), or until its cap of ``_FIXED_POINT_ITERS`` evaluations
-    of the step. Starts whose loose sweep gains at most ``budget.tol`` are
-    redone at ``budget.tol``, so a start only stops on a tight sweep. Every
+    of the step. Starts whose loose sweep stalls by
+    :func:`~qxor.budget.stop_rule`, the test :func:`seesaw` stops them by,
+    are redone at ``budget.tol``, so a start only stops on a tight sweep. Every
     sweep returns its new instruments, so a sweep that lowers a start's
     value raises in :func:`seesaw`. The sweeps are plain, never
     extrapolated: the inner solve starts from the instrument component, and
@@ -530,15 +538,16 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget, warm: OwcStra
         return np.concatenate([c, -c], axis=-3)
 
     def sweep(vals, state):
-        # the inner solve stays per start; a loose sweep that stalls is redone
-        # tight, since the see-saw's stop rule must only fire on a tight sweep
+        # the inner solve stays per start; a loose sweep that stalls by the
+        # see-saw's stop rule is redone tight, so that rule fires on tight sweeps
         e, obs, gain = state
         h = objective(obs)
         tol = np.maximum(budget.tol, _INNER_KAPPA * gain)
         cand = np.stack([_instrument_fixed_point(*row) for row in zip(h, e, tol)])
         cand_obs, cand_val = bob_step(cand)
-        stalled = cand_val - vals <= budget.tol * np.maximum(1.0, np.abs(cand_val))
-        redo = (tol > budget.tol) & stalled
+        old = vals.tolist()
+        stalled = [stop_rule(o, v, budget.tol)[1] for o, v in zip(old, cand_val.tolist())]
+        redo = (tol > budget.tol) & np.array(stalled)
         if redo.any():
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug("owc sweep at d=%d redoes %d of %d loose rows tight",
@@ -546,7 +555,8 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget, warm: OwcStra
             cand[redo] = np.stack([_instrument_fixed_point(*row, budget.tol)
                                    for row in zip(h[redo], cand[redo])])
             cand_obs[redo], cand_val[redo] = bob_step(cand[redo])
-        return cand_val, (cand, cand_obs, (cand_val - vals) / np.maximum(1.0, np.abs(cand_val)))
+        gain = [stop_rule(o, v, budget.tol)[0] for o, v in zip(old, cand_val.tolist())]
+        return cand_val, (cand, cand_obs, np.array(gain))
 
     starts = [np.concatenate([zero_pad(warm.e_plus, (d, n, n)), zero_pad(warm.e_minus, (d, n, n))]),
               _measure_forward_instrument(n, d)]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import gue, rng_for
-from qxor import opnorms, solvers
-from qxor.budget import SolverBudget, normalize_schedule, seesaw
+from qxor import budget as budget_module, opnorms, solvers
+from qxor.budget import SolverBudget, normalize_schedule, seesaw, squarem_length, stop_rule
 from qxor.config import MonotonicityError, ValidationError
 from qxor.games import mab_tensor, random_game
 from qxor.maps import KernelMap, VectorMap, dual_space, full_matrix_space
@@ -289,3 +289,65 @@ def test_budget_takes_numpy_integer_counts():
 
 def test_budget_takes_the_largest_32_bit_seed():
     SolverBudget(seed=2**32 - 1).rng("key").random()
+
+
+@pytest.mark.parametrize("nr, nv", [(1.0, 0.0), (0.0, 0.0), (0.5, 1.0), (1.0, 1e-300)])
+def test_squarem_length_is_a_plain_step_at_its_edges(nr, nv):
+    # no curvature, a step shorter than plain, and a length whose square
+    # overflows: the point x - 2ar + a^2 v would not be finite
+    assert squarem_length(nr, nv) == -1.0
+
+
+def test_the_shared_rules_equal_the_inline_expressions_they_replace():
+    rng = rng_for("shared rules")
+    size = 400
+    old = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size=size)
+    new = old + np.abs(rng.normal(size=size)) * 10.0 ** rng.integers(-14, 2, size=size)
+    nr, nv = (np.abs(rng.normal(size=size)) * 10.0 ** rng.integers(-12, 12, size=size)
+              for _ in range(2))
+    tol = 1e-8
+    # the owc redo's stacked test and carried gain, row by row
+    scale = np.maximum(1.0, np.abs(new))
+    stalled, gain = new - old <= tol * scale, (new - old) / scale
+    for k, (o, v) in enumerate(zip(old.tolist(), new.tolist())):
+        # the see-saw driver's inline rule
+        s = max(1.0, abs(v))
+        assert stop_rule(o, v, tol) == ((v - o) / s, v - o <= tol * s)
+        assert stop_rule(o, v, tol) == (gain[k], stalled[k])
+    for r, v in zip(nr.tolist(), nv.tolist()):
+        a = min(-r / v, -1.0) if v > 0 else -1.0
+        assert squarem_length(r, v) == (a if math.isfinite(a * a) else -1.0)
+        # the fixed point's numpy form, wherever its square was finite
+        a = min(-np.float64(r) / np.float64(v), -1.0)
+        if math.isfinite(a * a):
+            assert squarem_length(r, v) == a
+
+
+@pytest.mark.parametrize("old, new, tol", [(0.5, 0.5 + 2.0**-20, 2.0**-20),
+                                           (3.0 - 3 * 2.0**-10, 3.0, 2.0**-10)])
+def test_a_gain_of_exactly_tol_times_the_scale_stalls(old, new, tol):
+    gain, stalled = stop_rule(old, new, tol)
+    assert stalled and gain == tol
+    assert not stop_rule(old, new, tol * (1 - 2.0**-52))[1]
+
+
+def test_the_solvers_run_the_rules_that_budget_defines(monkeypatch):
+    assert solvers.stop_rule is budget_module.stop_rule
+    assert solvers.squarem_length is budget_module.squarem_length
+    calls = {}
+
+    def counting(module, name):
+        rule = getattr(module, name)
+
+        def counted(*args):
+            calls[module.__name__, name] = calls.get((module.__name__, name), 0) + 1
+            return rule(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    # the driver's stop test, the owc redo's, and the instrument fixed point's step
+    for module, name in ((budget_module, "stop_rule"), (solvers, "stop_rule"),
+                         (solvers, "squarem_length")):
+        counting(module, name)
+    solvers.beta_owc(random_game(2, 2, seed=5), 2, SolverBudget(restarts=3, max_sweeps=60, seed=4))
+    assert set(calls) == {("qxor.budget", "stop_rule"), ("qxor.solvers", "stop_rule"),
+                          ("qxor.solvers", "squarem_length")}

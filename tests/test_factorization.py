@@ -22,7 +22,6 @@ from qxor.factor import (
     weight_monotonicity_check,
     weight_sandwich_check,
     weight_subadditivity_check,
-    weight_w,
 )
 from qxor.games import associated_map, diagonal_game, hadamard_matrix, mab_tensor
 from qxor.maps import Space
@@ -37,7 +36,8 @@ def test_the_weight_of_a_tiny_tuple_stays_an_upper_bound():
     # weight rplus2c**2 is below the normal float range and is rounded up
     rng = np.random.default_rng(3)
     t = [1e-200 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) for _ in range(2)]
-    w, value = weight_w(t), rplus2c_split(t).value
+    split = rplus2c_split(t)
+    w, value = split.weight, split.value
     assert w > 0
     assert Fraction(w) >= Fraction(value) ** 2
 
@@ -46,7 +46,7 @@ def test_weight_single_element():
     rng = rng_for("w-single")
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     # the quadratic splitting norm of one element is ||x|| / sqrt(2)
-    assert weight_w(np.stack([x])) == pytest.approx(
+    assert rplus2c_split(np.stack([x])).weight == pytest.approx(
         np.linalg.norm(x, 2) ** 2 / 2, rel=1e-6
     )
 

@@ -16,7 +16,6 @@ from qxor.games import (
     from_episodes,
     hadamard_game,
     hadamard_matrix,
-    mab_game,
     mab_tensor,
     product_state_game,
     random_game,
@@ -260,7 +259,7 @@ def test_gallery_chsh_diagonal():
 
 def test_gallery_mab_unit_pair():
     e11 = matrix_unit(2, 0, 0)
-    g = mab_game(e11, e11)
+    g = QuantumXorGame(2, 2, mab_tensor(e11, e11))
     assert np.abs(g.G - np.kron(e11, e11)).max() < 1e-15
     assert trace_norm(g.G) == pytest.approx(1.0, abs=1e-12)
 
@@ -286,7 +285,7 @@ def test_mab_tensor_trace_norm_is_s2_product():
 
 def test_mab_game_rejects_large_factors():
     with pytest.raises(ValidationError):
-        mab_game(2 * np.eye(2), np.eye(2))
+        QuantumXorGame(2, 2, mab_tensor(2 * np.eye(2), np.eye(2)))
 
 
 def test_diagonal_game_rejects_oversized_mass():

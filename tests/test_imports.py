@@ -134,3 +134,24 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def private_qxor_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that ``source`` imports from ``qxor``."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "qxor")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_the_acceptance_gate_imports_no_private_name():
+    # the gate runs the pipeline users run, not private pieces of it
+    assert private_qxor_imports((SRC / "qxor" / "acceptance.py").read_text()) == []
+    assert private_qxor_imports("from .solvers import _owc_ladder, beta_owq\n"
+                                "from qxor.solvers import _entangled_ladder\n"
+                                "from numpy import _globals\n") == ["_entangled_ladder",
+                                                                    "_owc_ladder"]

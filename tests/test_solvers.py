@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gue, random_unitary, rng_for, swap_matrix
 from qxor.budget import SolverBudget
+from qxor.factor import exhaustive_sign_one_norm
 from qxor.config import MonotonicityError, ValidationError
 from qxor.games import (
     EntangledStrategy,
@@ -162,6 +163,48 @@ def test_beta_entangled_chsh_tsirelson():
     assert res.interval.lower >= math.sqrt(2) / 2 - 1e-4
     # the standard minimizer argument caps correlations at sqrt(2)/2
     assert res.interval.lower <= math.sqrt(2) / 2 + 1e-6
+
+
+def tsirelson_value(M) -> float:
+    """Entangled bias of the classical 2 x m XOR game ``M``: the maximum over
+    the cosine ``c`` between Alice's two unit vectors of
+    ``sum_j |M_1j u_1 + M_2j u_2|``, a concave function of ``c`` that a
+    ternary search maximizes."""
+    def f(c):
+        return sum(math.sqrt(max(0.0, x * x + y * y + 2 * x * y * c)) for x, y in zip(*M))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (a, hi) if f(a) < f(b) else (lo, b)
+    return f((lo + hi) / 2)
+
+
+@pytest.fixture(scope="module")
+def two_row_classical_games():
+    """``(M, row)`` of 120 classical 2 x m games on the diagonal, each with
+    ``sum |M| = 1/1.1``, and their :func:`analyze_game` rows."""
+    rng = np.random.default_rng(11)
+    budget = SolverBudget(restarts=3, max_sweeps=60, seed=0)
+    out = []
+    for k in range(120):
+        m = int(rng.integers(2, 5))
+        M = rng.uniform(-1, 1, (2, m))
+        M /= 1.1 * np.abs(M).sum()
+        out.append((M, analyze_game(diagonal_game(M), f"d{k}", budget, (1,), ((1, 1), (2, 2)))))
+    return out
+
+
+def test_the_product_lower_of_a_classical_game_is_its_sign_oracle(two_row_classical_games):
+    for M, row in two_row_classical_games:
+        assert row.beta_product.lower == pytest.approx(exhaustive_sign_one_norm(M), rel=1e-9)
+
+
+def test_the_entangled_lower_of_a_two_row_game_stays_under_tsirelson(two_row_classical_games):
+    # one game of the 120 (index 6) ends 1.8% short of its value: a lower
+    # bound, so only the upper side is asserted
+    for M, row in two_row_classical_games:
+        assert row.beta_entangled.lower <= tsirelson_value(M) * (1 + 1e-9), row.game_id
 
 
 def test_beta_entangled_trivial_ancilla_matches_product():
