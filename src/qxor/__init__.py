@@ -17,7 +17,7 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .bounds import BoundInterval
 from .budget import DEFAULT_BUDGET, SolverBudget
-from .config import ConvergenceError, MonotonicityError, Tolerances, TOL, ValidationError
+from .config import ConvergenceError, MonotonicityError, ValidationError
 from .factor import (
     CB_VS_SUMMING_CONSTANT,
     MAB_FACTORIZATION_CONSTANT,
@@ -57,8 +57,6 @@ from .linalg import (
     hermitian_part,
     operator_norm,
     partial_contract_A,
-    partial_contract_B,
-    polar_contraction,
     sign_hermitian,
     trace_norm,
 )
@@ -80,7 +78,6 @@ from .solvers import (
     beta_owc_schedule,
     beta_owq,
     beta_product,
-    owq_witness,
     pi1cb_bounds,
     pi1o_exact,
 )

@@ -2,8 +2,12 @@
 
 Heuristic solvers in this package never report a bare point estimate: a
 lower bound must come from an explicit feasible witness and an upper bound
-from an inequality that is true by construction. ``BoundInterval`` carries
-both ends plus method tags naming where each came from.
+from an inequality that is true by construction. The one exception is the
+conditional ``sqrt2_assisted_norm`` upper bound of
+:func:`qxor.solvers.beta_product`, which holds only when its Hermitian
+witness is within a factor sqrt(2) of the optimal product bias.
+``BoundInterval`` carries both ends plus method tags naming where each came
+from.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import TOL
+INTERVAL_TOL = 1e-9  # relative slack allowed when ordering interval endpoints
 
 
 @dataclass(frozen=True)
@@ -24,7 +28,7 @@ class BoundInterval:
     def __post_init__(self):
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValueError("interval endpoints must not be NaN")
-        if self.lower > self.upper + TOL.interval * max(1.0, abs(self.lower)):
+        if self.lower > self.upper + INTERVAL_TOL * max(1.0, abs(self.lower)):
             raise ValueError(
                 f"invalid interval: lower={self.lower!r} > upper={self.upper!r}"
             )

@@ -1,27 +1,6 @@
-"""Central numerical tolerances and the package's error types.
-
-``TOL`` holds the fixed thresholds that the other modules read, so each is
-defined in one place; no run changes them.
-"""
+"""The package's error types."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # symmetry / structure violations accepted (and repaired) at construction
-    construction: float = 1e-12
-    # numeric identity checks (reconstruction residuals, bias formulas, ...)
-    identity: float = 1e-10
-    # slack allowed when ordering interval endpoints
-    interval: float = 1e-9
-    # eigenvalue slack for positive-semidefinite checks
-    psd: float = 1e-10
-
-
-TOL = Tolerances()
 
 
 class ValidationError(ValueError):

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import TOL, ValidationError
+from .bounds import INTERVAL_TOL
+from .config import ValidationError
 from .linalg import (
     as_matrix,
     eigh_desc,
@@ -78,7 +79,7 @@ def _clip_hermitian_contraction(A, what: str) -> np.ndarray:
 def _clip_psd(E, what: str) -> np.ndarray:
     e = require_hermitian(E, tol=1e-10 * max(1.0, float(np.abs(np.asarray(E)).max())))
     w, u = eigh_desc(e)
-    if w[-1] < -TOL.psd:
+    if w[-1] < -1e-10:
         raise ValidationError(f"{what} must be positive semidefinite, min eig {w[-1]:.3e}")
     if w[-1] < 0:
         e = (u * np.clip(w, 0.0, None)) @ u.conj().T
@@ -320,10 +321,10 @@ def bias_of(game: QuantumXorGame, strategy) -> float:
     else:
         raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
     val = complex(val)
-    if abs(val.imag) > TOL.identity:
+    if abs(val.imag) > 1e-10:
         raise ValidationError(f"bias came out non-real: {val!r}")
     out = val.real
-    if abs(out) > game.trace_norm + TOL.interval:
+    if abs(out) > game.trace_norm + INTERVAL_TOL:
         raise ValidationError("bias exceeds the trace-norm bound; formula bug")
     return out
 

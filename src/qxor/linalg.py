@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .config import TOL, ConvergenceError, ValidationError
+from .config import ConvergenceError, ValidationError
 
 __all__ = [
     "as_matrix",
@@ -28,7 +28,6 @@ __all__ = [
     "operator_norm",
     "sign_hermitian",
     "sign_stack",
-    "polar_contraction",
     "polar_stack",
     "pow2_scaled",
     "pow2_restore",
@@ -36,7 +35,6 @@ __all__ = [
     "zero_pad",
     "regroup",
     "partial_contract_A",
-    "partial_contract_B",
 ]
 
 
@@ -57,18 +55,21 @@ def hermitian_part(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+_CONSTRUCTION_TOL = 1e-12  # Hermitian defect accepted (and repaired) at construction
+
+
 def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     """Return the exactly symmetrized form of ``m``.
 
     The defect ``max |m - m^dagger|`` must stay below ``tol`` (default:
-    construction tolerance scaled by the matrix magnitude); larger defects
+    ``_CONSTRUCTION_TOL`` scaled by the matrix magnitude); larger defects
     are errors, never silently repaired.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("Hermitian matrix must be square")
     if tol is None:
-        tol = TOL.construction * max(1.0, float(np.abs(a).max(initial=0.0)))
+        tol = _CONSTRUCTION_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
     # quarters cannot overflow in the difference or its modulus, and the
     # power-of-two scaling is exact; a defect beyond the float range is inf
     defect = 4 * float(np.abs(a / 4 - a.conj().T / 4).max(initial=0.0))
@@ -146,20 +147,14 @@ def sign_stack(a: np.ndarray) -> np.ndarray:
     return (out + _adjoint(out)) / 2
 
 
-def polar_contraction(m) -> np.ndarray:
-    """Contraction ``V U^dagger`` from the thin SVD ``m = U S V^dagger``;
-    ``q x n`` for an ``n x q`` input.
-
-    Maximizes ``Re tr(m X)`` over all contractions ``X`` with value
-    ``trace_norm(m)``; for unitary input returns its adjoint.
-    """
-    return polar_stack(as_matrix(m))
-
-
 def polar_stack(a: np.ndarray) -> np.ndarray:
-    """:func:`polar_contraction` of every matrix of a trusted stack
-    ``(..., n, q)``, with one SVD call for the stack; each result is
-    ``(q, n)``."""
+    """The contraction ``V U^dagger`` from the thin SVD ``m = U S V^dagger``
+    of every matrix ``m`` of a trusted stack ``(..., n, q)``, with one SVD
+    call for the stack; each result is ``(q, n)``.
+
+    It maximizes ``Re tr(m X)`` over all contractions ``X`` with value
+    ``trace_norm(m)``; for unitary ``m`` it is the adjoint.
+    """
     try:
         u, _, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -210,15 +205,6 @@ def regroup(x: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
     return y.reshape(lead + (shape[axes[0]] * shape[axes[1]], -1))
 
 
-def _as_bipartite_tensor(G, n: int, m: int) -> np.ndarray:
-    g = as_matrix(G)
-    if g.shape != (n * m, n * m):
-        raise ValidationError(
-            f"operator shape {g.shape} does not match declared registers ({n},{m})"
-        )
-    return g.reshape(n, m, n, m)
-
-
 def partial_contract_A(G, A, n: int, m: int) -> np.ndarray:
     """Contract the first register of ``G`` against ``A``.
 
@@ -230,19 +216,9 @@ def partial_contract_A(G, A, n: int, m: int) -> np.ndarray:
         raise ValidationError("first-register operator must be square")
     if a.shape[0] != n:
         raise ValidationError("first-register operator has wrong dimension")
-    g4 = _as_bipartite_tensor(G, n, m)
-    return np.einsum("ikjl,ji->kl", g4, a)
-
-
-def partial_contract_B(G, B, n: int, m: int) -> np.ndarray:
-    """Mirror of :func:`partial_contract_A` on the second register.
-
-    Returns ``C`` with ``tr(G (A (x) B)) = tr(A C)`` for every ``A``.
-    """
-    b = as_matrix(B)
-    if b.shape[0] != b.shape[1]:
-        raise ValidationError("second-register operator must be square")
-    if b.shape[0] != m:
-        raise ValidationError("second-register operator has wrong dimension")
-    g4 = _as_bipartite_tensor(G, n, m)
-    return np.einsum("ikjl,lk->ij", g4, b)
+    g = as_matrix(G)
+    if g.shape != (n * m, n * m):
+        raise ValidationError(
+            f"operator shape {g.shape} does not match declared registers ({n},{m})"
+        )
+    return np.einsum("ikjl,ji->kl", g.reshape(n, m, n, m), a)

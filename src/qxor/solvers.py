@@ -7,7 +7,8 @@ recomputed through :func:`qxor.games.bias_of`, a separate code path from
 the optimizer's internal objective. Upper bounds come from inequalities
 that hold regardless of solver quality (the one-way-quantum value, the
 trace norm of the coefficient kernel, and the constant-factor comparisons
-between strategy classes).
+between strategy classes), with one exception: :func:`beta_product`'s
+``sqrt2_assisted_norm`` upper bound is conditional, as its docstring says.
 
 Warm embedding: the entangled and one-way-classical solvers take the
 previous level's strategy as it is, zero-pad it to their own dimensions
@@ -68,7 +69,6 @@ _log = logging.getLogger(__name__)
 
 __all__ = [
     "beta_owq",
-    "owq_witness",
     "ProductBiasResult",
     "beta_product",
     "EntangledBiasResult",
@@ -92,11 +92,6 @@ __all__ = [
 def beta_owq(game: QuantumXorGame) -> float:
     """Exact optimal bias under global measurements: the trace norm."""
     return game.trace_norm
-
-
-def owq_witness(game: QuantumXorGame) -> np.ndarray:
-    """The optimal global observable, the spectral sign of the game."""
-    return sign_hermitian(game.G)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +252,7 @@ def _entangled_kernels(g4, dA, dB):
     return eff, alice, bob
 
 
-def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
+def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy):
     """See-saw over ``(psi, A, B)``: ``A[(i,a),(j,c)]``, ``B[(k,b),(l,d)]``,
     ``rho[(c,d),(a,b)]``, game ``g4[j,l,i,k]``, kernel ``K[(i,j),(k,l)] = g4[j,l,i,k]``.
     With ``A~[(a,c),(i,j)]``, ``B~[(b,d),(k,l)]``, the ancilla operator is ``A~ K B~^T``,
@@ -288,7 +283,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm=None):
         b = sign_stack(db)
         return np.real(np.sum(db * b.swapaxes(-1, -2), axis=(-2, -1))), (psi, a, b)
 
-    starts = [] if warm is None else [(
+    starts = [(
         zero_pad(warm.psi.reshape(warm.dA, warm.dB), (dA, dB)).ravel(),
         zero_pad(warm.A.reshape(n, warm.dA, n, warm.dA), (n, dA, n, dA)).reshape(n * dA, -1),
         zero_pad(warm.B.reshape(m, warm.dB, m, warm.dB), (m, dB, m, dB)).reshape(m * dB, -1),

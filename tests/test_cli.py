@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qxor.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_QUALITY,
     EXIT_SELFTEST_FAIL,
     EXIT_VALIDATION,
     MAX_REGISTER_DIM,
@@ -130,6 +132,25 @@ def test_hierarchy_csv_without_out_goes_to_stdout(capsys):
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 1 and rows[0]["game_id"] == "random-0000"
+
+
+def test_a_flagged_row_exits_quality_and_still_writes_the_report(tmp_path, monkeypatch, capsys):
+    from qxor import cli
+
+    analyze_game = cli.analyze_game
+
+    def flagged(*args, **kwargs):
+        return dataclasses.replace(analyze_game(*args, **kwargs),
+                                   violations=("owc_not_monotone",))
+
+    monkeypatch.setattr(cli, "analyze_game", flagged)
+    out = tmp_path / "report.json"
+    assert main(["hierarchy", "--count", "1", *FAST, "--out", str(out)]) == EXIT_QUALITY
+    assert capsys.readouterr().err.strip() == (
+        "solver quality below minimum: random-0000:owc_not_monotone")
+    report = json.loads(out.read_text())
+    assert report["violations"] == ["random-0000:owc_not_monotone"]
+    assert report["rows"][0]["violations"] == ["owc_not_monotone"]
 
 
 def test_analyze_kernel_of_the_wrong_shape_exits_parse(tmp_path, capsys):
