@@ -52,8 +52,7 @@ EXIT_QUALITY = 4
 # than it can allocate: --n, --m, each --ancilla and --levels entry and the
 # rows and columns of --coeffs are at most MAX_REGISTER_DIM, so games are at
 # most 64 x 64 (the solvers target n, m <= 4); each --messages entry is at
-# most 2 * MAX_REGISTER_DIM, the largest count default_message_schedule makes
-# for such a register.
+# most twice the register cap.
 MAX_REGISTER_DIM = 8
 
 

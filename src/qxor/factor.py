@@ -312,9 +312,8 @@ def gamma_rc_upper(z: TensorElement,
                        pow2_restore(xn, ex), pow2_restore(yn, ey), evaluations)
 
 
-def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
-                   budget: SolverBudget = DEFAULT_BUDGET,
-                   schedule=None) -> BoundInterval:
+def gamma_to_Gamma(z: TensorElement, gamma_upper: float, budget: SolverBudget,
+                   schedule) -> BoundInterval:
     """Interval for the factorization norm of the map attached to a tensor.
 
     Lower: the completely bounded norm never exceeds the factorization
@@ -349,8 +348,7 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float,
 # certificates
 # ---------------------------------------------------------------------------
 
-def mab_certify(a, b, budget: SolverBudget = DEFAULT_BUDGET,
-                schedule=None) -> tuple[float, bool]:
+def mab_certify(a, b, budget: SolverBudget, schedule) -> tuple[float, bool]:
     """Soundness certificate for the lower-bound engine on sandwich maps.
 
     For Hilbert-Schmidt-normalized factors the factorization norm of
@@ -368,9 +366,8 @@ def mab_certify(a, b, budget: SolverBudget = DEFAULT_BUDGET,
     return cb_lower, cb_lower <= MAB_FACTORIZATION_CONSTANT + 1e-4
 
 
-def chain_check(map_rep: KernelMap, known_pi1cb: float,
-                budget: SolverBudget = DEFAULT_BUDGET,
-                schedule=None) -> tuple[float, float, bool]:
+def chain_check(map_rep: KernelMap, known_pi1cb: float, budget: SolverBudget,
+                schedule) -> tuple[float, float, bool]:
     """Compare a certified cb lower bound against the summing-norm cap.
 
     ``known_pi1cb`` must be an analytically known value or a valid upper

@@ -106,6 +106,17 @@ class Episode:
             raise ValidationError(f"episode state must have unit trace, got {tr:.12f}")
 
 
+def _episode_tuple(episodes, dim: int) -> tuple:
+    """The episodes as :class:`Episode` objects, each state ``dim x dim``;
+    checked before any sum, which would broadcast a ``1 x 1`` state."""
+    eps = tuple(e if isinstance(e, Episode) else Episode(*e) for e in episodes)
+    for e in eps:
+        if e.rho.shape != (dim, dim):
+            raise ValidationError(
+                f"episode state must be {dim} x {dim}, got {e.rho.shape[0]} x {e.rho.shape[1]}")
+    return eps
+
+
 @dataclass(frozen=True)
 class QuantumXorGame:
     n: int
@@ -132,9 +143,7 @@ class QuantumXorGame:
             raise ValidationError(f"game trace norm {tn:.12f} exceeds one")
         object.__setattr__(self, "trace_norm", tn)
         if self.episodes is not None:
-            eps = tuple(
-                e if isinstance(e, Episode) else Episode(*e) for e in self.episodes
-            )
+            eps = _episode_tuple(self.episodes, self.dim)
             total = sum(e.p for e in eps)
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"episode probabilities sum to {total:.15f}, not 1")
@@ -236,7 +245,7 @@ class OwcStrategy:
 def from_episodes(n: int, m: int, episodes: Sequence) -> QuantumXorGame:
     """Assemble a game from signed weighted states; the trace norm bound
     holds automatically by the triangle inequality and is still asserted."""
-    eps = tuple(e if isinstance(e, Episode) else Episode(*e) for e in episodes)
+    eps = _episode_tuple(episodes, n * m)
     if not eps:
         raise ValidationError("need at least one episode")
     g = sum(e.c * e.p * e.rho for e in eps)

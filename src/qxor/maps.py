@@ -113,7 +113,3 @@ class VectorMap:
     @property
     def d(self) -> int:
         return len(self.vectors)
-
-    @property
-    def p(self) -> int:
-        return self.vectors[0].size

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, is_count, normalize_schedule, seesaw
+from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
     operator_norm,
@@ -405,19 +405,18 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
 # ---------------------------------------------------------------------------
 
 def _amp_solver(u) -> tuple:
-    """``(core, cap, cap_method, top_level)`` of a map: its see-saw core, its
-    certified cap at every level with the cap's tag, and the top level of its
-    default schedule."""
+    """``(core, cap, cap_method)`` of a map: its see-saw core, and its
+    certified cap at every level with the cap's tag."""
     if isinstance(u, VectorMap):
         # at the exact scale of the largest entry, so the norms cannot underflow
         scaled, e = pow2_scaled(np.stack(u.vectors))
         cap = pow2_restore(sum(float(np.linalg.norm(v)) for v in scaled), e)
-        return _amp_rc_codomain, cap, "nuclear_cap", u.d * u.p
+        return _amp_rc_codomain, cap, "nuclear_cap"
     if not isinstance(u, KernelMap):
         raise ValidationError("expects a KernelMap or VectorMap")
     if u.codomain.kind == "dual":
-        return _amp_into_dual, trace_norm(u.kernel), "pi1o_cap", u.n * u.m
-    return _amp_into_matrix, _nuclear_cap(u), "nuclear_cap", u.n * u.m
+        return _amp_into_dual, trace_norm(u.kernel), "pi1o_cap"
+    return _amp_into_matrix, _nuclear_cap(u), "nuclear_cap"
 
 
 def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
@@ -428,21 +427,10 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
     The lower bound is the best see-saw witness value over the budgeted
     restarts; the upper bound is the certified cap: the trace norm of the
     coefficient kernel for trace-class codomains, the matrix-unit nuclear
-    cap otherwise. ``state`` is the best witness."""
-    if not is_count(L):
-        raise ValidationError("amplification level must be a positive integer")
+    cap otherwise. ``state`` is the best witness. ``L`` is checked as a
+    one-level schedule."""
     res = cb_norm_bounds(u, (L,), budget)
     return res.interval, res.witness
-
-
-def default_level_schedule(cap: int) -> tuple[int, ...]:
-    levels = []
-    lv = 1
-    while lv < cap:
-        levels.append(lv)
-        lv *= 2
-    levels.append(cap)
-    return tuple(dict.fromkeys(levels))
 
 
 @dataclass(frozen=True)
@@ -456,7 +444,7 @@ class CbNormResult:
     witness: tuple = field(repr=False, compare=False)
 
 
-def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
+def cb_norm_bounds(u, schedule: Sequence[int],
                    budget: SolverBudget = DEFAULT_BUDGET) -> CbNormResult:
     """Interval for the completely bounded norm via a level schedule.
 
@@ -465,13 +453,12 @@ def cb_norm_bounds(u, schedule: Optional[Sequence[int]] = None,
     bound is the best of them, each clipped to the certified cap, which is
     computed once and is the upper bound. The witness is the state of the
     level that sets it, the later one on a tie (the first if none reaches
-    zero). The amplification level at which these maps stabilize is not
-    known in advance, so agreement of the last two levels within 1e-6 is
-    reported as a flag, never as a theorem.
+    zero). No finite amplification level is known to certify the cb norm,
+    so the levels are the caller's, checked before any see-saw runs, and
+    agreement of the last two within 1e-6 is reported as a flag, never as a
+    theorem.
     """
-    core, cap, cap_method, top_level = _amp_solver(u)
-    if schedule is None:
-        schedule = default_level_schedule(top_level)
+    core, cap, cap_method = _amp_solver(u)
     per_level = []
     best, state, witness = 0.0, None, None
     for L in normalize_schedule(schedule, "level"):

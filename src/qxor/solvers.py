@@ -82,7 +82,6 @@ __all__ = [
     "pi1cb_bounds",
     "HierarchyRow",
     "HierarchyReport",
-    "default_message_schedule",
 ]
 
 # ---------------------------------------------------------------------------
@@ -310,15 +309,12 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     return beta_entangled_schedule(game, [(dA, dB)], budget)[0]
 
 
-def beta_entangled_schedule(game: QuantumXorGame,
-                            dims: Optional[Sequence[tuple]] = None,
+def beta_entangled_schedule(game: QuantumXorGame, dims: Sequence[tuple],
                             budget: SolverBudget = DEFAULT_BUDGET):
     """Run the entangled solver over ancilla dimensions ``(dA, dB)`` that
     grow in both components, each level warm started from the previous
     level's strategy, so the lower bounds are non-decreasing. The schedule
     is checked before the product see-saw runs for the first rung."""
-    if dims is None:
-        dims = ((1, 1), (2, 2), (3, 3), (4, 4))
     dims = normalize_schedule(dims, "ancilla", width=2)
     return _entangled_ladder(game, dims, budget, _product_witness(game, budget))
 
@@ -574,10 +570,6 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget, warm: OwcStra
     return OwcStrategy(d, e[:d], e[d:], obs), gap, gap <= 1e-4 * max(1.0, abs(primal))
 
 
-def default_message_schedule(n: int) -> tuple[int, ...]:
-    return tuple(sorted({1, 2, 4, n, 2 * n}))
-
-
 def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
                       budget: SolverBudget = DEFAULT_BUDGET):
     """The one-way-classical solver at increasing message counts, each level
@@ -656,8 +648,7 @@ def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
     return QuantumXorGame(obj.n, obj.m, g), scale
 
 
-def pi1cb_bounds(game_or_map,
-                 d_schedule: Optional[Sequence[int]] = None,
+def pi1cb_bounds(game_or_map, d_schedule: Sequence[int],
                  budget: SolverBudget = DEFAULT_BUDGET) -> Pi1cbResult:
     """Interval for the (1, cb)-summing norm of the game's associated map.
 
@@ -671,13 +662,12 @@ def pi1cb_bounds(game_or_map,
     wins; the tag ``min_pi1o_4owq`` names both caps. A map must be into
     trace class with a Hermitian kernel, that is a game up to scale, and
     unnormalized kernels are handled by homogeneity.
-    The schedule is checked first; :func:`beta_product` then runs once,
-    and its strategy is the message ladder's first rung. Both results, of
-    the normalized game, are ``product`` and ``owc_results``.
+    The message counts are the caller's and are checked first;
+    :func:`beta_product` then runs once, and its strategy is the message
+    ladder's first rung. Both results, of the normalized game, are
+    ``product`` and ``owc_results``.
     """
     game, scale = _normalized_game_of(game_or_map)
-    if d_schedule is None:
-        d_schedule = default_message_schedule(game.n)
     ds = normalize_schedule(d_schedule, "message")
     product = beta_product(game, budget)
     owc_results = _owc_ladder(game, ds, budget, product.strategy)
@@ -763,15 +753,12 @@ class HierarchyReport:
         }
 
 
-def analyze_game(game: QuantumXorGame, game_id: str,
-                 budget: SolverBudget = DEFAULT_BUDGET,
-                 d_schedule: Optional[Sequence[int]] = None,
-                 ancilla_schedule: Optional[Sequence[tuple]] = None) -> HierarchyRow:
+def analyze_game(game: QuantumXorGame, game_id: str, budget: SolverBudget,
+                 d_schedule: Sequence[int],
+                 ancilla_schedule: Sequence[tuple]) -> HierarchyRow:
     """All strategy-class bounds for one game, with soundness flags: one
     :func:`pi1cb_bounds` run, and the entangled ladder on its product witness."""
     owq = beta_owq(game)
-    if ancilla_schedule is None:
-        ancilla_schedule = ((1, 1), (2, 2))
     dims = normalize_schedule(ancilla_schedule, "ancilla", width=2)
     p1cb = pi1cb_bounds(game, d_schedule, budget)
     prod, owc_results = p1cb.product, p1cb.owc_results

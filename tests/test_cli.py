@@ -435,7 +435,16 @@ def test_factor_float_max_tensor_scales_back_exactly(tmp_path):
     assert res["factorization_interval"]["upper"] is None
 
 
+# a 2 x 2 game whose one episode state is 3 x 3
+WRONG_SIZE_EPISODE = {"schema": "qxor/1", "n": 2, "m": 2,
+                      "G_re": (np.eye(4) / 4).tolist(), "G_im": np.zeros((4, 4)).tolist(),
+                      "episodes": [{"p": 1, "c": 1, "rho_re": (np.eye(3) / 3).tolist(),
+                                    "rho_im": np.zeros((3, 3)).tolist()}]}
+
+
 @pytest.mark.parametrize("command, text, message", [
+    pytest.param("analyze", json.dumps(WRONG_SIZE_EPISODE),
+                 "episode state must be 4 x 4, got 3 x 3", id="episode-3x3"),
     pytest.param("norms",
                  '{"schema": "qxor-tuple/1", "entries_re": [[[1.0]]], "entries_im": [[[1e400]]]}',
                  "matrix entries must be finite", id="infinite-im"),
@@ -672,7 +681,8 @@ def tensor_payloads(draw):
 
 TINY = ["--restarts", "1", "--sweeps", "2"]
 FUZZ = {
-    "analyze": (st.one_of(st.just(game_to_payload(chsh())), game_payloads()),
+    "analyze": (st.one_of(st.just(game_to_payload(chsh())), st.just(WRONG_SIZE_EPISODE),
+                          game_payloads()),
                 [*TINY, "--messages", "1", "--ancilla", "1"]),
     "norms": (tuple_payloads(), []),
     "factor": (tensor_payloads(), [*TINY, "--levels", "1"]),

@@ -233,7 +233,7 @@ def test_mab_certify_random_pairs():
 
 def test_mab_certify_rejects_large_factors():
     with pytest.raises(ValidationError):
-        mab_certify(2 * np.eye(2), np.eye(2), BUDGET)
+        mab_certify(2 * np.eye(2), np.eye(2), BUDGET, schedule=(1, 2))
 
 
 def test_chain_check_transpose_and_diagonal():

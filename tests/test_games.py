@@ -100,6 +100,19 @@ def test_from_episodes_rejects_bad_probabilities():
         from_episodes(2, 2, [Episode(0.7, 1, rho)])
 
 
+@pytest.mark.parametrize("build, shape", [
+    # a 3 x 3 state would fail to broadcast against the 4 x 4 operator
+    (lambda: QuantumXorGame(2, 2, np.eye(4) / 4, episodes=((1.0, 1, np.eye(3) / 3),)), "3 x 3"),
+    # a 1 x 1 state would broadcast and pass the reconstruction check
+    (lambda: QuantumXorGame(2, 2, np.ones((4, 4)) / 4,
+                            episodes=((5 / 8, 1, [[1]]), (3 / 8, -1, [[1]]))), "1 x 1"),
+    (lambda: from_episodes(2, 2, [(0.5, 1, np.eye(3) / 3), (0.5, 1, np.eye(4) / 4)]), "3 x 3"),
+], ids=["game-3x3", "game-1x1", "from-episodes-3x3"])
+def test_an_episode_state_of_the_wrong_shape_is_refused(build, shape):
+    with pytest.raises(ValidationError, match=f"episode state must be 4 x 4, got {shape}"):
+        build()
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
 def test_episode_rejects_non_finite_probability(p):
     with pytest.raises(ValidationError, match="finite"):

@@ -41,7 +41,23 @@ def scipy_modules_after(code: str, *path: Path) -> list[str]:
     ("from qxor.cli import main; main(['selftest', '--list'])", (SRC,)),
     # the benchmark's start-up, as perfbench/run.py times it for setup_s
     ("import tracing, workloads", (SRC, BENCH)),
-], ids=["import-qxor", "selftest-list", "benchmark-import"])
+    # every solver family once: none of them may reach the lazy scipy names
+    ("""
+import numpy as np
+from qxor import *
+from qxor.tuples import rplusc_split
+b = SolverBudget(restarts=1, max_sweeps=10)
+g = random_game(2, 2, seed=3)
+analyze_game(g, "g", b, (1, 2), ((1, 1), (2, 2)))
+cb_norm_bounds(associated_map(g), (1, 2), b)
+pietsch_pi2(VectorMap(([1, 2j], [0, 1], [1, 1])))
+x = np.random.default_rng(3).normal(size=(2, 3, 3))
+rplus2c_split(x)
+rplusc_split(x)
+z = tensor_from_kernel(g.G, 2, 2)
+gamma_to_Gamma(z, gamma_rc_upper(z, b).gamma_upper, b, (1, 2))
+""", (SRC,)),
+], ids=["import-qxor", "selftest-list", "benchmark-import", "every-solver"])
 def test_cold_start_loads_no_scipy(code, path):
     assert scipy_modules_after(code, *path) == []
 
