@@ -17,6 +17,24 @@ from .config import MonotonicityError, ValidationError
 
 @dataclass(frozen=True)
 class SolverBudget:
+    """What an iterative solver may spend, and the seed of its randomness.
+
+    * ``restarts``: the random starts of each product see-saw and of a
+      ladder's first see-saw level: the first level of an amplified-norm
+      ladder, or the first entangled level above ``(1, 1)``. A later
+      entangled or amplified-norm level is warm started from the level
+      below, so it runs that witness, its core's deterministic starts and
+      one random start (:func:`ladder_restarts`); a one-level solver runs
+      only a first level. The one-way-classical ladder keeps its own count
+      at every level, ``max(1, restarts // 2) + (d >= 3)``, and
+      ``factor.gamma_rc_upper`` scales its search with it.
+    * ``max_sweeps``: the sweeps a see-saw start may run before it stops.
+    * ``tol``: the relative gain at or below which a start stops
+      (:func:`stop_rule`), in ``(0, 1)``.
+    * ``seed``: an integer in ``[0, 2**32)``; every random start draws
+      from :meth:`rng`, keyed by it.
+    """
+
     restarts: int = 20
     max_sweeps: int = 500
     tol: float = 1e-8
@@ -45,6 +63,14 @@ def is_count(value) -> bool:
 
 
 DEFAULT_BUDGET = SolverBudget()
+
+
+def ladder_restarts(budget: SolverBudget, first: bool) -> int:
+    """The random starts of a ladder's see-saw level: ``budget.restarts`` at
+    its ``first`` see-saw level, one at a level warm started from a see-saw
+    witness, where more random starts almost never win."""
+    return budget.restarts if first else 1
+
 
 _MONO_SLACK = 1e-9
 

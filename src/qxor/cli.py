@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 
@@ -150,13 +151,33 @@ def game_from_payload(payload: dict) -> QuantumXorGame:
     return QuantumXorGame(n, m, g, episodes=tuple(episodes) if episodes else None)
 
 
+def _check_out(path: str):
+    """Refuse an ``--out`` path that is a directory or whose directory does
+    not exist; ``main`` calls this before any solver runs."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise SchemaError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise SchemaError(f"--out {path}: no directory {parent}")
+
+
+def _write_out(path: str | None, write):
+    """``write(fh)`` on ``path`` opened for writing, or on standard output
+    without a path; an ``OSError`` becomes a :class:`SchemaError` naming
+    the path."""
+    if not path:
+        write(sys.stdout)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _dump_json(obj, path: str | None):
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_out(path, lambda fh: fh.write(text + "\n"))
 
 
 def _row_to_csv(row, elapsed: float) -> dict:
@@ -189,17 +210,13 @@ def _emit_report(report: HierarchyReport, timings: dict, fmt: str, out: str | No
         _dump_json(report.to_dict(), out)
         return
     rows = [_row_to_csv(r, timings.get(r.game_id, 0.0)) for r in report.rows]
-    if out:
-        fh = open(out, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
+
+    def write(fh):
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
+
+    _write_out(out, write)
 
 
 def _budget(args) -> SolverBudget:
@@ -379,10 +396,16 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--sweeps", type=int, default=120)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of every random start, and of hierarchy's games, in [0, 2**32)")
+    p.add_argument("--restarts", type=int, default=8,
+                   help="random starts per see-saw; an entangled or amplified-norm level "
+                        "above a ladder's first see-saw level runs one, a one-way-classical "
+                        "level max(1, RESTARTS // 2), one more from 3 messages")
+    p.add_argument("--sweeps", type=int, default=120,
+                   help="sweeps a see-saw start may run")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative gain in (0, 1) at or below which a start stops")
 
 
 def _add_analysis(p: argparse.ArgumentParser):
@@ -470,11 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Every malformed file or flag value ends here as a
-    parse error (exit 2) and every invalid object as a validation error
-    (exit 3), whichever subcommand met it."""
+    """Run one subcommand. Every malformed file or flag value, and an
+    ``--out`` path that cannot be written, ends here as a parse error
+    (exit 2) and every invalid object as a validation error (exit 3),
+    whichever subcommand met it."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.run(args)
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, normalize_schedule, seesaw
+from .budget import DEFAULT_BUDGET, SolverBudget, ladder_restarts, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
     operator_norm,
@@ -255,7 +255,7 @@ def _amp_into_dual(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     swap = (_partial_swap(L, n).reshape(L, n, L, n),
             _partial_swap(L, m).reshape(L, m, L, m), uv, uv)
     starts = _embedded(warm, ident) + [ident, swap]
-    for i in range(len(starts), len(starts) + budget.restarts):
+    for i in range(len(starts), len(starts) + ladder_restarts(budget, warm is None)):
         rng = budget.rng("amp-dual", i)
         z4 = (rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n)))
         v = rng.normal(size=(L * m, L * m)) + 1j * rng.normal(size=(L * m, L * m))
@@ -308,7 +308,7 @@ def _amp_into_matrix(u: KernelMap, L: int, budget: SolverBudget, warm=None):
     uv1 = np.eye(L, m, dtype=complex) / math.sqrt(min(L, m))  # the same on C^L (x) C^m
     starts = _embedded(warm, ident) + [
         ident, (_partial_swap(L, n).reshape(L, n, L, n), uv1, uv1)]
-    for i in range(len(starts), len(starts) + budget.restarts):
+    for i in range(len(starts), len(starts) + ladder_restarts(budget, warm is None)):
         rng = budget.rng("amp-mat", i)
         z4 = rng.normal(size=(L, n, L, n)) + 1j * rng.normal(size=(L, n, L, n))
         uv = rng.normal(size=L * m) + 1j * rng.normal(size=L * m)
@@ -372,7 +372,7 @@ def _amp_rc_codomain(vm: VectorMap, L: int, budget: SolverBudget, warm=None):
 
     ident = (np.stack([np.eye(L, dtype=complex)] * d),)
     starts = _embedded(warm, ident) + [ident]
-    for i in range(len(starts), len(starts) + budget.restarts):
+    for i in range(len(starts), len(starts) + ladder_restarts(budget, warm is None)):
         rng = budget.rng("amp-rc", i)
         starts.append((contract(rng.normal(size=(d, L, L)) + 1j * rng.normal(size=(d, L, L))),))
 
@@ -424,10 +424,11 @@ def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
     of a map: the interval and witness of :func:`cb_norm_bounds` on the
     one-level schedule ``(L,)``.
 
-    The lower bound is the best see-saw witness value over the budgeted
-    restarts; the upper bound is the certified cap: the trace norm of the
-    coefficient kernel for trace-class codomains, the matrix-unit nuclear
-    cap otherwise. ``state`` is the best witness. ``L`` is checked as a
+    The lower bound is the best see-saw witness value over the core's
+    deterministic starts and all ``budget.restarts`` random ones, since the
+    one level is the ladder's first; the upper bound is the certified cap:
+    the trace norm of the coefficient kernel for trace-class codomains, the
+    matrix-unit nuclear cap otherwise. ``state`` is the best witness. ``L`` is checked as a
     one-level schedule."""
     res = cb_norm_bounds(u, (L,), budget)
     return res.interval, res.witness
@@ -448,15 +449,18 @@ def cb_norm_bounds(u, schedule: Sequence[int],
                    budget: SolverBudget = DEFAULT_BUDGET) -> CbNormResult:
     """Interval for the completely bounded norm via a level schedule.
 
-    The map's see-saw core runs at each level, warm started from the
-    previous level's witness, so the lower bounds never fall; the lower
-    bound is the best of them, each clipped to the certified cap, which is
-    computed once and is the upper bound. The witness is the state of the
-    level that sets it, the later one on a tie (the first if none reaches
-    zero). No finite amplification level is known to certify the cb norm,
-    so the levels are the caller's, checked before any see-saw runs, and
-    agreement of the last two within 1e-6 is reported as a flag, never as a
-    theorem.
+    The map's see-saw core runs at each level. The first level runs the
+    core's deterministic starts and ``budget.restarts`` random ones; each
+    later level is warm started from the previous level's witness, so the
+    lower bounds never fall, and runs that witness, the deterministic
+    starts and one random start (:func:`~qxor.budget.ladder_restarts`).
+    The lower bound is the best of the levels, each clipped to the
+    certified cap, which is computed once and is the upper bound. The
+    witness is the state of the level that sets it, the later one on a tie
+    (the first if none reaches zero). No finite amplification level is
+    known to certify the cb norm, so the levels are the caller's, checked
+    before any see-saw runs, and agreement of the last two within 1e-6 is
+    reported as a flag, never as a theorem.
     """
     core, cap, cap_method = _amp_solver(u)
     per_level = []

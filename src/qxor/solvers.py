@@ -39,6 +39,7 @@ from .bounds import BoundInterval
 from .budget import (
     DEFAULT_BUDGET,
     SolverBudget,
+    ladder_restarts,
     normalize_schedule,
     seesaw,
     squarem_length,
@@ -259,10 +260,12 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy)
     to ``[(a,b),(c,d)]``, ``[(j,c),(i,a)]``, ``[(l,d),(k,b)]``; the bias is ``Re tr(db B)``.
     ``warm``, an :class:`EntangledStrategy` with ancillas no larger than
     ``(dA, dB)``, is zero-padded to them and runs as the first start, then
-    ``budget.restarts`` random ones. A sweep recomputes ``psi`` from ``(A, B)``
-    before it uses it, so a start's ``psi`` only sets its start value. It
-    takes any Hermitian ``(A, B)`` and returns spectral signs, so the driver
-    extrapolates ``A`` and ``B``."""
+    the :func:`ladder_restarts` random ones: ``budget.restarts`` when
+    ``warm`` is the product witness (ancillas ``(1, 1)``), so at a ladder's
+    first see-saw level, and one above it. A sweep recomputes ``psi`` from
+    ``(A, B)`` before it uses it, so a start's ``psi`` only sets its start
+    value. It takes any Hermitian ``(A, B)`` and returns spectral signs, so
+    the driver extrapolates ``A`` and ``B``."""
     n, m = game.n, game.m
     eff, alice, bob = _entangled_kernels(game.kernel_tensor(), dA, dB)
 
@@ -287,7 +290,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy)
         zero_pad(warm.A.reshape(n, warm.dA, n, warm.dA), (n, dA, n, dA)).reshape(n * dA, -1),
         zero_pad(warm.B.reshape(m, warm.dB, m, warm.dB), (m, dB, m, dB)).reshape(m * dB, -1),
     )]
-    for r in range(budget.restarts):
+    for r in range(ladder_restarts(budget, (warm.dA, warm.dB) == (1, 1))):
         rng = budget.rng("ent", dA, dB, r)
         psi = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
         starts.append((

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import warnings
 from fractions import Fraction
 
@@ -151,6 +152,53 @@ def test_a_flagged_row_exits_quality_and_still_writes_the_report(tmp_path, monke
     report = json.loads(out.read_text())
     assert report["violations"] == ["random-0000:owc_not_monotone"]
     assert report["rows"][0]["violations"] == ["owc_not_monotone"]
+
+
+def out_argv(tmp_path, command):
+    """A small valid run of each subcommand that takes ``--out``."""
+    if command in ("analyze", "hierarchy", "factor"):
+        return budget_argv(tmp_path, command)
+    if command == "hierarchy-csv":
+        return [*budget_argv(tmp_path, "hierarchy"), "--format", "csv"]
+    if command == "gallery":
+        return ["gallery", "chsh"]
+    f = tmp_path / "tuple.json"
+    f.write_text(json.dumps({"schema": "qxor-tuple/1", "entries_re": [[[1.0]]],
+                             "entries_im": [[[0.0]]]}))
+    return ["norms", str(f)]
+
+
+OUT_COMMANDS = ["analyze", "hierarchy", "hierarchy-csv", "gallery", "norms", "factor"]
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "file-parent"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_an_out_path_that_is_no_file_exits_parse_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, where):
+    from qxor import cli
+
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("analyze_game", "rplus2c_split", "gamma_rc_upper"):
+        monkeypatch.setattr(cli, name, solver)
+    argv = out_argv(tmp_path, command)
+    (tmp_path / "file").write_text("")
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "no" / "report.json",
+           "file-parent": tmp_path / "file" / "report.json"}[where]
+    assert main([*argv, "--out", str(out)]) == EXIT_PARSE
+    out_text, err = capsys.readouterr()
+    assert err.startswith(f"parse error: --out {out}") and err.count("\n") == 1
+    assert out_text == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["hierarchy", "hierarchy-csv", "gallery"])
+def test_a_failed_write_exits_parse_naming_the_path(tmp_path, capsys, command):
+    # /dev/full takes the open and fails the write
+    assert main([*out_argv(tmp_path, command), "--out", "/dev/full"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: cannot write /dev/full: No space left on device\n")
 
 
 def test_analyze_kernel_of_the_wrong_shape_exits_parse(tmp_path, capsys):

@@ -843,6 +843,64 @@ def test_level_four_starts_give_the_same_values_in_lockstep_as_alone(kind, monke
         assert together == tuple(alone)
 
 
+def _amplified_start_counts(monkeypatch):
+    """The number of starts of each amplified-norm see-saw call, in call order."""
+    counts = []
+
+    def counted(starts, sweep, budget, **kw):
+        starts = list(starts)
+        counts.append(len(starts))
+        return seesaw(starts, sweep, budget, **kw)
+
+    monkeypatch.setattr(opnorms, "seesaw", counted)
+    return counts
+
+
+def _vector_map():
+    rng = rng_for("ladder-vectors")
+    return VectorMap(tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)))
+
+
+@pytest.mark.parametrize("u, fixed", [
+    (_rect_map("dual", 2, 2), 2),
+    (_rect_map("matrix", 2, 2), 2),
+    (_vector_map(), 1),
+], ids=["dual", "matrix", "vectors"])
+def test_cb_ladder_spends_its_restarts_on_the_first_level(monkeypatch, u, fixed):
+    # the first level runs the core's deterministic starts and every
+    # restart; a later level adds the warm witness and runs one random start
+    counts = _amplified_start_counts(monkeypatch)
+    cb_norm_bounds(u, (1, 2, 4), RECT_BUDGET)
+    assert counts == [fixed + RECT_BUDGET.restarts] + [fixed + 2] * 2
+
+
+def test_one_level_amplified_norm_runs_every_restart(monkeypatch):
+    counts = _amplified_start_counts(monkeypatch)
+    amplified_norm(_rect_map("dual", 2, 2), 2, RECT_BUDGET)
+    assert counts == [2 + RECT_BUDGET.restarts]
+
+
+@pytest.mark.parametrize("u, key", [
+    (_rect_map("dual", 2, 2), "amp-dual"),
+    (_rect_map("matrix", 2, 2), "amp-mat"),
+    (_vector_map(), "amp-rc"),
+], ids=["dual", "matrix", "vectors"])
+def test_cb_ladder_draws_its_one_random_start_from_the_first_restart_key(monkeypatch, u, key):
+    # a warm-started level keys its random start by its place among the
+    # starts, as that level's first random start when it ran every restart
+    keys = []
+    rng = SolverBudget.rng
+
+    def recording(self, *k):
+        keys.append(k)
+        return rng(self, *k)
+
+    monkeypatch.setattr(SolverBudget, "rng", recording)
+    first = 1 if key == "amp-rc" else 2
+    cb_norm_bounds(u, (1, 2, 4), RECT_BUDGET)
+    assert keys == [(key, first + i) for i in range(RECT_BUDGET.restarts)] + [(key, first + 1)] * 2
+
+
 def test_a_dual_sweep_is_three_svds_and_no_einsum(monkeypatch):
     # the contractions are matrix products on one kernel; the SVDs are the
     # top singular pair and the two polar updates

@@ -988,8 +988,8 @@ def test_owc_schedule_runs_each_start_once(monkeypatch):
     assert counts == [2 + max(1, small.restarts // 2)]
 
 
-def test_entangled_ladder_runs_each_start_once(monkeypatch):
-    # the product witness is the only warm start; no identity start replays it
+def _entangled_start_counts(monkeypatch):
+    """The number of starts of each entangled see-saw call, in call order."""
     counts = []
     seesaw = solvers.seesaw
 
@@ -1000,12 +1000,56 @@ def test_entangled_ladder_runs_each_start_once(monkeypatch):
         return seesaw(starts, sweep, budget, **kw)
 
     monkeypatch.setattr(solvers, "seesaw", counted)
+    return counts
+
+
+def test_entangled_ladder_runs_each_start_once(monkeypatch):
+    # the product witness is the only warm start; no identity start replays
+    # it. (2, 3), warm started from (2, 2)'s witness, runs one random start
+    counts = _entangled_start_counts(monkeypatch)
     small = SolverBudget(restarts=3, max_sweeps=30, seed=1)
     g = random_game(2, 2, seed=48)
     beta_entangled_schedule(g, ((1, 1), (2, 2), (2, 3)), small)
     beta_entangled(g, 2, 2, small)
     analyze_game(g, "g", small, d_schedule=(1,), ancilla_schedule=((1, 1), (2, 2)))
-    assert counts == [1 + small.restarts] * 4
+    assert counts == [1 + small.restarts, 2, 1 + small.restarts, 1 + small.restarts]
+
+
+@pytest.mark.parametrize("dims, expected", [
+    (((1, 1), (2, 2), (3, 3), (4, 4)), [4, 2, 2]),
+    (((3, 3), (4, 4)), [4, 2]),
+], ids=["from-1", "from-3"])
+def test_entangled_ladder_spends_its_restarts_on_the_first_see_saw_level(
+        monkeypatch, dims, expected):
+    # the level warm started from the product witness runs every restart,
+    # each later one its warm witness and one random start
+    counts = _entangled_start_counts(monkeypatch)
+    beta_entangled_schedule(random_game(3, 3, seed=50), dims,
+                            SolverBudget(restarts=3, max_sweeps=20, seed=1))
+    assert counts == expected
+
+
+def test_one_level_beta_entangled_runs_every_restart(monkeypatch):
+    counts = _entangled_start_counts(monkeypatch)
+    beta_entangled(random_game(3, 3, seed=50), 3, 3, SolverBudget(restarts=5, max_sweeps=20))
+    assert counts == [6]
+
+
+def test_entangled_ladder_draws_its_one_random_start_from_the_first_restart_key(monkeypatch):
+    # the one random start above the first level is the first start the
+    # level drew when it ran every restart
+    keys = []
+    rng = SolverBudget.rng
+
+    def recording(self, *key):
+        if key[0] == "ent":
+            keys.append(key)
+        return rng(self, *key)
+
+    monkeypatch.setattr(SolverBudget, "rng", recording)
+    beta_entangled_schedule(random_game(2, 2, seed=51), ((1, 1), (2, 2), (3, 3)),
+                            SolverBudget(restarts=3, max_sweeps=20, seed=4))
+    assert keys == [("ent", 2, 2, 0), ("ent", 2, 2, 1), ("ent", 2, 2, 2), ("ent", 3, 3, 0)]
 
 
 def test_analyze_game_solves_the_product_class_once(monkeypatch):
