@@ -16,7 +16,7 @@ import logging
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget
+from .budget import SolverBudget
 from .config import ConvergenceError, MonotonicityError, ValidationError
 from .factor import (
     CB_VS_SUMMING_CONSTANT,

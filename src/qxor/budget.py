@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import MonotonicityError, ValidationError
+from .config import MonotonicityError, ValidationError, is_count, is_integer
 
 
 @dataclass(frozen=True)
@@ -33,10 +32,13 @@ class SolverBudget:
       (:func:`stop_rule`), in ``(0, 1)``.
     * ``seed``: an integer in ``[0, 2**32)``; every random start draws
       from :meth:`rng`, keyed by it.
+
+    No one count suits every caller, so only the CLI holds defaults for
+    ``restarts`` and ``max_sweeps``.
     """
 
-    restarts: int = 20
-    max_sweeps: int = 500
+    restarts: int
+    max_sweeps: int
     tol: float = 1e-8
     seed: int = 0
 
@@ -45,7 +47,7 @@ class SolverBudget:
             raise ValidationError("budget counts must be positive integers")
         if not (0 < self.tol < 1):
             raise ValidationError("budget tolerance must be positive and below 1")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**32):
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**32):
             raise ValidationError("budget seed must be an integer in [0, 2**32)")
 
     def rng(self, *key) -> np.random.Generator:
@@ -55,14 +57,6 @@ class SolverBudget:
         for k in key:
             ints.append(k if isinstance(k, int) else zlib.crc32(str(k).encode()))
         return np.random.default_rng(np.random.SeedSequence(ints))
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is a positive ``int`` or numpy integer."""
-    return isinstance(value, (int, np.integer)) and value >= 1
-
-
-DEFAULT_BUDGET = SolverBudget()
 
 
 def ladder_restarts(budget: SolverBudget, first: bool) -> int:
@@ -264,14 +258,16 @@ def normalize_schedule(values, what: str, width: int = 0) -> tuple:
     """Sorted, duplicate-free schedule of positive levels, each at least the
     one before it in every component, so warm starts only ever embed a
     smaller witness into a larger one. A level is an integer or, with
-    ``width``, a tuple (or list) of ``width`` integers; its shape is checked
-    before anything is sorted, and every entry becomes a Python ``int``."""
+    ``width``, a tuple (or list) of ``width`` integers, none a ``bool``; its
+    shape is checked before anything is sorted, and every entry becomes a
+    Python ``int``."""
     def level(v):
-        if not width:
-            return operator.index(v)
-        if not (isinstance(v, (tuple, list)) and len(v) == width):
+        if width and not (isinstance(v, (tuple, list)) and len(v) == width):
             raise TypeError
-        return tuple(map(operator.index, v))
+        parts = tuple(v) if width else (v,)
+        if not all(map(is_integer, parts)):
+            raise TypeError
+        return tuple(map(int, parts)) if width else int(v)
 
     try:
         schedule = tuple(sorted({level(v) for v in values}))

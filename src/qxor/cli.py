@@ -229,7 +229,7 @@ def _check_register_dims(args, *flags):
     """Reject a register dimension flag outside ``[1, MAX_REGISTER_DIM]``."""
     for flag in flags:
         value = getattr(args, flag)
-        if value is not None and not 1 <= value <= MAX_REGISTER_DIM:
+        if not 1 <= value <= MAX_REGISTER_DIM:
             raise ValidationError(f"--{flag} must be an integer in [1, {MAX_REGISTER_DIM}], "
                                   f"got {value}")
 
@@ -283,11 +283,11 @@ def cmd_gallery(args) -> int:
     _check_register_dims(args, "n")
     name, n, coeffs = args.name, args.n, args.coeffs
     if name == "swap":
-        game = swap_game(n or 2)
+        game = swap_game(n)
     elif name == "chsh":
         game = chsh()
     elif name == "hadamard":
-        game = hadamard_game(n or 2)
+        game = hadamard_game(n)
     else:  # "diagonal", the last name argparse admits
         if not coeffs:
             raise ValidationError("diagonal needs --coeffs 'a,b;c,d'")
@@ -396,7 +396,7 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=SolverBudget.seed,
                    help="seed of every random start, and of hierarchy's games, in [0, 2**32)")
     p.add_argument("--restarts", type=int, default=8,
                    help="random starts per see-saw; an entangled or amplified-norm level "
@@ -404,7 +404,7 @@ def _add_budget(p: argparse.ArgumentParser):
                         "level max(1, RESTARTS // 2), one more from 3 messages")
     p.add_argument("--sweeps", type=int, default=120,
                    help="sweeps a see-saw start may run")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=SolverBudget.tol,
                    help="relative gain in (0, 1) at or below which a start stops")
 
 
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gallery", help="emit a named game as JSON")
     p.add_argument("name", choices=("swap", "chsh", "hadamard", "diagonal"))
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=2)
     p.add_argument("--coeffs", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(run=cmd_gallery)

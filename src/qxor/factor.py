@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget
+from .budget import SolverBudget
 from .config import ValidationError
 from .games import mab_tensor
 from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
@@ -86,65 +85,56 @@ class WeightSandwich:
     ok: bool
 
 
-def weight_sandwich_check(t, *, split: Optional[SplitResult] = None) -> WeightSandwich:
+def weight_sandwich_check(t, *, split: SplitResult) -> WeightSandwich:
     """Check that the weight sits between half the squared linear splitting
     norm and the squared linear splitting norm itself.
 
     Cross warm starts make the comparison sound at solver accuracy: the
     quadratic value is re-evaluated on the linear solver's splitting and
     vice versa, so the per-splitting mean-square inequalities apply.
-    ``split`` is ``rplus2c_split(t)``, when the caller already has it.
+    ``split`` is ``rplus2c_split(t)``.
     """
-    x = as_stack(t)
-    w_res = rplus2c_split(x) if split is None else split
-    q_res = rplusc_split(x, inits=[w_res.row_part])
+    q_res = rplusc_split(as_stack(t), inits=[split.row_part])
     quad_at_q = math.sqrt(
         row_norm(q_res.row_part) ** 2 + col_norm(q_res.col_part) ** 2
     )
-    w_val = min(w_res.value, quad_at_q) ** 2
+    w_val = min(split.value, quad_at_q) ** 2
     q_sq = q_res.value ** 2
     ok = (q_sq / 2 - _CHECK_TOL <= w_val <= q_sq + _CHECK_TOL)
     return WeightSandwich(q_sq / 2, w_val, q_sq, ok)
 
 
-def weight_subadditivity_check(x, y, *, x_split: Optional[SplitResult] = None,
-                               y_split: Optional[SplitResult] = None):
+def weight_subadditivity_check(x, y, *, x_split: SplitResult, y_split: SplitResult):
     """w(concatenation) <= w(x) + w(y); the concatenated solve warm-starts
     from the block splitting of the parts, which realizes the inequality.
     ``x_split`` and ``y_split`` are the ``rplus2c_split`` of ``x`` and ``y``."""
-    xs, ys = as_stack(x), as_stack(y)
-    rx = rplus2c_split(xs) if x_split is None else x_split
-    ry = rplus2c_split(ys) if y_split is None else y_split
-    joint_init = np.concatenate([rx.row_part, ry.row_part], axis=0)
-    joint = rplus2c_split(np.concatenate([xs, ys], axis=0), inits=[joint_init])
+    joint_init = np.concatenate([x_split.row_part, y_split.row_part], axis=0)
+    joint = rplus2c_split(np.concatenate([as_stack(x), as_stack(y)], axis=0), inits=[joint_init])
     lhs = joint.value ** 2
-    rhs = rx.value ** 2 + ry.value ** 2
+    rhs = x_split.value ** 2 + y_split.value ** 2
     return lhs, rhs, lhs <= rhs + _CHECK_TOL
 
 
-def weight_monotonicity_check(xs, ys, *, ys_split: Optional[SplitResult] = None):
+def weight_monotonicity_check(xs, ys, *, ys_split: SplitResult):
     """When the ordering test dominates xs by ys, the weight must follow.
-    ``ys_split`` is ``rplus2c_split(ys)``, when the caller already has it."""
+    ``ys_split`` is ``rplus2c_split(ys)``."""
     dominated, a = ordering_check(xs, ys)
     if not dominated:
         raise ValidationError("monotonicity check needs a dominated pair")
-    ry = rplus2c_split(ys) if ys_split is None else ys_split
-    warm = [mix_tuple(a, ry.row_part)]
+    warm = [mix_tuple(a, ys_split.row_part)]
     wx = rplus2c_split(xs, inits=warm).value ** 2
-    wy = ry.value ** 2
+    wy = ys_split.value ** 2
     return wx, wy, wx <= wy + _CHECK_TOL
 
 
-def weight_homogeneity_check(t, factor: float, *, split: Optional[SplitResult] = None):
+def weight_homogeneity_check(t, factor: float, *, split: SplitResult):
     """w(sqrt(factor) x) = factor w(x) up to solver accuracy. ``split`` is
-    ``rplus2c_split(t)``, when the caller already has it."""
-    x = as_stack(t)
-    base = rplus2c_split(x) if split is None else split
+    ``rplus2c_split(t)``."""
     scaled = rplus2c_split(
-        math.sqrt(factor) * x, inits=[math.sqrt(factor) * base.row_part]
+        math.sqrt(factor) * as_stack(t), inits=[math.sqrt(factor) * split.row_part]
     )
     lhs = scaled.value ** 2
-    rhs = factor * base.value ** 2
+    rhs = factor * split.value ** 2
     ok = abs(lhs - rhs) <= _CHECK_TOL * max(rhs, 1e-30)
     return lhs, rhs, ok
 
@@ -156,8 +146,7 @@ def weight_homogeneity_check(t, factor: float, *, split: Optional[SplitResult] =
 _DUAL_SPLITS = 6  # the most random splits a trace-class upper bound draws
 
 
-def tuple_rplus2c_upper_in_space(t, space: Space,
-                                 budget: SolverBudget = DEFAULT_BUDGET) -> float:
+def tuple_rplus2c_upper_in_space(t, space: Space, budget: SolverBudget) -> float:
     """Certified upper bound for the quadratic splitting norm over a
     carrier space; exact-solver value for matrix carriers, a budgeted
     splitting search with certified caps for trace-class carriers.
@@ -256,8 +245,7 @@ def _evaluable(z: TensorElement) -> tuple[TensorElement, int]:
     return (z, 0) if e <= 1000 else (TensorElement(z.X, z.Y, coeff), e)
 
 
-def gamma_rc_upper(z: TensorElement,
-                   budget: SolverBudget = DEFAULT_BUDGET) -> GammaResult:
+def gamma_rc_upper(z: TensorElement, budget: SolverBudget) -> GammaResult:
     """Upper bound on the decomposition seminorm built from row-intersect-
     column on the left factor and the quadratic splitting norm on the right.
 

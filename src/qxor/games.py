@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import INTERVAL_TOL
-from .config import ValidationError
+from .config import ValidationError, is_count
 from .linalg import (
     as_matrix,
     eigh_desc,
@@ -127,8 +127,8 @@ class QuantumXorGame:
     trace_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValidationError("register dimensions must be positive")
+        if not (is_count(self.n) and is_count(self.m)):
+            raise ValidationError("register dimensions must be positive integers")
         g = require_hermitian(self.G)
         if g.shape != (self.n * self.m, self.n * self.m):
             raise ValidationError("game operator shape does not match (n, m)")
@@ -189,6 +189,8 @@ class EntangledStrategy:
     B: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not all(map(is_count, (self.n, self.m, self.dA, self.dB))):
+            raise ValidationError("register and ancilla dimensions must be positive integers")
         psi = np.asarray(self.psi, dtype=complex).ravel()
         if psi.size != self.dA * self.dB:
             raise ValidationError("shared state must live on the ancilla pair")
@@ -217,6 +219,8 @@ class OwcStrategy:
     observables: np.ndarray = field(repr=False)  # (d, m, m)
 
     def __post_init__(self):
+        if not is_count(self.d):
+            raise ValidationError("the message count must be a positive integer")
         ep = np.asarray(self.e_plus, dtype=complex)
         em = np.asarray(self.e_minus, dtype=complex)
         obs = np.asarray(self.observables, dtype=complex)
@@ -421,8 +425,8 @@ def hadamard_game(n: int) -> QuantumXorGame:
 
 def random_game(n: int, m: int, seed) -> QuantumXorGame:
     """Gaussian-ensemble Hermitian operator normalized to trace norm one."""
-    if n < 1 or m < 1:
-        raise ValidationError("register dimensions must be positive")
+    if not (is_count(n) and is_count(m)):
+        raise ValidationError("register dimensions must be positive integers")
     rng = np.random.default_rng(seed)
     d = n * m
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

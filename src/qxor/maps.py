@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ValidationError
+from .config import ValidationError, is_count
 from .linalg import as_matrix, partial_contract_A
 
 __all__ = [
@@ -39,8 +39,8 @@ class Space:
     def __post_init__(self):
         if self.kind not in ("matrix", "dual"):
             raise ValidationError(f"unknown space kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValidationError("space dimension must be positive")
+        if not is_count(self.dim):
+            raise ValidationError("space dimension must be a positive integer")
 
 
 def full_matrix_space(n: int) -> Space:

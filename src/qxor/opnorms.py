@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import BoundInterval
-from .budget import DEFAULT_BUDGET, SolverBudget, ladder_restarts, normalize_schedule, seesaw
+from .budget import SolverBudget, ladder_restarts, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
     operator_norm,
@@ -419,7 +419,7 @@ def _amp_solver(u) -> tuple:
     return _amp_into_matrix, _nuclear_cap(u), "nuclear_cap"
 
 
-def amplified_norm(u, L: int, budget: SolverBudget = DEFAULT_BUDGET):
+def amplified_norm(u, L: int, budget: SolverBudget):
     """``(BoundInterval, state)`` for the norm of the level-L amplification
     of a map: the interval and witness of :func:`cb_norm_bounds` on the
     one-level schedule ``(L,)``.
@@ -445,8 +445,7 @@ class CbNormResult:
     witness: tuple = field(repr=False, compare=False)
 
 
-def cb_norm_bounds(u, schedule: Sequence[int],
-                   budget: SolverBudget = DEFAULT_BUDGET) -> CbNormResult:
+def cb_norm_bounds(u, schedule: Sequence[int], budget: SolverBudget) -> CbNormResult:
     """Interval for the completely bounded norm via a level schedule.
 
     The map's see-saw core runs at each level. The first level runs the

@@ -37,7 +37,6 @@ import numpy as np
 
 from .bounds import BoundInterval
 from .budget import (
-    DEFAULT_BUDGET,
     SolverBudget,
     ladder_restarts,
     normalize_schedule,
@@ -176,8 +175,7 @@ def _contraction_value(game: QuantumXorGame, a: np.ndarray, b: np.ndarray) -> fl
     return float(np.real(np.trace(game.G @ np.kron(a, b))))
 
 
-def beta_product(game: QuantumXorGame,
-                 budget: SolverBudget = DEFAULT_BUDGET) -> ProductBiasResult:
+def beta_product(game: QuantumXorGame, budget: SolverBudget) -> ProductBiasResult:
     """Certified bounds for the unentangled product bias.
 
     Lower: best sign-update see-saw witness, re-evaluated through
@@ -304,7 +302,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy)
 
 
 def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
-                   budget: SolverBudget = DEFAULT_BUDGET) -> EntangledBiasResult:
+                   budget: SolverBudget) -> EntangledBiasResult:
     """Certified bounds for the entangled bias at fixed ancilla dimensions,
     the one-level :func:`beta_entangled_schedule`, so the product see-saw
     runs first: the see-saw witness below, the one-way-quantum value above.
@@ -312,8 +310,7 @@ def beta_entangled(game: QuantumXorGame, dA: int, dB: int,
     return beta_entangled_schedule(game, [(dA, dB)], budget)[0]
 
 
-def beta_entangled_schedule(game: QuantumXorGame, dims: Sequence[tuple],
-                            budget: SolverBudget = DEFAULT_BUDGET):
+def beta_entangled_schedule(game: QuantumXorGame, dims: Sequence[tuple], budget: SolverBudget):
     """Run the entangled solver over ancilla dimensions ``(dA, dB)`` that
     grow in both components, each level warm started from the previous
     level's strategy, so the lower bounds are non-decreasing. The schedule
@@ -472,8 +469,7 @@ def _measure_forward_instrument(n: int, d: int) -> np.ndarray:
     return e
 
 
-def beta_owc(game: QuantumXorGame, d: int,
-             budget: SolverBudget = DEFAULT_BUDGET) -> OwcBiasResult:
+def beta_owc(game: QuantumXorGame, d: int, budget: SolverBudget) -> OwcBiasResult:
     """Certified bounds for the one-way classical communication bias with
     ``d`` messages: the one-level :func:`beta_owc_schedule`.
 
@@ -573,8 +569,7 @@ def _owc_level(game: QuantumXorGame, d: int, budget: SolverBudget, warm: OwcStra
     return OwcStrategy(d, e[:d], e[d:], obs), gap, gap <= 1e-4 * max(1.0, abs(primal))
 
 
-def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int],
-                      budget: SolverBudget = DEFAULT_BUDGET):
+def beta_owc_schedule(game: QuantumXorGame, ds: Sequence[int], budget: SolverBudget):
     """The one-way-classical solver at increasing message counts, each level
     warm started from the previous level's strategy, so the lower bounds are
     non-decreasing. The schedule is checked before the product see-saw runs."""
@@ -651,8 +646,7 @@ def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
     return QuantumXorGame(obj.n, obj.m, g), scale
 
 
-def pi1cb_bounds(game_or_map, d_schedule: Sequence[int],
-                 budget: SolverBudget = DEFAULT_BUDGET) -> Pi1cbResult:
+def pi1cb_bounds(game_or_map, d_schedule: Sequence[int], budget: SolverBudget) -> Pi1cbResult:
     """Interval for the (1, cb)-summing norm of the game's associated map.
 
     Lower: every one-way-communication witness satisfies the amplified

@@ -264,14 +264,14 @@ def test_normalize_schedule_rejects_an_entry_that_is_not_an_integer(values):
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf, 1.0])
 def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValidationError, match="tolerance must be positive"):
-        SolverBudget(tol=tol)
+        SolverBudget(restarts=1, max_sweeps=1, tol=tol)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**32, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**32, 1.5, 2.0, True, np.bool_(True)])
 def test_budget_rejects_a_seed_outside_32_bits(seed):
     # seeds 0 and 2**32 would otherwise give one solver stream
     with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*32\)"):
-        SolverBudget(seed=seed)
+        SolverBudget(restarts=1, max_sweeps=1, seed=seed)
 
 
 @pytest.mark.parametrize("field", ["restarts", "max_sweeps"])
@@ -279,7 +279,7 @@ def test_budget_rejects_a_seed_outside_32_bits(seed):
 def test_budget_rejects_a_count_that_is_not_a_positive_integer(field, count):
     # a fractional count would otherwise reach range() inside a solver
     with pytest.raises(ValidationError, match="counts must be positive integers"):
-        SolverBudget(**{field: count})
+        SolverBudget(**{"restarts": 1, "max_sweeps": 1, field: count})
 
 
 def test_budget_takes_numpy_integer_counts():
@@ -288,7 +288,7 @@ def test_budget_takes_numpy_integer_counts():
 
 
 def test_budget_takes_the_largest_32_bit_seed():
-    SolverBudget(seed=2**32 - 1).rng("key").random()
+    SolverBudget(restarts=1, max_sweeps=1, seed=2**32 - 1).rng("key").random()
 
 
 @pytest.mark.parametrize("nr, nv", [(1.0, 0.0), (0.0, 0.0), (0.5, 1.0), (1.0, 1e-300)])

@@ -54,7 +54,7 @@ def test_weight_single_element():
 def test_weight_homogeneity():
     rng = rng_for("w-homog")
     t = np.stack([gue(3, rng) for _ in range(3)])
-    lhs, rhs, ok = weight_homogeneity_check(t, 2.7)
+    lhs, rhs, ok = weight_homogeneity_check(t, 2.7, split=rplus2c_split(t))
     assert ok
 
 
@@ -62,7 +62,8 @@ def test_weight_subadditivity():
     rng = rng_for("w-subadd")
     t = np.stack([gue(3, rng) for _ in range(3)])
     s = np.stack([gue(3, rng) for _ in range(2)])
-    lhs, rhs, ok = weight_subadditivity_check(t, s)
+    lhs, rhs, ok = weight_subadditivity_check(t, s, x_split=rplus2c_split(t),
+                                              y_split=rplus2c_split(s))
     assert ok
 
 
@@ -71,17 +72,18 @@ def test_weight_monotonicity():
     t = np.stack([gue(3, rng) for _ in range(3)])
     a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     a /= max(1.0, np.linalg.norm(a, 2))
-    wx, wy, ok = weight_monotonicity_check(mix_tuple(a, t), t)
+    wx, wy, ok = weight_monotonicity_check(mix_tuple(a, t), t, ys_split=rplus2c_split(t))
     assert ok
 
 
 def test_weight_sandwich_single_and_zero():
     rng = rng_for("w-sand")
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    ws = weight_sandwich_check(np.stack([x]))
+    single, zeros = np.stack([x]), np.zeros((2, 3, 3))
+    ws = weight_sandwich_check(single, split=rplus2c_split(single))
     assert ws.ok
     assert ws.lower == pytest.approx(ws.w, rel=1e-6)  # half split is optimal here
-    zero = weight_sandwich_check(np.zeros((2, 3, 3)))
+    zero = weight_sandwich_check(zeros, split=rplus2c_split(zeros))
     assert zero.ok
     assert zero.w == pytest.approx(0.0, abs=1e-12)
 
@@ -91,7 +93,7 @@ def test_weight_sandwich_random_tuples():
         rng = rng_for("w-sand-rand", trial)
         d = int(rng.integers(1, 5))
         t = np.stack([gue(3, rng) for _ in range(d)])
-        ws = weight_sandwich_check(t)
+        ws = weight_sandwich_check(t, split=rplus2c_split(t))
         assert ws.ok
 
 

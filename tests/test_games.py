@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, random_herm_contraction, rng_for, swap_matrix
+from qxor.budget import SolverBudget, normalize_schedule
 from qxor.config import ValidationError
 from qxor.games import (
     Episode,
@@ -23,6 +24,7 @@ from qxor.games import (
     to_episodes,
 )
 from qxor.linalg import trace_norm
+from qxor.maps import Space
 
 
 def random_density(d, rng):
@@ -368,6 +370,41 @@ def test_game_rejects_non_positive_register_dimensions(n, m):
     # (-1) * (-1) = 1 would pass the shape check on a 1 x 1 operator
     with pytest.raises(ValidationError, match="register dimensions must be positive"):
         QuantumXorGame(n, m, np.zeros((abs(n * m),) * 2))
+
+
+_G4, _I2 = random_game(2, 2, seed=1).G, np.eye(2)
+
+# every constructor that takes a count, as a function of that one count, and
+# the count that makes it valid
+COUNTED = {
+    "budget-restarts": (lambda v: SolverBudget(restarts=v, max_sweeps=1), 1),
+    "budget-sweeps": (lambda v: SolverBudget(restarts=1, max_sweeps=v), 1),
+    "schedule-entry": (lambda v: normalize_schedule([v], "message"), 1),
+    "game-n": (lambda v: QuantumXorGame(v, 2, _G4), 2),
+    "game-m": (lambda v: QuantumXorGame(2, v, _G4), 2),
+    "random-game-n": (lambda v: random_game(v, 2, seed=1), 2),
+    "random-game-m": (lambda v: random_game(2, v, seed=1), 2),
+    "space-dim": (lambda v: Space("matrix", v), 2),
+    "entangled-n": (lambda v: EntangledStrategy(v, 2, 1, 1, [1], _I2, _I2), 2),
+    "entangled-m": (lambda v: EntangledStrategy(2, v, 1, 1, [1], _I2, _I2), 2),
+    "entangled-dA": (lambda v: EntangledStrategy(2, 2, v, 1, [1], _I2, _I2), 1),
+    "entangled-dB": (lambda v: EntangledStrategy(2, 2, 1, v, [1], _I2, _I2), 1),
+    "owc-d": (lambda v: OwcStrategy(v, _I2[None], 0 * _I2[None], _I2[None]), 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, np.bool_(True), 0],
+                         ids=["float", "bool", "numpy-bool", "zero"])
+@pytest.mark.parametrize("make", [m for m, _ in COUNTED.values()], ids=list(COUNTED))
+def test_a_count_that_is_not_a_positive_integer_is_refused(make, value):
+    # a float or bool count would otherwise reach range() or a reshape in a solver
+    with pytest.raises(ValidationError):
+        make(value)
+
+
+@pytest.mark.parametrize("make, valid", list(COUNTED.values()), ids=list(COUNTED))
+def test_a_numpy_integer_count_is_accepted(make, valid):
+    make(np.int64(valid))
 
 
 def test_game_rejects_non_hermitian():

@@ -19,6 +19,8 @@ import scipy.optimize
 
 import qxor
 from qxor import opnorms, tuples
+from qxor.budget import SolverBudget
+from qxor.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC, BENCH = ROOT / "src", ROOT / "perfbench"
@@ -127,6 +129,38 @@ def test_public_functions_take_no_private_parameter():
         if param.startswith("_")
     )
     assert found == []
+
+
+def test_no_function_defaults_its_budget_or_the_split_it_checks():
+    # what a solve may spend, and the split a weight check checks, come from
+    # the caller; private functions too, so no default hides behind them
+    functions = {f for m in QXOR_MODULES for f in vars(m).values()
+                 if inspect.isfunction(f) and f.__module__ == m.__name__}
+    assert {qxor.beta_owc, qxor.factor.tuple_rplus2c_upper_in_space} <= functions
+    found = sorted(
+        f"{f.__module__}.{f.__name__}({name})"
+        for f in functions
+        for name, param in inspect.signature(f).parameters.items()
+        if (name == "budget" or name.endswith("split")) and param.default is not param.empty
+    )
+    assert found == []
+
+
+def test_a_budget_has_no_default_counts():
+    with pytest.raises(TypeError):
+        SolverBudget()
+    with pytest.raises(TypeError):
+        SolverBudget(restarts=8)
+    assert not hasattr(qxor, "DEFAULT_BUDGET")
+
+
+def test_the_cli_holds_the_budget_counts_and_reads_the_library_tol_and_seed(monkeypatch):
+    # --tol and --seed repeat no literal: a changed field default reaches them
+    monkeypatch.setattr(SolverBudget, "tol", 1e-3)
+    monkeypatch.setattr(SolverBudget, "seed", 5)
+    for argv in (["analyze", "g.json"], ["hierarchy", "--count", "1"], ["factor", "t.json"]):
+        args = build_parser().parse_args(argv)
+        assert (args.tol, args.seed, args.restarts, args.sweeps) == (1e-3, 5, 8, 120)
 
 
 def test_public_functions_take_no_tolerance_but_the_symmetry_check():

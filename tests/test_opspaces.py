@@ -182,10 +182,10 @@ def test_tuples_make_no_scipy_call(monkeypatch):
     rng = rng_for("no-scipy")
     herm = np.stack([gue(3, rng) for _ in range(2)])
     rect = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
-    rplus2c_split(herm)
+    split = rplus2c_split(herm)
     rplusc_split(herm)
     rplusc_split(rect)
-    assert weight_sandwich_check(herm).ok
+    assert weight_sandwich_check(herm, split=split).ok
 
 
 def test_ordering_check_scaled_and_span():
@@ -457,7 +457,7 @@ def test_cb_norm_bounds_computes_the_trace_class_cap_once(monkeypatch):
 
 def test_vector_nuclear_cap_does_not_underflow():
     vm = VectorMap(([1e-200, 0], [1e-200, 1e-200]))
-    res = cb_norm_bounds(vm, (1, 2))
+    res = cb_norm_bounds(vm, (1, 2), BUDGET)
     assert res.interval.upper >= math.sqrt(2) * 1e-200
     assert res.interval.upper == pytest.approx((1 + math.sqrt(2)) * 1e-200, rel=1e-15)
 
@@ -554,7 +554,7 @@ def test_dual_split_upper_equals_the_per_split_caps(monkeypatch):
 
     monkeypatch.setattr(factor, "dual_tuple_caps", counting)
     for restarts in (5, 12):
-        budget = SolverBudget(restarts=restarts, seed=3)
+        budget = SolverBudget(restarts=restarts, max_sweeps=1, seed=3)  # no see-saw runs
         splits = min(restarts, 6)
         for trial in range(6):
             rng = rng_for("dual-split-upper", trial)
@@ -669,10 +669,10 @@ def test_a_trace_class_cap_beyond_the_float_range_is_inf():
     assert dual_tuple_cap(x) == math.inf
     # the splits are compared at the tuple's exact power-of-two scale, where
     # the cap and its squares stay finite, so the split bound does too
-    split = tuple_rplus2c_upper_in_space(x, dual_space(2), SolverBudget(restarts=3))
+    budget = SolverBudget(restarts=3, max_sweeps=1)  # no see-saw runs
+    split = tuple_rplus2c_upper_in_space(x, dual_space(2), budget)
     assert split == 1.5811388300841897e308
-    assert split == 2**8 * tuple_rplus2c_upper_in_space(x * 2**-8, dual_space(2),
-                                                       SolverBudget(restarts=3))
+    assert split == 2**8 * tuple_rplus2c_upper_in_space(x * 2**-8, dual_space(2), budget)
     # below the float range the stack scale is exact
     assert dual_tuple_cap(x / 16) == 4 * dual_tuple_cap(x / 64)
 

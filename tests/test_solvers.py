@@ -817,10 +817,10 @@ def test_hierarchy_report_empty():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda g: beta_owc(g, 1.5),
-    lambda g: beta_owc(g, 2.0),
-    lambda g: beta_entangled(g, 1.5, 1),
-    lambda g: beta_entangled(g, 1, 2.0),
+    lambda g: beta_owc(g, 1.5, BUDGET),
+    lambda g: beta_owc(g, 2.0, BUDGET),
+    lambda g: beta_entangled(g, 1.5, 1, BUDGET),
+    lambda g: beta_entangled(g, 1, 2.0, BUDGET),
 ], ids=["owc-fraction", "owc-float", "entangled-fraction", "entangled-float"])
 def test_a_level_that_is_not_an_integer_is_rejected(solve):
     with pytest.raises(ValidationError, match="schedule entries must be (tuples of 2 )?integers"):
@@ -854,11 +854,12 @@ def test_entangled_schedule_runs_four_symmetric_ancillas():
 def test_the_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
-    exec(example, {})
+    scope = {}
+    exec(example, scope)
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 5 and float(printed[0]) == pytest.approx(1.0)
-    # the last line is pi1cb_bounds at messages (1, 2)
-    res = pi1cb_bounds(chsh(), (1, 2))
+    # the last line is pi1cb_bounds at messages (1, 2), on the example's budget
+    res = pi1cb_bounds(chsh(), (1, 2), scope["budget"])
     assert printed[-1] == repr(res.interval)
     assert [d for d, _ in res.per_d] == [1, 2]
     assert (res.interval.lower, res.interval.upper) == pytest.approx((1.0, 1.0))
