@@ -36,7 +36,6 @@ from .factor import (
 )
 from .games import (
     EntangledStrategy,
-    Episode,
     OwcStrategy,
     ProductStrategy,
     QuantumXorGame,
@@ -44,13 +43,11 @@ from .games import (
     bias_of,
     chsh,
     diagonal_game,
-    from_episodes,
     hadamard_game,
     mab_tensor,
     product_state_game,
     random_game,
     swap_game,
-    to_episodes,
 )
 from .linalg import (
     eigh_desc,

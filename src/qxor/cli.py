@@ -3,8 +3,9 @@
 File formats (all JSON, schema-versioned, unknown fields rejected):
 
 * game ``qxor/1``: ``n``, ``m``, ``G_re``, ``G_im`` as (n*m) x (n*m)
-  row-major nested lists under the composite index ``(i, k) -> i*m + k``,
-  optional ``episodes`` list of ``{"p", "c", "rho_re", "rho_im"}``.
+  row-major nested lists under the composite index ``(i, k) -> i*m + k``.
+  An optional ``episodes`` list of ``{"p", "c", "rho_re", "rho_im"}``, as
+  earlier versions wrote it, is checked against ``G`` and then dropped.
 * tuple ``qxor-tuple/1``: ``entries_re``/``entries_im`` lists of matrices.
 * tensor ``qxor-tensor/1``: ``X``/``Y`` space descriptors
   (``{"kind": "matrix"|"dual", "dim": n}``) and ``coeff_re``/``coeff_im``.
@@ -31,9 +32,9 @@ from .budget import SolverBudget, normalize_schedule
 from .config import ValidationError
 from .factor import TensorElement, gamma_rc_upper, gamma_to_Gamma
 from .games import (
-    Episode,
     QuantumXorGame,
     chsh,
+    density_matrix,
     diagonal_game,
     hadamard_game,
     random_game,
@@ -65,10 +66,6 @@ class SchemaError(ValueError):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _matrix_to_lists(m: np.ndarray):
-    return np.real(m).tolist(), np.imag(m).tolist()
-
-
 def _lists_to_matrix(re, im, what: str) -> np.ndarray:
     try:
         re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
@@ -83,15 +80,8 @@ def _lists_to_matrix(re, im, what: str) -> np.ndarray:
 
 
 def game_to_payload(game: QuantumXorGame) -> dict:
-    re, im = _matrix_to_lists(np.asarray(game.G))
-    payload = {"schema": "qxor/1", "n": game.n, "m": game.m, "G_re": re, "G_im": im}
-    if game.episodes is not None:
-        eps = []
-        for e in game.episodes:
-            rre, rim = _matrix_to_lists(np.asarray(e.rho))
-            eps.append({"p": e.p, "c": e.c, "rho_re": rre, "rho_im": rim})
-        payload["episodes"] = eps
-    return payload
+    return {"schema": "qxor/1", "n": game.n, "m": game.m,
+            "G_re": game.G.real.tolist(), "G_im": game.G.imag.tolist()}
 
 
 def _check_fields(obj, what: str, schema: str | None, required, optional=()):
@@ -121,6 +111,9 @@ def _read_json(path: str):
 
 
 def game_from_payload(payload: dict) -> QuantumXorGame:
+    """The game of a ``qxor/1`` payload. Each entry of an ``episodes`` list,
+    then the game, then ``sum c p rho = G`` over the list are checked, and
+    the list is dropped."""
     _check_fields(payload, "", "qxor/1", ("n", "m", "G_re", "G_im"), ("episodes",))
     n, m = payload["n"], payload["m"]
     # exact types: JSON true is a bool, which isinstance(..., int) accepts
@@ -129,26 +122,43 @@ def game_from_payload(payload: dict) -> QuantumXorGame:
     g = _lists_to_matrix(payload["G_re"], payload["G_im"], "G_re/G_im")
     if g.shape != (n * m, n * m):
         raise SchemaError("field G_re has wrong shape for (n, m)")
-    episodes = None
-    if "episodes" in payload:
-        if not isinstance(payload["episodes"], list):
-            raise SchemaError("field episodes must be a list")
-        episodes = []
-        for idx, e in enumerate(payload["episodes"]):
-            what = f"episodes[{idx}]"
-            _check_fields(e, what, None, ("p", "c", "rho_re", "rho_im"))
-            rho = _lists_to_matrix(e["rho_re"], e["rho_im"], f"{what}.rho")
-            not_numbers = SchemaError(f"fields {what}.p and {what}.c must be numbers")
-            if type(e["p"]) not in (int, float) or type(e["c"]) not in (int, float):
-                raise not_numbers
-            try:
-                p, c = float(e["p"]), float(e["c"])
-            except OverflowError as exc:  # an integer beyond the float range
-                raise not_numbers from exc
-            if not c.is_integer():
-                raise SchemaError(f"field {what}.c must be an integer, got {e['c']!r}")
-            episodes.append(Episode(p, int(c), rho))
-    return QuantumXorGame(n, m, g, episodes=tuple(episodes) if episodes else None)
+    entries = payload.get("episodes", [])
+    if not isinstance(entries, list):
+        raise SchemaError("field episodes must be a list")
+    episodes = []
+    for idx, e in enumerate(entries):
+        what = f"episodes[{idx}]"
+        _check_fields(e, what, None, ("p", "c", "rho_re", "rho_im"))
+        rho = _lists_to_matrix(e["rho_re"], e["rho_im"], f"{what}.rho")
+        not_numbers = SchemaError(f"fields {what}.p and {what}.c must be numbers")
+        if type(e["p"]) not in (int, float) or type(e["c"]) not in (int, float):
+            raise not_numbers
+        try:
+            p, c = float(e["p"]), float(e["c"])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise not_numbers from exc
+        if not c.is_integer():
+            raise SchemaError(f"field {what}.c must be an integer, got {e['c']!r}")
+        if not math.isfinite(p) or p < -1e-15:
+            raise ValidationError(
+                f"episode probability must be finite and nonnegative, got {p!r}")
+        if c not in (-1, 1):
+            raise ValidationError("episode sign must be +1 or -1")
+        episodes.append((int(c), p, density_matrix(rho, "episode state")))
+    game = QuantumXorGame(n, m, g)
+    if not episodes:
+        return game
+    for _, _, rho in episodes:
+        # checked before the sum, which would broadcast a 1 x 1 state
+        if rho.shape != game.G.shape:
+            raise ValidationError(f"episode state must be {game.dim} x {game.dim}, "
+                                  f"got {rho.shape[0]} x {rho.shape[1]}")
+    total = sum(p for _, p, _ in episodes)
+    if abs(total - 1.0) > 1e-12:
+        raise ValidationError(f"episode probabilities sum to {total:.15f}, not 1")
+    if np.abs(sum(c * p * rho for c, p, rho in episodes) - game.G).max() > 1e-10:
+        raise ValidationError("episodes do not reproduce the game operator")
+    return game
 
 
 def _check_out(path: str):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import BoundInterval
 from .budget import SolverBudget
-from .config import ValidationError
+from .config import ValidationError, is_count
 from .games import mab_tensor
 from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
 from .maps import KernelMap, Space, dual_space, full_matrix_space
@@ -214,6 +214,8 @@ class TensorElement:
 def tensor_from_kernel(kernel, n: int, m: int) -> TensorElement:
     """View a bipartite kernel as an element of trace-class (x) trace-class,
     with coefficients ``C[(p,q),(r,s)] = G[(p,r),(q,s)]``."""
+    if not (is_count(n) and is_count(m)):
+        raise ValidationError("register dimensions must be positive integers")
     coeff = regroup(as_matrix(kernel), (n, m, n, m), (0, 2, 1, 3))
     return TensorElement(dual_space(n), dual_space(m), coeff)
 
@@ -368,8 +370,12 @@ def chain_check(map_rep: KernelMap, known_pi1cb: float, budget: SolverBudget,
 
 def exhaustive_sign_one_norm(M) -> float:
     """max over sign vectors s of || M s ||_1, the exhaustive oracle for the
-    diagonal-carrier norm of a real coefficient matrix."""
+    diagonal-carrier norm of a real coefficient matrix. It enumerates all
+    2**columns signs, so it takes a finite matrix of at most 16 columns."""
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[1] > 16 or not np.isfinite(M).all():
+        raise ValidationError("the sign oracle takes a finite real matrix of at most "
+                              f"16 columns, got shape {M.shape}")
     n = M.shape[1]
     best = 0.0
     for bits in range(2 ** n):

@@ -1,8 +1,10 @@
 """Quantum XOR games, strategies, and the game / linear-map correspondence.
 
 A game on ``C^n (x) C^m`` is a Hermitian operator ``G`` with trace norm at
-most one, optionally carrying the episode decomposition
-``G = sum_x c_x p_x rho_x`` over signed, weighted bipartite states. The map
+most one, and nothing else: every bias is a function of ``G`` alone. A
+``qxor/1`` file may still list an episode decomposition
+``G = sum_x c_x p_x rho_x`` over signed, weighted bipartite states; the
+command-line reader checks it against ``G`` and then drops it. The map
 ``x -> (tr (x) id)(G (x^T (x) id))`` attached to a game, realized here as a
 :class:`~qxor.maps.KernelMap` with kernel ``G`` itself, is the object whose
 norms govern the optimal biases.
@@ -13,9 +15,7 @@ bias quantities are insensitive to the choice, the code simply fixes one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,19 +33,17 @@ from .linalg import (
 from .maps import KernelMap, dual_space, full_matrix_space
 
 __all__ = [
-    "Episode",
     "QuantumXorGame",
     "ProductStrategy",
     "EntangledStrategy",
     "OwcStrategy",
-    "from_episodes",
-    "to_episodes",
     "associated_map",
     "bias_of",
     "swap_game",
     "diagonal_game",
     "chsh",
     "mab_tensor",
+    "density_matrix",
     "product_state_game",
     "hadamard_game",
     "hadamard_matrix",
@@ -87,34 +85,14 @@ def _clip_psd(E, what: str) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class Episode:
-    p: float
-    c: int
-    rho: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not math.isfinite(self.p) or self.p < -1e-15:
-            raise ValidationError(
-                f"episode probability must be finite and nonnegative, got {self.p!r}"
-            )
-        if self.c not in (-1, 1):
-            raise ValidationError("episode sign must be +1 or -1")
-        object.__setattr__(self, "rho", _frozen(_clip_psd(self.rho, "episode state")))
-        tr = float(np.trace(self.rho).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"episode state must have unit trace, got {tr:.12f}")
-
-
-def _episode_tuple(episodes, dim: int) -> tuple:
-    """The episodes as :class:`Episode` objects, each state ``dim x dim``;
-    checked before any sum, which would broadcast a ``1 x 1`` state."""
-    eps = tuple(e if isinstance(e, Episode) else Episode(*e) for e in episodes)
-    for e in eps:
-        if e.rho.shape != (dim, dim):
-            raise ValidationError(
-                f"episode state must be {dim} x {dim}, got {e.rho.shape[0]} x {e.rho.shape[1]}")
-    return eps
+def density_matrix(rho, what: str) -> np.ndarray:
+    """``rho`` as a positive semidefinite unit-trace matrix, repaired as by
+    :func:`_clip_psd`; ``what`` names it in the error."""
+    rho = _clip_psd(rho, what)
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-10:
+        raise ValidationError(f"{what} must have unit trace, got {tr:.12f}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -122,7 +100,6 @@ class QuantumXorGame:
     n: int
     m: int
     G: np.ndarray = field(repr=False)
-    episodes: Optional[tuple] = None
     # the trace norm of ``G``, computed once here for every solver to read
     trace_norm: float = field(init=False, repr=False, compare=False)
 
@@ -142,15 +119,6 @@ class QuantumXorGame:
         if tn > 1 + 1e-10:
             raise ValidationError(f"game trace norm {tn:.12f} exceeds one")
         object.__setattr__(self, "trace_norm", tn)
-        if self.episodes is not None:
-            eps = _episode_tuple(self.episodes, self.dim)
-            total = sum(e.p for e in eps)
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"episode probabilities sum to {total:.15f}, not 1")
-            recon = sum(e.c * e.p * e.rho for e in eps)
-            if np.abs(recon - g).max() > 1e-10:
-                raise ValidationError("episodes do not reproduce the game operator")
-            object.__setattr__(self, "episodes", eps)
 
     @property
     def dim(self) -> int:
@@ -246,42 +214,6 @@ class OwcStrategy:
         return self.e_plus - self.e_minus
 
 
-def from_episodes(n: int, m: int, episodes: Sequence) -> QuantumXorGame:
-    """Assemble a game from signed weighted states; the trace norm bound
-    holds automatically by the triangle inequality and is still asserted."""
-    eps = _episode_tuple(episodes, n * m)
-    if not eps:
-        raise ValidationError("need at least one episode")
-    g = sum(e.c * e.p * e.rho for e in eps)
-    return QuantumXorGame(n, m, g, episodes=eps)
-
-
-def to_episodes(game: QuantumXorGame) -> tuple:
-    """Spectral episode decomposition, padded to total probability one.
-
-    Eigenvectors give pure episodes with weight |eigenvalue|; when the trace
-    norm falls short of one, two cancelling maximally mixed episodes with
-    opposite signs absorb the remaining probability without changing G.
-    """
-    w, u = eigh_desc(game.G)
-    episodes = []
-    for i in range(w.size):
-        if abs(w[i]) <= 1e-14:
-            continue
-        v = u[:, i : i + 1]
-        episodes.append(Episode(abs(float(w[i])), 1 if w[i] > 0 else -1, v @ v.conj().T))
-    return _padded(episodes, 1.0 - sum(e.p for e in episodes), game.dim)
-
-
-def _padded(episodes: list, pad: float, dim: int) -> tuple:
-    """``episodes`` plus two cancelling maximally mixed episodes of opposite
-    signs that carry the missing probability ``pad`` without changing G."""
-    if pad > 1e-12 or not episodes:
-        mixed = np.eye(dim) / dim
-        episodes += [Episode(pad / 2, 1, mixed), Episode(pad / 2, -1, mixed)]
-    return tuple(episodes)
-
-
 def associated_map(game_or_G, n: int | None = None, m: int | None = None) -> KernelMap:
     """The matrix-valued linear map attached to a game operator.
 
@@ -348,35 +280,26 @@ def bias_of(game: QuantumXorGame, strategy) -> float:
 
 def swap_game(n: int) -> QuantumXorGame:
     """The swap operator scaled by 1/n^2, trace norm exactly one."""
-    s = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            s[i * n + k, k * n + i] = 1.0
+    if not is_count(n):
+        raise ValidationError("register dimension must be a positive integer")
+    # S[(i, k), (a, b)] = [i = b][k = a]
+    s = np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
     return QuantumXorGame(n, n, s / n**2)
 
 
 def diagonal_game(M) -> QuantumXorGame:
     """Embed a classical XOR game with real coefficient matrix M on the
-    diagonal, episodes attached; requires sum |M_ij| <= 1."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    diagonal; requires sum |M_ij| <= 1."""
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries that are no real numbers
+        M = None
+    if M is None or M.ndim != 2:
         raise ValidationError("diagonal game needs a 2-d real coefficient matrix")
-    n, m = M.shape
     total = float(np.abs(M).sum())
     if total > 1 + 1e-12:
         raise ValidationError(f"coefficients must satisfy sum |M_ij| <= 1, got {total}")
-    g = np.zeros((n * m, n * m), dtype=complex)
-    episodes = []
-    for i in range(n):
-        for j in range(m):
-            if M[i, j] == 0.0:
-                continue
-            idx = i * m + j
-            g[idx, idx] = M[i, j]
-            rho = np.zeros((n * m, n * m), dtype=complex)
-            rho[idx, idx] = 1.0
-            episodes.append(Episode(abs(float(M[i, j])), 1 if M[i, j] > 0 else -1, rho))
-    return QuantumXorGame(n, m, g, episodes=_padded(episodes, 1.0 - total, n * m))
+    return QuantumXorGame(*M.shape, np.diag(M.ravel()))
 
 
 def chsh() -> QuantumXorGame:
@@ -400,18 +323,14 @@ def mab_tensor(a, b) -> np.ndarray:
 
 
 def product_state_game(rho_a, rho_b) -> QuantumXorGame:
-    ra = _clip_psd(rho_a, "first state")
-    rb = _clip_psd(rho_b, "second state")
-    for r, name in ((ra, "first"), (rb, "second")):
-        if abs(float(np.trace(r).real) - 1.0) > 1e-10:
-            raise ValidationError(f"{name} state must have unit trace")
-    g = np.kron(ra, rb)
-    return QuantumXorGame(ra.shape[0], rb.shape[0], g, episodes=(Episode(1.0, 1, g),))
+    ra = density_matrix(rho_a, "first state")
+    rb = density_matrix(rho_b, "second state")
+    return QuantumXorGame(ra.shape[0], rb.shape[0], np.kron(ra, rb))
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
     """Sylvester construction; supported orders are the powers of two."""
-    if n < 1 or n & (n - 1):
+    if not is_count(n) or n & (n - 1):
         raise ValidationError(f"unsupported Hadamard order {n} (powers of two only)")
     h = np.array([[1.0]])
     while h.shape[0] < n:
@@ -427,7 +346,10 @@ def random_game(n: int, m: int, seed) -> QuantumXorGame:
     """Gaussian-ensemble Hermitian operator normalized to trace norm one."""
     if not (is_count(n) and is_count(m)):
         raise ValidationError("register dimensions must be positive integers")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed is not one numpy.random.default_rng takes: {exc}") from None
     d = n * m
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     g = (a + a.conj().T) / 2

@@ -192,6 +192,11 @@ def beta_product(game: QuantumXorGame, budget: SolverBudget) -> ProductBiasResul
     when the Hermitian witness is within a factor sqrt(2) of the optimum,
     and no inequality makes that true by construction. ``strategy`` is also
     the first rung of both game ladders.
+
+    Every start of the complex see-saw is Hermitian: the warm witness, the
+    identity, the sign start and :func:`_random_herm_contraction`. The
+    polar factor of a nonsingular Hermitian operator is its spectral sign,
+    so that see-saw leaves the Hermitian set only through rounding.
     """
     _, a, b, _ = _product_core(game, budget, hermitian=True, key="prod")
     strategy = ProductStrategy(a, b)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import CHSH_EPISODES, chsh_episodes_payload
 from qxor.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -52,8 +53,9 @@ def test_payload_round_trip():
     assert np.abs(back.G - g.G).max() < 1e-15
     g2 = chsh()
     back2 = game_from_payload(game_to_payload(g2))
-    assert back2.episodes is not None
     assert np.abs(back2.G - g2.G).max() < 1e-15
+    # a game is its operator: no episode list is written
+    assert "episodes" not in game_to_payload(g2)
 
 
 def test_analyze_gallery_swap(tmp_path):
@@ -328,7 +330,7 @@ def test_factor_subcommand(tmp_path):
 
 
 def test_analyze_bad_episodes_exit_parse(tmp_path, capsys):
-    payload = game_to_payload(chsh())
+    payload = chsh_episodes_payload()
     bad = tmp_path / "episodes.json"
     for episodes in (
         [{k: v for k, v in payload["episodes"][0].items() if k != "rho_im"}],
@@ -339,6 +341,20 @@ def test_analyze_bad_episodes_exit_parse(tmp_path, capsys):
         bad.write_text(json.dumps({**payload, "episodes": episodes}))
         assert main(["analyze", str(bad), *FAST]) == EXIT_PARSE
         assert "parse error:" in capsys.readouterr().err
+
+
+def test_analyze_reads_an_old_file_as_the_gallery_game(tmp_path, monkeypatch):
+    # the same relative name in two directories, so the game ids agree too
+    reports = []
+    for name, write in (("old", lambda f: f.write_text(CHSH_EPISODES.read_text())),
+                        ("new", lambda f: write_game(f, chsh()))):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        write(tmp_path / name / "chsh.json")
+        assert main(["analyze", "chsh.json", *FAST, "--out", "report.json"]) == EXIT_OK
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert "episodes" in json.loads(CHSH_EPISODES.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_norms_mismatched_entries_exit_parse(tmp_path, capsys):
@@ -414,9 +430,14 @@ def test_parse_schedule_sorts_and_deduplicates(values):
     assert _parse_schedule(text, "--levels") == tuple(sorted(set(values)))
 
 
+# the chsh file of an earlier version, which lists the game's episodes
+OLD = chsh_episodes_payload()
+
+
 def _game_text(game, path, value):
-    """The file of ``game`` with the field at ``path`` set to ``value``."""
-    payload = game_to_payload(game)
+    """The file of ``game``, a game or a payload, with the field at ``path``
+    set to ``value``."""
+    payload = copy.deepcopy(game) if isinstance(game, dict) else game_to_payload(game)
     obj = payload
     for key in path[:-1]:
         obj = obj[key]
@@ -427,14 +448,14 @@ def _game_text(game, path, value):
 @pytest.mark.parametrize("text, code", [
     pytest.param(_game_text(random_game(1, 2, seed=0), ("n",), True), EXIT_PARSE, id="n-true"),
     pytest.param(_game_text(random_game(2, 1, seed=0), ("m",), True), EXIT_PARSE, id="m-true"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), True), EXIT_PARSE, id="c-true"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), "0.25"), EXIT_PARSE, id="p-string"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), 1.7), EXIT_PARSE, id="c-fraction"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "c"), 1e400), EXIT_PARSE, id="c-infinite"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), 10**400), EXIT_PARSE, id="p-huge-int"),
-    pytest.param(_game_text(chsh(), ("episodes", 0, "p"), math.nan), EXIT_VALIDATION, id="p-nan"),
-    pytest.param(_game_text(chsh(), ("G_re", 0, 0), 10**400), EXIT_PARSE, id="G-huge-int"),
-    pytest.param(_game_text(chsh(), ("G_im",), [[0.0] * 4]), EXIT_PARSE, id="G-im-broadcast"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "c"), True), EXIT_PARSE, id="c-true"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "p"), "0.25"), EXIT_PARSE, id="p-string"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "c"), 1.7), EXIT_PARSE, id="c-fraction"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "c"), 1e400), EXIT_PARSE, id="c-infinite"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "p"), 10**400), EXIT_PARSE, id="p-huge-int"),
+    pytest.param(_game_text(OLD, ("episodes", 0, "p"), math.nan), EXIT_VALIDATION, id="p-nan"),
+    pytest.param(_game_text(OLD, ("G_re", 0, 0), 10**400), EXIT_PARSE, id="G-huge-int"),
+    pytest.param(_game_text(OLD, ("G_im",), [[0.0] * 4]), EXIT_PARSE, id="G-im-broadcast"),
     pytest.param("[" * 100_000, EXIT_PARSE, id="deep-nesting"),
 ])
 def test_analyze_malformed_game_files(tmp_path, capsys, text, code):
@@ -483,6 +504,13 @@ def test_factor_float_max_tensor_scales_back_exactly(tmp_path):
     assert res["factorization_interval"]["upper"] is None
 
 
+def _episodes_edited(edit):
+    """The file of :data:`OLD` with ``edit`` applied to its episode list."""
+    payload = copy.deepcopy(OLD)
+    edit(payload["episodes"])
+    return json.dumps(payload)
+
+
 # a 2 x 2 game whose one episode state is 3 x 3
 WRONG_SIZE_EPISODE = {"schema": "qxor/1", "n": 2, "m": 2,
                       "G_re": (np.eye(4) / 4).tolist(), "G_im": np.zeros((4, 4)).tolist(),
@@ -493,6 +521,15 @@ WRONG_SIZE_EPISODE = {"schema": "qxor/1", "n": 2, "m": 2,
 @pytest.mark.parametrize("command, text, message", [
     pytest.param("analyze", json.dumps(WRONG_SIZE_EPISODE),
                  "episode state must be 4 x 4, got 3 x 3", id="episode-3x3"),
+    pytest.param("analyze", _episodes_edited(lambda eps: eps[0].update(c=-1)),
+                 "episodes do not reproduce the game operator", id="episode-wrong-sign"),
+    pytest.param("analyze", _episodes_edited(lambda eps: eps[0].update(p=0.5)),
+                 "episode probabilities sum to 1.250000000000000, not 1", id="episode-weight"),
+    pytest.param("analyze", _episodes_edited(lambda eps: eps.pop()),
+                 "episode probabilities sum to 0.750000000000000, not 1", id="episode-dropped"),
+    pytest.param("analyze", _episodes_edited(
+        lambda eps: eps[0].update(rho_re=np.diag([2, -1, 0, 0]).tolist())),
+        "episode state must be positive semidefinite", id="episode-not-psd"),
     pytest.param("norms",
                  '{"schema": "qxor-tuple/1", "entries_re": [[[1.0]]], "entries_im": [[[1e400]]]}',
                  "matrix entries must be finite", id="infinite-im"),
@@ -729,7 +766,7 @@ def tensor_payloads(draw):
 
 TINY = ["--restarts", "1", "--sweeps", "2"]
 FUZZ = {
-    "analyze": (st.one_of(st.just(game_to_payload(chsh())), st.just(WRONG_SIZE_EPISODE),
+    "analyze": (st.one_of(st.just(OLD), st.just(WRONG_SIZE_EPISODE),
                           game_payloads()),
                 [*TINY, "--messages", "1", "--ancilla", "1"]),
     "norms": (tuple_payloads(), []),

@@ -267,6 +267,17 @@ def test_hadamard_gap_direction():
         assert pi1o / sign_norm >= math.sqrt(n) / math.sqrt(2) - 1e-12
 
 
+@pytest.mark.parametrize("M, message", [
+    ([[1.0, math.nan]], "finite"),
+    ([[1.0, math.inf]], "finite"),
+    # 2**64 sign vectors would never finish; the refusal comes first
+    (np.ones((1, 64)), r"at most 16 columns, got shape \(1, 64\)"),
+], ids=["nan", "inf", "64-columns"])
+def test_sign_oracle_refuses_non_finite_or_too_wide_matrices(M, message):
+    with pytest.raises(ValidationError, match=message):
+        exhaustive_sign_one_norm(M)
+
+
 def test_constants():
     assert MAB_FACTORIZATION_CONSTANT == pytest.approx(4 * math.sqrt(2))
     assert CB_VS_SUMMING_CONSTANT == pytest.approx(8 * math.sqrt(2))

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import gue, matrix_unit, random_herm_contraction, rng_for, swap_matrix
+from conftest import (
+    chsh_episodes_payload,
+    episode_payload,
+    gue,
+    matrix_unit,
+    random_herm_contraction,
+    rng_for,
+    spectral_episodes,
+    swap_matrix,
+)
 from qxor.budget import SolverBudget, normalize_schedule
+from qxor.cli import game_from_payload
 from qxor.config import ValidationError
+from qxor.factor import tensor_from_kernel
 from qxor.games import (
-    Episode,
     EntangledStrategy,
     OwcStrategy,
     ProductStrategy,
@@ -14,14 +24,12 @@ from qxor.games import (
     bias_of,
     chsh,
     diagonal_game,
-    from_episodes,
     hadamard_game,
     hadamard_matrix,
     mab_tensor,
     product_state_game,
     random_game,
     swap_game,
-    to_episodes,
 )
 from qxor.linalg import trace_norm
 from qxor.maps import Space
@@ -46,23 +54,27 @@ def random_owc(n, m, d, rng):
     return OwcStrategy(d, np.stack(blocks[:d]), np.stack(blocks[d:]), obs)
 
 
-def test_diagonal_game_gives_a_zero_coefficient_no_episode():
-    g = diagonal_game([[0.25, 0.0], [0.0, 0.25]])
-    # the pure episodes sit on the diagonal indices of the entries (0, 0)
-    # and (1, 1); the entries (0, 1) and (1, 0), at indices 1 and 2, get none
-    pure = [e for e in g.episodes if np.count_nonzero(np.diag(e.rho)) == 1]
-    assert [int(np.argmax(np.diag(e.rho).real)) for e in pure] == [0, 3]
-    assert [e.p for e in pure] == [0.25, 0.25]
-    assert len(g.episodes) == 4  # plus the two cancelling mixed ones
-    assert sum(e.p for e in g.episodes) == pytest.approx(1.0, abs=1e-15)
-    rebuilt = from_episodes(2, 2, g.episodes)
-    np.testing.assert_allclose(rebuilt.G, g.G, atol=1e-15)
+def test_diagonal_game_puts_the_coefficients_on_the_diagonal():
+    g = diagonal_game([[0.25, 0.0], [0.0, -0.25]])
+    assert (g.n, g.m) == (2, 2)
+    np.testing.assert_array_equal(g.G, np.diag([0.25, 0.0, 0.0, -0.25]))
 
+
+@pytest.mark.parametrize("M", [[[1, 0], [0]], [["a"]], [0.25, 0.25]],
+                         ids=["ragged", "not-a-number", "1-d"])
+def test_diagonal_game_refuses_what_is_no_real_matrix(M):
+    with pytest.raises(ValidationError, match="2-d real coefficient matrix"):
+        diagonal_game(M)
+
+
+# A qxor/1 file written by an earlier version may list the game's episodes
+# (p, c, rho): signed weighted states with sum c p rho = G. The reader
+# checks them against G and drops them.
 
 def test_from_episodes_single():
     rng = rng_for("ep-single")
     rho = random_density(4, rng)
-    g = from_episodes(2, 2, [Episode(1.0, 1, rho)])
+    g = game_from_payload(episode_payload(rho, [(1.0, 1, rho)]))
     assert np.abs(g.G - rho).max() < 1e-12
 
 
@@ -71,15 +83,11 @@ def test_from_episodes_two_orthogonal_pure_states():
     psi[0] = 1.0
     phi = np.zeros(4, dtype=complex)
     phi[3] = 1.0
-    g = from_episodes(
-        2,
-        2,
-        [
-            Episode(0.5, 1, np.outer(psi, psi.conj())),
-            Episode(0.5, -1, np.outer(phi, phi.conj())),
-        ],
-    )
     expected = (np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())) / 2
+    g = game_from_payload(episode_payload(expected, [
+        (0.5, 1, np.outer(psi, psi.conj())),
+        (0.5, -1, np.outer(phi, phi.conj())),
+    ]))
     assert np.abs(g.G - expected).max() < 1e-14
     assert trace_norm(g.G) == pytest.approx(1.0, abs=1e-12)
 
@@ -89,62 +97,45 @@ def test_from_episodes_random_reconstruction():
     eps = []
     probs = rng.dirichlet(np.ones(4))
     for x in range(4):
-        eps.append(Episode(float(probs[x]), 1 if x % 2 == 0 else -1, random_density(4, rng)))
-    g = from_episodes(2, 2, eps)
-    direct = sum(e.c * e.p * e.rho for e in eps)
+        eps.append((float(probs[x]), 1 if x % 2 == 0 else -1, random_density(4, rng)))
+    direct = sum(c * p * rho for p, c, rho in eps)
+    g = game_from_payload(episode_payload(direct, eps))
     assert np.abs(g.G - direct).max() < 1e-12
+    with pytest.raises(ValidationError, match="do not reproduce the game operator"):
+        game_from_payload(episode_payload(direct + 1e-9 * np.eye(4), eps))
 
 
 def test_from_episodes_rejects_bad_probabilities():
     rng = rng_for("ep-bad")
     rho = random_density(4, rng)
-    with pytest.raises(ValidationError):
-        from_episodes(2, 2, [Episode(0.7, 1, rho)])
+    with pytest.raises(ValidationError, match="sum to 0.700000000000000, not 1"):
+        game_from_payload(episode_payload(0.7 * rho, [(0.7, 1, rho)]))
 
 
-@pytest.mark.parametrize("build, shape", [
+@pytest.mark.parametrize("G, episodes, shape", [
     # a 3 x 3 state would fail to broadcast against the 4 x 4 operator
-    (lambda: QuantumXorGame(2, 2, np.eye(4) / 4, episodes=((1.0, 1, np.eye(3) / 3),)), "3 x 3"),
+    (np.eye(4) / 4, [(1.0, 1, np.eye(3) / 3)], "3 x 3"),
     # a 1 x 1 state would broadcast and pass the reconstruction check
-    (lambda: QuantumXorGame(2, 2, np.ones((4, 4)) / 4,
-                            episodes=((5 / 8, 1, [[1]]), (3 / 8, -1, [[1]]))), "1 x 1"),
-    (lambda: from_episodes(2, 2, [(0.5, 1, np.eye(3) / 3), (0.5, 1, np.eye(4) / 4)]), "3 x 3"),
+    (np.ones((4, 4)) / 4, [(5 / 8, 1, [[1]]), (3 / 8, -1, [[1]])], "1 x 1"),
+    (np.eye(4) / 4, [(0.5, 1, np.eye(3) / 3), (0.5, 1, np.eye(4) / 4)], "3 x 3"),
 ], ids=["game-3x3", "game-1x1", "from-episodes-3x3"])
-def test_an_episode_state_of_the_wrong_shape_is_refused(build, shape):
+def test_an_episode_state_of_the_wrong_shape_is_refused(G, episodes, shape):
     with pytest.raises(ValidationError, match=f"episode state must be 4 x 4, got {shape}"):
-        build()
+        game_from_payload(episode_payload(G, episodes))
 
 
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
 def test_episode_rejects_non_finite_probability(p):
+    payload = chsh_episodes_payload()
+    payload["episodes"][0]["p"] = p
     with pytest.raises(ValidationError, match="finite"):
-        Episode(p, 1, np.eye(2) / 2)
-
-
-def test_to_episodes_pure_density_single_episode():
-    psi = np.array([1.0, 1.0, 0.0, 1.0], dtype=complex)
-    psi /= np.linalg.norm(psi)
-    g = QuantumXorGame(2, 2, np.outer(psi, psi.conj()))
-    eps = to_episodes(g)
-    assert len(eps) == 1
-    assert eps[0].c == 1
-    assert eps[0].p == pytest.approx(1.0, abs=1e-12)
-
-
-def test_to_episodes_padding_for_subnormalized_game():
-    rng = rng_for("ep-pad")
-    h = gue(4, rng)
-    g = QuantumXorGame(2, 2, 0.5 * h / trace_norm(h))
-    eps = to_episodes(g)
-    assert sum(e.p for e in eps) == pytest.approx(1.0, abs=1e-12)
-    rebuilt = from_episodes(2, 2, eps)
-    assert np.abs(rebuilt.G - g.G).max() < 1e-10
+        game_from_payload(payload)
 
 
 def test_episode_round_trip_random_games():
     for trial in range(100):
         g = random_game(2, 2, seed=trial)
-        rebuilt = from_episodes(2, 2, to_episodes(g))
+        rebuilt = game_from_payload(episode_payload(g.G, spectral_episodes(g.G)))
         assert np.abs(rebuilt.G - g.G).max() < 1e-10
 
 
@@ -203,15 +194,16 @@ def test_bias_swap_identity_observables():
 def test_bias_owc_matches_episode_form():
     rng = rng_for("bias-owc-episodes")
     g = random_game(2, 2, seed=11)
-    eps = to_episodes(g)
     s = random_owc(2, 2, 2, rng)
     direct = bias_of(g, s)
+    # the operational bias: the referee draws episode (p, c, rho) of the
+    # spectral decomposition of G and scores the players' correlation by c
     episode_form = 0.0
-    for e in eps:
+    for p, c, rho in spectral_episodes(g.G):
         corr = 0.0
         for k in range(s.d):
-            corr += np.trace(np.kron(s.alice_observables[k], s.observables[k]) @ e.rho).real
-        episode_form += e.p * e.c * corr
+            corr += np.trace(np.kron(s.alice_observables[k], s.observables[k]) @ rho).real
+        episode_form += p * c * corr
     assert direct == pytest.approx(episode_form, abs=1e-10)
 
 
@@ -264,6 +256,8 @@ def test_bias_bounded_by_trace_norm_over_all_variants():
 def test_gallery_swap_trace_norm():
     assert trace_norm(swap_game(2).G) == pytest.approx(1.0, abs=1e-12)
     assert trace_norm(swap_game(3).G) == pytest.approx(1.0, abs=1e-12)
+    for n in (1, 2, 3, 4):  # the loop-built swap of conftest is the reference
+        np.testing.assert_array_equal(swap_game(n).G, swap_matrix(n) / n**2)
 
 
 def test_gallery_chsh_diagonal():
@@ -327,6 +321,19 @@ def test_random_game_determinism_and_normalization():
     assert abs(abs(g_scalar.G[0, 0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", ["x", -1, 1.5], ids=["string", "negative", "float"])
+def test_random_game_refuses_a_seed_numpy_does_not_take(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        random_game(2, 2, seed=seed)
+
+
+def test_random_game_takes_a_seed_sequence_or_a_generator():
+    # the two seed kinds qxor hierarchy and the benchmark pass
+    g = random_game(2, 2, seed=np.random.SeedSequence([7, 0]))
+    h = random_game(2, 2, seed=np.random.default_rng(np.random.SeedSequence([7, 0])))
+    assert np.array_equal(g.G, h.G)
+
+
 def test_owc_strategy_validation():
     rng = rng_for("owc-valid")
     # instrument blocks that do not sum to the identity
@@ -353,11 +360,14 @@ def test_product_strategy_rejects_expansion():
 
 
 def test_episode_validation():
-    rho = np.eye(4) / 4
-    with pytest.raises(ValidationError):
-        Episode(0.5, 2, rho)
-    with pytest.raises(ValidationError):
-        Episode(0.5, 1, np.eye(4))  # trace four, not one
+    payload = chsh_episodes_payload()
+    payload["episodes"][0]["c"] = 2
+    with pytest.raises(ValidationError, match="sign must be"):
+        game_from_payload(payload)
+    payload = chsh_episodes_payload()
+    payload["episodes"][0]["rho_re"] = np.eye(4).tolist()  # trace four, not one
+    with pytest.raises(ValidationError, match="unit trace, got 4.0"):
+        game_from_payload(payload)
 
 
 def test_game_rejects_oversized_trace_norm():
@@ -390,6 +400,10 @@ COUNTED = {
     "entangled-dA": (lambda v: EntangledStrategy(2, 2, v, 1, [1], _I2, _I2), 1),
     "entangled-dB": (lambda v: EntangledStrategy(2, 2, 1, v, [1], _I2, _I2), 1),
     "owc-d": (lambda v: OwcStrategy(v, _I2[None], 0 * _I2[None], _I2[None]), 1),
+    "swap-game-n": (swap_game, 2),
+    "hadamard-game-n": (hadamard_game, 2),
+    "tensor-from-kernel-n": (lambda v: tensor_from_kernel(_G4, v, 2), 2),
+    "tensor-from-kernel-m": (lambda v: tensor_from_kernel(_G4, 2, v), 2),
 }
 
 
