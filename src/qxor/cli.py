@@ -409,9 +409,11 @@ def _add_budget(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=SolverBudget.seed,
                    help="seed of every random start, and of hierarchy's games, in [0, 2**32)")
     p.add_argument("--restarts", type=int, default=8,
-                   help="random starts per see-saw; an entangled or amplified-norm level "
-                        "above a ladder's first see-saw level runs one, a one-way-classical "
-                        "level max(1, RESTARTS // 2), one more from 3 messages")
+                   help="random starts per see-saw; above a ladder's first see-saw level an "
+                        "entangled or matrix-codomain level runs one, and a trace-class or "
+                        "row-intersect-column level none, where one won 0 of 1,080 calls on "
+                        "fresh maps and 5 of 800 on game tensors; a one-way-classical level "
+                        "runs max(1, RESTARTS // 2), one more from 3 messages")
     p.add_argument("--sweeps", type=int, default=120,
                    help="sweeps a see-saw start may run")
     p.add_argument("--tol", type=float, default=SolverBudget.tol,

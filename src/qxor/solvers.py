@@ -255,6 +255,10 @@ def _entangled_kernels(g4, dA, dB):
     return eff, alice, bob
 
 
+# above (2, 2) a random start won 16 of 200 fresh 3x3 games at (3, 3) and 7 of 200 at (4, 4)
+_ENT_UPPER_RANDOM = True
+
+
 def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy):
     """See-saw over ``(psi, A, B)``: ``A[(i,a),(j,c)]``, ``B[(k,b),(l,d)]``,
     ``rho[(c,d),(a,b)]``, game ``g4[j,l,i,k]``, kernel ``K[(i,j),(k,l)] = g4[j,l,i,k]``.
@@ -293,7 +297,7 @@ def _entangled_core(game, dA, dB, budget: SolverBudget, warm: EntangledStrategy)
         zero_pad(warm.A.reshape(n, warm.dA, n, warm.dA), (n, dA, n, dA)).reshape(n * dA, -1),
         zero_pad(warm.B.reshape(m, warm.dB, m, warm.dB), (m, dB, m, dB)).reshape(m * dB, -1),
     )]
-    for r in range(ladder_restarts(budget, (warm.dA, warm.dB) == (1, 1))):
+    for r in range(ladder_restarts(budget, (warm.dA, warm.dB) == (1, 1), _ENT_UPPER_RANDOM)):
         rng = budget.rng("ent", dA, dB, r)
         psi = rng.normal(size=dA * dB) + 1j * rng.normal(size=dA * dB)
         starts.append((

@@ -10,6 +10,8 @@ import numpy as np
 
 # ``qxor gallery chsh`` as written by a version that still stored episodes
 CHSH_EPISODES = Path(__file__).resolve().parent / "data" / "chsh_episodes.json"
+# the qxor-tensor/1 file of tensor_from_kernel(chsh().G, 2, 2)
+CHSH_TENSOR = CHSH_EPISODES.with_name("chsh_tensor.json")
 
 
 def chsh_episodes_payload() -> dict:

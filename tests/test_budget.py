@@ -267,6 +267,13 @@ def test_budget_rejects_a_tolerance_that_is_not_positive(tol):
         SolverBudget(restarts=1, max_sweeps=1, tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["x", None])
+def test_budget_rejects_a_tolerance_that_is_not_a_real_number(tol):
+    # the range test alone would raise a TypeError comparing it with 0
+    with pytest.raises(ValidationError, match="tolerance must be positive"):
+        SolverBudget(restarts=1, max_sweeps=1, tol=tol)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**32, 1.5, 2.0, True, np.bool_(True)])
 def test_budget_rejects_a_seed_outside_32_bits(seed):
     # seeds 0 and 2**32 would otherwise give one solver stream

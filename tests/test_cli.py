@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import CHSH_EPISODES, chsh_episodes_payload
+from conftest import CHSH_EPISODES, CHSH_TENSOR, chsh_episodes_payload
 from qxor.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -300,6 +300,27 @@ def test_norms_weight_of_a_tiny_tuple_stays_an_upper_bound(tmp_path):
         assert Fraction(res["weight"]) >= Fraction(res["rplus2c"]) ** 2
         if s == 1.0:
             assert res["weight"] == res["rplus2c"] * res["rplus2c"]
+
+
+def test_the_chsh_tensor_file_is_the_chsh_kernel_as_tensor_from_kernel_builds_it():
+    from qxor.factor import tensor_from_kernel
+
+    z = tensor_from_kernel(chsh().G, 2, 2)
+    payload = json.loads(CHSH_TENSOR.read_text())
+    assert payload == {"schema": "qxor-tensor/1", "X": {"kind": "dual", "dim": 2},
+                       "Y": {"kind": "dual", "dim": 2}, "coeff_re": z.coeff.real.tolist(),
+                       "coeff_im": z.coeff.imag.tolist()}
+
+
+def test_factor_on_the_chsh_tensor_file_is_an_interval_and_repeats_byte_for_byte(capsys):
+    # the console step of CI runs this command on the CLI's budget defaults
+    outputs = []
+    for _ in range(2):
+        assert main(["factor", str(CHSH_TENSOR), "--levels", "1,2,4"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    iv = json.loads(outputs[0])["factorization_interval"]
+    assert iv["lower"] <= iv["upper"]
+    assert outputs[0] == outputs[1]
 
 
 def test_factor_subcommand(tmp_path):

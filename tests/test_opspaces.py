@@ -660,6 +660,28 @@ def test_stacked_tuple_caps_are_the_single_caps_bit_for_bit():
     assert caps[0] == 0.0 and (caps[1:] > 0).all()
 
 
+@pytest.mark.parametrize("x, what", [
+    (np.array([[[1.0, math.inf], [0, 0]]]), "finite"),
+    (np.array([[[1.0, math.nan], [0, 0]]]), "finite"),
+    (np.eye(2), "shape"),
+    (np.zeros((2, 2, 3)), "shape"),
+    (np.zeros((0, 2, 2)), "shape"),
+    ([[[1.0, 0.0], [0.0]]], "complex numbers"),
+], ids=["inf", "nan", "matrix", "rectangular", "empty", "ragged"])
+def test_a_trace_class_cap_refuses_a_malformed_tuple(x, what):
+    # an inf entry once gave a cap of 0.0 and a NaN one numpy's LinAlgError
+    with pytest.raises(ValidationError, match=what):
+        dual_tuple_cap(x)
+    with pytest.raises(ValidationError, match=what):
+        dual_tuple_caps(x)
+
+
+def test_a_trace_class_cap_reads_a_nested_list_as_its_array():
+    x = rng_for("tuple-cap-list").normal(size=(3, 2, 2))
+    assert dual_tuple_cap(x.tolist()) == dual_tuple_cap(x)
+    assert dual_tuple_caps([x.tolist()]).tolist() == [dual_tuple_cap(x)]
+
+
 def test_a_trace_class_cap_beyond_the_float_range_is_inf():
     x = np.full((2, 2, 2), 1e308 + 0j)
     x[1] *= -0.5
@@ -861,17 +883,18 @@ def _vector_map():
     return VectorMap(tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)))
 
 
-@pytest.mark.parametrize("u, fixed", [
-    (_rect_map("dual", 2, 2), 2),
-    (_rect_map("matrix", 2, 2), 2),
-    (_vector_map(), 1),
+@pytest.mark.parametrize("u, fixed, upper", [
+    (_rect_map("dual", 2, 2), 2, 0),
+    (_rect_map("matrix", 2, 2), 2, 1),
+    (_vector_map(), 1, 0),
 ], ids=["dual", "matrix", "vectors"])
-def test_cb_ladder_spends_its_restarts_on_the_first_level(monkeypatch, u, fixed):
+def test_cb_ladder_spends_its_restarts_on_the_first_level(monkeypatch, u, fixed, upper):
     # the first level runs the core's deterministic starts and every
-    # restart; a later level adds the warm witness and runs one random start
+    # restart; a later level adds the warm witness, and only the matrix
+    # codomain core runs one random start there
     counts = _amplified_start_counts(monkeypatch)
     cb_norm_bounds(u, (1, 2, 4), RECT_BUDGET)
-    assert counts == [fixed + RECT_BUDGET.restarts] + [fixed + 2] * 2
+    assert counts == [fixed + RECT_BUDGET.restarts] + [fixed + 1 + upper] * 2
 
 
 def test_one_level_amplified_norm_runs_every_restart(monkeypatch):
@@ -886,8 +909,9 @@ def test_one_level_amplified_norm_runs_every_restart(monkeypatch):
     (_vector_map(), "amp-rc"),
 ], ids=["dual", "matrix", "vectors"])
 def test_cb_ladder_draws_its_one_random_start_from_the_first_restart_key(monkeypatch, u, key):
-    # a warm-started level keys its random start by its place among the
-    # starts, as that level's first random start when it ran every restart
+    # a warm-started level of the matrix codomain core keys its random start
+    # by its place among the starts, as that level's first random start when
+    # it ran every restart; the other two cores draw only at the first level
     keys = []
     rng = SolverBudget.rng
 
@@ -898,7 +922,8 @@ def test_cb_ladder_draws_its_one_random_start_from_the_first_restart_key(monkeyp
     monkeypatch.setattr(SolverBudget, "rng", recording)
     first = 1 if key == "amp-rc" else 2
     cb_norm_bounds(u, (1, 2, 4), RECT_BUDGET)
-    assert keys == [(key, first + i) for i in range(RECT_BUDGET.restarts)] + [(key, first + 1)] * 2
+    upper = [(key, first + 1)] * 2 if key == "amp-mat" else []
+    assert keys == [(key, first + i) for i in range(RECT_BUDGET.restarts)] + upper
 
 
 def test_a_dual_sweep_is_three_svds_and_no_einsum(monkeypatch):
