@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import MonotonicityError, ValidationError, is_count, is_integer
+from .config import MonotonicityError, ValidationError, is_count, is_integer, is_real
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class SolverBudget:
     def __post_init__(self):
         if not (is_count(self.restarts) and is_count(self.max_sweeps)):
             raise ValidationError("budget counts must be positive integers")
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
+        if not (is_real(self.tol) and 0 < self.tol < 1):
             raise ValidationError("budget tolerance must be positive and below 1")
         if not (is_integer(self.seed) and 0 <= self.seed < 2**32):
             raise ValidationError("budget seed must be an integer in [0, 2**32)")

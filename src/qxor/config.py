@@ -1,5 +1,5 @@
 """The package's error types, and what every validating constructor
-accepts as an integer and as a count."""
+accepts as an integer, a count and a real number."""
 
 from __future__ import annotations
 
@@ -31,3 +31,10 @@ def is_integer(value) -> bool:
 def is_count(value) -> bool:
     """Whether ``value`` is a positive :func:`is_integer`."""
     return is_integer(value) and value >= 1
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an ``int``, ``float`` or numpy real number but not
+    a ``bool``. NaN and the infinities are real here, so a caller bounds the
+    value with comparisons, which NaN fails."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

@@ -31,9 +31,9 @@ import numpy as np
 
 from .bounds import BoundInterval
 from .budget import SolverBudget
-from .config import ValidationError, is_count
+from .config import ValidationError, is_count, is_real
 from .games import mab_tensor
-from .linalg import as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
+from .linalg import as_array, as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
 from .maps import KernelMap, Space, dual_space, full_matrix_space
 from .opnorms import cb_norm_bounds, dual_tuple_cap, dual_tuple_caps
 from .tuples import (
@@ -108,8 +108,11 @@ def weight_subadditivity_check(x, y, *, x_split: SplitResult, y_split: SplitResu
     """w(concatenation) <= w(x) + w(y); the concatenated solve warm-starts
     from the block splitting of the parts, which realizes the inequality.
     ``x_split`` and ``y_split`` are the ``rplus2c_split`` of ``x`` and ``y``."""
+    x, y = as_stack(x), as_stack(y)
+    if x.shape[1:] != y.shape[1:]:
+        raise ValidationError("tuples must live in a common space")
     joint_init = np.concatenate([x_split.row_part, y_split.row_part], axis=0)
-    joint = rplus2c_split(np.concatenate([as_stack(x), as_stack(y)], axis=0), inits=[joint_init])
+    joint = rplus2c_split(np.concatenate([x, y], axis=0), inits=[joint_init])
     lhs = joint.value ** 2
     rhs = x_split.value ** 2 + y_split.value ** 2
     return lhs, rhs, lhs <= rhs + _CHECK_TOL
@@ -128,8 +131,10 @@ def weight_monotonicity_check(xs, ys, *, ys_split: SplitResult):
 
 
 def weight_homogeneity_check(t, factor: float, *, split: SplitResult):
-    """w(sqrt(factor) x) = factor w(x) up to solver accuracy. ``split`` is
-    ``rplus2c_split(t)``."""
+    """w(sqrt(factor) x) = factor w(x) up to solver accuracy, for a positive
+    finite ``factor``. ``split`` is ``rplus2c_split(t)``."""
+    if not (is_real(factor) and 0 < factor < math.inf):
+        raise ValidationError(f"the factor must be positive and finite, got {factor!r}")
     scaled = rplus2c_split(
         math.sqrt(factor) * as_stack(t), inits=[math.sqrt(factor) * split.row_part]
     )
@@ -216,7 +221,10 @@ def tensor_from_kernel(kernel, n: int, m: int) -> TensorElement:
     with coefficients ``C[(p,q),(r,s)] = G[(p,r),(q,s)]``."""
     if not (is_count(n) and is_count(m)):
         raise ValidationError("register dimensions must be positive integers")
-    coeff = regroup(as_matrix(kernel), (n, m, n, m), (0, 2, 1, 3))
+    kernel = as_matrix(kernel)
+    if kernel.shape != (n * m, n * m):
+        raise ValidationError(f"kernel shape {kernel.shape} does not match registers ({n},{m})")
+    coeff = regroup(kernel, (n, m, n, m), (0, 2, 1, 3))
     return TensorElement(dual_space(n), dual_space(m), coeff)
 
 
@@ -311,7 +319,10 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float, budget: SolverBudget,
     decomposition seminorm upper. An inverted interval indicates a solver
     bug, because the comparison theorems forbid it. An upper beyond the
     float range is ``inf``, and a lower is rounded down to the largest float.
+    ``gamma_upper`` is nonnegative and may be ``inf``.
     """
+    if not (is_real(gamma_upper) and gamma_upper >= 0):
+        raise ValidationError(f"gamma_upper must be nonnegative, got {gamma_upper!r}")
     if z.X.kind != "dual":
         raise ValidationError(
             "factorization bounds are implemented for trace-class left factors"
@@ -361,7 +372,10 @@ def chain_check(map_rep: KernelMap, known_pi1cb: float, budget: SolverBudget,
     """Compare a certified cb lower bound against the summing-norm cap.
 
     ``known_pi1cb`` must be an analytically known value or a valid upper
-    bound for the (1, cb)-summing norm of the map."""
+    bound for the (1, cb)-summing norm of the map: nonnegative, and
+    possibly ``inf``."""
+    if not (is_real(known_pi1cb) and known_pi1cb >= 0):
+        raise ValidationError(f"known_pi1cb must be nonnegative, got {known_pi1cb!r}")
     res = cb_norm_bounds(map_rep, schedule=schedule, budget=budget)
     cb_lower = res.interval.lower
     bound = CB_VS_SUMMING_CONSTANT * known_pi1cb + 1e-4
@@ -372,10 +386,11 @@ def exhaustive_sign_one_norm(M) -> float:
     """max over sign vectors s of || M s ||_1, the exhaustive oracle for the
     diagonal-carrier norm of a real coefficient matrix. It enumerates all
     2**columns signs, so it takes a finite matrix of at most 16 columns."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[1] > 16 or not np.isfinite(M).all():
+    M = as_array(M)
+    if M.ndim != 2 or M.shape[1] > 16 or M.imag.any():
         raise ValidationError("the sign oracle takes a finite real matrix of at most "
                               f"16 columns, got shape {M.shape}")
+    M = M.real.copy()  # contiguous, as the products below expect
     n = M.shape[1]
     best = 0.0
     for bits in range(2 ** n):

@@ -22,6 +22,7 @@ import numpy as np
 from .bounds import INTERVAL_TOL
 from .config import ValidationError, is_count
 from .linalg import (
+    as_array,
     as_matrix,
     eigh_desc,
     hermitian_part,
@@ -63,7 +64,7 @@ def _clip_hermitian_contraction(A, what: str) -> np.ndarray:
     Violations beyond the construction tolerance are errors; below it the
     operator is repaired so downstream code can rely on exact feasibility.
     """
-    a = require_hermitian(A, tol=1e-10 * max(1.0, float(np.abs(np.asarray(A)).max())))
+    a = require_hermitian(A, tol=1e-10 * max(1.0, float(np.abs(as_array(A)).max(initial=0.0))))
     norm = operator_norm(a)
     if norm > 1 + 1e-10:
         raise ValidationError(f"{what} must be a contraction, norm {norm:.12f}")
@@ -75,7 +76,7 @@ def _clip_hermitian_contraction(A, what: str) -> np.ndarray:
 
 
 def _clip_psd(E, what: str) -> np.ndarray:
-    e = require_hermitian(E, tol=1e-10 * max(1.0, float(np.abs(np.asarray(E)).max())))
+    e = require_hermitian(E, tol=1e-10 * max(1.0, float(np.abs(as_array(E)).max(initial=0.0))))
     w, u = eigh_desc(e)
     if w[-1] < -1e-10:
         raise ValidationError(f"{what} must be positive semidefinite, min eig {w[-1]:.3e}")
@@ -159,7 +160,7 @@ class EntangledStrategy:
     def __post_init__(self):
         if not all(map(is_count, (self.n, self.m, self.dA, self.dB))):
             raise ValidationError("register and ancilla dimensions must be positive integers")
-        psi = np.asarray(self.psi, dtype=complex).ravel()
+        psi = as_array(self.psi).ravel()
         if psi.size != self.dA * self.dB:
             raise ValidationError("shared state must live on the ancilla pair")
         nrm = float(np.linalg.norm(psi))
@@ -189,9 +190,7 @@ class OwcStrategy:
     def __post_init__(self):
         if not is_count(self.d):
             raise ValidationError("the message count must be a positive integer")
-        ep = np.asarray(self.e_plus, dtype=complex)
-        em = np.asarray(self.e_minus, dtype=complex)
-        obs = np.asarray(self.observables, dtype=complex)
+        ep, em, obs = map(as_array, (self.e_plus, self.e_minus, self.observables))
         if ep.ndim != 3 or ep.shape != em.shape or ep.shape[0] != self.d:
             raise ValidationError("instrument blocks must be (d, n, n) stacks")
         if obs.ndim != 3 or obs.shape[0] != self.d:
@@ -266,6 +265,8 @@ def bias_of(game: QuantumXorGame, strategy) -> float:
     else:
         raise ValidationError(f"unknown strategy type {type(strategy).__name__}")
     val = complex(val)
+    if not np.isfinite(val):
+        raise ValidationError(f"bias came out non-finite: {val!r}")
     if abs(val.imag) > 1e-10:
         raise ValidationError(f"bias came out non-real: {val!r}")
     out = val.real
@@ -291,15 +292,15 @@ def diagonal_game(M) -> QuantumXorGame:
     """Embed a classical XOR game with real coefficient matrix M on the
     diagonal; requires sum |M_ij| <= 1."""
     try:
-        M = np.asarray(M, dtype=float)
-    except (TypeError, ValueError):  # ragged rows, or entries that are no real numbers
-        M = None
-    if M is None or M.ndim != 2:
+        M = as_array(M)
+    except ValidationError as err:
+        raise ValidationError(f"diagonal game needs a 2-d real coefficient matrix: {err}") from None
+    if M.ndim != 2 or M.imag.any():
         raise ValidationError("diagonal game needs a 2-d real coefficient matrix")
     total = float(np.abs(M).sum())
     if total > 1 + 1e-12:
         raise ValidationError(f"coefficients must satisfy sum |M_ij| <= 1, got {total}")
-    return QuantumXorGame(*M.shape, np.diag(M.ravel()))
+    return QuantumXorGame(*M.shape, np.diag(M.real.ravel()))
 
 
 def chsh() -> QuantumXorGame:

@@ -4,6 +4,10 @@ Conventions fixed here once and inherited everywhere, including file
 formats:
 
 * matrices are dense complex ``numpy`` arrays, row-major;
+* an array argument of a public function or a validating constructor is
+  converted once, by :func:`as_array` (or :func:`as_matrix`, its 2-d case),
+  which decides alone what an array argument is; shape, rank and
+  real-only checks stay with each caller;
 * an operator on the bipartite space ``C^n (x) C^m`` uses the composite
   index ``(i, k) -> i*m + k`` with ``i`` the first (Alice) register and
   ``k`` the second (Bob) register, which is exactly ``numpy.kron`` order;
@@ -16,9 +20,10 @@ import math
 
 import numpy as np
 
-from .config import ConvergenceError, ValidationError
+from .config import ConvergenceError, ValidationError, is_count, is_real
 
 __all__ = [
+    "as_array",
     "as_matrix",
     "hermitian_part",
     "require_hermitian",
@@ -38,20 +43,31 @@ __all__ = [
 ]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValidationError("matrix must have at least one row and column")
+def as_array(x) -> np.ndarray:
+    """``x`` as a complex array with every entry finite; a string, a ragged
+    list, an entry that is no number or overflows a float, and a NaN or
+    infinite entry raise :class:`ValidationError`."""
+    try:
+        a = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("entries must be complex numbers in a rectangular array") from None
     if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
     return a
 
 
+def as_matrix(m) -> np.ndarray:
+    """:func:`as_array` of a matrix with at least one row and column."""
+    a = as_array(m)
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValidationError(f"expected a matrix with a row and a column, got shape {a.shape}")
+    return a
+
+
 def hermitian_part(m) -> np.ndarray:
     a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError("Hermitian matrix must be square")
     return (a + a.conj().T) / 2
 
 
@@ -61,15 +77,17 @@ _CONSTRUCTION_TOL = 1e-12  # Hermitian defect accepted (and repaired) at constru
 def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     """Return the exactly symmetrized form of ``m``.
 
-    The defect ``max |m - m^dagger|`` must stay below ``tol`` (default:
-    ``_CONSTRUCTION_TOL`` scaled by the matrix magnitude); larger defects
-    are errors, never silently repaired.
+    The defect ``max |m - m^dagger|`` must stay below ``tol``, a positive
+    finite real (default: ``_CONSTRUCTION_TOL`` scaled by the matrix
+    magnitude); larger defects are errors, never silently repaired.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("Hermitian matrix must be square")
     if tol is None:
         tol = _CONSTRUCTION_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
+    elif not (is_real(tol) and 0 < tol < math.inf):
+        raise ValidationError(f"tolerance must be a positive finite real, got {tol!r}")
     # quarters cannot overflow in the difference or its modulus, and the
     # power-of-two scaling is exact; a defect beyond the float range is inf
     defect = 4 * float(np.abs(a / 4 - a.conj().T / 4).max(initial=0.0))
@@ -211,6 +229,8 @@ def partial_contract_A(G, A, n: int, m: int) -> np.ndarray:
     Returns ``D`` with ``D[k,l] = sum_ij G[(i,k),(j,l)] A[j,i]`` so that
     ``tr(G (A (x) B)) = tr(D B)`` for every ``B``.
     """
+    if not (is_count(n) and is_count(m)):
+        raise ValidationError("register dimensions must be positive integers")
     a = as_matrix(A)
     if a.shape[0] != a.shape[1]:
         raise ValidationError("first-register operator must be square")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ValidationError, is_count
-from .linalg import as_matrix, partial_contract_A
+from .linalg import as_array, as_matrix, partial_contract_A
 
 __all__ = [
     "Space",
@@ -98,7 +98,7 @@ class VectorMap:
     vectors: tuple
 
     def __post_init__(self):
-        vs = tuple(np.asarray(v, dtype=complex).ravel() for v in self.vectors)
+        vs = tuple(as_array(v).ravel() for v in self.vectors) if np.iterable(self.vectors) else ()
         if not vs:
             raise ValidationError("need at least one image vector")
         p = vs[0].size
@@ -106,8 +106,6 @@ class VectorMap:
             raise ValidationError("image vectors must share a dimension")
         if p == 0:
             raise ValidationError("image vectors must have a positive dimension")
-        if not all(np.isfinite(v).all() for v in vs):
-            raise ValidationError("image vector entries must be finite")
         object.__setattr__(self, "vectors", vs)
 
     @property

@@ -48,6 +48,7 @@ from .bounds import BoundInterval
 from .budget import SolverBudget, ladder_restarts, normalize_schedule, seesaw
 from .config import ConvergenceError, ValidationError
 from .linalg import (
+    as_array,
     operator_norm,
     polar_stack,
     pow2_restore,
@@ -97,24 +98,10 @@ def dual_tuple_cap(x: np.ndarray) -> float:
     s_t ||F_t||_1, and the two caps are one number. ``x`` must have shape
     ``(d, n, n)``.
     """
-    x = _tuple_stack(x)
+    x = as_array(x)
     if x.ndim != 3:
         raise ValidationError("a tuple over trace class must have shape (d, n, n)")
     return float(dual_tuple_caps(x[None])[0])
-
-
-def _tuple_stack(xs) -> np.ndarray:
-    """``xs`` as a complex array of shape ``(..., d, n, n)`` with ``d`` and
-    ``n`` positive and every entry finite, or :class:`ValidationError`."""
-    try:
-        xs = np.asarray(xs, dtype=complex)
-    except (TypeError, ValueError):
-        raise ValidationError("tuple entries must be complex numbers in an array") from None
-    if xs.ndim < 3 or xs.shape[-1] != xs.shape[-2] or 0 in xs.shape[-3:]:
-        raise ValidationError("tuples over trace class must have shape (..., d, n, n)")
-    if not np.isfinite(xs).all():
-        raise ValidationError("matrix entries must be finite")
-    return xs
 
 
 def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
@@ -124,7 +111,10 @@ def dual_tuple_caps(xs: np.ndarray) -> np.ndarray:
     finiteness of every entry are checked first. The stack is solved at the
     exact power-of-two scale of its largest entry, so the SVDs cannot
     overflow, and a cap beyond the float range is ``inf``."""
-    xs, e = pow2_scaled(_tuple_stack(xs))
+    xs = as_array(xs)
+    if xs.ndim < 3 or xs.shape[-1] != xs.shape[-2] or 0 in xs.shape[-3:]:
+        raise ValidationError("tuples over trace class must have shape (..., d, n, n)")
+    xs, e = pow2_scaled(xs)
     d, n = xs.shape[-3], xs.shape[-2]
     _, s, vh = np.linalg.svd(xs.reshape(xs.shape[:-3] + (d, n * n)), full_matrices=False)
     keep = s > 1e-15 * s[..., :1]  # s is descending, so the kept terms lead
@@ -561,7 +551,7 @@ def pietsch_pi2(vectors) -> float:
     power-of-two scale of their largest entry and the value is scaled back,
     so tiny or huge inputs neither underflow nor overflow.
     """
-    vm = vectors if isinstance(vectors, VectorMap) else VectorMap(tuple(vectors))
+    vm = vectors if isinstance(vectors, VectorMap) else VectorMap(vectors)
     h, e = pow2_scaled(np.stack(vm.vectors))
     gram = h.conj() @ h.T  # z^dagger G z = || sum_k z_k h_k ||^2
     d = vm.d

@@ -646,7 +646,7 @@ def _normalized_game_of(obj) -> tuple[QuantumXorGame, float]:
         return obj, 1.0
     kernel = _summing_kernel(obj)
     scale = max(trace_norm(kernel), 1.0)
-    g = np.asarray(kernel) / scale
+    g = kernel / scale
     try:
         require_hermitian(g)
     except ValidationError as err:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ValidationError
-from .linalg import as_matrix, operator_norm, pow2_restore, pow2_scaled, pow2_times
+from .linalg import as_array, as_matrix, operator_norm, pow2_restore, pow2_scaled, pow2_times
 
 __all__ = [
     "as_stack",
@@ -59,7 +59,7 @@ def __getattr__(name):
 def as_stack(t) -> np.ndarray:
     """The ``(d, r, c)`` complex stack of a nonempty sequence of matrices of
     one shape; the one validator of tuples."""
-    mats = [as_matrix(e) for e in t]
+    mats = [as_matrix(e) for e in t] if np.iterable(t) else []
     if not mats:
         raise ValidationError("tuple must contain at least one matrix")
     if any(m.shape != mats[0].shape for m in mats):
@@ -84,7 +84,7 @@ def rc_norm(t) -> float:
 def mix_tuple(a, t) -> np.ndarray:
     """Apply a mixing matrix to a tuple: out_k = sum_l a[k,l] x_l."""
     x = as_stack(t)
-    a = np.asarray(a, dtype=complex)
+    a = as_array(a)
     if a.ndim != 2 or a.shape[1] != x.shape[0]:
         raise ValidationError("mixing matrix shape does not match the tuple length")
     return np.einsum("kl,lab->kab", a, x)
@@ -216,6 +216,9 @@ def _linear_lower_sq(x: np.ndarray, duals) -> float:
 
 def _solve_split(t, quadratic: bool, inits: Optional[Sequence] = None) -> SplitResult:
     x, e = pow2_scaled(as_stack(t))
+    warm = as_array(() if inits is None else inits)
+    if warm.size and warm.shape[1:] != x.shape:
+        raise ValidationError("each warm start must have the shape of the tuple")
     if not x.any():
         return SplitResult(0.0, np.zeros_like(x), np.zeros_like(x), True, 0.0)
     logs = (np.zeros((x.shape[1],) * 2, complex), np.zeros((x.shape[2],) * 2, complex))
@@ -235,7 +238,7 @@ def _solve_split(t, quadratic: bool, inits: Optional[Sequence] = None) -> SplitR
         lower_sq, tol = _linear_lower_sq(x, duals[1:] + [logs]), _SEARCH_TOL
     # warm starts and the two pure splittings compete with the fixed point;
     # the first of equal values wins
-    starts = [pow2_times(as_stack(i), -e) for i in inits or ()] + [t_fp, x, np.zeros_like(x)]
+    starts = [pow2_times(w, -e) for w in warm] + [t_fp, x, np.zeros_like(x)]
     norms = [(row_norm(s), col_norm(x - s)) for s in starts]
     vals = [math.sqrt(r * r + c * c) if quadratic else r + c for r, c in norms]
     k = int(np.argmin(vals))

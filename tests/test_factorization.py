@@ -278,6 +278,54 @@ def test_sign_oracle_refuses_non_finite_or_too_wide_matrices(M, message):
         exhaustive_sign_one_norm(M)
 
 
+@pytest.mark.parametrize("M", [np.array([[1j, 1.0]]), [[1j, 1.0]]], ids=["array", "list"])
+def test_sign_oracle_refuses_a_complex_entry(M):
+    # an array once lost its imaginary part and gave 1.0
+    with pytest.raises(ValidationError, match="finite real matrix"):
+        exhaustive_sign_one_norm(M)
+
+
+def test_sign_oracle_refuses_a_string():
+    with pytest.raises(ValidationError, match="complex numbers"):
+        exhaustive_sign_one_norm("ab")
+
+
+SCALARS = pytest.mark.parametrize("value", [math.nan, -1.0, "x", None])
+
+
+@SCALARS
+def test_gamma_to_Gamma_takes_a_nonnegative_gamma_upper(value):
+    z = tensor_from_kernel(np.eye(4) / 4, 2, 2)
+    with pytest.raises(ValidationError, match="gamma_upper must be nonnegative"):
+        gamma_to_Gamma(z, value, BUDGET, (1,))
+
+
+def test_gamma_to_Gamma_takes_an_infinite_gamma_upper():
+    z = tensor_from_kernel(np.eye(4) / 4, 2, 2)
+    assert gamma_to_Gamma(z, math.inf, BUDGET, (1,)).upper == math.inf
+
+
+@SCALARS
+def test_chain_check_takes_a_nonnegative_summing_norm(value):
+    # a NaN once gave (0.7071..., nan, False)
+    with pytest.raises(ValidationError, match="known_pi1cb must be nonnegative"):
+        chain_check(associated_map(np.eye(4) / 4, 2, 2), value, BUDGET, (1,))
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0, "x"])
+def test_weight_homogeneity_takes_a_positive_finite_factor(factor):
+    # -1.0 once raised "math domain error"
+    t = rng_for("homog-factor").normal(size=(2, 2, 2))
+    with pytest.raises(ValidationError, match="factor must be positive and finite"):
+        weight_homogeneity_check(t, factor, split=rplus2c_split(t))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 2)])
+def test_tensor_from_kernel_checks_the_kernel_shape(shape):
+    with pytest.raises(ValidationError, match=r"does not match registers \(2,2\)"):
+        tensor_from_kernel(np.zeros(shape), 2, 2)
+
+
 def test_constants():
     assert MAB_FACTORIZATION_CONSTANT == pytest.approx(4 * math.sqrt(2))
     assert CB_VS_SUMMING_CONSTANT == pytest.approx(8 * math.sqrt(2))

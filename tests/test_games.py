@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,14 @@ def test_diagonal_game_puts_the_coefficients_on_the_diagonal():
 @pytest.mark.parametrize("M", [[[1, 0], [0]], [["a"]], [0.25, 0.25]],
                          ids=["ragged", "not-a-number", "1-d"])
 def test_diagonal_game_refuses_what_is_no_real_matrix(M):
+    with pytest.raises(ValidationError, match="2-d real coefficient matrix"):
+        diagonal_game(M)
+
+
+@pytest.mark.parametrize("M", [np.array([[0.25j, 0.25]]), [[0.25j, 0.25]]],
+                         ids=["array", "list"])
+def test_diagonal_game_refuses_a_complex_coefficient(M):
+    # an array once lost its imaginary part with only a ComplexWarning
     with pytest.raises(ValidationError, match="2-d real coefficient matrix"):
         diagonal_game(M)
 
@@ -426,3 +436,18 @@ def test_game_rejects_non_hermitian():
     g[0, 1] = 0.3
     with pytest.raises(ValidationError):
         QuantumXorGame(2, 2, g)
+
+
+@pytest.mark.parametrize("psi", [[math.nan], [complex(math.inf, 0)]], ids=["nan", "inf"])
+def test_a_non_finite_shared_state_is_refused(psi):
+    # a NaN state once passed the unit-norm test, and bias_of returned nan
+    with pytest.raises(ValidationError, match="finite"):
+        EntangledStrategy(2, 2, 1, 1, psi, np.eye(2), np.eye(2))
+
+
+def test_bias_of_never_returns_a_non_finite_value():
+    s = EntangledStrategy(2, 2, 1, 1, [1.0], np.eye(2), np.eye(2))
+    assert bias_of(chsh(), s) == 0.5
+    object.__setattr__(s, "psi", np.array([math.nan + 0j]))  # past the constructor
+    with pytest.raises(ValidationError, match="bias came out non-finite"):
+        bias_of(chsh(), s)

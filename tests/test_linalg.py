@@ -7,6 +7,8 @@ from conftest import gue, random_herm_contraction, random_unitary, rng_for, swap
 from qxor import linalg
 from qxor.config import ConvergenceError, ValidationError
 from qxor.linalg import (
+    as_array,
+    as_matrix,
     eigh_desc,
     eigh_stack,
     operator_norm,
@@ -195,3 +197,43 @@ def test_partial_contract_dimension_mismatch():
 def test_require_hermitian_rejects_large_defect():
     with pytest.raises(ValidationError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("m", ["ab", [[1, 2], [3]], [[10**400]], [[{}]]],
+                         ids=["string", "ragged", "overflow", "not-a-number"])
+@pytest.mark.parametrize("call", [as_array, as_matrix, eigh_desc, trace_norm])
+def test_what_numpy_cannot_convert_is_a_validation_error(call, m):
+    # numpy raises a ValueError, an OverflowError or a TypeError here
+    with pytest.raises(ValidationError, match="complex numbers"):
+        call(m)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, -math.inf)])
+def test_an_array_with_a_non_finite_entry_is_refused(entry):
+    with pytest.raises(ValidationError, match="finite"):
+        as_array([[1.0], [entry]])
+
+
+def test_a_complex_array_is_converted_as_it_is():
+    a = rng_for("as-array").normal(size=(2, 3, 4)) + 0j
+    b = a[0]
+    assert as_array(a) is a and as_matrix(b) is b
+    np.testing.assert_array_equal(as_array([[1, 2j]]), np.array([[1, 2j]]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, "x", True])
+def test_require_hermitian_takes_a_positive_finite_tolerance(tol):
+    # a NaN tolerance once passed the Hermitian part of [[0, 1], [0, 0]]
+    with pytest.raises(ValidationError, match="tolerance must be a positive finite real"):
+        require_hermitian(np.array([[0, 1], [0, 0]]), tol=tol)
+
+
+@pytest.mark.parametrize("n, m", [(2.0, 2), (2, 2.0), (True, 2), (0, 2)])
+def test_partial_contract_takes_count_registers(n, m):
+    with pytest.raises(ValidationError, match="register dimensions must be positive integers"):
+        partial_contract_A(np.eye(4), np.eye(2), n, m)
+
+
+def test_the_hermitian_part_needs_a_square_matrix():
+    with pytest.raises(ValidationError, match="square"):
+        linalg.hermitian_part(np.ones((2, 3)))

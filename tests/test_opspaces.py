@@ -56,6 +56,29 @@ def test_a_malformed_tuple_is_a_validation_error(call, t, message):
         call(t)
 
 
+@pytest.mark.parametrize("call", [rplus2c_split, rplusc_split])
+def test_a_warm_start_of_another_shape_is_refused_before_the_solve(call):
+    t = rng_for("warm-shape").normal(size=(2, 2, 2))
+    with pytest.raises(ValidationError, match="warm start must have the shape of the tuple"):
+        call(t, inits=[t[:, :, :1]])
+    # a stack of warm starts is a sequence of them, as a list is
+    assert call(t, inits=np.stack([t / 2])).value == call(t, inits=[t / 2]).value
+
+
+def test_the_weight_subadditivity_check_needs_tuples_in_one_space():
+    x, y = np.ones((1, 2, 2)), np.ones((1, 3, 3))
+    with pytest.raises(ValidationError, match="common space"):
+        factor.weight_subadditivity_check(x, y, x_split=rplus2c_split(x),
+                                          y_split=rplus2c_split(y))
+
+
+@pytest.mark.parametrize("a", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]], "ab"],
+                         ids=["nan", "ragged", "string"])
+def test_a_malformed_mixing_matrix_is_refused(a):
+    with pytest.raises(ValidationError):
+        mix_tuple(a, np.ones((2, 2, 2)))
+
+
 def test_tuple_norm_homogeneity():
     rng = rng_for("tuple-homog")
     t = np.stack([gue(3, rng) for _ in range(3)])
