@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from .budget import SolverBudget, normalize_schedule
-from .config import ValidationError
+from .config import ValidationError, is_count
 from .factor import TensorElement, gamma_rc_upper, gamma_to_Gamma
 from .games import (
     QuantumXorGame,
@@ -432,11 +432,11 @@ def _add_analysis(p: argparse.ArgumentParser):
 
 
 def _parse_schedule(text: str, flag: str) -> tuple:
-    """Comma-separated positive integers, sorted and deduplicated; anything
-    else is a :class:`SchemaError` naming ``flag``."""
+    """Comma-separated positive integers of the int64 range, sorted and
+    deduplicated; anything else is a :class:`SchemaError` naming ``flag``."""
     try:
         values = [int(v) for v in text.split(",")]
-        if min(values) < 1:
+        if not all(map(is_count, values)):
             raise ValueError
     except ValueError:
         raise SchemaError(

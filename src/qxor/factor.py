@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import BoundInterval
 from .budget import SolverBudget
-from .config import ValidationError, is_count, is_real
+from .config import ValidationError, is_count, is_real, shown
 from .games import mab_tensor
 from .linalg import as_array, as_matrix, pow2_restore, pow2_scaled, pow2_times, regroup
 from .maps import KernelMap, Space, dual_space, full_matrix_space
@@ -134,7 +134,7 @@ def weight_homogeneity_check(t, factor: float, *, split: SplitResult):
     """w(sqrt(factor) x) = factor w(x) up to solver accuracy, for a positive
     finite ``factor``. ``split`` is ``rplus2c_split(t)``."""
     if not (is_real(factor) and 0 < factor < math.inf):
-        raise ValidationError(f"the factor must be positive and finite, got {factor!r}")
+        raise ValidationError(f"the factor must be positive and finite, got {shown(factor)}")
     scaled = rplus2c_split(
         math.sqrt(factor) * as_stack(t), inits=[math.sqrt(factor) * split.row_part]
     )
@@ -159,22 +159,43 @@ def tuple_rplus2c_upper_in_space(t, space: Space, budget: SolverBudget) -> float
     Over trace class the row and the column cap of a tuple are the same
     number K (:func:`dual_tuple_cap`), so of the splits ``(lam x, (1-lam)
     x)`` the equal one is best, at ``K / sqrt(2)``; up to ``_DUAL_SPLITS``
-    random per-entry splits follow. They are compared at the exact
-    power-of-two scale of the tuple, so no cap or square overflows, and
-    the best is scaled back."""
+    random per-entry splits follow. Their fractions depend only on
+    ``budget.seed``, ``budget.restarts`` and the tuple length."""
     x = as_stack(t)
     if space.kind == "matrix":
         return rplus2c_split(x).value
-    x, e = pow2_scaled(x)
+    return _dual_uppers(x, _split_fractions(budget, x.shape[0]))[0]
+
+
+def _split_fractions(budget: SolverBudget, d: int) -> list:
+    """The per-entry fractions of the random splits of a length-``d`` tuple."""
     rng = budget.rng("dual-split")
-    tparts = [rng.uniform(0.0, 1.0, size=x.shape[0])[:, None, None] * x
-              for _ in range(min(budget.restarts, _DUAL_SPLITS))]
-    # the caps of x, then of each split's two parts, from one stacked evaluation
-    caps = dual_tuple_caps(np.stack([x] + [p for t in tparts for p in (t, x - t)])).tolist()
+    return [rng.uniform(0.0, 1.0, size=d)[:, None, None]
+            for _ in range(min(budget.restarts, _DUAL_SPLITS))]
+
+
+def _dual_uppers(y: np.ndarray, fracs: list, x=None) -> tuple[float, float]:
+    """``(upper, cap)`` for trusted stacks over trace class: the best of the
+    equal split of ``y`` and its splits by ``fracs``, and ``dual_tuple_cap(x)``
+    (NaN without ``x``). Each tuple is taken at its own exact power-of-two
+    scale, the splits at that of ``y``, so no cap or square overflows, and
+    the caps come from one :func:`dual_tuple_caps` call per tuple shape."""
+    y, ey = pow2_scaled(y)
+    stacks = [y] + [p for t in (u * y for u in fracs) for p in (t, y - t)]
+    if x is not None:
+        x, ex = pow2_scaled(x)
+        stacks.append(x)
+    caps = np.empty(len(stacks))
+    shapes = [s.shape for s in stacks]
+    for shape in set(shapes):
+        rows = [i for i, s in enumerate(shapes) if s == shape]
+        caps[rows] = dual_tuple_caps(np.stack([stacks[i] for i in rows]))
+    caps = caps.tolist()
+    cap = math.nan if x is None else pow2_restore(caps.pop(), ex)
     best = caps[0] / math.sqrt(2)
     for row_cap, col_cap in zip(caps[1::2], caps[2::2]):
         best = min(best, math.sqrt(row_cap ** 2 + col_cap ** 2))
-    return pow2_restore(best, e)
+    return pow2_restore(best, ey), cap
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +259,16 @@ class GammaResult:
     evaluations: int
 
 
-def _gamma_objective(z: TensorElement, xs, ys, budget) -> tuple[float, float, float]:
-    if z.X.kind == "matrix":
-        xn = rc_norm(xs)
+def _gamma_objective(z: TensorElement, xs, ys, fracs) -> tuple[float, float, float]:
+    """``(product, x norm, y norm)`` of the trusted factors ``xs``, ``ys``;
+    ``fracs`` are the split fractions of a trace-class ``z.Y``."""
+    x_dual = z.X.kind == "dual"
+    if z.Y.kind == "dual":
+        yn, xn = _dual_uppers(ys, fracs, xs if x_dual else None)
     else:
-        xn = dual_tuple_cap(xs)  # its row and its column cap, which are equal
-    yn = tuple_rplus2c_upper_in_space(ys, z.Y, budget)
+        yn, xn = rplus2c_split(ys).value, dual_tuple_cap(xs) if x_dual else math.nan
+    if not x_dual:
+        xn = rc_norm(xs)
     return xn * yn, xn, yn
 
 
@@ -265,6 +290,11 @@ def gamma_rc_upper(z: TensorElement, budget: SolverBudget) -> GammaResult:
     All evaluations are certified uppers, so the result is a true upper
     bound for every decomposition visited; one beyond the float range is
     ``inf``.
+
+    The search validates once, at entry, where ``z`` and its singular-term
+    factors already are: each step mixes trusted stacks, reuses the one draw
+    of split fractions and takes its caps in one stacked
+    :func:`dual_tuple_caps` call per tuple shape.
     """
     z, e = _evaluable(z)
     xs, ys = z.schmidt_decomposition()
@@ -272,14 +302,15 @@ def gamma_rc_upper(z: TensorElement, budget: SolverBudget) -> GammaResult:
     if scale == 0.0:
         return GammaResult(0.0, xs, ys, 0.0, 0.0, 1)
 
-    best, xn, yn = _gamma_objective(z, xs, ys, budget)
+    r = xs.shape[0]
+    fracs = _split_fractions(budget, r) if z.Y.kind == "dual" else []
+    best, xn, yn = _gamma_objective(z, xs, ys, fracs)
     # rebalance overall scale: the product is invariant, but balanced
     # factors keep the mixing search conditioned; both norms are
     # homogeneous, so they follow the factors
     t = math.sqrt(yn / xn) if xn > 0 and yn > 0 else 1.0
     xs, ys, xn, yn = xs * t, ys / t, xn * t, yn / t
     evaluations = 1
-    r = xs.shape[0]
     rng = budget.rng("gamma")
     sigma = 0.3
     steps = max(10, 4 * budget.restarts)
@@ -290,13 +321,13 @@ def gamma_rc_upper(z: TensorElement, budget: SolverBudget) -> GammaResult:
             inv_t = np.linalg.inv(mix).T
         except np.linalg.LinAlgError:
             continue
-        xs_c = mix_tuple(mix, xs)
-        ys_c = mix_tuple(inv_t, ys)
+        xs_c = np.einsum("kl,lab->kab", mix, xs)
+        ys_c = np.einsum("kl,lab->kab", inv_t, ys)
         recon = z.reconstruct(xs_c, ys_c)
         if np.abs(recon - z.coeff).max() > 1e-10 * max(1.0, scale):
             sigma *= 0.7
             continue
-        val, xn_c, yn_c = _gamma_objective(z, xs_c, ys_c, budget)
+        val, xn_c, yn_c = _gamma_objective(z, xs_c, ys_c, fracs)
         evaluations += 1
         if val < best:
             best = val
@@ -322,7 +353,7 @@ def gamma_to_Gamma(z: TensorElement, gamma_upper: float, budget: SolverBudget,
     ``gamma_upper`` is nonnegative and may be ``inf``.
     """
     if not (is_real(gamma_upper) and gamma_upper >= 0):
-        raise ValidationError(f"gamma_upper must be nonnegative, got {gamma_upper!r}")
+        raise ValidationError(f"gamma_upper must be nonnegative, got {shown(gamma_upper)}")
     if z.X.kind != "dual":
         raise ValidationError(
             "factorization bounds are implemented for trace-class left factors"
@@ -375,7 +406,7 @@ def chain_check(map_rep: KernelMap, known_pi1cb: float, budget: SolverBudget,
     bound for the (1, cb)-summing norm of the map: nonnegative, and
     possibly ``inf``."""
     if not (is_real(known_pi1cb) and known_pi1cb >= 0):
-        raise ValidationError(f"known_pi1cb must be nonnegative, got {known_pi1cb!r}")
+        raise ValidationError(f"known_pi1cb must be nonnegative, got {shown(known_pi1cb)}")
     res = cb_norm_bounds(map_rep, schedule=schedule, budget=budget)
     cb_lower = res.interval.lower
     bound = CB_VS_SUMMING_CONSTANT * known_pi1cb + 1e-4

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .config import ConvergenceError, ValidationError, is_count, is_real
+from .config import ConvergenceError, ValidationError, is_count, is_real, shown
 
 __all__ = [
     "as_array",
@@ -87,7 +87,7 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = _CONSTRUCTION_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
     elif not (is_real(tol) and 0 < tol < math.inf):
-        raise ValidationError(f"tolerance must be a positive finite real, got {tol!r}")
+        raise ValidationError(f"tolerance must be a positive finite real, got {shown(tol)}")
     # quarters cannot overflow in the difference or its modulus, and the
     # power-of-two scaling is exact; a defect beyond the float range is inf
     defect = 4 * float(np.abs(a / 4 - a.conj().T / 4).max(initial=0.0))

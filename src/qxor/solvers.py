@@ -121,9 +121,10 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
 
     With ``hermitian`` the updates are spectral signs (game biases); the
     complex variant uses polar contractions and estimates the norm of the
-    associated map instead. A sweep updates the stacked pairs ``(a, b)`` of
-    every running start at once; it reads only ``a``. ``warm``, an
-    observable of Alice, is the first start. Returns ``(val, a, b, trace)``.
+    associated map instead. A sweep updates the stacked states ``(a, b, d)``
+    of every running start at once and reads only ``d = _to_bob(g4, a)``,
+    which the sweep before computed for its value. ``warm``, an observable of
+    Alice, is the first start. Returns ``(val, a, b, trace)``.
     Its sweeps are plain, never extrapolated: :func:`beta_product` reads the
     final values of the complex starts that did not win.
     """
@@ -132,21 +133,20 @@ def _product_core(game, budget: SolverBudget, hermitian: bool, key: str, warm=No
     update = sign_stack if hermitian else polar_stack
 
     def sweep(_, state):
-        a = state[0]
-        b = update(_to_bob(g4, a))
+        b = update(state[2])
         a = update(_to_alice(g4, b))
         d = _to_bob(g4, a)
-        return np.real(np.trace(d @ b, axis1=-2, axis2=-1)), (a, b)
+        return np.real(np.trace(d @ b, axis1=-2, axis2=-1)), (a, b, d)
 
-    starts = [] if warm is None else [warm]
+    starts = [] if warm is None else [np.asarray(warm, dtype=complex)]
     starts.append(np.eye(n, dtype=complex))
     starts.append(sign_hermitian(_to_alice(g4, np.eye(m, dtype=complex))))
     for r in range(budget.restarts):
         starts.append(_random_herm_contraction(n, budget.rng(key, r)))
 
     b0 = np.zeros((m, m), dtype=complex)
-    val, (a, b), trace = seesaw(
-        ((-math.inf, (np.asarray(a0, dtype=complex), b0)) for a0 in starts), sweep, budget
+    val, (a, b, _), trace = seesaw(
+        ((-math.inf, (a0, b0, _to_bob(g4, a0))) for a0 in starts), sweep, budget
     )
     return val, a, b, trace
 

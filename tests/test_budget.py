@@ -8,7 +8,7 @@ import pytest
 from conftest import gue, rng_for
 from qxor import budget as budget_module, opnorms, solvers
 from qxor.budget import SolverBudget, normalize_schedule, seesaw, squarem_length, stop_rule
-from qxor.config import MonotonicityError, ValidationError
+from qxor.config import MonotonicityError, ValidationError, is_integer, is_real, shown
 from qxor.games import mab_tensor, random_game
 from qxor.maps import KernelMap, VectorMap, dual_space, full_matrix_space
 
@@ -287,6 +287,29 @@ def test_budget_rejects_a_count_that_is_not_a_positive_integer(field, count):
     # a fractional count would otherwise reach range() inside a solver
     with pytest.raises(ValidationError, match="counts must be positive integers"):
         SolverBudget(**{"restarts": 1, "max_sweeps": 1, field: count})
+
+
+def test_an_integer_is_one_of_int64_and_a_real_one_a_float_holds():
+    # numpy takes no array dimension beyond int64, and a real beyond the
+    # float range would overflow or turn into inf inside a bound
+    assert is_integer(2**63 - 1) and is_integer(-2**63) and is_integer(np.int64(-1))
+    assert not any(map(is_integer, (2**63, -2**63 - 1, np.uint64(2**64 - 1), 10**400)))
+    assert is_real(10**308) and is_real(math.inf) and is_real(math.nan)
+    assert not is_real(10**400) and not is_real(-10**400)
+    with pytest.raises(ValidationError, match="counts must be positive integers"):
+        SolverBudget(restarts=10**400, max_sweeps=1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                    reason="longdouble is no wider than a float here")
+def test_a_finite_longdouble_beyond_the_float_range_is_no_real():
+    assert not is_real(np.longdouble(2) ** 2000)
+    assert is_real(np.longdouble(math.inf))
+
+
+def test_a_message_shows_a_refused_value_in_at_most_40_characters():
+    assert shown(1.5) == "1.5"
+    assert shown(10**400) == "1" + "0" * 36 + "..."
 
 
 def test_budget_takes_numpy_integer_counts():

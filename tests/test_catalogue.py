@@ -4,9 +4,10 @@ argument with ``ValidationError``.
 The catalogue walks the ``__all__`` of each module below, reads every
 callable's parameters with ``inspect.signature`` and gives each parameter,
 by name, every malformed value of its kind while the other arguments keep
-the small valid values of :func:`valid_arguments`. Object parameters
-(games, maps, tensors, budgets, strategies, splits) are outside the
-catalogue; they always take their valid value.
+the small valid values of :func:`valid_arguments`. A count or a real of
+``10**400``, beyond the int64 and the float range, is malformed too.
+Object parameters (games, maps, tensors, budgets, strategies, splits) are
+outside the catalogue; they always take their valid value.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def malformed(name: str, param: inspect.Parameter) -> list:
     key = param.name
     valid = VALID[name].get(key)
     if key in COUNTS and (key != "m" or "int" in str(param.annotation)):
-        return [("float", 2.0), ("bool", True), ("zero", 0), ("negative", -1)]
+        return [("float", 2.0), ("bool", True), ("zero", 0), ("negative", -1),
+                ("huge", 10**400)]
     if key == "inits":
         return [("nan", [with_entry(T, math.nan)]), ("wrong-shape", [T[..., :1]]),
                 ("not-a-sequence", 5)]
@@ -195,7 +197,7 @@ def malformed(name: str, param: inspect.Parameter) -> list:
     if key in ANCILLA_SCHEDULES:
         return [("float-entry", ((1.5, 1),)), ("empty", ()), ("not-growing", ((1, 2), (2, 1)))]
     if key in REALS:
-        return [("nan", math.nan), ("negative", -1.0), ("string", "x")]
+        return [("nan", math.nan), ("negative", -1.0), ("string", "x"), ("huge", 10**400)]
     return []
 
 

@@ -414,7 +414,7 @@ def test_selftest_json_reports_each_criterion(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--messages", "--ancilla", "--levels"])
-@pytest.mark.parametrize("value", ["x", "1,", "0,1", "1.5", ""])
+@pytest.mark.parametrize("value", ["x", "1,", "0,1", "1.5", "", str(2**63)])
 def test_bad_schedule_exit_parse(tmp_path, capsys, flag, value):
     if flag == "--levels":  # only factor reads the level schedule
         f = tmp_path / "tensor.json"

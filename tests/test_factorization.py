@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import gue, matrix_unit, rng_for, swap_matrix
+import qxor
 from qxor.budget import SolverBudget
 from qxor.config import ValidationError
 from qxor.factor import (
@@ -23,8 +25,8 @@ from qxor.factor import (
     weight_sandwich_check,
     weight_subadditivity_check,
 )
-from qxor.games import associated_map, diagonal_game, hadamard_matrix, mab_tensor
-from qxor.maps import Space
+from qxor.games import associated_map, diagonal_game, hadamard_matrix, mab_tensor, random_game
+from qxor.maps import Space, dual_space
 from qxor.opnorms import dual_tuple_cap
 from qxor.tuples import mix_tuple, rc_norm, rplus2c_split
 
@@ -320,6 +322,24 @@ def test_weight_homogeneity_takes_a_positive_finite_factor(factor):
         weight_homogeneity_check(t, factor, split=rplus2c_split(t))
 
 
+def test_a_real_beyond_the_float_range_is_refused_in_a_short_message():
+    # gamma_to_Gamma once read 10**400 as inf, and the two checks raised an
+    # OverflowError
+    z = tensor_from_kernel(np.eye(4) / 4, 2, 2)
+    t = rng_for("homog-factor").normal(size=(2, 2, 2))
+    calls = {
+        "gamma_upper must be nonnegative": lambda v: gamma_to_Gamma(z, v, BUDGET, (1,)),
+        "known_pi1cb must be nonnegative":
+            lambda v: chain_check(associated_map(np.eye(4) / 4, 2, 2), v, BUDGET, (1,)),
+        "factor must be positive and finite":
+            lambda v: weight_homogeneity_check(t, v, split=rplus2c_split(t)),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ValidationError, match=message) as err:
+            call(10**400)
+        assert str(err.value).endswith("got " + "1" + "0" * 36 + "...")
+
+
 @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 2)])
 def test_tensor_from_kernel_checks_the_kernel_shape(shape):
     with pytest.raises(ValidationError, match=r"does not match registers \(2,2\)"):
@@ -346,3 +366,48 @@ def test_gamma_factor_norms_bound_the_returned_factors(x_kind, y_kind):
         assert res.x_norm_upper >= x_norm * (1 - 1e-12)
         assert res.y_norm_upper >= y_norm * (1 - 1e-12)
         assert res.x_norm_upper * res.y_norm_upper == pytest.approx(res.gamma_upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1.0, 2.0**600], ids=["tiny", "unit", "huge"])
+@pytest.mark.parametrize("nx, ny", [(2, 2), (2, 3), (3, 1)])
+def test_a_search_step_gives_the_public_norms_exactly(nx, ny, scale):
+    # a step takes its caps in one stacked call, each tuple at its own scale,
+    # and reads the same numbers as the public routines, bit for bit
+    rng = rng_for("gamma-step", nx, ny)
+    xs = scale * (rng.normal(size=(3, nx, nx)) + 1j * rng.normal(size=(3, nx, nx)))
+    ys = rng.normal(size=(3, ny, ny)) + 1j * rng.normal(size=(3, ny, ny))
+    z = TensorElement(dual_space(nx), dual_space(ny), np.zeros((nx * nx, ny * ny)))
+    for budget in (BUDGET, SolverBudget(restarts=9, max_sweeps=1, seed=2)):
+        fracs = qxor.factor._split_fractions(budget, 3)
+        val, xn, yn = qxor.factor._gamma_objective(z, xs, ys, fracs)
+        assert xn == dual_tuple_cap(xs)
+        assert yn == tuple_rplus2c_upper_in_space(ys, z.Y, budget)
+        assert val == xn * yn
+
+
+def test_the_search_draws_its_splits_once_and_converts_no_array(monkeypatch):
+    # every step used to draw the same split fractions again and to convert
+    # its own factors through as_matrix
+    calls = Counter()
+    rng, as_matrix = SolverBudget.rng, qxor.linalg.as_matrix
+
+    def counted_rng(self, *key):
+        calls[key] += 1
+        return rng(self, *key)
+
+    def counted_as_matrix(m):
+        calls["as_matrix"] += 1
+        return as_matrix(m)
+
+    monkeypatch.setattr(SolverBudget, "rng", counted_rng)
+    for module in vars(qxor).values():
+        if getattr(module, "as_matrix", None) is as_matrix:
+            monkeypatch.setattr(module, "as_matrix", counted_as_matrix)
+    budget = SolverBudget(restarts=3, max_sweeps=60, seed=0)
+    k = random_game(2, 2, seed=5).G
+    for e, at_entry in ((0, 0), (1010, 1)):  # past 2**1000 the entry rescales z once
+        z = tensor_from_kernel(qxor.linalg.pow2_times(k, e), 2, 2)
+        calls.clear()
+        res = gamma_rc_upper(z, budget)
+        assert res.evaluations == 13
+        assert calls == Counter({("gamma",): 1, ("dual-split",): 1, "as_matrix": at_entry})

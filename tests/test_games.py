@@ -417,11 +417,12 @@ COUNTED = {
 }
 
 
-@pytest.mark.parametrize("value", [2.0, True, np.bool_(True), 0],
-                         ids=["float", "bool", "numpy-bool", "zero"])
+@pytest.mark.parametrize("value", [2.0, True, np.bool_(True), 0, 10**400],
+                         ids=["float", "bool", "numpy-bool", "zero", "huge"])
 @pytest.mark.parametrize("make", [m for m, _ in COUNTED.values()], ids=list(COUNTED))
 def test_a_count_that_is_not_a_positive_integer_is_refused(make, value):
-    # a float or bool count would otherwise reach range() or a reshape in a solver
+    # a float or bool count would otherwise reach range() or a reshape in a
+    # solver, and one beyond int64 numpy's "maximum allowed dimension" error
     with pytest.raises(ValidationError):
         make(value)
 

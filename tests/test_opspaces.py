@@ -456,6 +456,13 @@ def test_a_fractional_level_is_rejected():
         amplified_norm(vm, 1.5, BUDGET)
 
 
+def test_a_level_beyond_the_int64_range_is_rejected():
+    # numpy would otherwise refuse it as an array dimension inside the core
+    vm = VectorMap(([1.0, 0.0], [0.0, 1.0]))
+    with pytest.raises(ValidationError, match="level schedule entries must be integers"):
+        amplified_norm(vm, 10**400, BUDGET)
+
+
 @pytest.mark.parametrize("schedule", [None, (1, 2)])
 def test_cb_norm_bounds_rejects_what_is_not_a_map(schedule):
     with pytest.raises(ValidationError, match="expects a KernelMap or VectorMap"):

@@ -821,7 +821,10 @@ def test_hierarchy_report_empty():
     lambda g: beta_owc(g, 2.0, BUDGET),
     lambda g: beta_entangled(g, 1.5, 1, BUDGET),
     lambda g: beta_entangled(g, 1, 2.0, BUDGET),
-], ids=["owc-fraction", "owc-float", "entangled-fraction", "entangled-float"])
+    lambda g: beta_owc(g, 10**400, BUDGET),
+    lambda g: beta_entangled(g, 10**400, 1, BUDGET),
+], ids=["owc-fraction", "owc-float", "entangled-fraction", "entangled-float", "owc-huge",
+        "entangled-huge"])
 def test_a_level_that_is_not_an_integer_is_rejected(solve):
     with pytest.raises(ValidationError, match="schedule entries must be (tuples of 2 )?integers"):
         solve(chsh())
